@@ -121,30 +121,6 @@ impl InvariantAuditor {
         });
     }
 
-    /// Checks that `values` is strictly increasing. This is the channel
-    /// sub-queue invariant: each per-(priority, bank) sub-queue iterates
-    /// its live sequence numbers in issue order, which is what makes the
-    /// first arrived element the FCFS-oldest without a full scan.
-    pub fn check_monotonic<I>(&mut self, what: &str, values: I)
-    where
-        I: IntoIterator<Item = u64>,
-    {
-        let mut prev: Option<u64> = None;
-        let mut ok = true;
-        let mut detail = String::new();
-        for v in values {
-            if let Some(p) = prev {
-                if v <= p {
-                    ok = false;
-                    detail = format!("{v} follows {p}");
-                    break;
-                }
-            }
-            prev = Some(v);
-        }
-        self.observe(ok, || format!("{what}: not strictly increasing ({detail})"));
-    }
-
     /// Number of epoch boundaries offered to this auditor.
     pub fn epochs_seen(&self) -> u64 {
         self.epochs_seen
@@ -253,19 +229,6 @@ mod tests {
         a.check_bijection("short", [0u64, 1], 3);
         assert_eq!(a.violations().len(), 3);
         assert_eq!(a.checks_run(), 4);
-    }
-
-    #[test]
-    fn monotonic_detects_regressions_and_repeats() {
-        let mut a = InvariantAuditor::every_epoch("m");
-        a.check_monotonic("ok", [1u64, 5, 9]);
-        a.check_monotonic("empty", std::iter::empty());
-        a.check_monotonic("single", [7u64]);
-        assert!(a.is_clean());
-        a.check_monotonic("repeat", [1u64, 1]);
-        a.check_monotonic("regress", [4u64, 2]);
-        assert_eq!(a.violations().len(), 2);
-        assert!(a.violations()[1].contains("2 follows 4"));
     }
 
     #[test]

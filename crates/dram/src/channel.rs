@@ -17,19 +17,29 @@
 //!
 //! # Scheduler organization
 //!
-//! The queue is held in **indexed per-(priority, bank) sub-queues** (the
-//! Ramulator organization) instead of one flat list, so a scheduling
-//! decision costs O(banks · log depth) instead of O(depth):
+//! Every queued request lives in a dense seq-indexed window (its slot is
+//! `seq - window_base`), giving O(1) lookup and removal, and a min-heap
+//! over (arrival, seq) caches the **arrival frontier**: the earliest
+//! queued arrival, maintained incrementally with lazy deletion instead of
+//! re-swept per decision.
 //!
-//! * every queued request lives in a dense seq-indexed window (its slot is
-//!   `seq - window_base`), giving O(1) lookup and removal;
-//! * each (priority, bank) sub-queue keeps its live seqs in an ordered
-//!   set — iteration order **is** FCFS order — plus a per-row index, so
-//!   the oldest candidate and the oldest row-hit candidate per bank come
-//!   from the head region of each structure;
-//! * a min-heap over (arrival, seq) caches the **arrival frontier**: the
-//!   earliest queued arrival, maintained incrementally with lazy deletion
-//!   instead of re-swept per decision.
+//! A decision scans the window flat while it spans at most twice the
+//! sub-queue count (`4 · banks` entries; the common case — the simulator's
+//! migration lanes keep queues shallower than that in every benchmark
+//! workload and committed experiment). Past that it uses **indexed
+//! per-(priority, bank) sub-queues** (the Ramulator organization): each
+//! keeps its live seqs in an ordered set — iteration order **is** FCFS
+//! order — plus a per-row index, so the oldest candidate and the oldest
+//! row-hit candidate per bank come from the head region of each structure.
+//! With arrivals monotone in seq that is O(banks · log depth) per
+//! decision; requests at a sub-queue head that have not arrived yet are
+//! stepped over, so the worst case stays O(depth).
+//!
+//! The index is **lazy**: it is built from the window the first time a
+//! decision needs it, kept in step with every enqueue and service while
+//! it exists, and dropped once the window shrinks to half the threshold,
+//! so shallow queues pay nothing for it and a queue hovering at the
+//! threshold does not rebuild on every decision.
 //!
 //! Decisions are **bit-identical** to the original flat O(depth) scan,
 //! which is retained as [`Channel::set_reference_mode`] under
@@ -90,8 +100,8 @@ struct Queued {
     row: u64,
     is_write: bool,
     priority: Priority,
-    /// Issue order; FCFS age for the flat-scan pick (the indexed pick keys
-    /// its sub-queues by seq instead of reading it off the request).
+    /// Issue order: FCFS age for the flat-scan pick, and the key the
+    /// sub-queue index files the request under.
     seq: u64,
 }
 
@@ -108,7 +118,7 @@ struct Bank {
 
 /// One (priority, bank) sub-queue: live seqs in issue order plus a per-row
 /// index for the FR-FCFS row-hit candidate.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 struct SubQueue {
     /// Live sequence numbers; ascending iteration = FCFS order.
     seqs: BTreeSet<u64>,
@@ -150,8 +160,8 @@ pub struct ChannelStats {
     #[serde(default)]
     pub sched_decisions: u64,
     /// Queue entries examined across all scheduling decisions — the
-    /// scheduler's work metric. O(banks) per decision for the indexed
-    /// scheduler, O(depth) for the reference flat scan.
+    /// scheduler's work metric: the live entries of the window for a flat
+    /// scan, O(banks) probes for an indexed decision.
     #[serde(default)]
     pub sched_scan_ops: u64,
     /// Injected channel faults applied (at most one per fault window; 0
@@ -271,8 +281,15 @@ pub struct Channel {
     window_base: u64,
     /// Live (queued, unserviced) request count.
     queued: usize,
-    /// `2 * banks` sub-queues: demand per bank, then background per bank.
-    subs: Vec<SubQueue>,
+    /// The sub-queue index: `2 * banks` sub-queues, demand per bank, then
+    /// background per bank. `None` while the queue is shallow: [`pick`]
+    /// builds it from the window when the window first spans more than
+    /// twice the sub-queue count, and [`take`] drops it once the window
+    /// is back to the sub-queue count or less.
+    ///
+    /// [`pick`]: Channel::pick
+    /// [`take`]: Channel::take
+    index: Option<Vec<SubQueue>>,
     /// Arrival frontier: min-heap over (arrival, seq) with lazy deletion —
     /// stale tops (already-serviced seqs) are popped on peek.
     arrival_heap: BinaryHeap<Reverse<(Picos, u64)>>,
@@ -316,7 +333,7 @@ impl Channel {
             window: VecDeque::new(),
             window_base: 0,
             queued: 0,
-            subs: vec![SubQueue::default(); 2 * timing.banks as usize],
+            index: None,
             arrival_heap: BinaryHeap::new(),
             timing,
             bus_free_at: Picos::ZERO,
@@ -396,6 +413,35 @@ impl Channel {
         priority.class() * self.banks.len() + bank as usize
     }
 
+    /// Number of (priority, bank) sub-queues.
+    fn sub_count(&self) -> usize {
+        2 * self.banks.len()
+    }
+
+    /// A sub-queue index over the live window, as enqueue and service
+    /// would have maintained it. Each set is bulk-built from a sorted run
+    /// rather than filled one insert at a time.
+    fn build_index(&self) -> Vec<SubQueue> {
+        let mut runs: Vec<Vec<(u64, u64)>> = vec![Vec::new(); self.sub_count()];
+        for q in self.window.iter().flatten() {
+            runs[self.sub_index(q.priority, q.bank)].push((q.row, q.seq));
+        }
+        runs.into_iter()
+            .map(|mut run| {
+                // The window yields ascending seqs, so each run already is.
+                let seqs = run.iter().map(|&(_, seq)| seq).collect();
+                run.sort_unstable();
+                let mut by_row = HashMap::new();
+                for group in run.chunk_by(|a, b| a.0 == b.0) {
+                    if let Some(&(row, _)) = group.first() {
+                        by_row.insert(row, group.iter().map(|&(_, seq)| seq).collect());
+                    }
+                }
+                SubQueue { seqs, by_row }
+            })
+            .collect()
+    }
+
     /// The queued request with sequence number `seq`, if still live.
     fn peek(&self, seq: u64) -> Option<&Queued> {
         let off = seq.checked_sub(self.window_base)?;
@@ -408,18 +454,25 @@ impl Channel {
         let q = self.window.get_mut(off)?.take()?;
         self.queued -= 1;
         let idx = self.sub_index(q.priority, q.bank);
-        let sub = &mut self.subs[idx];
-        sub.seqs.remove(&seq);
-        if let Some(rows) = sub.by_row.get_mut(&q.row) {
-            rows.remove(&seq);
-            if rows.is_empty() {
-                sub.by_row.remove(&q.row);
+        if let Some(subs) = self.index.as_mut() {
+            let sub = &mut subs[idx];
+            sub.seqs.remove(&seq);
+            if let Some(rows) = sub.by_row.get_mut(&q.row) {
+                rows.remove(&seq);
+                if rows.is_empty() {
+                    sub.by_row.remove(&q.row);
+                }
             }
         }
         // Trim the serviced prefix so the window tracks the live span.
         while matches!(self.window.front(), Some(None)) {
             self.window.pop_front();
             self.window_base += 1;
+        }
+        // Half the build threshold: a queue hovering near the threshold
+        // keeps its index instead of rebuilding it every decision.
+        if self.window.len() <= self.sub_count() {
+            self.index = None;
         }
         Some(q)
     }
@@ -516,8 +569,10 @@ impl Channel {
         self.queued += 1;
         self.arrival_heap.push(Reverse((arrival, seq)));
         let idx = self.sub_index(priority, bank);
-        self.subs[idx].seqs.insert(seq);
-        self.subs[idx].by_row.entry(row).or_default().insert(seq);
+        if let Some(subs) = self.index.as_mut() {
+            subs[idx].seqs.insert(seq);
+            subs[idx].by_row.entry(row).or_default().insert(seq);
+        }
         self.stats.max_queue_depth = self.stats.max_queue_depth.max(self.queued);
     }
 
@@ -531,8 +586,16 @@ impl Channel {
     /// (e.g. demand showing up during a migration burst) still competes for
     /// every grant after its arrival.
     pub fn drain_until(&mut self, until: Picos) -> Vec<(ReqToken, Picos)> {
-        let lead = self.timing.cycles(self.timing.t_rcd + self.timing.t_cas);
         let mut done = Vec::new();
+        self.drain_until_with(until, |token, completion| done.push((token, completion)));
+        done
+    }
+
+    /// Like [`drain_until`](Channel::drain_until), but hands each
+    /// `(token, completion_time)` to `on_done` in service order instead of
+    /// collecting them, so a caller can fill a buffer it reuses.
+    pub fn drain_until_with(&mut self, until: Picos, mut on_done: impl FnMut(ReqToken, Picos)) {
+        let lead = self.timing.cycles(self.timing.t_rcd + self.timing.t_cas);
         // On empty queue, stop and leave `now` untouched: channels are
         // reused across epoch boundaries (drain, migrate, continue) and a
         // poisoned horizon would push later requests into the far future.
@@ -584,9 +647,8 @@ impl Channel {
                 p.depth.record(self.queued as u64 + 1);
             }
             let completion = self.service(&q, decision);
-            done.push((q.token, completion));
+            on_done(q.token, completion);
         }
-        done
     }
 
     /// Services every queued request regardless of horizon.
@@ -710,10 +772,11 @@ impl Channel {
         );
     }
 
-    /// States the indexed scheduler's structural invariants against
-    /// `auditor`: sub-queue seq monotonicity and class membership, per-row
-    /// index consistency, live-count conservation, and agreement between
-    /// the cached arrival frontier and a full queue sweep.
+    /// States the scheduler's structural invariants against `auditor`:
+    /// live-count conservation between the window and the counter, an
+    /// index (when one exists) that matches a rebuild from the window
+    /// exactly, and agreement between the cached arrival frontier and a
+    /// full queue sweep.
     #[cfg(feature = "debug-invariants")]
     pub fn audit_sched(&self, auditor: &mut mempod_audit::InvariantAuditor) {
         let live = self.window.iter().flatten().count();
@@ -722,40 +785,23 @@ impl Channel {
             self.queued as u64,
             live as u64,
         );
-        let sub_total: usize = self.subs.iter().map(|s| s.seqs.len()).sum();
-        auditor.check_conserved(
-            "channel sub-queue population vs queued counter",
-            self.queued as u64,
-            sub_total as u64,
-        );
-        for (i, sub) in self.subs.iter().enumerate() {
-            auditor.check_monotonic(
-                &format!("channel sub-queue {i} seq order"),
-                sub.seqs.iter().copied(),
+        if let Some(subs) = &self.index {
+            let rebuilt = self.build_index();
+            auditor.check_conserved(
+                "channel sub-queue count",
+                rebuilt.len() as u64,
+                subs.len() as u64,
             );
-            for &seq in &sub.seqs {
-                match self.peek(seq) {
-                    None => auditor.record(format!("channel sub-queue {i} indexes dead seq {seq}")),
-                    Some(q) => {
-                        auditor.observe(self.sub_index(q.priority, q.bank) == i, || {
-                            format!(
-                                "seq {seq} (bank {}, {:?}) filed in sub-queue {i}",
-                                q.bank, q.priority
-                            )
-                        });
-                        auditor.observe(
-                            sub.by_row.get(&q.row).is_some_and(|s| s.contains(&seq)),
-                            || format!("seq {seq} missing from row index {}", q.row),
-                        );
-                    }
-                }
-            }
-            for (row, seqs) in &sub.by_row {
-                auditor.observe(!seqs.is_empty(), || {
-                    format!("channel sub-queue {i} keeps empty row index {row}")
-                });
-                auditor.observe(seqs.is_subset(&sub.seqs), || {
-                    format!("channel sub-queue {i} row index {row} not a subset")
+            for (i, (have, want)) in subs.iter().zip(&rebuilt).enumerate() {
+                auditor.observe(have == want, || {
+                    format!(
+                        "channel sub-queue {i} ({} seqs, {} rows) differs from \
+                         a rebuild from the window ({} seqs, {} rows)",
+                        have.seqs.len(),
+                        have.by_row.len(),
+                        want.seqs.len(),
+                        want.by_row.len()
+                    )
                 });
             }
         }
@@ -782,27 +828,39 @@ impl Channel {
         self.pick(decision)
     }
 
-    /// Indexed scheduling pick among requests that have arrived by
-    /// `decision`: starving requests first (demand bound 500 ns, background
-    /// bound 2 µs), then FR-FCFS within the demand class, then FR-FCFS
-    /// among background. `None` only if no queued request has arrived yet.
+    /// Scheduling pick among requests that have arrived by `decision`:
+    /// starving requests first (demand bound 500 ns, background bound
+    /// 2 µs), then FR-FCFS within the demand class, then FR-FCFS among
+    /// background. `None` only if no queued request has arrived yet.
     ///
-    /// Per class, the FCFS-oldest candidate is the first arrived seq of
-    /// each bank's sub-queue (iteration is seq-ordered, pruned once it
-    /// passes the best seq found so far), and the row-hit candidate comes
-    /// from the open row's per-row index the same way — O(banks) probes at
-    /// the head regions in the common monotone-arrival case, never a full
-    /// queue scan.
+    /// While the window spans at most twice the sub-queue count (the
+    /// common case), a flat scan is cheaper than touching every
+    /// (priority, bank) structure, so the pick is [`pick_flat`]. Deeper
+    /// windows use the sub-queue index, built here on first need. The
+    /// pick is a scan-order-independent min-seq competition, so both
+    /// paths select the same request.
     ///
-    /// Shallow queues (the demand-traffic common case) skip the index
-    /// probes entirely: when the live window is shorter than the sub-queue
-    /// count, a flat scan is cheaper than touching every (priority, bank)
-    /// structure. The pick is a scan-order-independent min-seq competition,
-    /// so both paths select the same request.
+    /// [`pick_flat`]: Channel::pick_flat
     fn pick(&mut self, decision: Picos) -> Option<u64> {
-        if self.window.len() <= 2 * self.subs.len() {
+        if self.window.len() <= 2 * self.sub_count() {
             return self.pick_flat(decision);
         }
+        let index = match self.index.take() {
+            Some(index) => index,
+            None => self.build_index(),
+        };
+        let picked = self.pick_indexed(&index, decision);
+        self.index = Some(index);
+        picked
+    }
+
+    /// The indexed pick over `subs`. Per class, the FCFS-oldest candidate
+    /// is the first arrived seq of each bank's sub-queue (iteration is
+    /// seq-ordered, pruned once it passes the best seq found so far), and
+    /// the row-hit candidate comes from the open row's per-row index the
+    /// same way — O(banks) probes at the head regions in the common
+    /// monotone-arrival case, never a full queue scan.
+    fn pick_indexed(&mut self, subs: &[SubQueue], decision: Picos) -> Option<u64> {
         let nbanks = self.banks.len();
         let mut scan_ops = 0u64;
         // Per class: (seq, arrival) of the FCFS-oldest arrived request.
@@ -811,7 +869,7 @@ impl Channel {
         let mut hit: [Option<u64>; 2] = [None, None];
         for (class, (oldest, hit)) in oldest.iter_mut().zip(hit.iter_mut()).enumerate() {
             for bank in 0..nbanks {
-                let sub = &self.subs[class * nbanks + bank];
+                let sub = &subs[class * nbanks + bank];
                 for &seq in &sub.seqs {
                     scan_ops += 1;
                     if oldest.is_some_and(|(best, _)| seq >= best) {
@@ -870,9 +928,8 @@ impl Channel {
 
     /// The original flat scan over every queued request. Selection depends
     /// only on seq comparisons, so its decisions are independent of scan
-    /// order: it serves both as the oracle the indexed
-    /// [`pick`](Channel::pick) is differential-tested against and as the
-    /// shallow-queue fast path of the indexed scheduler itself.
+    /// order: it serves both as the oracle [`pick`](Channel::pick) is
+    /// differential-tested against and as its shallow-queue path.
     fn pick_flat(&mut self, decision: Picos) -> Option<u64> {
         let mut oldest_demand: Option<&Queued> = None;
         let mut hit_demand: Option<&Queued> = None;
@@ -1273,15 +1330,18 @@ mod tests {
     #[test]
     fn window_trims_serviced_prefix() {
         let mut ch = hbm_channel();
-        for i in 0..64u64 {
+        for i in 0..100u64 {
             ch.enqueue(ReqToken(i), (i % 16) as u32, i % 4, false, Picos::ZERO);
         }
+        assert!(ch.index.is_none(), "enqueue alone never builds the index");
+        // One decision at a 100-entry window builds the index.
+        assert_eq!(ch.drain_until(Picos::ZERO).len(), 1);
+        assert!(ch.index.is_some(), "a deep window must build the index");
         let _ = ch.drain_all();
         assert_eq!(ch.pending(), 0);
         assert!(ch.window.is_empty(), "serviced prefix must be trimmed");
-        assert_eq!(ch.window_base, 64);
-        assert!(ch.subs.iter().all(|s| s.seqs.is_empty()));
-        assert!(ch.subs.iter().all(|s| s.by_row.is_empty()));
+        assert_eq!(ch.window_base, 100);
+        assert!(ch.index.is_none(), "a shallow queue must drop the index");
     }
 
     #[cfg(feature = "debug-invariants")]
@@ -1304,9 +1364,26 @@ mod tests {
             );
         }
         let _ = ch.drain_until(Picos::from_ns(400));
+        assert!(ch.index.is_some(), "the audit must see a live index");
         ch.audit_sched(&mut auditor);
         ch.audit_time(&mut auditor);
         auditor.assert_clean();
+    }
+
+    #[cfg(feature = "debug-invariants")]
+    #[test]
+    fn sched_audit_flags_an_index_that_drifts_from_the_window() {
+        let mut ch = hbm_channel();
+        for i in 0..100u64 {
+            ch.enqueue(ReqToken(i), (i % 16) as u32, i % 8, false, Picos::ZERO);
+        }
+        let _ = ch.drain_until(Picos::ZERO);
+        let subs = ch.index.as_mut().expect("deep window builds the index");
+        let stale = *subs[3].seqs.first().expect("bank 3 has demand work");
+        subs[3].seqs.remove(&stale);
+        let mut auditor = mempod_audit::InvariantAuditor::every_epoch("sched");
+        ch.audit_sched(&mut auditor);
+        assert!(!auditor.is_clean(), "a drifted index must be flagged");
     }
 
     mod differential {
@@ -1425,6 +1502,97 @@ mod tests {
                     per_batch,
                 );
             }
+        }
+
+        /// Drives bursts that push the window past the index threshold
+        /// (`4 · banks` entries) and drains each away in short steps, so
+        /// the index is built, maintained and dropped once per burst, and
+        /// asserts the indexed channel matches reference mode throughout.
+        /// Returns how often the index was seen to appear and to vanish
+        /// between steps.
+        fn assert_lifecycle_matches_reference(
+            seed: u64,
+            timing: DramTiming,
+            bursts: usize,
+        ) -> (u32, u32) {
+            let banks = timing.banks;
+            let threshold = 4 * usize_from_u32(banks);
+            let mut indexed = Channel::new(timing);
+            let mut reference = Channel::new(timing);
+            reference.set_reference_mode(true);
+            let mut mix = Mix(seed | 1);
+            let mut token = 0u64;
+            let (mut builds, mut drops) = (0u32, 0u32);
+            let mut had_index = false;
+            for _ in 0..bursts {
+                let start = indexed.now();
+                let depth = threshold + 1 + (mix.next() % 96) as usize;
+                for _ in 0..depth {
+                    let r = mix.next();
+                    let priority = if r & 24 == 0 {
+                        Priority::Background
+                    } else {
+                        Priority::Demand
+                    };
+                    for ch in [&mut indexed, &mut reference] {
+                        ch.enqueue_with_priority(
+                            ReqToken(token),
+                            (r >> 17) as u32 % banks,
+                            (r >> 23) % 6,
+                            r & 4 == 0,
+                            start + Picos(r % 20_000),
+                            priority,
+                        );
+                    }
+                    token += 1;
+                }
+                let mut horizon = start;
+                while indexed.pending() > 0 {
+                    horizon += Picos(5_000 + mix.next() % 20_000);
+                    let a = indexed.drain_until(horizon);
+                    let b = reference.drain_until(horizon);
+                    assert_eq!(a, b, "divergence draining to {horizon}");
+                    let has_index = indexed.index.is_some();
+                    builds += u32::from(has_index && !had_index);
+                    drops += u32::from(!has_index && had_index);
+                    had_index = has_index;
+                }
+                assert_eq!(reference.pending(), 0);
+                assert!(indexed.index.is_none(), "an empty queue keeps no index");
+            }
+            let mut sa = *indexed.stats();
+            let mut sb = *reference.stats();
+            assert!(sa.max_queue_depth > threshold);
+            sa.sched_scan_ops = 0;
+            sb.sched_scan_ops = 0;
+            assert_eq!(sa, sb, "stats diverged");
+            (builds, drops)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(16))]
+
+            /// Decisions and statistics stay identical to reference mode
+            /// while the index is repeatedly built, maintained and dropped.
+            #[test]
+            fn lazy_index_lifecycle_matches_reference(
+                seed in 0u64..100_000,
+                timing_choice in 0u64..3,
+                bursts in 2usize..6,
+            ) {
+                assert_lifecycle_matches_reference(
+                    seed,
+                    timing_variant(timing_choice),
+                    bursts,
+                );
+            }
+        }
+
+        #[test]
+        fn lazy_index_is_built_and_dropped_once_per_burst() {
+            let (builds, drops) = assert_lifecycle_matches_reference(7, DramTiming::hbm(), 5);
+            assert!(builds >= 3, "index built only {builds} times");
+            assert!(drops >= 3, "index dropped only {drops} times");
         }
 
         #[test]

@@ -358,24 +358,38 @@ impl MemorySystem {
     }
 
     /// Services all requests scheduled before `until`; returns completions
-    /// (each already includes the controller latency), unordered across
-    /// channels.
+    /// (each already includes the controller latency) in ascending channel
+    /// order and, within a channel, in service order.
     pub fn drain_until(&mut self, until: Picos) -> Vec<Completion> {
-        let ctrl = self.layout.ctrl_latency;
         let mut out = Vec::new();
-        for (i, ch) in self.channels.iter_mut().enumerate() {
-            let global = self.shard_id + u32_from_u64(u64_from_usize(i)) * self.shard_count;
-            out.extend(
-                ch.drain_until(until)
-                    .into_iter()
-                    .map(|(token, done)| Completion {
-                        token,
-                        completion: done + ctrl,
-                        channel: global,
-                    }),
-            );
-        }
+        self.drain_until_into(until, &mut out);
         out
+    }
+
+    /// Like [`drain_until`](MemorySystem::drain_until), but appends the
+    /// completions to `out`, so a caller draining in a loop reuses one
+    /// buffer. The order is the same: ascending channel, then service
+    /// order — the engine handles completions in this order, so its
+    /// results depend on it.
+    ///
+    /// Channels with nothing queued are skipped. That is exact: an empty
+    /// channel's drain makes no scheduling decision, and only decisions
+    /// move its time, statistics and refresh schedule.
+    pub fn drain_until_into(&mut self, until: Picos, out: &mut Vec<Completion>) {
+        let ctrl = self.layout.ctrl_latency;
+        for (i, ch) in self.channels.iter_mut().enumerate() {
+            if ch.pending() == 0 {
+                continue;
+            }
+            let channel = self.shard_id + u32_from_u64(u64_from_usize(i)) * self.shard_count;
+            ch.drain_until_with(until, |token, done| {
+                out.push(Completion {
+                    token,
+                    completion: done + ctrl,
+                    channel,
+                });
+            });
+        }
     }
 
     /// Services every outstanding request.
@@ -567,6 +581,63 @@ mod tests {
         assert_eq!(mem.pending(), 1);
         assert_eq!(mem.drain_all().len(), 1);
         assert_eq!(mem.pending(), 0);
+    }
+
+    #[test]
+    fn drains_skip_idle_channels_and_order_by_channel_then_service() {
+        let t = DramTiming::hbm();
+        let mut mem = MemorySystem::new(MemLayout::tiny());
+        let channel_of = |mem: &MemorySystem, frame: FrameId, line: u32| {
+            usize_from_u32(mem.mapper().decode(frame, line).channel)
+        };
+        // Warm one channel, then leave it idle.
+        let warm = channel_of(&mem, FrameId(2), 0);
+        mem.submit(FrameId(2), 0, AccessKind::Read, Picos::ZERO);
+        assert_eq!(mem.drain_all().len(), 1);
+        let idle: Vec<(Picos, ChannelStats)> = mem
+            .channels
+            .iter()
+            .map(|ch| (ch.now(), *ch.stats()))
+            .collect();
+        // Bursts on a slow and two fast frames, submitted out of channel
+        // order, some past a refresh boundary.
+        let frames = [
+            FrameId(mem.layout().fast_frames + 1),
+            FrameId(5),
+            FrameId(0),
+        ];
+        let mut busy = Vec::new();
+        for k in 0..24u64 {
+            let frame = frames[(k % 3) as usize];
+            let line = u32_from_u64(k % 32);
+            busy.push(channel_of(&mem, frame, line));
+            mem.submit(frame, line, AccessKind::Read, t.refresh_interval() / 8 * k);
+        }
+        assert!(!busy.contains(&warm));
+        let mut twin = mem.clone();
+        let horizon = t.refresh_interval() * 3;
+        let done = mem.drain_until(horizon);
+        assert_eq!(done.len(), 24);
+        // Ascending channel, then service order (a channel's bursts leave
+        // its bus one after another, so completions strictly increase).
+        assert!(
+            done.windows(2)
+                .all(|w| (w[0].channel, w[0].completion) < (w[1].channel, w[1].completion)),
+            "{done:?}"
+        );
+        let mut buffered = vec![done[0]];
+        twin.drain_until_into(horizon, &mut buffered);
+        assert_eq!(buffered[1..], done[..], "drain_until_into appends");
+        for (i, ch) in mem.channels.iter().enumerate() {
+            if !busy.contains(&i) {
+                assert_eq!((ch.now(), *ch.stats()), idle[i], "idle channel {i} moved");
+            }
+        }
+        assert_eq!(mem.channels[warm].stats().refreshes, 0);
+        assert!(
+            busy.iter().all(|&i| mem.channels[i].stats().refreshes > 0),
+            "busy channels cross refresh boundaries"
+        );
     }
 
     #[test]

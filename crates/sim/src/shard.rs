@@ -199,6 +199,9 @@ pub(crate) struct Shard {
     /// emission order. The main thread merges buffers across shards in
     /// timestamp-then-shard-id order (`Telemetry::emit_merged`).
     pub(crate) events: Vec<(u64, EventKind)>,
+    /// Reused completion buffer for [`pump`](Shard::pump); empty between
+    /// calls.
+    completions: Vec<Completion>,
 }
 
 impl Shard {
@@ -230,6 +233,7 @@ impl Shard {
             events_wanted,
             spans_enabled: spans_enabled && events_wanted,
             events: Vec::new(),
+            completions: Vec::new(),
         }
     }
 
@@ -334,15 +338,17 @@ impl Shard {
     /// `MemorySystem::audit_invariants` at sampled epoch boundaries and at
     /// end of run.
     pub(crate) fn pump(&mut self, horizon: Picos) {
+        let mut done = std::mem::take(&mut self.completions);
         loop {
-            let done = self.mem.drain_until(horizon);
+            self.mem.drain_until_into(horizon, &mut done);
             if done.is_empty() {
                 break;
             }
-            for c in done {
+            for c in done.drain(..) {
                 self.handle_completion(c);
             }
         }
+        self.completions = done;
     }
 
     /// Prunes settled entries from the blocked map once it grows past the

@@ -31,6 +31,11 @@ step "mempod-audit sync" \
 step "cargo test (workspace)" cargo test -q --workspace --offline
 step "cargo test (debug-invariants)" \
     cargo test -q --features debug-invariants --offline
+# The benchmark crate is its own workspace, so the workspace build and
+# clippy never see it: build it and run its unit tests and --smoke
+# self-test here, so an API change it depends on cannot break it unnoticed.
+step "cargo test (benchmark crate)" \
+    cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
 # Bounded interleaving model checking: re-explores the four concurrency
 # models (barrier generations, watchdog cancel, shard-panic degradation,
