@@ -127,6 +127,47 @@ struct SubQueue {
     by_row: HashMap<u64, BTreeSet<u64>>,
 }
 
+/// The picosecond durations [`Channel::service`] and the drain loop use,
+/// converted from bus cycles once at [`Channel::new`] so the per-request
+/// path does no 128-bit division. Each field is exactly the
+/// [`DramTiming::cycles`] expression it stands for; sums of cycle counts
+/// are converted as one sum (`lead`), since `cycles(a + b)` can differ
+/// from `cycles(a) + cycles(b)` by the rounding of a non-integral period.
+#[derive(Debug, Clone, Copy)]
+struct CyclePicos {
+    /// `cycles(t_cas)`.
+    cas: Picos,
+    /// `cycles(t_rcd)`.
+    rcd: Picos,
+    /// `cycles(t_rp)`.
+    rp: Picos,
+    /// `cycles(t_ras)`.
+    ras: Picos,
+    /// `cycles(t_wr)`.
+    wr: Picos,
+    /// `burst_time()` = `cycles(burst_cycles)`.
+    burst: Picos,
+    /// One command slot, `cycles(1)`.
+    cmd: Picos,
+    /// Scheduler pacing lead, `cycles(t_rcd + t_cas)`.
+    lead: Picos,
+}
+
+impl CyclePicos {
+    fn new(t: &DramTiming) -> Self {
+        CyclePicos {
+            cas: t.cycles(t.t_cas),
+            rcd: t.cycles(t.t_rcd),
+            rp: t.cycles(t.t_rp),
+            ras: t.cycles(t.t_ras),
+            wr: t.cycles(t.t_wr),
+            burst: t.burst_time(),
+            cmd: t.cycles(1),
+            lead: t.cycles(t.t_rcd + t.t_cas),
+        }
+    }
+}
+
 /// Row-buffer outcome classification.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum RowOutcome {
@@ -273,6 +314,8 @@ impl ChannelProbe {
 #[derive(Debug, Clone)]
 pub struct Channel {
     timing: DramTiming,
+    /// `timing`'s per-request durations, precomputed.
+    ps: CyclePicos,
     banks: Vec<Bank>,
     /// Dense seq-indexed storage: slot `i` holds seq `window_base + i`
     /// (`None` once serviced). The front is trimmed as it empties.
@@ -335,6 +378,7 @@ impl Channel {
             queued: 0,
             index: None,
             arrival_heap: BinaryHeap::new(),
+            ps: CyclePicos::new(&timing),
             timing,
             bus_free_at: Picos::ZERO,
             now: Picos::ZERO,
@@ -595,7 +639,7 @@ impl Channel {
     /// `(token, completion_time)` to `on_done` in service order instead of
     /// collecting them, so a caller can fill a buffer it reuses.
     pub fn drain_until_with(&mut self, until: Picos, mut on_done: impl FnMut(ReqToken, Picos)) {
-        let lead = self.timing.cycles(self.timing.t_rcd + self.timing.t_cas);
+        let lead = self.ps.lead;
         // On empty queue, stop and leave `now` untouched: channels are
         // reused across epoch boundaries (drain, migrate, continue) and a
         // poisoned horizon would push later requests into the far future.
@@ -977,47 +1021,38 @@ impl Channel {
 
     /// Issues one request at decision time `now`, updating bank/bus state.
     fn service(&mut self, q: &Queued, now: Picos) -> Picos {
-        let t = self.timing;
+        let t = self.ps;
         let bank = &mut self.banks[q.bank as usize];
         let (data_start, outcome) = match bank.open_row {
             Some(r) if r == q.row => {
                 let cmd = now.max(bank.ready_at);
-                (
-                    (cmd + t.cycles(t.t_cas)).max(self.bus_free_at),
-                    RowOutcome::Hit,
-                )
+                ((cmd + t.cas).max(self.bus_free_at), RowOutcome::Hit)
             }
             Some(_) => {
                 // Precharge must respect tRAS since activation and tWR after
                 // the last write burst.
                 let pre = now
                     .max(bank.ready_at)
-                    .max(bank.act_at + t.cycles(t.t_ras))
-                    .max(bank.write_end + t.cycles(t.t_wr));
-                let act = pre + t.cycles(t.t_rp);
-                let cmd = act + t.cycles(t.t_rcd);
+                    .max(bank.act_at + t.ras)
+                    .max(bank.write_end + t.wr);
+                let act = pre + t.rp;
+                let cmd = act + t.rcd;
                 bank.act_at = act;
-                (
-                    (cmd + t.cycles(t.t_cas)).max(self.bus_free_at),
-                    RowOutcome::Conflict,
-                )
+                ((cmd + t.cas).max(self.bus_free_at), RowOutcome::Conflict)
             }
             None => {
                 let act = now.max(bank.ready_at);
-                let cmd = act + t.cycles(t.t_rcd);
+                let cmd = act + t.rcd;
                 bank.act_at = act;
-                (
-                    (cmd + t.cycles(t.t_cas)).max(self.bus_free_at),
-                    RowOutcome::Miss,
-                )
+                ((cmd + t.cas).max(self.bus_free_at), RowOutcome::Miss)
             }
         };
         bank.open_row = Some(q.row);
-        let data_end = data_start + t.burst_time();
+        let data_end = data_start + t.burst;
         // Same-bank column commands pipeline at tCCD (≈ the burst length),
         // so a same-row stream sustains full bus bandwidth; other banks only
         // contend on the bus.
-        bank.ready_at = data_start.saturating_sub(t.cycles(t.t_cas)) + t.burst_time();
+        bank.ready_at = data_start.saturating_sub(t.cas) + t.burst;
         if q.is_write {
             bank.write_end = data_end;
         }
@@ -1025,7 +1060,7 @@ impl Channel {
         // Advance only by one command slot: bank preparation of the next
         // request overlaps this one's, and the shared data bus (bus_free_at)
         // provides the real serialization.
-        self.now = now + t.cycles(1);
+        self.now = now + t.cmd;
 
         match outcome {
             RowOutcome::Hit => self.stats.row_hits += 1,
@@ -1037,7 +1072,7 @@ impl Channel {
         } else {
             self.stats.reads += 1;
         }
-        self.stats.busy_time += t.burst_time();
+        self.stats.busy_time += t.burst;
         self.stats.total_latency += data_end - q.arrival;
         data_end
     }
@@ -1184,6 +1219,17 @@ mod tests {
         assert_eq!(s.sched_decisions, 2);
         assert!(s.sched_scan_ops > 0);
         assert!(s.scans_per_decision() > 0.0);
+    }
+
+    #[test]
+    fn precomputed_lead_converts_the_cycle_sum() {
+        // DDR4-2400's 833.3 ps period rounds each conversion up, so the
+        // pacing lead is one conversion of tRCD + tCAS, not the sum of two.
+        let t = DramTiming::ddr4_2400();
+        let ps = CyclePicos::new(&t);
+        assert_eq!(ps.rcd + ps.cas, Picos(26_668));
+        assert_eq!(ps.lead, Picos(26_667));
+        assert_eq!(ps.lead, t.cycles(t.t_rcd + t.t_cas));
     }
 
     #[test]

@@ -17,7 +17,9 @@
 //! unsharded system), so there is exactly one copy of the migration/
 //! blocking/metadata state machine to keep correct.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use mempod_core::Migration;
 use mempod_dram::{Completion, MemorySystem, Priority, ReqToken};
@@ -26,9 +28,6 @@ use mempod_telemetry::span::{child_span_id, migration_span_id};
 use mempod_telemetry::{EventKind, SpanName, SpanRecord, SPAN_NONE};
 use mempod_types::convert::{u64_from_usize, usize_from_u32};
 use mempod_types::{AccessKind, FrameId, MigrationFaultSpec, PageId, Picos};
-
-/// Initial `blocked`-map size that triggers a prune sweep.
-const PRUNE_WATERMARK_MIN: usize = 8192;
 
 /// Panic payload for the injected shard-worker crash
 /// ([`mempod_types::WorkerPanic`]); the barrier recognises any worker
@@ -79,6 +78,75 @@ enum TokenOwner {
     MetaFetch {
         waiter: Waiter,
     },
+}
+
+/// Outstanding token owners, indexed by token: slot `i` holds the owner
+/// of token `base + i`, `None` once it completed. A shard's memory system
+/// issues tokens densely and in order, and each is registered the moment
+/// it is issued, so registration is a push at the back; completions
+/// arrive out of order, so removal empties a slot and trims empty slots
+/// off the front (the same window the channels keep over their seqs).
+#[derive(Debug, Default)]
+struct OwnerTable {
+    slots: VecDeque<Option<TokenOwner>>,
+    /// Token of `slots[0]`.
+    base: u64,
+    /// Occupied slots.
+    live: usize,
+}
+
+impl OwnerTable {
+    /// Registers the owner of a just-issued token.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tok` is not the next token in issue order.
+    fn insert(&mut self, tok: ReqToken, owner: TokenOwner) {
+        assert_eq!(
+            tok.0,
+            self.base + u64_from_usize(self.slots.len()),
+            "owners must be registered in token order"
+        );
+        self.slots.push_back(Some(owner));
+        self.live += 1;
+    }
+
+    /// Takes the owner of a completed token; `None` for a token that was
+    /// never registered or has already completed.
+    fn remove(&mut self, tok: ReqToken) -> Option<TokenOwner> {
+        let i = usize::try_from(tok.0.checked_sub(self.base)?).ok()?;
+        let owner = self.slots.get_mut(i)?.take()?;
+        self.live -= 1;
+        while let Some(None) = self.slots.front() {
+            self.slots.pop_front();
+            self.base += 1;
+        }
+        Some(owner)
+    }
+}
+
+/// A multiplicative hasher for the page keys of [`Shard::blocked`]: one
+/// multiply per lookup instead of SipHash, and no per-process random
+/// seed. The map is never iterated, so the hash cannot reach a result.
+#[derive(Debug, Default, Clone, Copy)]
+struct PageHasher(u64);
+
+impl Hasher for PageHasher {
+    fn finish(&self) -> u64 {
+        // The product's well-mixed high bits become the low bits the
+        // table indexes buckets with.
+        self.0.rotate_left(26)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0 ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
 }
 
 /// One in-flight migration's execution state.
@@ -162,14 +230,18 @@ pub(crate) struct Shard {
     pub(crate) mem: MemorySystem,
     /// Pod count, for the pod-local metadata backing-store hash.
     pods: u32,
-    /// Outstanding token ownership. Deliberately a `HashMap`: it is keyed
-    /// by opaque per-shard tokens, touched on every completion, and never
-    /// iterated (only insert/remove/is-empty), so ordering cannot leak.
-    owners: HashMap<ReqToken, TokenOwner>,
+    /// Outstanding token ownership, indexed by token (every DRAM request
+    /// this shard has queued and not yet seen complete).
+    owners: OwnerTable,
     pub(crate) migs: Vec<MigExec>,
-    /// Blocked pages. A `BTreeMap` so the prune sweep below iterates in a
-    /// deterministic order (same reasoning as PR 6's `MeaTracker` switch).
-    blocked: BTreeMap<PageId, PageState>,
+    /// Blocking state of pages with a queued, in-flight or recently
+    /// finished swap. Only ever looked up by key — never iterated — so
+    /// its hash order cannot reach a result.
+    blocked: HashMap<PageId, PageState, BuildHasherDefault<PageHasher>>,
+    /// `(finish, page)` for every `BlockedUntil(finish)` written into
+    /// `blocked`, earliest first: [`maybe_prune`](Shard::maybe_prune)
+    /// pops the expired ones.
+    expiries: BinaryHeap<Reverse<(Picos, PageId)>>,
     /// Per-lane FIFO of migration indices; front = currently running.
     /// `BTreeMap` for deterministic ordering under any future iteration.
     lanes: BTreeMap<i64, VecDeque<usize>>,
@@ -188,8 +260,6 @@ pub(crate) struct Shard {
     /// sequential rerun can never re-trigger it.
     pub(crate) panic_at_batch: Option<u64>,
     batches_run: u64,
-    /// Prune trigger for the blocked map (adapts upward under load).
-    prune_watermark: usize,
     /// Whether events are worth buffering (telemetry enabled and the sink
     /// keeps lines).
     events_wanted: bool,
@@ -216,9 +286,10 @@ impl Shard {
         Shard {
             mem,
             pods,
-            owners: HashMap::new(),
+            owners: OwnerTable::default(),
             migs: Vec::new(),
-            blocked: BTreeMap::new(),
+            blocked: HashMap::default(),
+            expiries: BinaryHeap::new(),
             lanes: BTreeMap::new(),
             total_stall: Picos::ZERO,
             injected_migration: 0,
@@ -229,7 +300,6 @@ impl Shard {
             fault_retries: 0,
             panic_at_batch: None,
             batches_run: 0,
-            prune_watermark: PRUNE_WATERMARK_MIN,
             events_wanted,
             spans_enabled: spans_enabled && events_wanted,
             events: Vec::new(),
@@ -282,7 +352,19 @@ impl Shard {
 
     /// Whether every submitted request has completed (end-of-run check).
     pub(crate) fn owners_empty(&self) -> bool {
-        self.owners.is_empty()
+        self.owners.live == 0
+    }
+
+    /// Checks that every queued DRAM request has exactly one owner: the
+    /// live owners equal the requests pending in this shard's channels.
+    /// Holds between pumps (a pump hands every completion to its owner).
+    #[cfg(feature = "debug-invariants")]
+    pub(crate) fn audit_owners(&self, auditor: &mut mempod_audit::InvariantAuditor) {
+        auditor.check_conserved(
+            "owners: queued DRAM requests vs live token owners",
+            u64_from_usize(self.mem.pending()),
+            u64_from_usize(self.owners.live),
+        );
     }
 
     /// Ticks this shard through a batch of the global arrival grid: for
@@ -351,29 +433,33 @@ impl Shard {
         self.completions = done;
     }
 
-    /// Prunes settled entries from the blocked map once it grows past the
-    /// adaptive watermark. Removal is semantically neutral: a `Migrating`
-    /// entry whose swap is done has already been rewritten to
-    /// `BlockedUntil`, and a `BlockedUntil(t <= now)` entry no longer
-    /// delays anything (future admissions issue at or after `now`), so the
-    /// shard's observable behavior does not depend on when this runs.
+    /// Removes every blocked-map entry that expired by `now`: each
+    /// `BlockedUntil(t <= now)`, found through the expiry heap in O(log n)
+    /// per entry. An expiry whose page has since been rewritten — to
+    /// `Migrating` by a later swap, or to a later `BlockedUntil` — leaves
+    /// the entry alone; the rewrite brings its own expiry. Removal is
+    /// semantically neutral: an expired entry no longer delays anything
+    /// (every later admission issues at or after `now`), and a swap
+    /// rewrites its `Migrating` entries to `BlockedUntil` the moment it
+    /// finishes, so no settled entry is left behind.
     pub(crate) fn maybe_prune(&mut self, now: Picos) {
-        if self.blocked.len() >= self.prune_watermark {
-            let migs = &self.migs;
-            self.blocked.retain(|_, s| match s {
-                PageState::Migrating(idx) => !migs[*idx].done,
-                PageState::BlockedUntil(t) => *t > now,
-            });
-            // Amortize: if most entries are still live, back off so the
-            // prune stays O(1) amortized per request.
-            self.prune_watermark = (self.blocked.len() * 2).max(PRUNE_WATERMARK_MIN);
+        while let Some(&Reverse((t, page))) = self.expiries.peek() {
+            if t > now {
+                break;
+            }
+            self.expiries.pop();
+            if let Some(PageState::BlockedUntil(until)) = self.blocked.get(&page) {
+                if *until <= now {
+                    self.blocked.remove(&page);
+                }
+            }
         }
     }
 
     fn handle_completion(&mut self, c: Completion) {
         let owner = self
             .owners
-            .remove(&c.token)
+            .remove(c.token)
             .expect("completion for unknown token");
         match owner {
             TokenOwner::Foreground {
@@ -653,9 +739,10 @@ impl Shard {
             ));
         }
         for page in [m.page_a, m.page_b] {
-            if let Some(PageState::Migrating(idx)) = self.blocked.get(&page) {
-                if *idx == mig {
-                    self.blocked.insert(page, PageState::BlockedUntil(finish));
+            if let Some(state) = self.blocked.get_mut(&page) {
+                if matches!(*state, PageState::Migrating(idx) if idx == mig) {
+                    *state = PageState::BlockedUntil(finish);
+                    self.expiries.push(Reverse((finish, page)));
                 }
             }
         }
@@ -897,6 +984,7 @@ pub(crate) fn gcd(a: u64, b: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mempod_dram::MemLayout;
 
     #[test]
     fn gcd_basics() {
@@ -926,6 +1014,185 @@ mod tests {
             // No fast tier at all: frame 0 (the old behavior).
             assert_eq!(meta_backing_frame(PageId(p), 0, 4).0, 0);
         }
+    }
+
+    fn read_owner(mig: usize) -> TokenOwner {
+        TokenOwner::MigrationRead { mig }
+    }
+
+    fn owner_mig(owner: Option<TokenOwner>) -> Option<usize> {
+        match owner? {
+            TokenOwner::MigrationRead { mig } => Some(mig),
+            _ => None,
+        }
+    }
+
+    #[test]
+    fn owner_table_removes_out_of_order_and_trims_its_front() {
+        let mut t = OwnerTable::default();
+        for i in 0..5 {
+            t.insert(ReqToken(i), read_owner(usize::try_from(i).unwrap()));
+        }
+        assert_eq!(t.live, 5);
+        // Out of order: the middle slot empties, the front stays.
+        assert_eq!(owner_mig(t.remove(ReqToken(2))), Some(2));
+        assert_eq!((t.base, t.slots.len(), t.live), (0, 5, 4));
+        // Removing the front trims every empty slot behind it too.
+        assert_eq!(owner_mig(t.remove(ReqToken(1))), Some(1));
+        assert_eq!(owner_mig(t.remove(ReqToken(0))), Some(0));
+        assert_eq!((t.base, t.slots.len(), t.live), (3, 2, 2));
+        // Unknown, repeated and trimmed-away tokens have no owner.
+        assert!(t.remove(ReqToken(2)).is_none());
+        assert!(t.remove(ReqToken(0)).is_none());
+        assert!(t.remove(ReqToken(99)).is_none());
+        assert_eq!(t.live, 2);
+        // Issue continues at the next token after the trim.
+        t.insert(ReqToken(5), read_owner(5));
+        assert_eq!(owner_mig(t.remove(ReqToken(4))), Some(4));
+        assert_eq!(owner_mig(t.remove(ReqToken(5))), Some(5));
+        assert_eq!(owner_mig(t.remove(ReqToken(3))), Some(3));
+        assert_eq!((t.base, t.slots.len(), t.live), (6, 0, 0));
+    }
+
+    #[test]
+    fn owner_table_empties_after_interleaved_insert_and_remove() {
+        let mut t = OwnerTable::default();
+        let mut live: Vec<u64> = Vec::new();
+        let mut next = 0u64;
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        for _ in 0..5_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            if live.is_empty() || !x.is_multiple_of(3) {
+                t.insert(ReqToken(next), read_owner(usize::try_from(next).unwrap()));
+                live.push(next);
+                next += 1;
+            } else {
+                let tok = live.swap_remove(usize::try_from(x % live.len() as u64).unwrap());
+                assert_eq!(
+                    owner_mig(t.remove(ReqToken(tok))),
+                    Some(usize::try_from(tok).unwrap())
+                );
+                assert!(t.remove(ReqToken(tok)).is_none(), "repeat of {tok}");
+            }
+            assert_eq!(t.live, live.len());
+        }
+        for tok in live.drain(..).rev() {
+            assert!(t.remove(ReqToken(tok)).is_some());
+        }
+        assert_eq!(t.live, 0);
+        assert!(t.slots.is_empty(), "an empty table keeps no slots");
+    }
+
+    #[test]
+    #[should_panic(expected = "token order")]
+    fn owner_table_rejects_out_of_order_registration() {
+        let mut t = OwnerTable::default();
+        t.insert(ReqToken(1), read_owner(1));
+    }
+
+    fn tiny_shard() -> Shard {
+        Shard::new(MemorySystem::new(MemLayout::tiny()), 4, false, false)
+    }
+
+    /// A swap of fast page `a` (frame `a`) with slow page `b`.
+    fn swap(a: u64, b: u64, line: Option<u32>) -> Migration {
+        let fast = MemLayout::tiny().fast_frames;
+        let (fa, fb) = (FrameId(a % fast), FrameId(fast + b));
+        match line {
+            Some(l) => Migration::line_swap(fa, fb, l, PageId(a), PageId(b)),
+            None => Migration::page_swap(fa, fb, PageId(a), PageId(b), Some(0)),
+        }
+    }
+
+    /// No `BlockedUntil(t <= now)` entry survives a prune at `now`.
+    fn assert_pruned(sh: &Shard, now: Picos) {
+        for (page, state) in &sh.blocked {
+            if let PageState::BlockedUntil(t) = state {
+                assert!(*t > now, "{page:?} expired at {t:?} but kept at {now:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn prune_removes_exactly_the_expired_entries() {
+        let mut sh = tiny_shard();
+        // Three page swaps on one lane finish one after another.
+        for (i, a) in [1u64, 2, 3].into_iter().enumerate() {
+            sh.enqueue_migration(
+                swap(a, 100 + a, None),
+                Picos::from_ns(u64_from_usize(i)),
+                None,
+            );
+        }
+        sh.pump(Picos::MAX);
+        let finishes: Vec<Picos> = sh.migs.iter().map(|e| e.finish).collect();
+        assert!(finishes.windows(2).all(|w| w[0] < w[1]), "{finishes:?}");
+        assert_eq!(sh.blocked.len(), 6);
+        // Between the first and second finish: only the first swap's pages go.
+        let now = finishes[0];
+        sh.maybe_prune(now);
+        assert_pruned(&sh, now);
+        assert_eq!(sh.blocked.len(), 4);
+        assert!(!sh.blocked.contains_key(&PageId(1)));
+        assert!(sh.blocked.contains_key(&PageId(2)));
+        sh.maybe_prune(Picos::MAX);
+        assert!(sh.blocked.is_empty() && sh.expiries.is_empty());
+        assert!(sh.owners_empty());
+    }
+
+    #[test]
+    fn stale_expiry_keeps_a_page_a_later_swap_rewrote() {
+        let mut sh = tiny_shard();
+        sh.enqueue_migration(swap(7, 70, Some(0)), Picos::ZERO, None);
+        sh.pump(Picos::MAX);
+        let first = sh.migs[0].finish;
+        assert!(matches!(sh.blocked[&PageId(7)], PageState::BlockedUntil(t) if t == first));
+        // A later swap moves page 7 again before the first expiry is popped.
+        let later = first + Picos::from_ns(5);
+        sh.enqueue_migration(swap(7, 71, Some(1)), later, None);
+        sh.maybe_prune(later);
+        assert!(matches!(sh.blocked[&PageId(7)], PageState::Migrating(1)));
+        assert!(
+            !sh.blocked.contains_key(&PageId(70)),
+            "first swap's partner expired"
+        );
+        sh.pump(Picos::MAX);
+        assert!(matches!(sh.blocked[&PageId(7)], PageState::BlockedUntil(_)));
+        sh.maybe_prune(Picos::MAX);
+        assert!(sh.blocked.is_empty() && sh.expiries.is_empty());
+    }
+
+    #[test]
+    fn line_swap_storm_leaves_nothing_blocked() {
+        // CAMEO-style: unlaned single-line swaps hammering a few pages, so
+        // pages are re-swapped while earlier swaps are in flight or have
+        // just finished.
+        let mut sh = tiny_shard();
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for i in 0..3_000u64 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let now = Picos::from_ns(3 * i);
+            sh.pump(now);
+            let line = u32::try_from(x % u64::from(sh.mem.lines_per_page())).unwrap();
+            sh.enqueue_migration(swap(x % 16, 16 + (x >> 8) % 32, Some(line)), now, None);
+            sh.maybe_prune(now);
+            assert_pruned(&sh, now);
+            assert_eq!(sh.owners.live, sh.mem.pending(), "owners at step {i}");
+        }
+        sh.pump(Picos::MAX);
+        sh.maybe_prune(Picos::MAX);
+        assert!(
+            sh.blocked.is_empty(),
+            "{} pages left blocked",
+            sh.blocked.len()
+        );
+        assert!(sh.expiries.is_empty());
+        assert!(sh.owners_empty());
+        assert!(sh.migs.iter().all(|e| e.done));
     }
 
     #[test]

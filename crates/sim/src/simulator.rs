@@ -700,6 +700,7 @@ impl Simulator {
             if crossed_boundary && auditor.should_sample() {
                 self.mgr.audit_invariants(&mut auditor);
                 eng.mem.audit_invariants(&mut auditor);
+                eng.audit_owners(&mut auditor);
                 auditor.check_conserved(
                     "migrations: manager tracker vs engine",
                     self.mgr.migration_stats().migrations,
@@ -771,6 +772,7 @@ impl Simulator {
             // if no epoch boundary was sampled.
             self.mgr.audit_invariants(&mut auditor);
             eng.mem.audit_invariants(&mut auditor);
+            eng.audit_owners(&mut auditor);
             auditor.check_conserved(
                 "migrations: manager tracker vs engine",
                 self.mgr.migration_stats().migrations,
@@ -1020,6 +1022,7 @@ impl Simulator {
                     self.mgr.audit_invariants(&mut auditor);
                     for sh in shards.iter() {
                         sh.mem.audit_invariants(&mut auditor);
+                        sh.audit_owners(&mut auditor);
                     }
                     auditor.check_conserved(
                         "migrations: manager tracker vs engine",
@@ -1085,6 +1088,7 @@ impl Simulator {
             self.mgr.audit_invariants(&mut auditor);
             for sh in shards.iter() {
                 sh.mem.audit_invariants(&mut auditor);
+                sh.audit_owners(&mut auditor);
             }
             auditor.check_conserved(
                 "migrations: manager tracker vs engine",
@@ -1207,6 +1211,10 @@ fn decide_migration_faults(
     at: Picos,
     faulted: &mut u64,
 ) -> Vec<(Migration, Option<MigrationFaultSpec>)> {
+    if migrations.is_empty() {
+        // Most accesses commit nothing: skip the per-request map/collect.
+        return Vec::new();
+    }
     let decided: Vec<(Migration, Option<MigrationFaultSpec>)> = migrations
         .into_iter()
         .map(|m| {

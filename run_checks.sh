@@ -31,6 +31,12 @@ step "mempod-audit sync" \
 step "cargo test (workspace)" cargo test -q --workspace --offline
 step "cargo test (debug-invariants)" \
     cargo test -q --features debug-invariants --offline
+# The root package's feature forwards to its dependencies' library code
+# only; the crates' own unit tests (the scheduler index audits among them)
+# need the feature turned on per crate.
+step "cargo test (debug-invariants, crate unit tests)" \
+    cargo test -q --offline -p mempod-dram -p mempod-core -p mempod-sim \
+    --features mempod-dram/debug-invariants,mempod-core/debug-invariants,mempod-sim/debug-invariants
 # The benchmark crate is its own workspace, so the workspace build and
 # clippy never see it: build it and run its unit tests and --smoke
 # self-test here, so an API change it depends on cannot break it unnoticed.
