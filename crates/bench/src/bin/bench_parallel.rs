@@ -1,6 +1,6 @@
 //! Sharded-simulator scaling benchmark: wall clock and critical path of
-//! the per-pod sharded event loop vs. the sequential reference, on one
-//! large MemPod migration-storm run.
+//! the per-pod sharded event loop vs. a one-shard run, on one large MemPod
+//! migration-storm run.
 //!
 //! For each shard count the benchmark runs the same trace twice:
 //!
@@ -11,11 +11,11 @@
 //!   back to back on one thread with exact per-shard busy timing, from
 //!   which a [`PhaseClock`] accumulates the **critical path**: admission
 //!   time plus, per barrier interval, the busiest shard. Critical path /
-//!   sequential wall is the speedup an adequately provisioned machine
+//!   one-shard wall is the speedup an adequately provisioned machine
 //!   would observe, independent of how many cores this one has.
 //!
-//! Every run's report is asserted bit-identical to the sequential
-//! reference before any number is written. Results land in
+//! Every run's report is asserted bit-identical to the one-shard run
+//! before any number is written. Results land in
 //! `BENCH_parallel.json` (`--smoke` for a CI-scale pass writing
 //! `BENCH_parallel.smoke.json`; `--requests N`, `--shards a,b,c`,
 //! `--out PATH` to rescope).
@@ -104,8 +104,8 @@ fn sample(shards: u32, trace: &Trace, reference: &SimReport) -> Sample {
     );
 
     if shards <= 1 {
-        // The sequential path has no barriers; its critical path is its
-        // wall clock.
+        // One shard has nothing to overlap; its critical path is its wall
+        // clock.
         return Sample {
             shards,
             wall_ns,
@@ -147,7 +147,7 @@ fn main() {
         opts.requests, opts.shards, cores
     );
 
-    let reference = build(1).run_reference(&trace);
+    let reference = build(1).run(&trace);
     assert!(
         reference.migration.migrations > 0,
         "the scaling workload must migrate"
@@ -202,7 +202,7 @@ fn main() {
         "results": results,
         "speedup_at_4": speedup_at_4,
         "wall_speedup_at_4": wall_speedup_at_4,
-        "note": "speedup_critical = sequential wall / (admission + per-barrier max shard busy), \
+        "note": "speedup_critical = one-shard wall / (admission + per-barrier max shard busy), \
                  measured with serial shard phases; it is the end-to-end speedup a machine with \
                  cores >= shards would observe. speedup_wall is this machine's actual wall-clock \
                  ratio and is only meaningful when cores >= shards.",

@@ -25,8 +25,8 @@ pub struct FaultSummary {
     pub channel_faults: u64,
     /// Shard worker panics caught at the epoch barrier.
     pub shard_panics: u64,
-    /// Whether the sharded engine abandoned its state and restarted on the
-    /// sequential reference path.
+    /// Whether the sharded engine abandoned its state and replayed the run
+    /// at one shard.
     pub degraded_to_sequential: bool,
     /// Whether the run was cancelled early (watchdog or external token);
     /// a cancelled report covers only the requests admitted before the

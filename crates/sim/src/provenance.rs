@@ -5,8 +5,8 @@
 //! decided, and whether any of them were rolled back by an injected fault.
 //! The ledger records every migration the manager commits, *on the main
 //! thread at decision time*, so its contents (and the ping-pong events it
-//! emits) are bit-identical across shard counts by construction: both the
-//! sequential and sharded paths feed it the same commit-ordered stream.
+//! emits) are bit-identical across shard counts by construction: every
+//! shard count feeds it the same commit-ordered stream.
 //!
 //! Ping-pong detection is the load-bearing query (paper §3: a page that
 //! bounces between tiers pays two full swaps for one epoch of locality).

@@ -124,8 +124,8 @@ pub enum EventKind {
         /// Index of the first shard whose worker panicked.
         shard: u32,
     },
-    /// The sharded engine abandoned its partial state and restarted the
-    /// run on the sequential reference path.
+    /// The sharded engine abandoned its partial state and replayed the
+    /// run at one shard.
     DegradedToSequential {
         /// Shard whose panic triggered the degradation.
         shard: u32,

@@ -218,8 +218,8 @@ impl SpanConfig {
     }
 
     /// Whether the request owning `span_id` is sampled. Pure function of
-    /// the id, so every shard (and the sequential reference) agrees
-    /// without coordination.
+    /// the id, so every shard at every shard count agrees without
+    /// coordination.
     #[inline]
     pub fn sample_request(&self, span_id: u64) -> bool {
         match self.request_sample_ppm {

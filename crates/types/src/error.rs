@@ -51,7 +51,7 @@ impl Error for GeometryError {}
 /// Runtime failures inside the simulation engine, each carrying enough
 /// context (which shard, which pod, which migration, which resource) to
 /// locate the failure without a debugger. These are *recoverable* errors:
-/// the engine's policy is to degrade (sequential fallback, rollback,
+/// the engine's policy is to degrade (one-shard replay, rollback,
 /// lock-state reconstruction) rather than abort the process.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EngineError {

@@ -16,7 +16,7 @@
 //! * **channel faults** — timing perturbations inside a DRAM channel
 //!   ([`ChannelFaultKind`]): latency spikes, stuck banks, refresh storms;
 //! * **runner faults** — a shard worker panic, contained at the epoch
-//!   barrier and recovered by degrading to the sequential path.
+//!   barrier and recovered by degrading to a one-shard replay.
 
 use serde::{Deserialize, Serialize};
 
@@ -83,7 +83,8 @@ impl Default for FaultConfig {
 }
 
 /// A forced shard-worker panic: shard `shard % shard_count` panics when it
-/// runs its `batch`-th barrier batch.
+/// runs its `batch`-th barrier batch. Only runs with more than one
+/// effective shard inject it; a one-shard run ignores it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct WorkerPanic {
     /// Target shard (taken modulo the effective shard count).

@@ -29,6 +29,10 @@ step "mempod-audit effects (--check)" \
 step "mempod-audit sync" \
     cargo run -q -p mempod-audit --offline -- sync --out lock_order.json
 step "cargo test (workspace)" cargo test -q --workspace --offline
+# The slow suites CI also runs: among them tests/sharding.rs's 4 managers
+# x 4 shard counts, clean and faulted, the main shard-count-invariance
+# check of the one event loop.
+step "cargo test (slow-tests)" cargo test -q --features slow-tests --offline
 step "cargo test (debug-invariants)" \
     cargo test -q --features debug-invariants --offline
 # The root package's feature forwards to its dependencies' library code
@@ -90,7 +94,7 @@ print(f\"BENCH_telemetry.smoke.json OK: {t['overhead_pct']:+.2f}% null-sink, \"
 step "bench_sched --smoke" bench_smoke
 
 # Sharded-simulator smoke: the scaling benchmark must run (asserting
-# every sharded run bit-identical to the sequential reference before
+# every sharded run bit-identical to the one-shard run before
 # timing), and emit valid JSON with per-shard-count critical-path and
 # wall speedups (full-scale numbers live in BENCH_parallel.json;
 # refresh with `cargo run --release -p mempod-bench --bin
