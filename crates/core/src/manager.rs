@@ -265,9 +265,10 @@ pub trait MemoryManager {
     }
 
     /// States this manager's structural invariants against `auditor`
-    /// (remap bijection, frame-ownership conservation, ...). Called at
-    /// sampled epoch boundaries when the `debug-invariants` feature is on;
-    /// the default states nothing, which suits the static baselines.
+    /// (remap bijection, frame-ownership conservation, ...). With the
+    /// `debug-invariants` feature on, the simulator calls it after every
+    /// 8th access that starts a migration and at the end of the run; the
+    /// default states nothing, which suits the static baselines.
     /// Implementations must answer without side effects.
     fn audit_invariants(&self, auditor: &mut mempod_audit::InvariantAuditor) {
         let _ = auditor;

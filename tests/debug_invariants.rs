@@ -73,7 +73,8 @@ fn every_migrating_manager_audits_clean_after_a_storm() {
     }
 }
 
-/// End-to-end: `Simulator::run` samples the auditor at epoch boundaries and
+/// End-to-end: `Simulator::run` audits the manager after every 8th request
+/// that starts a migration and the shards at every batch barrier, and
 /// asserts cleanliness itself — a violated invariant would panic the run.
 #[test]
 fn simulator_runs_audit_clean_for_all_migrating_managers() {
@@ -95,9 +96,9 @@ fn simulator_runs_audit_clean_for_all_migrating_managers() {
 
 /// A migration storm with injected mid-swap aborts (rate far above 1e-3)
 /// must complete with zero address-map corruption: under this feature the
-/// simulator audits manager invariants at every epoch boundary and panics
-/// the run on any violation, so rollbacks that left the RemapTable or
-/// SegmentMap torn would fail here.
+/// simulator audits manager invariants after every 8th request that starts
+/// a migration (rollbacks included) and panics the run on any violation, so
+/// rollbacks that left the RemapTable or SegmentMap torn would fail here.
 #[test]
 fn faulted_storms_audit_clean_for_all_migrating_managers() {
     use mempod_types::FaultConfig;
