@@ -1,25 +1,18 @@
-//! Channel-scheduler throughput benchmark: indexed per-(priority, bank)
-//! sub-queues vs. the retained flat-scan reference path, measured in the
-//! same run on identical deep-queue migration storms.
+//! Telemetry-overhead benchmark: channel drains with and without a
+//! [`ChannelProbe`] attached, and full simulator runs with null-sink
+//! telemetry vs. none.
 //!
 //! For each queue depth, the benchmark floods one HBM channel with a
 //! migration-storm mix (64-line background page swaps plus a demand
-//! trickle), then wall-clock-times a full drain in both scheduler modes,
-//! asserting bit-identical (token, completion) sequences before reporting.
-//! Results land in `BENCH_sched.json` (machine-readable: requests/sec,
-//! ns/decision, scan ops, max queue depth, speedup) to seed the repo's
-//! perf trajectory.
-//!
-//! The run also measures **telemetry overhead**: the same drains with a
-//! [`ChannelProbe`] attached, and full simulator runs with null-sink
-//! telemetry vs. none. Both land in `BENCH_telemetry.json`
-//! (`--telemetry-out PATH` to redirect); the acceptance gate is < 2 %
-//! end-to-end overhead with the null sink.
+//! trickle), then wall-clock-times a full drain with and without the
+//! probe, asserting bit-identical (token, completion) sequences. The
+//! end-to-end gate times a MemPod run in four telemetry modes. Results
+//! land in `BENCH_telemetry.json` (`--telemetry-out PATH` to redirect);
+//! the acceptance gate is < 2 % end-to-end overhead with the null sink.
 //!
 //! Run: `cargo run --release -p mempod-bench --bin bench_sched`
-//! (`--smoke` for a CI-scale pass writing `BENCH_sched.smoke.json` and
-//! `BENCH_telemetry.smoke.json`; `--depths a,b,c`, `--seed N`,
-//! `--out PATH` to rescope).
+//! (`--smoke` for a CI-scale pass writing `BENCH_telemetry.smoke.json`;
+//! `--depths a,b,c`, `--seed N` to rescope).
 
 use std::time::Instant;
 
@@ -34,7 +27,6 @@ struct SchedOpts {
     smoke: bool,
     depths: Vec<usize>,
     seed: u64,
-    out: Option<String>,
     telemetry_out: Option<String>,
 }
 
@@ -44,7 +36,6 @@ impl SchedOpts {
             smoke: false,
             depths: Vec::new(),
             seed: 7,
-            out: None,
             telemetry_out: None,
         };
         let mut args = std::env::args().skip(1);
@@ -62,13 +53,12 @@ impl SchedOpts {
                     let v = args.next().expect("--seed needs a value");
                     opts.seed = v.parse().expect("--seed must be an integer");
                 }
-                "--out" => opts.out = Some(args.next().expect("--out needs a path")),
                 "--telemetry-out" => {
                     opts.telemetry_out = Some(args.next().expect("--telemetry-out needs a path"));
                 }
                 other => panic!(
                     "unknown argument {other}; expected --smoke, --depths a,b,c, --seed N, \
-                     --out PATH, --telemetry-out PATH"
+                     --telemetry-out PATH"
                 ),
             }
         }
@@ -131,20 +121,11 @@ fn flood(ch: &mut Channel, depth: usize, seed: u64) {
 
 struct Measurement {
     requests_per_sec: f64,
-    ns_per_decision: f64,
-    scan_ops: u64,
-    scans_per_decision: f64,
-    max_queue_depth: usize,
     completions: Vec<(ReqToken, Picos)>,
 }
 
-fn measure(depth: usize, seed: u64, reference: bool) -> Measurement {
-    measure_with_probe(depth, seed, reference, false)
-}
-
-fn measure_with_probe(depth: usize, seed: u64, reference: bool, probe: bool) -> Measurement {
+fn measure_with_probe(depth: usize, seed: u64, probe: bool) -> Measurement {
     let mut proto = Channel::new(DramTiming::hbm());
-    proto.set_reference_mode(reference);
     if probe {
         proto.attach_probe();
     }
@@ -167,107 +148,19 @@ fn measure_with_probe(depth: usize, seed: u64, reference: bool, probe: bool) -> 
         if best.is_none_or(|b| elapsed < b) {
             best = Some(elapsed);
         }
-        drained = Some((ch, completions));
+        drained = Some(completions);
     }
     let elapsed = best.expect("at least one repetition");
-    let (ch, completions) = drained.expect("at least one repetition");
+    let completions = drained.expect("at least one repetition");
     let secs = elapsed.as_secs_f64().max(1e-9);
-    let stats = ch.stats();
     Measurement {
         requests_per_sec: depth as f64 / secs,
-        ns_per_decision: elapsed.as_nanos() as f64 / depth as f64,
-        scan_ops: stats.sched_scan_ops,
-        scans_per_decision: stats.scans_per_decision(),
-        max_queue_depth: stats.max_queue_depth,
         completions,
     }
 }
 
-fn to_json(m: &Measurement) -> serde_json::Value {
-    serde_json::json!({
-        "requests_per_sec": m.requests_per_sec,
-        "ns_per_decision": m.ns_per_decision,
-        "scan_ops": m.scan_ops,
-        "scans_per_decision": m.scans_per_decision,
-        "max_queue_depth": m.max_queue_depth,
-    })
-}
-
 fn main() {
-    let opts = SchedOpts::from_args();
-    println!(
-        "Scheduler drain benchmark — HBM channel, depths {:?}, seed {}\n",
-        opts.depths, opts.seed
-    );
-    println!(
-        "{:>8}  {:>14}  {:>14}  {:>10}  {:>12}  {:>8}",
-        "depth", "indexed req/s", "ref req/s", "speedup", "idx scans/d", "ref s/d"
-    );
-
-    let mut results = Vec::new();
-    let mut speedup_deep = f64::NAN;
-    let mut deep_depth = 0usize;
-    for &depth in &opts.depths {
-        let indexed = measure(depth, opts.seed, false);
-        let reference = measure(depth, opts.seed, true);
-        assert_eq!(
-            indexed.completions, reference.completions,
-            "scheduler modes diverged at depth {depth}"
-        );
-        let speedup = indexed.requests_per_sec / reference.requests_per_sec;
-        println!(
-            "{:>8}  {:>14.0}  {:>14.0}  {:>9.2}x  {:>12.1}  {:>8.1}",
-            depth,
-            indexed.requests_per_sec,
-            reference.requests_per_sec,
-            speedup,
-            indexed.scans_per_decision,
-            reference.scans_per_decision,
-        );
-        if depth >= 1024 && depth >= deep_depth {
-            deep_depth = depth;
-            speedup_deep = speedup;
-        }
-        results.push(serde_json::json!({
-            "depth": depth,
-            "indexed": to_json(&indexed),
-            "reference": to_json(&reference),
-            "speedup": speedup,
-        }));
-    }
-
-    let speedup_deep_json = if speedup_deep.is_nan() {
-        serde_json::Value::Null
-    } else {
-        serde_json::json!(speedup_deep)
-    };
-    let json = serde_json::json!({
-        "bench": "sched_drain",
-        "timing": "hbm",
-        "seed": opts.seed,
-        "smoke": opts.smoke,
-        "depths": opts.depths,
-        "results": results,
-        // Speedup on the deepest ≥1k-outstanding drain: the acceptance
-        // metric for the indexed scheduler (target ≥5x).
-        "speedup_deep": speedup_deep_json,
-        "deep_depth": deep_depth,
-    });
-    let path = opts.out.clone().unwrap_or_else(|| {
-        if opts.smoke {
-            "BENCH_sched.smoke.json".to_string()
-        } else {
-            "BENCH_sched.json".to_string()
-        }
-    });
-    std::fs::write(
-        &path,
-        serde_json::to_string_pretty(&json).expect("serialize"),
-    )
-    .expect("write benchmark results");
-    println!("\n[saved {path}]");
-
-    telemetry_overhead(&opts);
+    telemetry_overhead(&SchedOpts::from_args());
 }
 
 /// Telemetry overhead gate: the same channel drains with a depth probe
@@ -281,8 +174,8 @@ fn telemetry_overhead(opts: &SchedOpts) {
     );
     let mut probe_results = Vec::new();
     for &depth in &opts.depths {
-        let plain = measure_with_probe(depth, opts.seed, false, false);
-        let probed = measure_with_probe(depth, opts.seed, false, true);
+        let plain = measure_with_probe(depth, opts.seed, false);
+        let probed = measure_with_probe(depth, opts.seed, true);
         assert_eq!(
             plain.completions, probed.completions,
             "the probe must not perturb scheduling at depth {depth}"

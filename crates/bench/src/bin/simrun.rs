@@ -29,6 +29,13 @@
 //! varies the plan without touching the trace. Fault outcomes are a pure
 //! function of the seed, so reruns — at any shard count — reproduce the
 //! report bit for bit.
+//!
+//! Bad input (an unknown flag, workload or manager, a missing,
+//! non-integer or out-of-range flag value) prints `error: ...` and exits
+//! with status 2.
+
+use std::process::ExitCode;
+use std::str::FromStr;
 
 use mempod_bench::{write_json, Opts};
 use mempod_core::ManagerKind;
@@ -37,8 +44,8 @@ use mempod_telemetry::{ChromeTraceSink, EventSink, FileSink, SpanConfig, TeeSink
 use mempod_trace::{TraceGenerator, WorkloadSpec};
 use mempod_types::{FaultConfig, Picos};
 
-fn parse_manager(s: &str) -> ManagerKind {
-    match s.to_ascii_lowercase().as_str() {
+fn parse_manager(s: &str) -> Result<ManagerKind, String> {
+    Ok(match s.to_ascii_lowercase().as_str() {
         "mempod" => ManagerKind::MemPod,
         "hma" => ManagerKind::Hma,
         "thm" => ManagerKind::Thm,
@@ -46,11 +53,32 @@ fn parse_manager(s: &str) -> ManagerKind {
         "tlm" | "nomigration" | "none" => ManagerKind::NoMigration,
         "hbm" | "hbmonly" => ManagerKind::HbmOnly,
         "ddr" | "ddronly" => ManagerKind::DdrOnly,
-        other => panic!("unknown manager {other}; try mempod|hma|thm|cameo|tlm|hbm|ddr"),
+        _ => {
+            return Err(format!(
+                "unknown manager {s:?}; try mempod|hma|thm|cameo|tlm|hbm|ddr"
+            ))
+        }
+    })
+}
+
+/// Parses `value` as the integer argument of `flag`.
+fn int<T: FromStr>(flag: &str, value: &str) -> Result<T, String> {
+    value
+        .parse()
+        .map_err(|_| format!("{flag} expects an integer, got {value:?}"))
+}
+
+fn main() -> ExitCode {
+    match run() {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(msg) => {
+            eprintln!("error: {msg}");
+            ExitCode::from(2)
+        }
     }
 }
 
-fn main() {
+fn run() -> Result<(), String> {
     // Manual parsing: keep the offline-dependency footprint minimal.
     let mut workload = "mix1".to_string();
     let mut manager = ManagerKind::MemPod;
@@ -74,29 +102,41 @@ fn main() {
 
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
-        let mut val = || args.next().unwrap_or_else(|| panic!("{a} needs a value"));
+        let mut val = || args.next().ok_or_else(|| format!("{a} needs a value"));
         match a.as_str() {
-            "--workload" => workload = val(),
-            "--manager" => manager = parse_manager(&val()),
-            "--requests" => requests = val().parse().expect("integer"),
-            "--seed" => seed = val().parse().expect("integer"),
-            "--epoch-us" => epoch_us = Some(val().parse().expect("integer")),
-            "--mea-entries" => mea_entries = Some(val().parse().expect("integer")),
-            "--mea-bits" => mea_bits = Some(val().parse().expect("integer")),
-            "--cache-kb" => cache_kb = Some(val().parse().expect("integer")),
+            "--workload" => workload = val()?,
+            "--manager" => manager = parse_manager(&val()?)?,
+            "--requests" => requests = int(&a, &val()?)?,
+            "--seed" => seed = int(&a, &val()?)?,
+            "--epoch-us" => epoch_us = Some(int(&a, &val()?)?),
+            "--mea-entries" => mea_entries = Some(int(&a, &val()?)?),
+            "--mea-bits" => mea_bits = Some(int(&a, &val()?)?),
+            "--cache-kb" => cache_kb = Some(int(&a, &val()?)?),
             "--future" => future = true,
             "--smoke" => smoke = true,
-            "--timeline" => timeline = Some(val()),
-            "--trace-out" => trace_out = Some(val()),
+            "--timeline" => timeline = Some(val()?),
+            "--trace-out" => trace_out = Some(val()?),
             "--spans" => spans = true,
-            "--span-ppm" => span_ppm = Some(val().parse().expect("integer")),
+            "--span-ppm" => span_ppm = Some(int(&a, &val()?)?),
             "--exec-spans" => exec_spans = true,
-            "--shards" => shards = val().parse().expect("integer"),
-            "--faults" => fault_ppm = Some(val().parse().expect("integer")),
-            "--channel-faults" => channel_fault_ppm = Some(val().parse().expect("integer")),
-            "--fault-seed" => fault_seed = val().parse().expect("integer"),
-            other => panic!("unknown argument {other}"),
+            "--shards" => shards = int(&a, &val()?)?,
+            "--faults" => fault_ppm = Some(int(&a, &val()?)?),
+            "--channel-faults" => channel_fault_ppm = Some(int(&a, &val()?)?),
+            "--fault-seed" => fault_seed = int(&a, &val()?)?,
+            other => return Err(format!("unknown argument {other:?}")),
         }
+    }
+    let zeros = [
+        ("--requests", requests == 0),
+        ("--shards", shards == 0),
+        ("--epoch-us", epoch_us == Some(0)),
+        ("--mea-entries", mea_entries == Some(0)),
+    ];
+    if let Some((flag, _)) = zeros.iter().find(|(_, zero)| *zero) {
+        return Err(format!("{flag} must be at least 1"));
+    }
+    if let Some(bits) = mea_bits.filter(|b| !(1..=64).contains(b)) {
+        return Err(format!("--mea-bits must be between 1 and 64, got {bits}"));
     }
 
     let opts = Opts {
@@ -107,7 +147,7 @@ fn main() {
     };
     let spec = WorkloadSpec::homogeneous(&workload)
         .or_else(|| WorkloadSpec::mix(&workload))
-        .unwrap_or_else(|| panic!("unknown workload {workload}"));
+        .ok_or_else(|| format!("unknown workload {workload:?}"))?;
     let trace = TraceGenerator::new(spec, seed).take_requests(requests, &opts.system().geometry);
 
     let mut cfg = opts.sim_config(manager);
@@ -134,7 +174,7 @@ fn main() {
         cfg = cfg.with_faults(f);
     }
 
-    let mut sim = Simulator::new(cfg).expect("valid configuration");
+    let mut sim = Simulator::new(cfg).map_err(|e| format!("invalid configuration: {e}"))?;
     let jsonl: Option<Box<dyn EventSink>> = timeline.as_ref().map(|path| {
         Box::new(
             FileSink::create(path)
@@ -260,4 +300,5 @@ fn main() {
         &format!("simrun_{}_{}", workload, report.manager),
         &serde_json::to_value(&report).expect("serializable"),
     );
+    Ok(())
 }

@@ -1,0 +1,68 @@
+//! `simrun` rejects bad command-line input with an `error:` line and exit
+//! status 2, never a panic.
+
+use std::process::Command;
+
+/// Runs `simrun` with `args` and asserts a clean input error whose message
+/// contains `expected`.
+fn assert_input_error(args: &[&str], expected: &str) {
+    let out = Command::new(env!("CARGO_BIN_EXE_simrun"))
+        .args(args)
+        .output()
+        .expect("simrun starts");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+    assert!(!stderr.contains("panicked"), "{args:?} panicked: {stderr}");
+    assert!(
+        stderr.starts_with("error: ") && stderr.contains(expected),
+        "{args:?}: expected {expected:?} in {stderr:?}"
+    );
+}
+
+#[test]
+fn non_integer_values_are_input_errors() {
+    for flag in [
+        "--requests",
+        "--seed",
+        "--epoch-us",
+        "--mea-entries",
+        "--mea-bits",
+        "--cache-kb",
+        "--span-ppm",
+        "--shards",
+        "--faults",
+        "--channel-faults",
+        "--fault-seed",
+    ] {
+        assert_input_error(
+            &[flag, "abc"],
+            &format!("{flag} expects an integer, got \"abc\""),
+        );
+    }
+    assert_input_error(
+        &["--requests", "-5"],
+        "--requests expects an integer, got \"-5\"",
+    );
+}
+
+#[test]
+fn a_missing_value_is_an_input_error() {
+    assert_input_error(&["--smoke", "--requests"], "--requests needs a value");
+    assert_input_error(&["--workload"], "--workload needs a value");
+}
+
+#[test]
+fn unknown_flags_managers_and_workloads_are_input_errors() {
+    assert_input_error(&["--bogus"], "unknown argument \"--bogus\"");
+    assert_input_error(&["--manager", "nope"], "unknown manager \"nope\"");
+    assert_input_error(&["--workload", "nope"], "unknown workload \"nope\"");
+}
+
+#[test]
+fn out_of_range_values_are_input_errors() {
+    for flag in ["--requests", "--shards", "--epoch-us", "--mea-entries"] {
+        assert_input_error(&[flag, "0"], &format!("{flag} must be at least 1"));
+    }
+    assert_input_error(&["--mea-bits", "0"], "--mea-bits must be between 1 and 64");
+    assert_input_error(&["--mea-bits", "65"], "--mea-bits must be between 1 and 64");
+}

@@ -473,15 +473,11 @@ impl MemorySystem {
     }
 
     /// States every channel's invariants against `auditor`: monotonic
-    /// simulated time and no abandoned work ([`Channel::audit_time`]), plus
-    /// the indexed scheduler's structural invariants — per-sub-queue seq
-    /// monotonicity, row-index consistency, and arrival-frontier agreement
-    /// ([`Channel::audit_sched`]).
+    /// simulated time and no abandoned work ([`Channel::audit_time`]).
     #[cfg(feature = "debug-invariants")]
     pub fn audit_invariants(&self, auditor: &mut mempod_audit::InvariantAuditor) {
         for ch in &self.channels {
             ch.audit_time(auditor);
-            ch.audit_sched(auditor);
         }
     }
 }

@@ -415,7 +415,7 @@ impl Shard {
     /// accesses) may arrive inside the already-drained slice; the channels
     /// clamp such requests to their local `now`, so re-draining to the same
     /// horizon services them without rewriting granted bus slots. The
-    /// channels' indexed scheduler state built up this way is checked by
+    /// channels' time invariants are checked by
     /// `MemorySystem::audit_invariants` at every batch barrier and at end
     /// of run.
     fn pump(&mut self, horizon: Picos) {

@@ -95,7 +95,7 @@ const GOLDEN: &Golden = &[
     ("TLM", "495a277117770a35", 4),
     ("HBM-only", "691c031bf0731c55", 8),
     ("DDR-only", "1a4dd30f044750bf", 4),
-    ("MemPod+faults", "23ca94e5287dbda5", 4),
+    ("MemPod+faults", "a9e3a3acb0397f0e", 4),
     ("MemPod+future", "8512b74777ed5c4e", 4),
 ];
 
@@ -130,10 +130,10 @@ fn reports_match_their_golden_digests() {
 /// pointer-chasing one — and the storm fault plan at more seeds.
 const GOLDEN_WORKLOADS: &Golden = &[
     ("MemPod on mix1", "12ccebd5ae801752", 4),
-    ("MemPod on bwaves", "3fd08af2f3d59530", 4),
+    ("MemPod on bwaves", "65ced71febcde82e", 4),
     ("CAMEO on mcf", "70893ffc69f8e83f", 1),
-    ("MemPod+faults seed 11", "535c99bec9cd4da2", 4),
-    ("MemPod+faults seed 23", "f0282405f5f13244", 4),
+    ("MemPod+faults seed 11", "2237b15b983ee3cf", 4),
+    ("MemPod+faults seed 23", "1457a30d715ddf19", 4),
 ];
 
 #[test]
