@@ -145,6 +145,17 @@ fn run() -> Result<(), String> {
         workloads: None,
         seed,
     };
+    // A metadata cache larger than the whole remap table (8 B per page)
+    // buys nothing; the bound also keeps the byte count from wrapping.
+    let max_cache_bytes = opts.system().geometry.total_pages() * 8;
+    let cache_bytes = match cache_kb.map(|kb| kb.checked_mul(1024)) {
+        None => None,
+        Some(Some(bytes)) if (1..=max_cache_bytes).contains(&bytes) => Some(bytes),
+        Some(_) => {
+            let max_kb = max_cache_bytes / 1024;
+            return Err(format!("--cache-kb must be between 1 and {max_kb}"));
+        }
+    };
     let spec = WorkloadSpec::homogeneous(&workload)
         .or_else(|| WorkloadSpec::mix(&workload))
         .ok_or_else(|| format!("unknown workload {workload:?}"))?;
@@ -160,8 +171,8 @@ fn run() -> Result<(), String> {
     if let Some(b) = mea_bits {
         cfg.mgr.mea_counter_bits = b;
     }
-    if let Some(kb) = cache_kb {
-        cfg.mgr.meta_cache_bytes = Some(kb << 10);
+    if let Some(bytes) = cache_bytes {
+        cfg.mgr.meta_cache_bytes = Some(bytes);
     }
     if future {
         cfg = cfg.into_future_system();

@@ -66,3 +66,19 @@ fn out_of_range_values_are_input_errors() {
     assert_input_error(&["--mea-bits", "0"], "--mea-bits must be between 1 and 64");
     assert_input_error(&["--mea-bits", "65"], "--mea-bits must be between 1 and 64");
 }
+
+#[test]
+fn cache_sizes_outside_the_remap_table_are_input_errors() {
+    // The paper system's remap table: 4,718,592 pages × 8 B = 36,864 KB.
+    let expected = "--cache-kb must be between 1 and 36864";
+    for kb in ["0", "36865", "18014398509481984", "18446744073709551615"] {
+        for manager in ["thm", "hma", "mempod"] {
+            assert_input_error(&["--manager", manager, "--cache-kb", kb], expected);
+        }
+    }
+    // The tiny geometry bounds it by its own table: 18,432 pages × 8 B.
+    assert_input_error(
+        &["--smoke", "--cache-kb", "145"],
+        "--cache-kb must be between 1 and 144",
+    );
+}

@@ -17,13 +17,16 @@
 //!
 //! # Scheduler organization
 //!
-//! Queued requests live in one unordered `Vec`. Each decision sweeps it
-//! for the earliest arrival (the decision instant), scans it once for the
-//! FR-FCFS winner and `swap_remove`s that. Selection is a min-`seq`
-//! competition within each candidate class, so the scan order, which
-//! `swap_remove` permutes, never changes a decision: `seq` is the FCFS
-//! key. Live queues stay shallow (at most 82 requests in every measured
-//! simulator run; DESIGN.md §9), where a flat scan is the cheapest pick.
+//! Queued requests live in one unordered `Vec`. The channel caches the
+//! earliest queued arrival, so its next decision instant
+//! ([`Channel::next_decision`]) costs no scan. Each decision scans the
+//! queue once: for the FR-FCFS winner, which it `swap_remove`s, and for
+//! the earliest arrival among the requests that stay. Selection is a
+//! min-`seq` competition within each candidate class, so the scan order,
+//! which `swap_remove` permutes, never changes a decision: `seq` is the
+//! FCFS key. Live queues stay shallow (at most 82 requests in every
+//! measured simulator run; DESIGN.md §9), where a flat scan is the
+//! cheapest pick.
 
 use mempod_faults::ChannelFaultStream;
 use mempod_telemetry::Log2Histogram;
@@ -155,6 +158,8 @@ pub struct ChannelStats {
     pub sched_decisions: u64,
     /// Queue entries examined across all scheduling decisions — the
     /// scheduler's work metric: the queue depth at each decision, summed.
+    /// The pick is the drain's only scan of the queue, so this is all of
+    /// its queue work.
     #[serde(default)]
     pub sched_scan_ops: u64,
     /// Injected channel faults applied (at most one per fault window; 0
@@ -272,6 +277,8 @@ pub struct Channel {
     /// Queued (unserviced) requests, unordered: a serviced request is
     /// `swap_remove`d, and `seq` carries the FCFS order.
     queue: Vec<Queued>,
+    /// The earliest arrival in `queue`; `Picos::MAX` when it is empty.
+    min_arrival: Picos,
     bus_free_at: Picos,
     now: Picos,
     next_refresh: Picos,
@@ -306,6 +313,7 @@ impl Channel {
                 timing.refresh_interval()
             },
             queue: Vec::new(),
+            min_arrival: Picos::MAX,
             ps: CyclePicos::new(&timing),
             timing,
             bus_free_at: Picos::ZERO,
@@ -370,6 +378,18 @@ impl Channel {
         self.now
     }
 
+    /// The instant of the channel's next scheduling decision:
+    /// `Picos::MAX` when nothing is queued, else the latest of `now`, the
+    /// earliest queued arrival and the bus-pacing point
+    /// (`bus_free − (tRCD + tCAS)`). A drain to a horizon before it makes
+    /// no decision and leaves the channel untouched.
+    pub fn next_decision(&self) -> Picos {
+        // An empty queue caches `min_arrival == MAX`, which wins the max.
+        self.now
+            .max(self.min_arrival)
+            .max(self.bus_free_at.saturating_sub(self.ps.lead))
+    }
+
     /// Enqueues a request for `(bank, row)` arriving at `arrival`.
     ///
     /// Arrivals need not be monotone in enqueue order (migration write
@@ -422,6 +442,7 @@ impl Channel {
             priority,
             seq,
         });
+        self.min_arrival = self.min_arrival.min(arrival);
         self.stats.max_queue_depth = self.stats.max_queue_depth.max(self.queue.len());
     }
 
@@ -444,15 +465,11 @@ impl Channel {
     /// `(token, completion_time)` to `on_done` in service order instead of
     /// collecting them, so a caller can fill a buffer it reuses.
     pub fn drain_until_with(&mut self, until: Picos, mut on_done: impl FnMut(ReqToken, Picos)) {
-        let lead = self.ps.lead;
         // On empty queue, stop and leave `now` untouched: channels are
         // reused across epoch boundaries (drain, migrate, continue) and a
         // poisoned horizon would push later requests into the far future.
-        while let Some(min_arrival) = self.queue.iter().map(|q| q.arrival).min() {
-            let decision = self
-                .now
-                .max(min_arrival)
-                .max(self.bus_free_at.saturating_sub(lead));
+        while !self.queue.is_empty() {
+            let decision = self.next_decision();
             if decision > until {
                 break;
             }
@@ -479,11 +496,12 @@ impl Channel {
                 }
                 self.last_decision = decision;
             }
-            let Some(pos) = self.pick(decision) else {
+            let Some((pos, next_min)) = self.pick(decision) else {
                 self.abandoned_picks += 1;
                 break;
             };
             let q = self.queue.swap_remove(pos);
+            self.min_arrival = next_min;
             self.stats.sched_decisions += 1;
             if let Some(p) = self.probe.as_deref_mut() {
                 // The granted request is already removed; +1 restores the
@@ -593,10 +611,23 @@ impl Channel {
         self.abandoned_picks
     }
 
-    /// States the channel's monotonic simulated-time invariant against
-    /// `auditor`: the event loop's scheduling decisions never regress.
+    /// States the channel's time invariants against `auditor`: the event
+    /// loop's scheduling decisions never regress, no drain abandons
+    /// arrived work, and the cached earliest arrival behind
+    /// [`next_decision`](Channel::next_decision) matches the queue.
     #[cfg(feature = "debug-invariants")]
     pub fn audit_time(&self, auditor: &mut mempod_audit::InvariantAuditor) {
+        let (cached, swept) = self.min_arrival_cache();
+        mempod_audit::audit_invariant!(
+            auditor,
+            "channel-min-arrival",
+            cached == swept,
+            "channel caches {} as its earliest arrival, but its {} queued \
+             request(s) sweep to {}",
+            cached,
+            self.queue.len(),
+            swept
+        );
         mempod_audit::audit_invariant!(
             auditor,
             "channel-monotonic-time",
@@ -616,18 +647,39 @@ impl Channel {
         );
     }
 
+    /// The cached earliest arrival and a fresh sweep of the queue for it
+    /// (`Picos::MAX` when empty); the two must agree.
+    #[cfg(any(test, feature = "debug-invariants"))]
+    pub(crate) fn min_arrival_cache(&self) -> (Picos, Picos) {
+        let swept = self.queue.iter().map(|q| q.arrival).min();
+        (self.min_arrival, swept.unwrap_or(Picos::MAX))
+    }
+
     /// Scheduling pick among requests that have arrived by `decision`, as
     /// a queue position: starving requests first (demand bound 500 ns,
     /// background bound 2 µs), then FR-FCFS within the demand class, then
     /// FR-FCFS among background. `None` only if no queued request has
     /// arrived yet. Every candidate is the minimum `seq` of its class, so
     /// the decision does not depend on the queue's order.
-    fn pick(&mut self, decision: Picos) -> Option<usize> {
+    ///
+    /// The same scan tracks the two smallest arrivals, so the pick also
+    /// returns the earliest arrival among the requests that stay queued
+    /// once the winner is removed (`Picos::MAX` if none stay).
+    fn pick(&mut self, decision: Picos) -> Option<(usize, Picos)> {
         let mut oldest_demand: Option<(usize, &Queued)> = None;
         let mut hit_demand: Option<(usize, &Queued)> = None;
         let mut oldest_bg: Option<(usize, &Queued)> = None;
         let mut hit_bg: Option<(usize, &Queued)> = None;
+        // The smallest arrival, its position, and the smallest among the
+        // other positions (ties land in `second`).
+        let (mut first, mut first_pos, mut second) = (Picos::MAX, usize::MAX, Picos::MAX);
         for (pos, q) in self.queue.iter().enumerate() {
+            if q.arrival < first {
+                second = first;
+                (first, first_pos) = (q.arrival, pos);
+            } else if q.arrival < second {
+                second = q.arrival;
+            }
             if q.arrival > decision {
                 continue;
             }
@@ -662,7 +714,7 @@ impl Channel {
                 .map(|(pos, _)| pos)
         };
         self.stats.sched_scan_ops += self.queue.len() as u64;
-        picked
+        picked.map(|pos| (pos, if pos == first_pos { second } else { first }))
     }
 
     /// Issues one request at decision time `now`, updating bank/bus state.
@@ -1258,5 +1310,29 @@ mod tests {
         assert!(ch.pending() > 0, "the audit must see a live queue");
         ch.audit_time(&mut auditor);
         auditor.assert_clean();
+    }
+
+    #[cfg(feature = "debug-invariants")]
+    #[test]
+    fn time_audit_flags_a_stale_min_arrival() {
+        let audit = |ch: &Channel| {
+            let mut auditor = mempod_audit::InvariantAuditor::every_epoch("sched");
+            ch.audit_time(&mut auditor);
+            auditor.violations().to_vec()
+        };
+        let mut ch = hbm_channel();
+        ch.enqueue(ReqToken(0), 0, 1, false, Picos::from_ns(50));
+        ch.enqueue(ReqToken(1), 1, 1, false, Picos::from_ns(20));
+        assert!(audit(&ch).is_empty());
+        // A cache above the true minimum would delay the next decision.
+        ch.min_arrival = Picos::from_ns(50);
+        let found = audit(&ch);
+        assert_eq!(found.len(), 1, "{found:?}");
+        assert!(found[0].contains("[channel-min-arrival]"), "{found:?}");
+        // An emptied queue must cache `MAX`, not its last arrival.
+        let _ = ch.drain_all();
+        assert!(audit(&ch).is_empty());
+        ch.min_arrival = Picos::from_ns(20);
+        assert!(audit(&ch)[0].contains("[channel-min-arrival]"));
     }
 }

@@ -191,6 +191,10 @@ pub struct MemorySystem {
     layout: MemLayout,
     mapper: AddressMapper,
     channels: Vec<Channel>,
+    /// The earliest [`Channel::next_decision`] over `channels`
+    /// (`Picos::MAX` when nothing is queued): a drain to an earlier
+    /// horizon has nothing to do.
+    next_decision: Picos,
     next_token: u64,
     /// Number of shards the original system was split into (1 = unsharded).
     shard_count: u32,
@@ -227,6 +231,7 @@ impl MemorySystem {
             layout,
             mapper,
             channels,
+            next_decision: Picos::MAX,
             next_token: 0,
             shard_count: 1,
             shard_id: 0,
@@ -262,6 +267,7 @@ impl MemorySystem {
                 layout: self.layout,
                 mapper: self.mapper,
                 channels: Vec::new(),
+                next_decision: Picos::MAX,
                 next_token: 0,
                 shard_count: count,
                 shard_id: id,
@@ -269,7 +275,9 @@ impl MemorySystem {
             .collect();
         for (i, ch) in self.channels.into_iter().enumerate() {
             let global = u32_from_u64(u64_from_usize(i));
-            shards[usize_from_u32(global % count)].channels.push(ch);
+            let shard = &mut shards[usize_from_u32(global % count)];
+            shard.next_decision = shard.next_decision.min(ch.next_decision());
+            shard.channels.push(ch);
         }
         shards
     }
@@ -346,14 +354,9 @@ impl MemorySystem {
         // owned channels are shard_id, shard_id + count, shard_id + 2*count,
         // ... in order, so integer division by the count recovers the slot.
         let local = usize_from_u32(loc.channel / self.shard_count);
-        self.channels[local].enqueue_with_priority(
-            token,
-            loc.bank,
-            loc.row,
-            kind.is_write(),
-            at,
-            priority,
-        );
+        let ch = &mut self.channels[local];
+        ch.enqueue_with_priority(token, loc.bank, loc.row, kind.is_write(), at, priority);
+        self.next_decision = self.next_decision.min(ch.next_decision());
         token
     }
 
@@ -372,24 +375,31 @@ impl MemorySystem {
     /// order — the engine handles completions in this order, so its
     /// results depend on it.
     ///
-    /// Channels with nothing queued are skipped. That is exact: an empty
-    /// channel's drain makes no scheduling decision, and only decisions
-    /// move its time, statistics and refresh schedule.
+    /// A channel whose next decision lies past `until` is skipped, and
+    /// the whole drain returns at once when the system's cached earliest
+    /// decision does. That is exact: such a drain makes no scheduling
+    /// decision, and only decisions move a channel's time, statistics and
+    /// refresh schedule.
     pub fn drain_until_into(&mut self, until: Picos, out: &mut Vec<Completion>) {
-        let ctrl = self.layout.ctrl_latency;
-        for (i, ch) in self.channels.iter_mut().enumerate() {
-            if ch.pending() == 0 {
-                continue;
-            }
-            let channel = self.shard_id + u32_from_u64(u64_from_usize(i)) * self.shard_count;
-            ch.drain_until_with(until, |token, done| {
-                out.push(Completion {
-                    token,
-                    completion: done + ctrl,
-                    channel,
-                });
-            });
+        if self.next_decision > until {
+            return;
         }
+        let ctrl = self.layout.ctrl_latency;
+        let mut next_decision = Picos::MAX;
+        for (i, ch) in self.channels.iter_mut().enumerate() {
+            if ch.next_decision() <= until {
+                let channel = self.shard_id + u32_from_u64(u64_from_usize(i)) * self.shard_count;
+                ch.drain_until_with(until, |token, done| {
+                    out.push(Completion {
+                        token,
+                        completion: done + ctrl,
+                        channel,
+                    });
+                });
+            }
+            next_decision = next_decision.min(ch.next_decision());
+        }
+        self.next_decision = next_decision;
     }
 
     /// Services every outstanding request.
@@ -472,13 +482,33 @@ impl MemorySystem {
         out
     }
 
-    /// States every channel's invariants against `auditor`: monotonic
-    /// simulated time and no abandoned work ([`Channel::audit_time`]).
+    /// States every channel's invariants against `auditor` (monotonic
+    /// simulated time, no abandoned work, a true earliest-arrival cache;
+    /// [`Channel::audit_time`]) and that the system's cached next decision
+    /// is the earliest over its channels.
     #[cfg(feature = "debug-invariants")]
     pub fn audit_invariants(&self, auditor: &mut mempod_audit::InvariantAuditor) {
         for ch in &self.channels {
             ch.audit_time(auditor);
         }
+        let (cached, swept) = self.next_decision_cache();
+        mempod_audit::audit_invariant!(
+            auditor,
+            "memory-next-decision",
+            cached == swept,
+            "memory system caches {} as its next decision, but its channels \
+             sweep to {}",
+            cached,
+            swept
+        );
+    }
+
+    /// The cached next decision and a fresh minimum of the channels'
+    /// [`Channel::next_decision`]; the two must agree.
+    #[cfg(any(test, feature = "debug-invariants"))]
+    fn next_decision_cache(&self) -> (Picos, Picos) {
+        let swept = self.channels.iter().map(Channel::next_decision).min();
+        (self.next_decision, swept.unwrap_or(Picos::MAX))
     }
 }
 
@@ -634,6 +664,132 @@ mod tests {
             busy.iter().all(|&i| mem.channels[i].stats().refreshes > 0),
             "busy channels cross refresh boundaries"
         );
+    }
+
+    /// Asserts both drain caches against fresh sweeps: every channel's
+    /// earliest arrival and the system's next decision.
+    fn assert_caches_fresh(mem: &MemorySystem, when: &str) {
+        for (i, ch) in mem.channels.iter().enumerate() {
+            let (cached, swept) = ch.min_arrival_cache();
+            assert_eq!(cached, swept, "channel {i} min arrival {when}");
+        }
+        let (cached, swept) = mem.next_decision_cache();
+        assert_eq!(cached, swept, "next decision {when}");
+    }
+
+    #[test]
+    fn drain_caches_match_a_fresh_sweep_after_every_operation() {
+        let layout = MemLayout::tiny();
+        for seed in [3u64, 17, 0x5eed] {
+            let mut mem = MemorySystem::new(layout);
+            let mut x = seed;
+            let mut horizon = Picos::ZERO;
+            let mut out = Vec::new();
+            for step in 0..3_000u64 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                if x % 4 == 0 {
+                    // Horizons jump ahead or repeat, as the pump re-drains.
+                    if x % 3 != 0 {
+                        horizon += Picos((x >> 8) % 40_000);
+                    }
+                    let before: Vec<(Picos, u64)> = mem
+                        .channels
+                        .iter()
+                        .map(|ch| (ch.next_decision(), ch.stats().sched_decisions))
+                        .collect();
+                    mem.drain_until_into(horizon, &mut out);
+                    assert_caches_fresh(&mem, &format!("after drain {step}"));
+                    // A channel decides exactly when its next decision is due.
+                    for (ch, (next, decisions)) in mem.channels.iter().zip(before) {
+                        let decided = ch.stats().sched_decisions > decisions;
+                        assert_eq!(decided, next <= horizon, "drain {step} at {horizon}");
+                    }
+                } else {
+                    // Frames cluster so some channels queue deep; arrivals
+                    // may precede the last horizon (completion-driven work).
+                    let frame = FrameId((x >> 16) % 24 * 37 % layout.total_frames());
+                    let at = (horizon + Picos((x >> 32) % 30_000)).saturating_sub(Picos(5_000));
+                    let priority = if x & 8 == 0 {
+                        Priority::Background
+                    } else {
+                        Priority::Demand
+                    };
+                    let kind = if x & 16 == 0 {
+                        AccessKind::Write
+                    } else {
+                        AccessKind::Read
+                    };
+                    mem.submit_with_priority(
+                        frame,
+                        u32_from_u64((x >> 24) % 32),
+                        kind,
+                        at,
+                        priority,
+                    );
+                    assert_caches_fresh(&mem, &format!("after submit {step}"));
+                }
+            }
+            assert!(out.len() > 1_000, "seed {seed}: {} completions", out.len());
+            let _ = mem.drain_all();
+            assert_caches_fresh(&mem, "after the final drain");
+            assert_eq!(mem.next_decision, Picos::MAX);
+        }
+    }
+
+    #[test]
+    fn a_drain_before_the_next_decision_moves_nothing() {
+        let t = DramTiming::hbm();
+        let mut mem = MemorySystem::new(MemLayout::tiny());
+        // Busy the bus so the next decision is paced by it, then queue one
+        // request far out on a slow channel.
+        for line in 0..8 {
+            mem.submit(FrameId(0), line, AccessKind::Read, Picos::ZERO);
+        }
+        let slow = FrameId(mem.layout().fast_frames);
+        mem.submit(slow, 0, AccessKind::Write, t.refresh_interval() * 2);
+        let first = mem.drain_until(Picos::ZERO);
+        assert!(!first.is_empty() && mem.pending() > 0);
+        let next = mem.next_decision;
+        assert!(next > Picos::ZERO && next < Picos::MAX);
+        let snapshot = |mem: &MemorySystem| -> Vec<(Picos, ChannelStats)> {
+            mem.channels
+                .iter()
+                .map(|ch| (ch.now(), *ch.stats()))
+                .collect()
+        };
+        let before = snapshot(&mem);
+        let mut out = Vec::new();
+        for horizon in [Picos::ZERO, next - Picos(1)] {
+            mem.drain_until_into(horizon, &mut out);
+            assert!(out.is_empty(), "nothing is due before {next}");
+            assert_eq!(snapshot(&mem), before, "drain to {horizon} moved a channel");
+            assert_eq!(mem.next_decision, next);
+        }
+        mem.drain_until_into(next, &mut out);
+        assert!(!out.is_empty(), "the decision at {next} is due");
+    }
+
+    #[cfg(feature = "debug-invariants")]
+    #[test]
+    fn audit_flags_a_stale_next_decision() {
+        let audit = |mem: &MemorySystem| {
+            let mut auditor = mempod_audit::InvariantAuditor::every_epoch("mem");
+            mem.audit_invariants(&mut auditor);
+            auditor.violations().to_vec()
+        };
+        let mut mem = MemorySystem::new(MemLayout::tiny());
+        mem.submit(FrameId(0), 0, AccessKind::Read, Picos::from_ns(80));
+        assert!(audit(&mem).is_empty());
+        // Too late a cache would skip a due drain; too early one only costs
+        // a sweep, but still breaks the invariant.
+        for stale in [Picos::from_ns(81), Picos::from_ns(79), Picos::MAX] {
+            mem.next_decision = stale;
+            let found = audit(&mem);
+            assert_eq!(found.len(), 1, "{found:?}");
+            assert!(found[0].contains("[memory-next-decision]"), "{found:?}");
+        }
     }
 
     #[test]

@@ -895,7 +895,7 @@ impl Simulator {
     /// [`EventKind::DegradedToSequential`] markers.
     fn degrade(mut self, trace: &Trace, shard: u32, flushed_progress: u64, t: Picos) -> SimReport {
         let cause = EngineError::ShardWorkerPanicked { shard };
-        eprintln!("warning: {cause}; degrading to the sequential reference path");
+        eprintln!("warning: {cause}; replaying the run at one shard");
         let t = t.min(trace.duration());
         self.tel.event(t.as_ps(), EventKind::ShardPanic { shard });
         self.tel

@@ -36,8 +36,8 @@ step "cargo test (slow-tests)" cargo test -q --features slow-tests --offline
 step "cargo test (debug-invariants)" \
     cargo test -q --features debug-invariants --offline
 # The root package's feature forwards to its dependencies' library code
-# only; the crates' own unit tests (the scheduler index audits among them)
-# need the feature turned on per crate.
+# only; the crates' own unit tests (the channel time and next-decision
+# audits among them) need the feature turned on per crate.
 step "cargo test (debug-invariants, crate unit tests)" \
     cargo test -q --offline -p mempod-dram -p mempod-core -p mempod-sim \
     --features mempod-dram/debug-invariants,mempod-core/debug-invariants,mempod-sim/debug-invariants
