@@ -17,16 +17,18 @@
 //!
 //! # Scheduler organization
 //!
-//! Queued requests live in one unordered `Vec`. The channel caches the
-//! earliest queued arrival, so its next decision instant
-//! ([`Channel::next_decision`]) costs no scan. Each decision scans the
-//! queue once: for the FR-FCFS winner, which it `swap_remove`s, and for
-//! the earliest arrival among the requests that stay. Selection is a
-//! min-`seq` competition within each candidate class, so the scan order,
-//! which `swap_remove` permutes, never changes a decision: `seq` is the
-//! FCFS key. Live queues stay shallow (at most 82 requests in every
-//! measured simulator run; DESIGN.md §9), where a flat scan is the
-//! cheapest pick.
+//! Queued requests live in two FIFO `Vec`s, one per scheduling class
+//! (demand, background), in enqueue order, so a request's queue position
+//! is its FCFS age. Each FR-FCFS candidate (the oldest arrived request of
+//! a class, the oldest arrived row hit of a class) is the first matching
+//! entry of its queue, so a decision walks each queue from the front and
+//! stops as soon as the winner is settled; the winner leaves with an
+//! order-preserving `Vec::remove`. The channel caches the earliest queued
+//! arrival, so its next decision instant ([`Channel::next_decision`])
+//! costs no scan; only a decision that grants the request holding that
+//! arrival re-sweeps the queues for the next one. Live queues stay shallow
+//! (at most 82 requests in every measured simulator run; DESIGN.md §9),
+//! where a flat `Vec` beats any indexed structure.
 
 use mempod_faults::ChannelFaultStream;
 use mempod_telemetry::Log2Histogram;
@@ -60,6 +62,23 @@ pub enum Priority {
     Background,
 }
 
+impl Priority {
+    /// The index of this class's queue in [`Channel`]'s `queues`.
+    const fn class(self) -> usize {
+        match self {
+            Priority::Demand => DEMAND,
+            Priority::Background => BACKGROUND,
+        }
+    }
+}
+
+/// Queue index of [`Priority::Demand`].
+const DEMAND: usize = 0;
+/// Queue index of [`Priority::Background`].
+const BACKGROUND: usize = 1;
+
+/// One queued request. Its class is the queue it sits in, and its FCFS
+/// age is its position there.
 #[derive(Debug, Clone, Copy)]
 struct Queued {
     token: ReqToken,
@@ -67,9 +86,6 @@ struct Queued {
     bank: u32,
     row: u64,
     is_write: bool,
-    priority: Priority,
-    /// Issue order: the FCFS age key.
-    seq: u64,
 }
 
 #[derive(Debug, Clone, Copy, Default)]
@@ -156,10 +172,10 @@ pub struct ChannelStats {
     /// Scheduling decisions taken (one per serviced request).
     #[serde(default)]
     pub sched_decisions: u64,
-    /// Queue entries examined across all scheduling decisions — the
-    /// scheduler's work metric: the queue depth at each decision, summed.
-    /// The pick is the drain's only scan of the queue, so this is all of
-    /// its queue work.
+    /// The queue depth (both classes) at each scheduling decision, summed:
+    /// the number of requests every decision chose from. The pick stops
+    /// early, so this bounds the entries it examines rather than counting
+    /// them.
     #[serde(default)]
     pub sched_scan_ops: u64,
     /// Injected channel faults applied (at most one per fault window; 0
@@ -194,7 +210,8 @@ impl ChannelStats {
         }
     }
 
-    /// Mean queue entries examined per scheduling decision.
+    /// Mean queue depth per scheduling decision (`sched_scan_ops` over
+    /// `sched_decisions`): how many requests a decision chose from.
     pub fn scans_per_decision(&self) -> f64 {
         if self.sched_decisions == 0 {
             0.0
@@ -274,15 +291,15 @@ pub struct Channel {
     /// `timing`'s per-request durations, precomputed.
     ps: CyclePicos,
     banks: Vec<Bank>,
-    /// Queued (unserviced) requests, unordered: a serviced request is
-    /// `swap_remove`d, and `seq` carries the FCFS order.
-    queue: Vec<Queued>,
-    /// The earliest arrival in `queue`; `Picos::MAX` when it is empty.
+    /// Queued (unserviced) requests, one FIFO per scheduling class
+    /// (indexed by [`Priority::class`]) in enqueue order: position is the
+    /// FCFS age, and a serviced request is removed in place.
+    queues: [Vec<Queued>; 2],
+    /// The earliest arrival in `queues`; `Picos::MAX` when both are empty.
     min_arrival: Picos,
     bus_free_at: Picos,
     now: Picos,
     next_refresh: Picos,
-    next_seq: u64,
     stats: ChannelStats,
     /// The last scheduling-decision instant (for the monotonic-time audit;
     /// only maintained when `debug-invariants` is on).
@@ -312,13 +329,12 @@ impl Channel {
             } else {
                 timing.refresh_interval()
             },
-            queue: Vec::new(),
+            queues: [Vec::new(), Vec::new()],
             min_arrival: Picos::MAX,
             ps: CyclePicos::new(&timing),
             timing,
             bus_free_at: Picos::ZERO,
             now: Picos::ZERO,
-            next_seq: 0,
             stats: ChannelStats::default(),
             last_decision: Picos::ZERO,
             decision_regressions: 0,
@@ -369,7 +385,7 @@ impl Channel {
 
     /// Requests currently queued (not yet serviced).
     pub fn pending(&self) -> usize {
-        self.queue.len()
+        self.queues[DEMAND].len() + self.queues[BACKGROUND].len()
     }
 
     /// The channel-local current time (end of the last scheduled burst or
@@ -431,19 +447,15 @@ impl Channel {
             (bank as usize) < self.banks.len(),
             "bank {bank} out of range"
         );
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.queue.push(Queued {
+        self.queues[priority.class()].push(Queued {
             token,
             arrival,
             bank,
             row,
             is_write,
-            priority,
-            seq,
         });
         self.min_arrival = self.min_arrival.min(arrival);
-        self.stats.max_queue_depth = self.stats.max_queue_depth.max(self.queue.len());
+        self.stats.max_queue_depth = self.stats.max_queue_depth.max(self.pending());
     }
 
     /// Services queued requests whose schedule fits before `until`, returning
@@ -468,7 +480,7 @@ impl Channel {
         // On empty queue, stop and leave `now` untouched: channels are
         // reused across epoch boundaries (drain, migrate, continue) and a
         // poisoned horizon would push later requests into the far future.
-        while !self.queue.is_empty() {
+        while self.pending() > 0 {
             let decision = self.next_decision();
             if decision > until {
                 break;
@@ -496,17 +508,19 @@ impl Channel {
                 }
                 self.last_decision = decision;
             }
-            let Some((pos, next_min)) = self.pick(decision) else {
+            let Some((class, pos)) = self.pick(decision) else {
                 self.abandoned_picks += 1;
                 break;
             };
-            let q = self.queue.swap_remove(pos);
-            self.min_arrival = next_min;
+            let depth = self.pending() as u64;
+            let q = self.queues[class].remove(pos);
+            // Only the request holding the earliest arrival moves it.
+            if q.arrival == self.min_arrival {
+                self.min_arrival = self.earliest_arrival();
+            }
             self.stats.sched_decisions += 1;
             if let Some(p) = self.probe.as_deref_mut() {
-                // The granted request is already removed; +1 restores the
-                // depth the scheduler actually chose from.
-                p.depth.record(self.queue.len() as u64 + 1);
+                p.depth.record(depth);
             }
             let completion = self.service(&q, decision);
             on_done(q.token, completion);
@@ -543,7 +557,7 @@ impl Channel {
             bank.ready_at = bank.ready_at.max(blackout_end);
         }
         self.stats.refreshes += missed + 1;
-        if !self.queue.is_empty() {
+        if self.pending() > 0 {
             if let Some(p) = self.probe.as_deref_mut() {
                 p.stalled_refreshes += missed + 1;
             }
@@ -590,7 +604,7 @@ impl Channel {
                     bank.ready_at = bank.ready_at.max(blackout_end);
                 }
                 self.stats.refreshes += u64::from(k);
-                if !self.queue.is_empty() {
+                if self.pending() > 0 {
                     if let Some(p) = self.probe.as_deref_mut() {
                         p.stalled_refreshes += u64::from(k);
                     }
@@ -625,7 +639,7 @@ impl Channel {
             "channel caches {} as its earliest arrival, but its {} queued \
              request(s) sweep to {}",
             cached,
-            self.queue.len(),
+            self.pending(),
             swept
         );
         mempod_audit::audit_invariant!(
@@ -647,74 +661,77 @@ impl Channel {
         );
     }
 
-    /// The cached earliest arrival and a fresh sweep of the queue for it
+    /// The cached earliest arrival and a fresh sweep of the queues for it
     /// (`Picos::MAX` when empty); the two must agree.
     #[cfg(any(test, feature = "debug-invariants"))]
     pub(crate) fn min_arrival_cache(&self) -> (Picos, Picos) {
-        let swept = self.queue.iter().map(|q| q.arrival).min();
-        (self.min_arrival, swept.unwrap_or(Picos::MAX))
+        (self.min_arrival, self.earliest_arrival())
+    }
+
+    /// The earliest arrival over both class queues (`Picos::MAX` when
+    /// empty), swept afresh.
+    fn earliest_arrival(&self) -> Picos {
+        self.queues
+            .iter()
+            .flatten()
+            .fold(Picos::MAX, |min, q| min.min(q.arrival))
     }
 
     /// Scheduling pick among requests that have arrived by `decision`, as
-    /// a queue position: starving requests first (demand bound 500 ns,
-    /// background bound 2 µs), then FR-FCFS within the demand class, then
-    /// FR-FCFS among background. `None` only if no queued request has
-    /// arrived yet. Every candidate is the minimum `seq` of its class, so
-    /// the decision does not depend on the queue's order.
+    /// a `(class, position)` pair: starving requests first (demand bound
+    /// 500 ns, background bound 2 µs), then FR-FCFS within the demand
+    /// class, then FR-FCFS among background. `None` only if no queued
+    /// request has arrived yet.
     ///
-    /// The same scan tracks the two smallest arrivals, so the pick also
-    /// returns the earliest arrival among the requests that stay queued
-    /// once the winner is removed (`Picos::MAX` if none stay).
-    fn pick(&mut self, decision: Picos) -> Option<(usize, Picos)> {
-        let mut oldest_demand: Option<(usize, &Queued)> = None;
-        let mut hit_demand: Option<(usize, &Queued)> = None;
-        let mut oldest_bg: Option<(usize, &Queued)> = None;
-        let mut hit_bg: Option<(usize, &Queued)> = None;
-        // The smallest arrival, its position, and the smallest among the
-        // other positions (ties land in `second`).
-        let (mut first, mut first_pos, mut second) = (Picos::MAX, usize::MAX, Picos::MAX);
-        for (pos, q) in self.queue.iter().enumerate() {
-            if q.arrival < first {
-                second = first;
-                (first, first_pos) = (q.arrival, pos);
-            } else if q.arrival < second {
-                second = q.arrival;
-            }
+    /// Each class queue is in FCFS order, so every candidate is the first
+    /// matching entry of its queue and each walk stops once the winner is
+    /// settled: the demand walk at the first arrived row hit (or at the
+    /// oldest arrived request if it is starving); the background walk at
+    /// its oldest arrived request if that is starving or a demand request
+    /// has arrived (demand then wins), else at the first arrived row hit.
+    fn pick(&mut self, decision: Picos) -> Option<(usize, usize)> {
+        self.stats.sched_scan_ops += self.pending() as u64;
+        let banks = &self.banks;
+        let is_hit = |q: &Queued| banks[q.bank as usize].open_row == Some(q.row);
+        let mut oldest_demand = None;
+        let mut hit_demand = None;
+        for (pos, q) in self.queues[DEMAND].iter().enumerate() {
             if q.arrival > decision {
                 continue;
             }
-            let is_hit = self.banks[q.bank as usize].open_row == Some(q.row);
-            let (oldest, hit) = if q.priority == Priority::Demand {
-                (&mut oldest_demand, &mut hit_demand)
-            } else {
-                (&mut oldest_bg, &mut hit_bg)
-            };
-            if oldest.is_none_or(|(_, o)| q.seq < o.seq) {
-                *oldest = Some((pos, q));
+            if oldest_demand.is_none() {
+                if decision.saturating_sub(q.arrival) > DEMAND_STARVATION_BOUND {
+                    return Some((DEMAND, pos));
+                }
+                oldest_demand = Some(pos);
             }
-            if is_hit && hit.is_none_or(|(_, h)| q.seq < h.seq) {
-                *hit = Some((pos, q));
+            if is_hit(q) {
+                hit_demand = Some(pos);
+                break;
             }
         }
-        let picked = 'sel: {
-            if let Some((pos, q)) = oldest_demand {
-                if decision.saturating_sub(q.arrival) > DEMAND_STARVATION_BOUND {
-                    break 'sel Some(pos);
-                }
+        let mut oldest_bg = None;
+        for (pos, q) in self.queues[BACKGROUND].iter().enumerate() {
+            if q.arrival > decision {
+                continue;
             }
-            if let Some((pos, q)) = oldest_bg {
+            if oldest_bg.is_none() {
                 if decision.saturating_sub(q.arrival) > BACKGROUND_STARVATION_BOUND {
-                    break 'sel Some(pos);
+                    return Some((BACKGROUND, pos));
                 }
+                if oldest_demand.is_some() {
+                    break;
+                }
+                oldest_bg = Some(pos);
             }
-            hit_demand
-                .or(oldest_demand)
-                .or(hit_bg)
-                .or(oldest_bg)
-                .map(|(pos, _)| pos)
-        };
-        self.stats.sched_scan_ops += self.queue.len() as u64;
-        picked.map(|pos| (pos, if pos == first_pos { second } else { first }))
+            if is_hit(q) {
+                return Some((BACKGROUND, pos));
+            }
+        }
+        match hit_demand.or(oldest_demand) {
+            Some(pos) => Some((DEMAND, pos)),
+            None => oldest_bg.map(|pos| (BACKGROUND, pos)),
+        }
     }
 
     /// Issues one request at decision time `now`, updating bank/bus state.
@@ -1069,6 +1086,108 @@ mod tests {
         ch.enqueue(ReqToken(1), 4, 7, false, Picos::ZERO);
         let done = ch.drain_all();
         assert_eq!(done[0].0, ReqToken(0));
+    }
+
+    /// A channel with row 1 open on bank 0 (bank 1 stays idle), and the
+    /// instant it went idle.
+    fn channel_with_open_row() -> (Channel, Picos) {
+        let mut ch = hbm_channel();
+        ch.enqueue(ReqToken(99), 0, 1, false, Picos::ZERO);
+        let _ = ch.drain_all();
+        let t0 = ch.now();
+        (ch, t0)
+    }
+
+    /// The request `pick` grants at `decision` (left queued).
+    fn granted(ch: &mut Channel, decision: Picos) -> Option<ReqToken> {
+        ch.pick(decision)
+            .map(|(class, pos)| ch.queues[class][pos].token)
+    }
+
+    #[test]
+    fn a_starving_demand_miss_beats_older_and_younger_row_hits() {
+        let (mut ch, t0) = channel_with_open_row();
+        let ns = Picos::from_ns;
+        ch.enqueue_with_priority(ReqToken(0), 0, 1, false, t0, Priority::Background);
+        ch.enqueue(ReqToken(1), 1, 5, false, t0 + ns(1));
+        ch.enqueue(ReqToken(2), 0, 1, false, t0 + ns(2));
+        // Within the bound, the younger demand row hit goes first.
+        assert_eq!(granted(&mut ch, t0 + ns(400)), Some(ReqToken(2)));
+        // Past it, the oldest demand request wins outright.
+        assert_eq!(granted(&mut ch, t0 + ns(502)), Some(ReqToken(1)));
+    }
+
+    #[test]
+    fn a_starving_background_request_beats_a_demand_row_hit() {
+        let (mut ch, t0) = channel_with_open_row();
+        ch.enqueue_with_priority(ReqToken(0), 1, 5, false, t0, Priority::Background);
+        ch.enqueue(ReqToken(1), 0, 1, false, t0 + Picos::from_us(2));
+        assert_eq!(granted(&mut ch, t0 + Picos::from_us(2)), Some(ReqToken(1)));
+        let starved = t0 + Picos::from_us(2) + Picos(1);
+        assert_eq!(granted(&mut ch, starved), Some(ReqToken(0)));
+    }
+
+    #[test]
+    fn a_request_that_has_not_arrived_is_skipped_at_the_front() {
+        let (mut ch, t0) = channel_with_open_row();
+        let ns = Picos::from_ns;
+        for priority in [Priority::Background, Priority::Demand] {
+            let class = 10 * priority.class() as u64;
+            // Enqueued first, so at the front, but arriving last.
+            ch.enqueue_with_priority(ReqToken(class), 1, 5, false, t0 + ns(100), priority);
+            ch.enqueue_with_priority(ReqToken(class + 1), 1, 6, false, t0, priority);
+            ch.enqueue_with_priority(ReqToken(class + 2), 1, 7, false, t0, priority);
+            assert_eq!(granted(&mut ch, t0 + ns(50)), Some(ReqToken(class + 1)));
+        }
+        assert_eq!(granted(&mut ch, t0 + ns(100)), Some(ReqToken(0)));
+    }
+
+    #[test]
+    fn a_demand_row_hit_behind_an_older_demand_miss_wins() {
+        let (mut ch, t0) = channel_with_open_row();
+        ch.enqueue(ReqToken(0), 1, 5, false, t0);
+        ch.enqueue(ReqToken(1), 1, 6, false, t0);
+        ch.enqueue(ReqToken(2), 0, 1, false, t0);
+        assert_eq!(granted(&mut ch, t0), Some(ReqToken(2)));
+        let done = ch.drain_all();
+        let order: Vec<_> = done.iter().map(|&(token, _)| token.0).collect();
+        assert_eq!(order, [2, 0, 1]);
+    }
+
+    #[test]
+    fn a_background_row_hit_wins_only_while_no_demand_has_arrived() {
+        let (mut ch, t0) = channel_with_open_row();
+        let ns = Picos::from_ns;
+        ch.enqueue_with_priority(ReqToken(0), 1, 5, false, t0, Priority::Background);
+        ch.enqueue_with_priority(ReqToken(1), 0, 1, false, t0, Priority::Background);
+        ch.enqueue(ReqToken(2), 1, 6, false, t0 + ns(100));
+        assert_eq!(granted(&mut ch, t0 + ns(50)), Some(ReqToken(1)));
+        // Once demand has arrived, even a demand miss outranks it.
+        assert_eq!(granted(&mut ch, t0 + ns(100)), Some(ReqToken(2)));
+    }
+
+    #[test]
+    fn granting_the_earliest_arrival_resweeps_the_cache() {
+        let (mut ch, t0) = channel_with_open_row();
+        let ns = Picos::from_ns;
+        ch.enqueue(ReqToken(0), 1, 5, false, t0 + ns(10));
+        ch.enqueue(ReqToken(1), 1, 6, false, t0);
+        ch.enqueue(ReqToken(2), 1, 6, false, t0);
+        ch.enqueue_with_priority(ReqToken(3), 1, 7, false, t0 + ns(5), Priority::Background);
+        // Each drain to the next decision instant grants exactly one.
+        let grant = |ch: &mut Channel| {
+            let done = ch.drain_until(ch.next_decision());
+            assert_eq!(done.len(), 1);
+            done[0].0
+        };
+        // The first grant holds the earliest arrival, but shares it.
+        assert_eq!(grant(&mut ch), ReqToken(1));
+        assert_eq!(ch.min_arrival_cache(), (t0, t0));
+        // The second empties it: the next earliest is in the other queue.
+        assert_eq!(grant(&mut ch), ReqToken(2));
+        assert_eq!(ch.min_arrival_cache(), (t0 + ns(5), t0 + ns(5)));
+        let _ = ch.drain_all();
+        assert_eq!(ch.min_arrival_cache(), (Picos::MAX, Picos::MAX));
     }
 
     /// A deterministic xorshift stream for building request mixes.

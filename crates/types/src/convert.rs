@@ -44,12 +44,14 @@ impl std::error::Error for ConvertError {}
 
 /// Widens a `usize` to `u64`. Lossless: the guard above rejects platforms
 /// with a wider-than-64-bit word.
+#[inline]
 #[must_use]
 pub const fn u64_from_usize(x: usize) -> u64 {
     x as u64
 }
 
 /// Widens a `u32` to `u64`. Always lossless.
+#[inline]
 #[must_use]
 pub const fn u64_from_u32(x: u32) -> u64 {
     x as u64
@@ -57,6 +59,7 @@ pub const fn u64_from_u32(x: u32) -> u64 {
 
 /// Widens a `u32` to `usize`. Lossless: the guard above rejects 16-bit
 /// targets.
+#[inline]
 #[must_use]
 pub const fn usize_from_u32(x: u32) -> usize {
     x as usize
@@ -68,6 +71,7 @@ pub const fn usize_from_u32(x: u32) -> usize {
 /// # Panics
 ///
 /// Panics if `x` does not fit — a programming error, not an input error.
+#[inline]
 #[must_use]
 pub const fn u32_from_u64(x: u64) -> u32 {
     match u32_checked(x) {
@@ -82,6 +86,7 @@ pub const fn u32_from_u64(x: u64) -> u32 {
 /// # Panics
 ///
 /// Panics if `x` does not fit — only possible on 32-bit targets.
+#[inline]
 #[must_use]
 pub const fn usize_from_u64(x: u64) -> usize {
     if x <= usize::MAX as u64 {
