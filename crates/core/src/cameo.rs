@@ -10,14 +10,15 @@
 //! than anyone (3.9 GB per experiment in the paper) and thrashes whenever
 //! two hot lines share a group.
 
-use mempod_types::{FrameId, Geometry, MemRequest, PageId, Picos, LINE_SIZE, PAGE_SIZE};
+use mempod_types::convert::{u32_from_u64, u64_from_usize};
+use mempod_types::{FrameId, MemRequest, PageId, Picos};
 
 use crate::llp::{LineLocationPredictor, LlpStats};
 use crate::manager::{AccessOutcome, ManagerConfig, ManagerKind, MemoryManager, MigrationStats};
 use crate::migration::Migration;
-use crate::segment::SegmentMap;
+use crate::segment::{slow_members, SegmentMap};
 
-const LINES_PER_PAGE: u64 = (PAGE_SIZE / LINE_SIZE) as u64;
+const LINES_PER_PAGE: u64 = u64_from_usize(mempod_types::LINES_PER_PAGE);
 
 /// The CAMEO line-granularity, event-triggered migration manager.
 ///
@@ -37,15 +38,14 @@ const LINES_PER_PAGE: u64 = (PAGE_SIZE / LINE_SIZE) as u64;
 /// ```
 #[derive(Debug)]
 pub struct CameoManager {
-    #[allow(dead_code)]
-    geo: Geometry,
+    /// Congruence-group permutations. Each touched group's flag bit marks
+    /// its fast occupant as swapped in and not yet touched there: the only
+    /// line of a group that can be pending is the one in its fast slot.
     segs: SegmentMap,
     stats: MigrationStats,
     /// Lines swapped into fast memory that were never accessed there before
     /// being evicted again ("wasted migrations", §6.3.2).
     wasted: u64,
-    /// Fast-resident lines not yet re-touched since their swap-in.
-    pending_touch: std::collections::HashSet<u64>,
     /// Optional Line Location Predictor (paper §2): mispredictions cost a
     /// blocking bookkeeping read.
     llp: Option<LineLocationPredictor>,
@@ -56,7 +56,8 @@ impl CameoManager {
     ///
     /// # Panics
     ///
-    /// Panics if the slow tier is not an integer multiple of the fast tier.
+    /// Panics if the slow tier is not an integer multiple of the fast tier,
+    /// or if the slow:fast ratio exceeds 255.
     pub fn new(cfg: &ManagerConfig) -> Self {
         let geo = cfg.geometry;
         let ratio = geo.slow_to_fast_ratio();
@@ -65,11 +66,9 @@ impl CameoManager {
             "slow tier must be an integer multiple of the fast tier"
         );
         CameoManager {
-            geo,
-            segs: SegmentMap::new(geo.fast_lines(), ratio as u8),
+            segs: SegmentMap::new(geo.fast_lines(), slow_members(ratio)),
             stats: MigrationStats::default(),
             wasted: 0,
-            pending_touch: std::collections::HashSet::new(),
             llp: cfg.cameo_llp.then(|| LineLocationPredictor::new(4096)),
         }
     }
@@ -88,57 +87,65 @@ impl CameoManager {
     fn frame_line(unit: u64) -> (FrameId, u32) {
         (
             FrameId(unit / LINES_PER_PAGE),
-            (unit % LINES_PER_PAGE) as u32,
+            u32_from_u64(unit % LINES_PER_PAGE),
         )
     }
 }
 
 impl MemoryManager for CameoManager {
     fn on_access(&mut self, req: &MemRequest) -> AccessOutcome {
-        let line = req.addr.line();
-        let (group, member) = self.segs.group_of(line.0);
-        let slot = self.segs.slot_of(group, member);
-        let mut migrations = Vec::new();
+        let line = req.addr.line().0;
+        let (group, member) = self.segs.group_of(line);
+        // After this access the line is served from its group's fast slot.
+        let fast_unit = self.segs.unit_of(group, 0);
+        // One index lookup resolves the group; untouched groups are at
+        // identity with no line pending.
+        let touched = self.segs.touched_mut(group);
+        let slot = touched.as_ref().map_or(member, |g| g.slot_of(member));
         // LLP: a misprediction forces a bookkeeping read from memory.
         let meta_miss = match &mut self.llp {
             Some(llp) => !llp.predict_and_train(group, slot == 0),
             None => false,
         };
 
+        let mut migrations = Vec::new();
         if slot == 0 {
             // Fast hit: the line is being used where it lives.
-            self.pending_touch.remove(&line.0);
+            if let Some(mut g) = touched {
+                g.set_flag(false);
+            }
         } else {
             // Event trigger: swap this line into the group's fast slot now.
-            let old_unit = self.segs.location_of(line.0);
-            let fast_unit = self.segs.unit_of(group, 0);
-            let (_, displaced) = self
-                .segs
-                .swap_into_fast(group, member)
-                .expect("slot != 0 implies a real swap");
-            let displaced_line = self.segs.unit_of(group, displaced);
-            // Wasted-migration accounting: if the displaced line was never
-            // touched while fast, its swap-in was wasted.
-            if self.pending_touch.remove(&displaced_line) {
-                self.wasted += 1;
+            let mut g = match touched {
+                Some(g) => g,
+                None => self.segs.touch(group),
+            };
+            if let Some((old_slot, displaced)) = g.swap_into_fast(member) {
+                // Wasted-migration accounting: if the displaced line was
+                // never touched while fast, its swap-in was wasted. The
+                // incoming line is pending until touched.
+                if g.flag() {
+                    self.wasted += 1;
+                }
+                g.set_flag(true);
+                let old_unit = self.segs.unit_of(group, old_slot);
+                let displaced_line = self.segs.unit_of(group, displaced);
+                let (fa, la) = Self::frame_line(old_unit);
+                let (fb, lb) = Self::frame_line(fast_unit);
+                debug_assert_eq!(la, lb, "group stride preserves line offset");
+                let m = Migration::line_swap(
+                    fa,
+                    fb,
+                    la,
+                    PageId(line / LINES_PER_PAGE),
+                    PageId(displaced_line / LINES_PER_PAGE),
+                );
+                self.stats.record(&m);
+                migrations.push(m);
             }
-            self.pending_touch.insert(line.0);
-
-            let (fa, la) = Self::frame_line(old_unit);
-            let (fb, lb) = Self::frame_line(fast_unit);
-            debug_assert_eq!(la, lb, "group stride preserves line offset");
-            let m = Migration::line_swap(
-                fa,
-                fb,
-                la,
-                PageId(line.0 / LINES_PER_PAGE),
-                PageId(displaced_line / LINES_PER_PAGE),
-            );
-            self.stats.record(&m);
-            migrations.push(m);
         }
 
-        let (frame, line_in_page) = Self::frame_line(self.segs.location_of(line.0));
+        let (frame, line_in_page) = Self::frame_line(fast_unit);
         AccessOutcome {
             frame,
             line_in_page,
@@ -165,29 +172,32 @@ impl MemoryManager for CameoManager {
 
     /// Swaps the displaced line (`page_b`/`line_start`) back into its
     /// congruence group's fast slot, reversing the event-triggered swap,
-    /// and forgets the aborted line's pending-touch state (it is no longer
-    /// fast-resident, so it can neither be touched there nor count as a
-    /// wasted swap-in).
+    /// and clears the group's pending-touch bit. The aborted line is no
+    /// longer fast-resident, so it can neither be touched there nor count
+    /// as a wasted swap-in; the returning line lost its own pending state
+    /// when the swap evicted it, and the engine rolls a swap back right
+    /// after the access that committed it.
     fn rollback_migration(&mut self, m: &Migration) -> bool {
-        let line = m.page_a.0 * LINES_PER_PAGE + u64::from(m.line_start);
         let displaced_line = m.page_b.0 * LINES_PER_PAGE + u64::from(m.line_start);
         let (group, member) = self.segs.group_of(displaced_line);
-        if self.segs.swap_into_fast(group, member).is_none() {
+        let mut g = self.segs.touch(group);
+        if g.swap_into_fast(member).is_none() {
             return false; // already fast: nothing to reverse
         }
-        self.pending_touch.remove(&line);
+        g.set_flag(false);
         self.stats.aborted += 1;
         true
     }
 
     /// CAMEO's structural invariants: every diverged congruence-group
-    /// permutation is still a bijection over its slots, every line awaiting
-    /// its first fast-resident touch actually resides in a fast slot, and
-    /// byte accounting matches the 128 B cost of each line swap.
+    /// permutation is still a bijection over its slots, every pending or
+    /// wasted swap-in traces back to a line swap of its own, and byte
+    /// accounting matches the 128 B cost of each line swap. (A line
+    /// awaiting its first fast-resident touch is by construction its
+    /// group's fast occupant: the pending bit belongs to the group.)
     #[cfg(feature = "debug-invariants")]
     fn audit_invariants(&self, auditor: &mut mempod_audit::InvariantAuditor) {
         use mempod_audit::audit_invariant;
-        use mempod_types::convert::u64_from_usize;
 
         audit_invariant!(
             auditor,
@@ -195,20 +205,20 @@ impl MemoryManager for CameoManager {
             self.segs.check_invariant(),
             "CAMEO: a congruence group's slot permutation is no longer a bijection"
         );
-        let stranded = self
-            .pending_touch
-            .iter()
-            .filter(|&&line| !self.segs.is_fast(line))
-            .count();
+        // A swap either sets its group's clear pending bit or finds it set
+        // and counts a wasted swap-in; touches and rollbacks only clear.
+        let pending = u64_from_usize(self.segs.flagged_groups());
         audit_invariant!(
             auditor,
-            "pending-touch-resident",
-            stranded == 0,
-            "CAMEO: {stranded} pending-touch line(s) are not fast-resident"
+            "pending-touch-accounting",
+            pending + self.wasted <= self.stats.migrations,
+            "CAMEO: {pending} pending plus {} wasted swap-ins exceed {} line swaps",
+            self.wasted,
+            self.stats.migrations
         );
         auditor.check_conserved(
             "CAMEO bytes moved vs line-swap count",
-            self.stats.migrations * 2 * u64_from_usize(LINE_SIZE),
+            self.stats.migrations * 2 * u64_from_usize(mempod_types::LINE_SIZE),
             self.stats.bytes_moved,
         );
     }
@@ -223,7 +233,7 @@ impl MemoryManager for CameoManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mempod_types::{AccessKind, Addr, CoreId, Tier};
+    use mempod_types::{AccessKind, Addr, CoreId, Geometry, Tier};
 
     fn req_line(line: u64, t: u64) -> MemRequest {
         MemRequest::new(Addr(line * 64), AccessKind::Read, Picos(t), CoreId(0))
@@ -338,9 +348,22 @@ mod tests {
         assert_eq!(mgr.segs.location_of(slow_line), slow_line);
         assert!(mgr.segs.is_fast(5));
         assert!(mgr.segs.check_invariant());
-        assert!(mgr.pending_touch.is_empty(), "aborted line is not resident");
+        assert!(
+            !mgr.segs.touched_mut(5).expect("group 5 swapped").flag(),
+            "aborted line is not resident"
+        );
         assert_eq!(mgr.migration_stats().aborted, 1);
         assert!(!mgr.rollback_migration(&m), "nothing left to reverse");
+    }
+
+    #[test]
+    #[should_panic(expected = "slow:fast ratio 256 exceeds the 255 slow members")]
+    fn oversized_ratio_panics_with_its_value() {
+        // 1:256 used to wrap to ratio 0 and trip the "at least one slow
+        // member" assert instead.
+        let mut cfg = cfg();
+        cfg.geometry = Geometry::new(1 << 20, 256 << 20, 4).expect("valid geometry");
+        let _ = CameoManager::new(&cfg);
     }
 
     #[test]

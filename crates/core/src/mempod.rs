@@ -153,7 +153,10 @@ impl MemPodManager {
         let fast_per_pod = self.geo.fast_pages_per_pod();
         for pod in &mut self.pods {
             let hot = pod.tracker.hot_pages();
-            let hot_set: std::collections::HashSet<PageId> = hot.iter().map(|(p, _)| *p).collect();
+            // At most K pages, sorted once: each clock-hand probe bisects
+            // the slice instead of hashing.
+            let mut hot_set: Vec<PageId> = hot.iter().map(|&(p, _)| p).collect();
+            hot_set.sort_unstable();
             for (page, count) in hot {
                 let cur = self.remap.frame_of(page);
                 if self.geo.tier_of_frame(cur) == Tier::Fast {
@@ -166,7 +169,7 @@ impl MemPodManager {
                     let slot = self.geo.fast_frame_of_pod(pod.id, pod.hand);
                     pod.hand = (pod.hand + 1) % fast_per_pod;
                     let resident = self.remap.page_in(slot);
-                    if !hot_set.contains(&resident) {
+                    if hot_set.binary_search(&resident).is_err() {
                         victim = Some((slot, resident));
                         break;
                     }

@@ -17,10 +17,18 @@
 //! papers describe.
 //!
 //! State is stored sparsely: groups still at identity occupy no memory,
-//! which is what makes CAMEO's 16.7 M line-groups simulable.
+//! which is what makes CAMEO's 16.7 M line-groups simulable. A touched
+//! group's entry — its `1 + ratio`-slot permutation and one flag byte its
+//! owner may use — lives in one flat byte arena in first-touch order,
+//! found through an index keyed by group id and hashed with the shared
+//! [`PageHasher`](mempod_types::PageHasher). The index is never iterated,
+//! so its hash order cannot reach a result.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
+use mempod_types::convert::{u32_from_u64, u64_from_usize, u8_from_u64, usize_from_u32};
+use mempod_types::BuildPageHasher;
 use serde::{Deserialize, Serialize};
 
 /// How units are assigned to groups.
@@ -37,6 +45,21 @@ pub enum SegmentLayout {
 pub type GroupId = u64;
 /// A member index within a group (0 = the fast member).
 pub type MemberIdx = u8;
+
+/// A slow:fast capacity ratio as the number of slow members per group.
+///
+/// # Panics
+///
+/// Panics if `ratio` exceeds [`MemberIdx::MAX`]: a group cannot index
+/// more slow members than that.
+pub(crate) fn slow_members(ratio: u64) -> MemberIdx {
+    assert!(
+        ratio <= u64::from(MemberIdx::MAX),
+        "slow:fast ratio {ratio} exceeds the {} slow members a group can index",
+        MemberIdx::MAX
+    );
+    u8_from_u64(ratio)
+}
 
 /// Sparse per-group slot permutations for a segmented layout.
 ///
@@ -55,14 +78,63 @@ pub type MemberIdx = u8;
 /// assert_eq!(m.slot_of(2, 0), 1);      // member 0 displaced to 1's home
 /// assert_eq!(m.location_of(6), 2);     // unit 6's data lives in unit 2
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SegmentMap {
     fast_units: u64,
     ratio: u8,
     layout: SegmentLayout,
-    /// Permutations for groups that have diverged from identity:
-    /// `perms[g][member] = slot`.
-    perms: HashMap<GroupId, Vec<MemberIdx>>,
+    /// Arena entry number of every group whose permutation has diverged
+    /// from identity. Only ever looked up by key.
+    index: HashMap<GroupId, u32, BuildPageHasher>,
+    /// The touched groups' entries, `2 + ratio` bytes each, in first-touch
+    /// order. Entry `e` starts at `at = e × (2 + ratio)`:
+    /// `arena[at + member] = slot` for `member ≤ ratio`, then the flag
+    /// byte (0 or 1) at `arena[at + 1 + ratio]`.
+    arena: Vec<MemberIdx>,
+}
+
+/// One touched group's permutation and flag, resolved by a single index
+/// lookup.
+#[derive(Debug)]
+pub(crate) struct GroupMut<'a> {
+    /// `perm[member] = slot`.
+    perm: &'a mut [MemberIdx],
+    /// 0 or 1.
+    flag: &'a mut u8,
+}
+
+impl GroupMut<'_> {
+    /// The slot currently holding `member`'s data.
+    pub(crate) fn slot_of(&self, member: MemberIdx) -> MemberIdx {
+        self.perm[usize::from(member)]
+    }
+
+    /// The group's flag bit.
+    pub(crate) fn flag(&self) -> bool {
+        *self.flag != 0
+    }
+
+    /// Sets the group's flag bit.
+    pub(crate) fn set_flag(&mut self, on: bool) {
+        *self.flag = u8::from(on);
+    }
+
+    /// See [`SegmentMap::swap_into_fast`].
+    pub(crate) fn swap_into_fast(&mut self, member: MemberIdx) -> Option<(MemberIdx, MemberIdx)> {
+        let my_slot = self.perm[usize::from(member)];
+        if my_slot == 0 {
+            return None;
+        }
+        let Some(displaced) = self.perm.iter().position(|&s| s == 0) else {
+            // A stored permutation always has a fast-slot occupant; on a
+            // broken invariant, leave the table untouched.
+            debug_assert!(false, "no member holds the fast slot");
+            return None;
+        };
+        self.perm[usize::from(member)] = 0;
+        self.perm[displaced] = my_slot;
+        Some((my_slot, displaced as u8))
+    }
 }
 
 impl SegmentMap {
@@ -87,7 +159,8 @@ impl SegmentMap {
             fast_units,
             ratio,
             layout,
-            perms: HashMap::new(),
+            index: HashMap::default(),
+            arena: Vec::new(),
         }
     }
 
@@ -108,12 +181,12 @@ impl SegmentMap {
 
     /// Total units (fast + slow).
     pub fn total_units(&self) -> u64 {
-        self.fast_units * (1 + self.ratio as u64)
+        self.fast_units * (1 + u64::from(self.ratio))
     }
 
     /// Number of groups whose permutation has diverged from identity.
     pub fn touched_groups(&self) -> usize {
-        self.perms.len()
+        self.index.len()
     }
 
     /// Decomposes a unit id into `(group, member)`.
@@ -155,19 +228,40 @@ impl SegmentMap {
         }
     }
 
+    /// Bytes per arena entry: the permutation's slots plus the flag.
+    fn stride(&self) -> usize {
+        2 + usize::from(self.ratio)
+    }
+
+    /// The stored permutation of arena entry `e`.
+    fn perm(&self, e: u32) -> &[MemberIdx] {
+        let at = usize_from_u32(e) * self.stride();
+        &self.arena[at..at + self.stride() - 1]
+    }
+
+    /// Arena entry `e` split into its permutation and flag.
+    fn entry_mut(arena: &mut [MemberIdx], e: u32, stride: usize) -> GroupMut<'_> {
+        let at = usize_from_u32(e) * stride;
+        let (perm, flag) = arena[at..at + stride].split_at_mut(stride - 1);
+        GroupMut {
+            perm,
+            flag: &mut flag[0],
+        }
+    }
+
     /// The slot currently holding `member`'s data within `group`.
     pub fn slot_of(&self, group: GroupId, member: MemberIdx) -> MemberIdx {
-        self.perms
+        self.index
             .get(&group)
-            .map_or(member, |p| p[member as usize])
+            .map_or(member, |&e| self.perm(e)[usize::from(member)])
     }
 
     /// The member whose data currently occupies `slot` within `group`.
     pub fn occupant_of(&self, group: GroupId, slot: MemberIdx) -> MemberIdx {
-        match self.perms.get(&group) {
+        match self.index.get(&group) {
             None => slot,
-            Some(p) => {
-                let pos = p.iter().position(|&s| s == slot);
+            Some(&e) => {
+                let pos = self.perm(e).iter().position(|&s| s == slot);
                 debug_assert!(pos.is_some(), "stored permutation must be total");
                 pos.map_or(slot, |i| i as u8)
             }
@@ -186,22 +280,62 @@ impl SegmentMap {
         self.slot_of(g, m) == 0
     }
 
-    /// Verifies the structural invariant: every stored permutation has
-    /// exactly `1 + ratio` entries and is a bijection over the slot range
-    /// `0..=ratio`. Groups still at identity are trivially valid and are
-    /// not stored, so this is O(touched groups), not O(total units).
+    /// Verifies the structural invariant: the arena holds exactly one
+    /// entry per indexed group, each permutation is a bijection over the
+    /// slot range `0..=ratio`, and each flag byte is 0 or 1. Groups still
+    /// at identity are trivially valid and are not stored, so this is
+    /// O(touched groups), not O(total units).
     pub fn check_invariant(&self) -> bool {
-        let members = 1 + self.ratio as usize;
-        self.perms.iter().all(|(&g, perm)| {
-            if g >= self.fast_units || perm.len() != members {
-                return false;
-            }
-            let mut seen = vec![false; members];
-            perm.iter().all(|&slot| {
-                let s = slot as usize;
-                s < members && !std::mem::replace(&mut seen[s], true)
+        let members = 1 + usize::from(self.ratio);
+        self.arena.len() == self.index.len() * self.stride()
+            && self.arena.chunks_exact(self.stride()).all(|entry| {
+                let (perm, flag) = entry.split_at(members);
+                let mut seen = vec![false; members];
+                flag[0] <= 1
+                    && perm.iter().all(|&slot| {
+                        let s = usize::from(slot);
+                        s < members && !std::mem::replace(&mut seen[s], true)
+                    })
             })
-        })
+    }
+
+    /// Number of touched groups whose flag is set.
+    #[cfg(any(test, feature = "debug-invariants"))]
+    pub(crate) fn flagged_groups(&self) -> usize {
+        let stride = self.stride();
+        self.arena
+            .chunks_exact(stride)
+            .filter(|entry| entry[stride - 1] != 0)
+            .count()
+    }
+
+    /// A touched group's permutation and flag, or `None` while the group
+    /// is still at identity. Never creates an entry.
+    pub(crate) fn touched_mut(&mut self, group: GroupId) -> Option<GroupMut<'_>> {
+        let stride = self.stride();
+        let e = *self.index.get(&group)?;
+        Some(Self::entry_mut(&mut self.arena, e, stride))
+    }
+
+    /// `group`'s permutation and flag, stored at identity (flag clear) on
+    /// first touch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `group` is out of range.
+    pub(crate) fn touch(&mut self, group: GroupId) -> GroupMut<'_> {
+        let stride = self.stride();
+        let e = match self.index.entry(group) {
+            Entry::Occupied(o) => *o.get(),
+            Entry::Vacant(v) => {
+                assert!(group < self.fast_units, "group {group} out of range");
+                let e = u32_from_u64(u64_from_usize(self.arena.len() / stride));
+                self.arena.extend(0..=self.ratio);
+                self.arena.push(0);
+                *v.insert(e)
+            }
+        };
+        Self::entry_mut(&mut self.arena, e, stride)
     }
 
     /// Swaps `member`'s data with whatever occupies the group's fast slot.
@@ -212,25 +346,7 @@ impl SegmentMap {
         group: GroupId,
         member: MemberIdx,
     ) -> Option<(MemberIdx, MemberIdx)> {
-        let ratio = self.ratio;
-        let perm = self
-            .perms
-            .entry(group)
-            .or_insert_with(|| (0..=ratio).collect());
-        let my_slot = perm[member as usize];
-        if my_slot == 0 {
-            return None;
-        }
-        let Some(displaced) = perm.iter().position(|&s| s == 0) else {
-            // A stored permutation always has a fast-slot occupant; on a
-            // broken invariant, leave the table untouched.
-            debug_assert!(false, "no member holds the fast slot");
-            return None;
-        };
-        let displaced = displaced as u8;
-        perm[member as usize] = 0;
-        perm[displaced as usize] = my_slot;
-        Some((my_slot, displaced))
+        self.touch(group).swap_into_fast(member)
     }
 }
 
@@ -335,6 +451,34 @@ mod tests {
         assert_eq!(m.location_of(5), 0);
         assert_eq!(m.location_of(0), 5);
         assert!(m.is_fast(5));
+    }
+
+    #[test]
+    fn flag_is_per_group_and_starts_clear() {
+        let mut m = SegmentMap::new(4, 8);
+        assert!(m.touched_mut(1).is_none(), "untouched groups have no entry");
+        m.touch(1).set_flag(true);
+        assert!(!m.touch(2).flag());
+        assert!(m.touched_mut(1).expect("touched").flag());
+        // Touching stores identity, and swaps leave the flag alone.
+        assert_eq!(m.slot_of(2, 3), 3);
+        assert_eq!(m.swap_into_fast(1, 4), Some((4, 0)));
+        assert!(m.touched_mut(1).expect("touched").flag());
+        assert_eq!(m.touched_groups(), 2);
+        assert_eq!(m.flagged_groups(), 1);
+        assert!(m.check_invariant());
+    }
+
+    #[test]
+    fn slow_members_accepts_up_to_255() {
+        assert_eq!(slow_members(8), 8);
+        assert_eq!(slow_members(255), 255);
+    }
+
+    #[test]
+    #[should_panic(expected = "slow:fast ratio 256 exceeds the 255 slow members")]
+    fn slow_members_rejects_256() {
+        let _ = slow_members(256);
     }
 
     #[test]

@@ -8,13 +8,15 @@
 //! structure: only one hot page per segment can be fast, equally-hot pages
 //! in one segment stall each other, and a cold page can win by lucky timing.
 
+use std::collections::HashMap;
+
 use mempod_tracker::{CompetingCounter, CompetingOutcome};
-use mempod_types::{FrameId, Geometry, MemRequest, PageId, Picos};
+use mempod_types::{BuildPageHasher, FrameId, MemRequest, PageId, Picos};
 
 use crate::manager::{AccessOutcome, ManagerConfig, ManagerKind, MemoryManager, MigrationStats};
 use crate::meta_cache::{MetaCache, MetaCacheStats};
 use crate::migration::Migration;
-use crate::segment::SegmentMap;
+use crate::segment::{slow_members, GroupId, SegmentMap};
 
 /// The THM segmented, threshold-triggered migration manager.
 ///
@@ -30,10 +32,10 @@ use crate::segment::SegmentMap;
 /// ```
 #[derive(Debug)]
 pub struct ThmManager {
-    #[allow(dead_code)]
-    geo: Geometry,
     segs: SegmentMap,
-    counters: std::collections::HashMap<u64, CompetingCounter>,
+    /// Competing counter of every segment that has seen a slow access.
+    /// Looked up by key; only order-insensitive counts iterate it.
+    counters: HashMap<GroupId, CompetingCounter, BuildPageHasher>,
     threshold: u32,
     stats: MigrationStats,
     meta_cache: Option<MetaCache>,
@@ -45,7 +47,8 @@ impl ThmManager {
     /// # Panics
     ///
     /// Panics if the slow tier is not a whole multiple of the fast tier
-    /// (segments must tile the memory exactly).
+    /// (segments must tile the memory exactly), or if the slow:fast ratio
+    /// exceeds 255.
     pub fn new(cfg: &ManagerConfig) -> Self {
         let geo = cfg.geometry;
         let ratio = geo.slow_to_fast_ratio();
@@ -54,9 +57,8 @@ impl ThmManager {
             "slow tier must be an integer multiple of the fast tier"
         );
         ThmManager {
-            geo,
-            segs: SegmentMap::with_layout(geo.fast_pages(), ratio as u8, cfg.thm_layout),
-            counters: std::collections::HashMap::new(),
+            segs: SegmentMap::with_layout(geo.fast_pages(), slow_members(ratio), cfg.thm_layout),
+            counters: HashMap::default(),
             threshold: cfg.thm_threshold,
             stats: MigrationStats::default(),
             meta_cache: cfg.meta_cache_bytes.map(|b| MetaCache::new(b, 8)),

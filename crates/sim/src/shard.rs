@@ -18,7 +18,6 @@
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
-use std::hash::{BuildHasherDefault, Hasher};
 
 use mempod_core::Migration;
 use mempod_dram::{Completion, MemorySystem, Priority, ReqToken};
@@ -26,7 +25,7 @@ use mempod_faults::backoff_after;
 use mempod_telemetry::span::{child_span_id, migration_span_id};
 use mempod_telemetry::{EventKind, SpanName, SpanRecord, SPAN_NONE};
 use mempod_types::convert::{u64_from_usize, usize_from_u32};
-use mempod_types::{AccessKind, FrameId, MigrationFaultSpec, PageId, Picos};
+use mempod_types::{AccessKind, BuildPageHasher, FrameId, MigrationFaultSpec, PageId, Picos};
 
 /// Panic payload for the injected shard-worker crash
 /// ([`mempod_types::WorkerPanic`]); the barrier recognises any worker
@@ -124,30 +123,6 @@ impl OwnerTable {
     }
 }
 
-/// A multiplicative hasher for the page keys of [`Shard::blocked`]: one
-/// multiply per lookup instead of SipHash, and no per-process random
-/// seed. The map is never iterated, so the hash cannot reach a result.
-#[derive(Debug, Default, Clone, Copy)]
-struct PageHasher(u64);
-
-impl Hasher for PageHasher {
-    fn finish(&self) -> u64 {
-        // The product's well-mixed high bits become the low bits the
-        // table indexes buckets with.
-        self.0.rotate_left(26)
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.0 = (self.0 ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-}
-
 /// One in-flight migration's execution state.
 #[derive(Debug)]
 pub(crate) struct MigExec {
@@ -236,7 +211,7 @@ pub(crate) struct Shard {
     /// Blocking state of pages with a queued, in-flight or recently
     /// finished swap. Only ever looked up by key — never iterated — so
     /// its hash order cannot reach a result.
-    blocked: HashMap<PageId, PageState, BuildHasherDefault<PageHasher>>,
+    blocked: HashMap<PageId, PageState, BuildPageHasher>,
     /// `(finish, page)` for every `BlockedUntil(finish)` written into
     /// `blocked`, earliest first: [`maybe_prune`](Shard::maybe_prune)
     /// pops the expired ones.

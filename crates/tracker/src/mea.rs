@@ -21,8 +21,7 @@
 //! the prose and admit entries while `len < K`, which subsumes the Karp
 //! variant at `K+1`.
 
-use std::collections::BTreeMap;
-
+use mempod_types::convert::u64_from_usize;
 use mempod_types::PageId;
 use serde::{Deserialize, Serialize};
 
@@ -59,10 +58,13 @@ pub struct MeaOpStats {
 /// ```
 #[derive(Debug, Clone)]
 pub struct MeaTracker {
-    // BTreeMap, not HashMap: the decrement sweep and `hot_pages` iterate
-    // this map, and simulation-visible iteration must be deterministic
-    // (page-id order). K ≤ 64 entries, so tree overhead is immaterial.
-    entries: BTreeMap<PageId, u64>,
+    // A page-sorted array of at most K `(page, counter)` pairs: lookups
+    // binary-search it, an insert shifts the tail, the decrement sweep is
+    // one `retain_mut` pass, and `hot_pages` reads it in page order, so
+    // every iteration is deterministic. Not a tree: a `BTreeMap` here took
+    // 10.8% of mix1_mempod's wall time in a sampling profile, while at
+    // K = 64 this array spans 16 cache lines.
+    entries: Vec<(PageId, u64)>,
     k: usize,
     counter_max: u64,
     counter_bits: u32,
@@ -88,7 +90,7 @@ impl MeaTracker {
             (1u64 << counter_bits) - 1
         };
         MeaTracker {
-            entries: BTreeMap::new(),
+            entries: Vec::new(),
             k,
             counter_max,
             counter_bits,
@@ -129,42 +131,52 @@ impl MeaTracker {
 
     /// Whether `page` currently has an entry.
     pub fn contains(&self, page: PageId) -> bool {
-        self.entries.contains_key(&page)
+        self.find(page).is_ok()
     }
 
     /// The counter value for `page`, if present.
     pub fn count_of(&self, page: PageId) -> Option<u64> {
-        self.entries.get(&page).copied()
+        self.find(page).ok().map(|i| self.entries[i].1)
+    }
+
+    /// `Ok(index)` of `page`'s entry, or `Err(index)` where it would go.
+    fn find(&self, page: PageId) -> Result<usize, usize> {
+        self.entries.binary_search_by_key(&page, |&(p, _)| p)
     }
 }
 
 impl ActivityTracker for MeaTracker {
     fn record(&mut self, page: PageId) {
-        if let Some(c) = self.entries.get_mut(&page) {
-            // Operation (1): saturating increment.
-            if *c < self.counter_max {
-                *c += 1;
+        match self.find(page) {
+            Ok(i) => {
+                // Operation (1): saturating increment.
+                let c = &mut self.entries[i].1;
+                if *c < self.counter_max {
+                    *c += 1;
+                }
+                self.stats.increments += 1;
             }
-            self.stats.increments += 1;
-        } else if self.entries.len() < self.k {
-            // Operation (2): insert.
-            self.entries.insert(page, 1);
-            self.stats.insertions += 1;
-        } else {
-            // Operation (3): global decrement, evict zeros. The incoming
-            // page is NOT inserted (Algorithm 1).
-            self.stats.decrement_sweeps += 1;
-            self.entries.retain(|_, c| {
-                *c -= 1;
-                *c > 0
-            });
-            let evicted = self.k - self.entries.len();
-            self.stats.evictions += evicted as u64;
+            Err(i) if self.entries.len() < self.k => {
+                // Operation (2): insert, keeping the page order.
+                self.entries.insert(i, (page, 1));
+                self.stats.insertions += 1;
+            }
+            Err(_) => {
+                // Operation (3): global decrement, evict zeros. The
+                // incoming page is NOT inserted (Algorithm 1).
+                self.stats.decrement_sweeps += 1;
+                self.entries.retain_mut(|(_, c)| {
+                    *c -= 1;
+                    *c > 0
+                });
+                let evicted = self.k - self.entries.len();
+                self.stats.evictions += u64_from_usize(evicted);
+            }
         }
     }
 
     fn hot_pages(&self) -> Vec<(PageId, u64)> {
-        sort_hot(self.entries.iter().map(|(&p, &c)| (p, c)).collect())
+        sort_hot(self.entries.clone())
     }
 
     fn reset(&mut self) {
@@ -172,33 +184,95 @@ impl ActivityTracker for MeaTracker {
     }
 
     fn storage_bits(&self, tag_bits: u32) -> u64 {
-        self.k as u64 * (tag_bits as u64 + self.counter_bits as u64)
+        u64_from_usize(self.k) * (u64::from(tag_bits) + u64::from(self.counter_bits))
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use std::collections::HashMap;
+    use proptest::prelude::*;
 
     use super::*;
 
     /// Brute-force re-implementation of Algorithm 1 used as a semantics
-    /// oracle in tests (kept deliberately naive and separate).
-    fn reference_mea(stream: &[PageId], k: usize, counter_max: u64) -> HashMap<PageId, u64> {
-        let mut t: HashMap<PageId, u64> = HashMap::new();
-        for &p in stream {
-            if let Some(c) = t.get_mut(&p) {
-                *c = (*c + 1).min(counter_max);
-            } else if t.len() < k {
-                t.insert(p, 1);
+    /// oracle in tests (kept deliberately naive and separate): an unsorted
+    /// list searched linearly, with its own operation counts.
+    #[derive(Debug, Default)]
+    struct ReferenceMea {
+        entries: Vec<(PageId, u64)>,
+        stats: MeaOpStats,
+    }
+
+    impl ReferenceMea {
+        fn record(&mut self, p: PageId, k: usize, counter_max: u64) {
+            if let Some(e) = self.entries.iter_mut().find(|e| e.0 == p) {
+                e.1 = (e.1 + 1).min(counter_max);
+                self.stats.increments += 1;
+            } else if self.entries.len() < k {
+                self.entries.push((p, 1));
+                self.stats.insertions += 1;
             } else {
-                t.retain(|_, c| {
-                    *c -= 1;
-                    *c > 0
-                });
+                self.stats.decrement_sweeps += 1;
+                let before = self.entries.len();
+                for e in &mut self.entries {
+                    e.1 -= 1;
+                }
+                self.entries.retain(|e| e.1 > 0);
+                self.stats.evictions += (before - self.entries.len()) as u64;
             }
         }
-        t
+
+        /// Entries in page order.
+        fn sorted(&self) -> Vec<(PageId, u64)> {
+            let mut v = self.entries.clone();
+            v.sort();
+            v
+        }
+
+        /// Hottest first, ties by page id, computed without `sort_hot`.
+        fn hot(&self) -> Vec<(PageId, u64)> {
+            let mut v = self.entries.clone();
+            v.sort_by_key(|&(p, c)| (std::cmp::Reverse(c), p));
+            v
+        }
+    }
+
+    /// Xorshift step for deriving an access stream from one seed.
+    fn next(x: &mut u64) -> u64 {
+        *x ^= *x << 13;
+        *x ^= *x >> 7;
+        *x ^= *x << 17;
+        *x
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// After every access the tracker's entries, hot list (exact
+        /// order) and operation counts equal the naive oracle's. Page
+        /// ranges from a quarter of K to three times K make all three MEA
+        /// operations fire.
+        #[test]
+        fn matches_reference_after_every_access(
+            seed in 1u64..u64::MAX,
+            k in 1usize..=80,
+            bits in 1u32..=16,
+            range_pct in 25u64..=300,
+            len in 0usize..1500,
+        ) {
+            let pages = (k as u64 * range_pct / 100).max(1);
+            let mut t = MeaTracker::new(k, bits);
+            let mut r = ReferenceMea::default();
+            let mut x = seed;
+            for _ in 0..len {
+                let p = PageId(next(&mut x) % pages);
+                t.record(p);
+                r.record(p, k, t.counter_max());
+                prop_assert_eq!(&t.entries, &r.sorted());
+                prop_assert_eq!(t.hot_pages(), r.hot());
+                prop_assert_eq!(t.op_stats(), r.stats);
+            }
+        }
     }
 
     #[test]
@@ -268,29 +342,6 @@ mod tests {
         assert_eq!(s.evictions, 1);
         assert_eq!(s.insertions, 2);
         assert_eq!(s.increments, 1);
-    }
-
-    #[test]
-    fn matches_reference_implementation() {
-        // Deterministic pseudo-random stream, no rand dependency needed.
-        let mut x = 0x243F6A8885A308D3u64;
-        let stream: Vec<PageId> = (0..5_000)
-            .map(|_| {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                PageId(x % 50)
-            })
-            .collect();
-        for (k, bits) in [(1usize, 8u32), (4, 2), (16, 4), (64, 16)] {
-            let mut t = MeaTracker::new(k, bits);
-            for p in &stream {
-                t.record(*p);
-            }
-            let reference = reference_mea(&stream, k, t.counter_max());
-            let got: HashMap<PageId, u64> = t.hot_pages().into_iter().collect();
-            assert_eq!(got, reference, "k={k} bits={bits}");
-        }
     }
 
     #[test]

@@ -80,6 +80,22 @@ pub const fn u32_from_u64(x: u64) -> u32 {
     }
 }
 
+/// Narrows a `u64` to `u8`, for values structurally bounded below `2^8`
+/// (e.g. a member index within a congruence group).
+///
+/// # Panics
+///
+/// Panics if `x` does not fit — a programming error, not an input error.
+#[inline]
+#[must_use]
+pub const fn u8_from_u64(x: u64) -> u8 {
+    if x <= u8::MAX as u64 {
+        x as u8
+    } else {
+        panic!("u64 value does not fit in u8")
+    }
+}
+
 /// Narrows a `u64` to `usize`, for structurally bounded values (e.g. an
 /// index already compared against a collection length).
 ///
@@ -160,6 +176,13 @@ mod tests {
         let e = try_u32_from_u64(u64::from(u32::MAX) + 1).unwrap_err();
         assert_eq!(e.target, "u32");
         assert!(e.to_string().contains("does not fit in u32"));
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit in u8")]
+    fn u8_narrowing_panics_out_of_range() {
+        assert_eq!(u8_from_u64(255), 255);
+        let _ = u8_from_u64(256);
     }
 
     #[test]

@@ -17,6 +17,8 @@
 //! * [`convert`] — checked integer conversions; the audit lint bans bare
 //!   `as` casts in address arithmetic, and these helpers are the sanctioned
 //!   route for width changes.
+//! * [`hash`] — the seedless multiplicative hasher every integer-keyed
+//!   per-access map uses.
 //!
 //! # Examples
 //!
@@ -36,6 +38,7 @@ pub mod convert;
 pub mod error;
 pub mod fault;
 pub mod geometry;
+pub mod hash;
 pub mod request;
 pub mod time;
 
@@ -45,5 +48,6 @@ pub use convert::ConvertError;
 pub use error::{EngineError, GeometryError};
 pub use fault::{ChannelFaultKind, FaultCause, FaultConfig, MigrationFaultSpec, WorkerPanic};
 pub use geometry::{Geometry, Tier, LINES_PER_PAGE, LINE_SIZE, PAGE_SIZE};
+pub use hash::{BuildPageHasher, PageHasher};
 pub use request::{AccessKind, CoreId, MemRequest, RequestId};
 pub use time::{Clock, Picos};
