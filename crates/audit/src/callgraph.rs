@@ -19,6 +19,10 @@
 //!    `crates/sim/src/runner.rs`, and the `Channel` enqueue/drain (tick /
 //!    schedule) methods.
 //!
+//! 4. **Phase split** — the same BFS, stopped at the
+//!    [`EPOCH_BARRIER_FNS`], gives the per-request *tick* phase
+//!    ([`Model::tick_fns`]) that the `unsampled-span` rule polices.
+//!
 //! The derived hot-path / print / cast file sets are then *computed* as
 //! reachable files filtered by crate role, and the `coverage-gap`
 //! meta-lint flags any pipeline-crate module that escapes them.
@@ -56,6 +60,25 @@ pub const ADDR_HELPER_FILES: &[&str] = &[
     "crates/types/src/addr.rs",
     "crates/types/src/geometry.rs",
     "crates/dram/src/mapper.rs",
+];
+
+/// Functions that run at epoch boundaries, not on the per-request tick
+/// path: the manager epoch hooks (`run_epoch` in MemPod, `run_interval`
+/// in HMA), the telemetry epoch driver (`observe`/`finalize`/
+/// `snapshot_at`) and the merged engine snapshot it consumes
+/// (`engine_view`, built only at barriers), the boundary-only reporting
+/// hooks, and the sharded engine's batch `barrier` (merging per-shard
+/// buffers and emitting execution spans once per window).
+pub const EPOCH_BARRIER_FNS: &[&str] = &[
+    "run_epoch",
+    "run_interval",
+    "observe",
+    "finalize",
+    "snapshot_at",
+    "engine_view",
+    "audit_invariants",
+    "telemetry_counters",
+    "barrier",
 ];
 
 /// One file in the workspace model.
@@ -140,7 +163,7 @@ impl Model {
     }
 
     /// Whether a function is one of the simulation entry points.
-    pub(crate) fn is_root(&self, file: &ModelFile, item: &Item) -> bool {
+    fn is_root(&self, file: &ModelFile, item: &Item) -> bool {
         if item.qual == "Simulator::run" {
             return true;
         }
@@ -175,16 +198,12 @@ impl Model {
     }
 
     fn compute_reachability(&mut self) {
-        // Name index over all non-test fns (owned names: the BFS below
-        // needs `self` free for `callees`).
-        let mut by_name: HashMap<String, Vec<FnId>> = HashMap::new();
-        let mut roots: Vec<FnId> = Vec::new();
-        for (fi, ii, it) in self.fns() {
-            by_name.entry(it.name.clone()).or_default().push((fi, ii));
-            if self.is_root(&self.files[fi], it) {
-                roots.push((fi, ii));
-            }
-        }
+        let by_name = self.name_index();
+        let roots: Vec<FnId> = self
+            .fns()
+            .filter(|&(fi, _, it)| self.is_root(&self.files[fi], it))
+            .map(|(fi, ii, _)| (fi, ii))
+            .collect();
         self.roots = roots
             .iter()
             .map(|&(fi, ii)| self.files[fi].parsed.items[ii].qual.clone())
@@ -192,29 +211,70 @@ impl Model {
         self.roots.sort();
         self.roots.dedup();
 
-        let mut reachable: HashSet<FnId> = HashSet::new();
+        let reachable = self.reach(&by_name, roots, |_| false);
+        self.reachable_files = reachable.iter().map(|&(fi, _)| fi).collect();
+        self.reachable_fns = reachable;
+    }
+
+    /// Qualified names of the *tick*-phase functions: everything reachable
+    /// from the entry points without passing through an epoch barrier
+    /// ([`EPOCH_BARRIER_FNS`] or an `EpochDriver` method). Those run per
+    /// request; the barriers and their callees run once per window.
+    pub fn tick_fns(&self) -> HashSet<String> {
+        let is_epoch = |it: &Item| {
+            EPOCH_BARRIER_FNS.contains(&it.name.as_str()) || it.qual.starts_with("EpochDriver::")
+        };
+        let roots: Vec<FnId> = self
+            .fns()
+            .filter(|&(fi, _, it)| self.is_root(&self.files[fi], it) && !is_epoch(it))
+            .map(|(fi, ii, _)| (fi, ii))
+            .collect();
+        self.reach(&self.name_index(), roots, is_epoch)
+            .into_iter()
+            .map(|(fi, ii)| self.files[fi].parsed.items[ii].qual.clone())
+            .collect()
+    }
+
+    /// Name index over all non-test fns (owned names, so a BFS can borrow
+    /// `self` for `callees`).
+    fn name_index(&self) -> HashMap<String, Vec<FnId>> {
+        let mut by_name: HashMap<String, Vec<FnId>> = HashMap::new();
+        for (fi, ii, it) in self.fns() {
+            by_name.entry(it.name.clone()).or_default().push((fi, ii));
+        }
+        by_name
+    }
+
+    /// BFS over name-resolved call edges from `start`, never entering a
+    /// function for which `stop` holds.
+    fn reach(
+        &self,
+        by_name: &HashMap<String, Vec<FnId>>,
+        start: Vec<FnId>,
+        stop: impl Fn(&Item) -> bool,
+    ) -> HashSet<FnId> {
+        let mut seen: HashSet<FnId> = HashSet::new();
         let mut queue: VecDeque<FnId> = VecDeque::new();
-        for r in roots {
-            if reachable.insert(r) {
-                queue.push_back(r);
+        for id in start {
+            if seen.insert(id) {
+                queue.push_back(id);
             }
         }
         while let Some((fi, ii)) = queue.pop_front() {
             for callee in self.callees(fi, ii) {
                 for &target in by_name.get(&callee).into_iter().flatten() {
-                    if reachable.insert(target) {
+                    if !stop(&self.files[target.0].parsed.items[target.1]) && seen.insert(target) {
                         queue.push_back(target);
                     }
                 }
             }
         }
-        self.reachable_files = reachable.iter().map(|&(fi, _)| fi).collect();
-        self.reachable_fns = reachable;
+        seen
     }
 
     /// Callee names referenced in a function body: every `name(` and
     /// `.name(` sequence (macro invocations `name!(…)` excluded).
-    pub(crate) fn callees(&self, fi: usize, ii: usize) -> Vec<String> {
+    fn callees(&self, fi: usize, ii: usize) -> Vec<String> {
         let file = &self.files[fi];
         let item = &file.parsed.items[ii];
         let Some((from, to)) = item.body_tokens else {
@@ -457,6 +517,22 @@ mod tests {
         // migration.rs mentions Addr, so it joins the cast set too.
         assert!(cov.cast.contains("crates/core/src/migration.rs"));
         assert!(!cov.cast.contains("crates/core/src/manager.rs"));
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn tick_phase_stops_at_epoch_barriers() {
+        let root = mini_workspace("phase");
+        let model = Model::build(&root).expect("model");
+        let tick = model.tick_fns();
+        // `observe` is an epoch barrier: neither it nor `plan`, reached
+        // only through it, is tick-phase, though both are reachable.
+        for name in ["Simulator::run", "run_jobs", "step_all"] {
+            assert!(tick.contains(name), "{name} missing from {tick:?}");
+        }
+        assert!(!tick.contains("observe"), "{tick:?}");
+        assert!(!tick.contains("plan"), "{tick:?}");
+        assert!(model.reachable_fns.len() > tick.len());
         std::fs::remove_dir_all(&root).ok();
     }
 

@@ -9,27 +9,23 @@
 //!     block comments, doc comments, lifetimes vs chars).
 //!   - [`parser`] — an item-level parser: functions with bodies and
 //!     return types, inline/declared modules, impl blocks, `#[cfg(test)]`
-//!     inheritance, doc/`#[must_use]` attribution.
+//!     inheritance, doc/`#[must_use]` attribution, struct fields.
 //!   - [`callgraph`] — the workspace module graph plus an approximate
 //!     name-based call graph; rule coverage (hot-path, print, cast sets)
 //!     is *derived* from reachability off the simulation entry points
-//!     instead of hand-maintained file lists.
+//!     instead of hand-maintained file lists, and the per-request tick
+//!     phase is the same reachability stopped at the epoch barriers.
 //!   - [`rules`] — the rule families: hot-path panic/print bans,
 //!     lossy-cast ban, pub-API doc/`Debug` coverage, unit-mismatch,
 //!     unchecked address arithmetic, ignored `Result`s, the determinism
 //!     family (`nondet-iter`/`nondet-float-reduce`/`nondet-clock`/
-//!     `interior-mut`), and the `coverage-gap` meta-lint that flags
-//!     pipeline modules escaping the derived coverage.
-//!   - [`effects`] — field-level effect analysis on the same source
-//!     model: per-function read/write sets over struct fields,
-//!     propagated through the call graph, feeding the shard-safety
-//!     classifier behind `cargo run -p mempod-audit -- effects`
-//!     (`shard_safety.json`).
-//!   - [`sync_pass`] — the concurrency audit behind
-//!     `cargo run -p mempod-audit -- sync` (`lock_order.json`):
-//!     lock-acquisition-order cycle detection, acquire/release pairing
-//!     of atomics, and the `sync-primitive-outside-facade` boundary
-//!     that keeps the pipeline on the `mempod-sync` facade.
+//!     `interior-mut`), `unsampled-span`, and the `coverage-gap`
+//!     meta-lint that flags pipeline modules escaping the derived
+//!     coverage.
+//!   - [`sync_pass`] — the concurrency rules: lock-acquisition-order
+//!     cycle detection, acquire/release pairing of atomics, and the
+//!     `sync-primitive-outside-facade` boundary that keeps the pipeline
+//!     on the `mempod-sync` facade.
 //!   - [`baseline`] — `--deny-new` support: a committed baseline of
 //!     frozen debt, with stale-entry reporting so it only shrinks.
 //!   - [`lint`] — the orchestrator tying those together, with a JSON
@@ -44,7 +40,6 @@
 
 pub mod baseline;
 pub mod callgraph;
-pub mod effects;
 pub mod lexer;
 pub mod lint;
 pub mod parser;
@@ -54,7 +49,5 @@ pub mod sync_pass;
 
 pub use baseline::{Baseline, BaselineEntry};
 pub use callgraph::{derive_coverage, Coverage, Model};
-pub use effects::{analyze, EffectReport, ShardClass};
 pub use lint::{run_lint, Allowlist, LintReport, Violation};
 pub use runtime::InvariantAuditor;
-pub use sync_pass::{analyze_sync, SyncReport};

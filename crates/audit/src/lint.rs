@@ -25,7 +25,7 @@
 //!   (and float reductions over it) on simulation-visible state.
 //! * `nondet-clock` — wall-clock reads on the hot path.
 //! * `interior-mut` — `static mut`/`thread_local!`/cells/locks that hide
-//!   writes from the effect analysis.
+//!   writes behind shared references.
 //! * `coverage-gap` — pipeline modules escaping the derived coverage.
 //! * `lock-order-cycle` / `atomic-ordering-mismatch` /
 //!   `sync-primitive-outside-facade` — the concurrency audit

@@ -1,43 +1,30 @@
-//! CLI for the workspace auditor: `cargo run -p mempod-audit -- lint`,
-//! `cargo run -p mempod-audit -- effects`, and
-//! `cargo run -p mempod-audit -- sync`.
+//! CLI for the workspace auditor: `cargo run -p mempod-audit -- lint`.
 //!
 //! `lint` prints a human summary to stderr and the JSON report to stdout
 //! (or to `--report FILE`). Exit codes:
 //!
 //! * `0` — clean (blocking findings: none; allowlist: no stale entries).
 //! * `1` — blocking violations (new findings under `--deny-new`).
-//! * `2` — usage or I/O error.
+//! * `2` — usage or I/O error (an unknown command included).
 //! * `3` — no blocking violations, but the allowlist or baseline carries
 //!   stale entries that must be deleted.
-//!
-//! `effects` runs the field-level effect analysis and writes the
-//! shard-safety report (`shard_safety.json`); with `--check FILE` it also
-//! fails (exit `1`) when any field's class regressed towards
-//! `cross-shard` relative to the committed snapshot.
-//!
-//! `sync` runs the concurrency audit and writes the lock-order report
-//! (`lock_order.json`), failing (exit `1`) on lock-acquisition-order
-//! cycles or unpaired acquire/release atomics.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 use mempod_audit::baseline::Baseline;
-use mempod_audit::effects;
 use mempod_audit::lint::{run_lint, Allowlist};
-use mempod_audit::Model;
 
 const USAGE: &str = "usage: mempod-audit lint [--root DIR] [--allowlist FILE]
                          [--baseline FILE] [--deny-new] [--write-baseline]
                          [--report FILE]
-       mempod-audit effects [--root DIR] [--out FILE] [--check FILE]
-       mempod-audit sync [--root DIR] [--out FILE]
 
 lint: runs the workspace lint rules over the source model: hot-path panic
 and print bans, lossy-cast ban, pub-API doc/Debug coverage, unit-mismatch,
 unchecked address arithmetic, ignored Results, the determinism family
-(nondet-iter, nondet-float-reduce, nondet-clock, interior-mut), and the
+(nondet-iter, nondet-float-reduce, nondet-clock, interior-mut),
+unsampled-span, the concurrency rules (lock-order-cycle,
+atomic-ordering-mismatch, sync-primitive-outside-facade), and the
 coverage-gap meta-lint. Rule coverage is derived from call-graph
 reachability off the simulation entry points.
 
@@ -51,29 +38,8 @@ reachability off the simulation entry points.
                     baseline and exit (hand-written notes are preserved)
   --report FILE     write the JSON report to FILE instead of stdout
 
-effects: computes per-function field read/write sets, propagates them
-through the call graph, and classifies every pipeline-crate struct field
-as shard-local / epoch-barrier-only / cross-shard.
-
-  --root DIR        workspace root (default: .)
-  --out FILE        report path (default: <root>/shard_safety.json;
-                    `-` writes to stdout)
-  --check FILE      compare against a committed snapshot and fail on any
-                    class regression towards cross-shard
-
-sync: runs the concurrency audit: builds the lock-acquisition-order graph
-(.lock()/.lock_recovering() sites, direct and through callees) and fails
-on cycles; aggregates atomic load/store/RMW orderings per field and fails
-on Acquire/Release halves that pair with nothing; reports raw
-std::sync/std::thread paths escaping the mempod-sync facade.
-
-  --root DIR        workspace root (default: .)
-  --out FILE        report path (default: <root>/lock_order.json;
-                    `-` writes to stdout)
-
-exit codes: 0 clean, 1 blocking violations / class regressions /
-lock-order cycles, 2 usage/IO error, 3 stale allowlist/baseline entries
-only.";
+exit codes: 0 clean, 1 blocking violations, 2 usage/IO error, 3 stale
+allowlist/baseline entries only.";
 
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
@@ -81,12 +47,6 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::from(2);
     };
-    if command == "effects" {
-        return run_effects(args);
-    }
-    if command == "sync" {
-        return run_sync(args);
-    }
     if command != "lint" {
         eprintln!("unknown command `{command}`\n\n{USAGE}");
         return ExitCode::from(2);
@@ -234,210 +194,4 @@ fn main() -> ExitCode {
     } else {
         ExitCode::SUCCESS
     }
-}
-
-/// `mempod-audit sync`: run the concurrency audit, write
-/// `lock_order.json`, and fail on lock-order cycles or unpaired
-/// acquire/release atomics.
-fn run_sync(mut args: impl Iterator<Item = String>) -> ExitCode {
-    let mut root = PathBuf::from(".");
-    let mut out_path: Option<PathBuf> = None;
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--root" | "--out" => {
-                let Some(value) = args.next() else {
-                    eprintln!("{arg} needs an argument\n\n{USAGE}");
-                    return ExitCode::from(2);
-                };
-                let value = PathBuf::from(value);
-                match arg.as_str() {
-                    "--root" => root = value,
-                    _ => out_path = Some(value),
-                }
-            }
-            other => {
-                eprintln!("unknown flag `{other}`\n\n{USAGE}");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    let out_path = out_path.unwrap_or_else(|| root.join("lock_order.json"));
-
-    let model = match Model::build(&root) {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    if model.files.is_empty() {
-        eprintln!("error: no Rust sources under {}", root.display());
-        return ExitCode::from(2);
-    }
-    let report = mempod_audit::analyze_sync(&model);
-    let rendered = match serde_json::to_string_pretty(report.to_json()) {
-        Ok(j) => j,
-        Err(e) => {
-            eprintln!("error: could not render report: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    if out_path.as_os_str() == "-" {
-        println!("{rendered}");
-    } else if let Err(e) = std::fs::write(&out_path, rendered + "\n") {
-        eprintln!("error: {}: {e}", out_path.display());
-        return ExitCode::from(2);
-    }
-
-    eprintln!(
-        "mempod-audit sync: {} lock acquisition site(s), {} order edge(s), \
-         {} cycle(s); {} atomic site(s), {} ordering mismatch(es); \
-         {} raw std::sync/std::thread use(s) in facade scope",
-        report.lock_sites.len(),
-        report.edges.len(),
-        report.cycles.len(),
-        report.atomic_sites.len(),
-        report.mismatches.len(),
-        report.raw_sync.len(),
-    );
-    if out_path.as_os_str() != "-" {
-        eprintln!(
-            "mempod-audit sync: report written to {}",
-            out_path.display()
-        );
-    }
-    for c in &report.cycles {
-        eprintln!("error: lock-order cycle: {{{}}}", c.join(", "));
-    }
-    for m in &report.mismatches {
-        eprintln!(
-            "error: atomic-ordering mismatch: {}:{}: {}",
-            m.file, m.line, m.detail
-        );
-    }
-    if report.ok() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
-}
-
-/// `mempod-audit effects`: run the field-level effect analysis, write
-/// `shard_safety.json`, and (with `--check`) fail on class regressions.
-fn run_effects(mut args: impl Iterator<Item = String>) -> ExitCode {
-    let mut root = PathBuf::from(".");
-    let mut out_path: Option<PathBuf> = None;
-    let mut check_path: Option<PathBuf> = None;
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--root" | "--out" | "--check" => {
-                let Some(value) = args.next() else {
-                    eprintln!("{arg} needs an argument\n\n{USAGE}");
-                    return ExitCode::from(2);
-                };
-                let value = PathBuf::from(value);
-                match arg.as_str() {
-                    "--root" => root = value,
-                    "--out" => out_path = Some(value),
-                    _ => check_path = Some(value),
-                }
-            }
-            other => {
-                eprintln!("unknown flag `{other}`\n\n{USAGE}");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    let out_path = out_path.unwrap_or_else(|| root.join("shard_safety.json"));
-
-    let model = match Model::build(&root) {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    if model.files.is_empty() {
-        eprintln!("error: no Rust sources under {}", root.display());
-        return ExitCode::from(2);
-    }
-    let report = effects::analyze(&model);
-    let new_json = report.to_json();
-
-    // Load the committed snapshot *before* overwriting it, so
-    // `--check shard_safety.json --out shard_safety.json` (the CI shape)
-    // compares against the previous run.
-    let old_json = match &check_path {
-        Some(p) => match std::fs::read_to_string(p) {
-            Ok(text) => match serde_json::from_str::<serde_json::Value>(&text) {
-                Ok(v) => Some(v),
-                Err(e) => {
-                    eprintln!("error: {}: snapshot is not valid JSON: {e}", p.display());
-                    return ExitCode::from(2);
-                }
-            },
-            Err(e) => {
-                eprintln!(
-                    "error: --check needs a snapshot at {}: {e}\n\
-                     (generate one with `mempod-audit effects`)",
-                    p.display()
-                );
-                return ExitCode::from(2);
-            }
-        },
-        None => None,
-    };
-
-    let rendered = match serde_json::to_string_pretty(&new_json) {
-        Ok(j) => j,
-        Err(e) => {
-            eprintln!("error: could not render report: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    if out_path.as_os_str() == "-" {
-        println!("{rendered}");
-    } else if let Err(e) = std::fs::write(&out_path, rendered + "\n") {
-        eprintln!("error: {}: {e}", out_path.display());
-        return ExitCode::from(2);
-    }
-
-    let (mut local, mut barrier, mut cross) = (0usize, 0usize, 0usize);
-    for v in &report.verdicts {
-        match v.class {
-            mempod_audit::ShardClass::ShardLocal => local += 1,
-            mempod_audit::ShardClass::EpochBarrierOnly => barrier += 1,
-            mempod_audit::ShardClass::CrossShard => cross += 1,
-        }
-    }
-    eprintln!(
-        "mempod-audit effects: {} field(s) across {} struct(s): \
-         {local} shard-local, {barrier} epoch-barrier-only, {cross} cross-shard",
-        report.verdicts.len(),
-        report.structs.len(),
-    );
-    if out_path.as_os_str() != "-" {
-        eprintln!(
-            "mempod-audit effects: report written to {}",
-            out_path.display()
-        );
-    }
-
-    if let Some(old) = old_json {
-        let regressions = effects::regressions(&old, &new_json);
-        if !regressions.is_empty() {
-            for r in &regressions {
-                eprintln!("error: shard-safety regression: {r}");
-            }
-            eprintln!(
-                "mempod-audit effects: {} field(s) regressed towards cross-shard; \
-                 fix the write or re-commit {} deliberately",
-                regressions.len(),
-                out_path.display()
-            );
-            return ExitCode::FAILURE;
-        }
-        eprintln!("mempod-audit effects: no class regressions vs snapshot");
-    }
-    ExitCode::SUCCESS
 }

@@ -134,6 +134,87 @@ impl ParsedFile {
     }
 }
 
+/// One declared struct field.
+#[derive(Debug, Clone)]
+pub struct FieldInfo {
+    /// Field name.
+    pub name: String,
+    /// Declared type, as source text.
+    pub ty: String,
+}
+
+/// Parses `name: Type,` declarations from a struct body token range
+/// (`Item::body_tokens`), skipping docs, attributes and visibility.
+pub fn parse_fields(pf: &ParsedFile, from: usize, to: usize) -> Vec<FieldInfo> {
+    let src = &pf.src;
+    let toks = &pf.tokens;
+    let to = to.min(toks.len());
+    let mut fields = Vec::new();
+    let mut i = from;
+    while i < to {
+        let t = &toks[i];
+        if matches!(t.kind, TokenKind::DocOuter | TokenKind::DocInner) {
+            i += 1;
+            continue;
+        }
+        if t.is_punct(src, "#") || t.is_ident(src, "pub") {
+            // `#[..]` / `pub(..)`: skip the bracketed group that follows.
+            let open = if t.is_punct(src, "#") { "[" } else { "(" };
+            i += 1;
+            if toks.get(i).is_some_and(|t| t.is_punct(src, open)) {
+                let close = if open == "[" { "]" } else { ")" };
+                i = closing(src, toks, i, open, close) + 1;
+            }
+            continue;
+        }
+        if t.kind == TokenKind::Ident && toks.get(i + 1).is_some_and(|n| n.is_punct(src, ":")) {
+            // The type runs to the next comma at bracket depth zero.
+            let ty_from = i + 2;
+            let mut depth = 0i32;
+            let mut j = ty_from;
+            while j < to {
+                match toks[j].text(src) {
+                    "<" | "(" | "[" => depth += 1,
+                    "<<" => depth += 2,
+                    ">" | ")" | "]" => depth -= 1,
+                    "," if depth == 0 => break,
+                    _ => {}
+                }
+                j += 1;
+            }
+            let ty = if j > ty_from {
+                src[toks[ty_from].start..toks[j - 1].end].trim().to_string()
+            } else {
+                String::new()
+            };
+            fields.push(FieldInfo {
+                name: t.text(src).to_string(),
+                ty,
+            });
+            i = j + 1;
+            continue;
+        }
+        i += 1;
+    }
+    fields
+}
+
+/// Index of the token closing the group opened at `open`.
+fn closing(src: &str, toks: &[Token], open: usize, op: &str, cl: &str) -> usize {
+    let mut depth = 0usize;
+    for (j, t) in toks.iter().enumerate().skip(open) {
+        if t.is_punct(src, op) {
+            depth += 1;
+        } else if t.is_punct(src, cl) {
+            depth -= 1;
+            if depth == 0 {
+                return j;
+            }
+        }
+    }
+    toks.len().saturating_sub(1)
+}
+
 /// Inherited context while descending into `mod`/`impl`/`trait` bodies.
 #[derive(Debug, Clone, Default)]
 struct Ctx {
@@ -454,7 +535,7 @@ impl Parser<'_> {
                 let Some(name) = self.ident_at(0) else { return };
                 self.i += 1;
                 // Runs to `;` (unit/tuple struct) or a `{…}` body. The body
-                // span is recorded so the effect analysis can read the field
+                // span is recorded so `parse_fields` can read the field
                 // declarations back out of the token stream.
                 let mut end = self.i;
                 let mut body: Option<(usize, usize)> = None;
@@ -954,6 +1035,26 @@ mod tests {
         assert!(engine.body_tokens.is_some());
         assert!(find(&f, "Unit").body.is_none());
         assert!(find(&f, "Tuple").body.is_none());
+    }
+
+    #[test]
+    fn field_parsing_handles_attrs_docs_and_generics() {
+        let f = parse(
+            "pub struct S {\n\
+               /// Doc.\n\
+               #[serde(skip)]\n\
+               pub owners: HashMap<u64, (u8, u8)>,\n\
+               pub(crate) lanes: BTreeMap<i64, VecDeque<usize>>,\n\
+               plain: u64,\n\
+             }\n",
+        );
+        let (from, to) = find(&f, "S").body_tokens.expect("body");
+        let fields = parse_fields(&f, from, to);
+        let names: Vec<&str> = fields.iter().map(|f| f.name.as_str()).collect();
+        assert_eq!(names, ["owners", "lanes", "plain"]);
+        assert_eq!(fields[0].ty, "HashMap<u64, (u8, u8)>");
+        assert_eq!(fields[1].ty, "BTreeMap<i64, VecDeque<usize>>");
+        assert_eq!(fields[2].ty, "u64");
     }
 
     #[test]

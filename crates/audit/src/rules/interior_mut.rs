@@ -2,9 +2,9 @@
 //! simulation-visible code.
 //!
 //! `static mut`, `thread_local!`, and the cell/lock types let state
-//! change through shared references — the channel the field-level effect
-//! analysis cannot see through, and exactly how hidden cross-shard
-//! coupling would sneak past the shard-safety report. Hot-path state must
+//! change through shared references — exactly how hidden cross-shard
+//! coupling would sneak past the `&mut` split that hands each shard to its
+//! worker. Hot-path state must
 //! be owned and passed by `&mut`; intentional shared handles (the
 //! parallel runner's result collection) are frozen in the baseline with a
 //! note. Plain atomics are deliberately not flagged: the progress board
@@ -70,8 +70,8 @@ pub fn check(rel: &str, pf: &ParsedFile, out: &mut Vec<Violation>) {
                 t.start,
                 "interior-mut",
                 format!(
-                    "{what} (`{text}`) on the hot path hides writes from the \
-                     effect analysis and couples shards; own the state and pass \
+                    "{what} (`{text}`) on the hot path hides writes behind a \
+                     shared reference and couples shards; own the state and pass \
                      it by `&mut`, or freeze an intentional shared handle in the \
                      baseline with a note"
                 ),

@@ -16,13 +16,13 @@
 //! * [`addr_arith`] — unchecked arithmetic on raw address integers.
 //! * [`ignored_result`] — discarded `Result`/`#[must_use]` values.
 //!
-//! Determinism rules (scoped to the derived hot-path files, feeding the
-//! shard-safety work of ROADMAP item 1):
+//! Determinism rules (scoped to the derived hot-path files; a sharded run
+//! must reproduce a one-shard run):
 //! * [`nondet`] — `nondet-iter`/`nondet-float-reduce`: HashMap/HashSet
 //!   iteration (and float reductions over it) on simulation-visible state.
 //! * [`clock`] — `nondet-clock`: wall-clock reads on the hot path.
 //! * [`interior_mut`] — `interior-mut`: `static mut`, `thread_local!`,
-//!   cells and locks that hide writes from the effect analysis.
+//!   cells and locks that hide writes behind shared references.
 //! * [`span`] — `unsampled-span`: span events built on the tick path
 //!   without going through the sampling-aware helpers.
 //!

@@ -11,15 +11,14 @@
 //! note, not exempted here.
 //!
 //! Receivers are resolved within the file: fields of structs declared in
-//! it (via the effect analysis' field extraction) plus `let` bindings
-//! whose statement mentions `HashMap`/`HashSet`.
+//! it (via the parser's field extraction) whose type mentions
+//! `HashMap`/`HashSet`, plus `let` bindings whose statement does.
 
 use std::collections::HashSet;
 
-use crate::effects::parse_fields;
 use crate::lexer::TokenKind;
 use crate::lint::Violation;
-use crate::parser::{ItemKind, ParsedFile};
+use crate::parser::{parse_fields, ItemKind, ParsedFile};
 
 /// Methods that iterate their receiver in hash order.
 const ITER_METHODS: &[&str] = &[
@@ -35,6 +34,13 @@ const ITER_METHODS: &[&str] = &[
 
 /// Reduction adapters that make iteration order observable in a float.
 const REDUCERS: &[&str] = &["sum", "product", "fold"];
+
+/// Whether declared type text names an unordered collection: `HashMap`
+/// or `HashSet` as a whole identifier (not `BTreeMap`, not `MyHashMap`).
+fn unordered_type(ty: &str) -> bool {
+    ty.split(|c: char| !c.is_alphanumeric() && c != '_')
+        .any(|w| w == "HashMap" || w == "HashSet")
+}
 
 /// Runs the rule over one file.
 pub fn check(rel: &str, pf: &ParsedFile, out: &mut Vec<Violation>) {
@@ -52,7 +58,7 @@ pub fn check(rel: &str, pf: &ParsedFile, out: &mut Vec<Violation>) {
             continue;
         };
         for f in parse_fields(pf, from, to) {
-            if f.unordered() {
+            if unordered_type(&f.ty) {
                 unordered_fields.insert(f.name);
             }
         }

@@ -19,8 +19,6 @@
 //!
 //! [`SPAN_NONE`]: https://docs.rs/ (mempod_telemetry::SPAN_NONE)
 
-use std::collections::HashSet;
-
 use crate::callgraph::{Model, PIPELINE_CRATES};
 use crate::lint::Violation;
 
@@ -30,10 +28,7 @@ const SANCTIONED_FNS: &[&str] = &["push_span", "emit_span"];
 
 /// Runs the rule over every tick-phase pipeline function of the model.
 pub fn check(model: &Model, out: &mut Vec<Violation>) {
-    let tick: HashSet<String> = crate::effects::analyze(model)
-        .tick_fns
-        .into_iter()
-        .collect();
+    let tick = model.tick_fns();
     for file in &model.files {
         if !PIPELINE_CRATES.contains(&file.crate_name.as_str()) {
             continue;

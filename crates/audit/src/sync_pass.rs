@@ -1,9 +1,8 @@
 //! Concurrency audit: lock-acquisition ordering, atomic-ordering
 //! consistency, and the sync-facade boundary.
 //!
-//! Three checks over the workspace source model, feeding both the lint
-//! engine (as rules) and `cargo run -p mempod-audit -- sync` (as the
-//! committed `lock_order.json` report):
+//! Three lint rules over the workspace source model, run by
+//! `cargo run -p mempod-audit -- lint` through [`check`]:
 //!
 //! * **`lock-order-cycle`** — a directed graph over named locks: an edge
 //!   `A → B` means some function acquires `A` and then (directly, or
@@ -30,12 +29,9 @@
 //! Like the rest of the auditor this is token-level, not type-level:
 //! receiver-name identity stands in for object identity. That is exactly
 //! the right bias for a deadlock screen (merging distinct locks can only
-//! add edges) and is documented in the report so a human reading
-//! `lock_order.json` knows what a node means.
+//! add edges).
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-
-use serde_json::{json, Value};
 
 use crate::callgraph::{Model, PIPELINE_CRATES};
 use crate::lexer::TokenKind;
@@ -75,22 +71,9 @@ const ATOMIC_METHODS: &[&str] = &[
     "fetch_update",
 ];
 
-/// One lock-acquisition site.
-#[derive(Debug, Clone)]
-pub struct LockSite {
-    /// Workspace-relative file.
-    pub file: String,
-    /// 1-based line.
-    pub line: u32,
-    /// Lock name (receiver identifier).
-    pub lock: String,
-    /// Qualified name of the acquiring function.
-    pub in_fn: String,
-}
-
 /// One `A → B` acquisition-order edge.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub struct LockEdge {
+struct LockEdge {
     /// Lock held (acquired earlier in the same function).
     pub from: String,
     /// Lock acquired while `from` may still be held.
@@ -99,13 +82,11 @@ pub struct LockEdge {
     pub file: String,
     /// Line of the second acquisition (or the call that reaches it).
     pub line: u32,
-    /// Callee the edge goes through, if indirect.
-    pub via: Option<String>,
 }
 
 /// What an atomic access does.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AtomicAccess {
+enum AtomicAccess {
     /// `load`.
     Load,
     /// `store`.
@@ -116,7 +97,7 @@ pub enum AtomicAccess {
 
 /// One atomic access site with its ordering.
 #[derive(Debug, Clone)]
-pub struct AtomicSite {
+struct AtomicSite {
     /// Workspace-relative file.
     pub file: String,
     /// 1-based line.
@@ -131,9 +112,7 @@ pub struct AtomicSite {
 
 /// One mismatched acquire/release pairing.
 #[derive(Debug, Clone)]
-pub struct AtomicMismatch {
-    /// Atomic name.
-    pub name: String,
+struct AtomicMismatch {
     /// What is inconsistent.
     pub detail: String,
     /// Representative site.
@@ -144,7 +123,7 @@ pub struct AtomicMismatch {
 
 /// One raw `std::sync`/`std::thread` path in facade-scoped code.
 #[derive(Debug, Clone)]
-pub struct RawSyncSite {
+struct RawSyncSite {
     /// Workspace-relative file.
     pub file: String,
     /// 1-based line.
@@ -153,106 +132,17 @@ pub struct RawSyncSite {
     pub path: String,
 }
 
-/// The full concurrency-audit result.
+/// What [`check`] turns into violations.
 #[derive(Debug, Default)]
-pub struct SyncReport {
-    /// Every lock-acquisition site in scoped non-test code.
-    pub lock_sites: Vec<LockSite>,
+struct SyncReport {
     /// The acquisition-order edges.
-    pub edges: Vec<LockEdge>,
+    edges: Vec<LockEdge>,
     /// Lock-name cycles (each a list of participating locks).
-    pub cycles: Vec<Vec<String>>,
-    /// Every atomic access site in scoped non-test code.
-    pub atomic_sites: Vec<AtomicSite>,
+    cycles: Vec<Vec<String>>,
     /// Acquire/release pairings that synchronize with nothing.
-    pub mismatches: Vec<AtomicMismatch>,
+    mismatches: Vec<AtomicMismatch>,
     /// Raw `std::sync`/`std::thread` uses inside the facade scope.
-    pub raw_sync: Vec<RawSyncSite>,
-}
-
-impl SyncReport {
-    /// Whether the concurrency audit is clean.
-    pub fn ok(&self) -> bool {
-        self.cycles.is_empty() && self.mismatches.is_empty()
-    }
-
-    /// The machine-readable report (`lock_order.json`).
-    pub fn to_json(&self) -> Value {
-        // Nested `HashMap`s because that is what the vendored serde shim
-        // serializes (with sorted keys, so the report is deterministic).
-        type OrderingProfile = HashMap<String, HashMap<String, HashMap<String, u64>>>;
-        let mut atomics: OrderingProfile = HashMap::new();
-        for s in &self.atomic_sites {
-            let by_ordering = atomics
-                .entry(s.name.clone())
-                .or_default()
-                .entry(
-                    match s.access {
-                        AtomicAccess::Load => "loads",
-                        AtomicAccess::Store => "stores",
-                        AtomicAccess::Rmw => "rmws",
-                    }
-                    .to_string(),
-                )
-                .or_default();
-            for o in &s.orderings {
-                *by_ordering.entry(o.clone()).or_insert(0) += 1;
-            }
-        }
-        let locks: BTreeSet<&str> = self.lock_sites.iter().map(|s| s.lock.as_str()).collect();
-        let sites: Vec<Value> = self
-            .lock_sites
-            .iter()
-            .map(|s| {
-                json!({
-                    "file": s.file, "line": s.line, "lock": s.lock, "fn": s.in_fn,
-                })
-            })
-            .collect();
-        let edges: Vec<Value> = self
-            .edges
-            .iter()
-            .map(|e| {
-                json!({
-                    "from": e.from, "to": e.to, "file": e.file, "line": e.line,
-                    "via": e.via,
-                })
-            })
-            .collect();
-        let mismatches: Vec<Value> = self
-            .mismatches
-            .iter()
-            .map(|m| {
-                json!({
-                    "name": m.name, "detail": m.detail, "file": m.file, "line": m.line,
-                })
-            })
-            .collect();
-        let raw_sync: Vec<Value> = self
-            .raw_sync
-            .iter()
-            .map(|r| {
-                json!({
-                    "file": r.file, "line": r.line, "path": r.path,
-                })
-            })
-            .collect();
-        json!({
-            "tool": "mempod-audit",
-            "check": "sync",
-            "note": "token-level: nodes are receiver identifiers, not objects; \
-                     same-named locks merge (over-approximation)",
-            "facade_scope": FACADE_SCOPE_CRATES,
-            "ok": self.ok(),
-            "locks": locks.iter().copied().collect::<Vec<_>>(),
-            "acquisition_sites": sites,
-            "edges": edges,
-            "cycles": self.cycles,
-            "atomics": atomics,
-            "mismatches": mismatches,
-            "raw_sync_outside_facade": raw_sync,
-        })
-    }
+    raw_sync: Vec<RawSyncSite>,
 }
 
 /// Is this ordering an acquire (or stronger) for loads?
@@ -275,8 +165,9 @@ enum BodyEvent {
 }
 
 /// Runs the concurrency analysis over the model.
-pub fn analyze_sync(model: &Model) -> SyncReport {
+fn analyze_sync(model: &Model) -> SyncReport {
     let mut report = SyncReport::default();
+    let mut atomic_sites = Vec::new();
 
     // Per-function body events, and the set of locks each function
     // acquires directly. Function identity is (file idx, item idx).
@@ -291,7 +182,7 @@ pub fn analyze_sync(model: &Model) -> SyncReport {
         let pf = &file.parsed;
         let exempt = pf.exempt_ranges();
         scan_raw_sync(&file.rel, pf, &exempt, &mut report.raw_sync);
-        scan_atomics(&file.rel, pf, &exempt, &mut report.atomic_sites);
+        scan_atomics(&file.rel, pf, &exempt, &mut atomic_sites);
 
         for (ii, item) in pf.items.iter().enumerate() {
             if item.kind != ItemKind::Fn || item.cfg_test {
@@ -317,13 +208,6 @@ pub fn analyze_sync(model: &Model) -> SyncReport {
                 }
                 if after_dot && LOCK_METHODS.contains(&text) {
                     if let Some(recv) = receiver_name(pf, i - 1) {
-                        let site = LockSite {
-                            file: file.rel.clone(),
-                            line: t.line,
-                            lock: recv.clone(),
-                            in_fn: item.qual.clone(),
-                        };
-                        report.lock_sites.push(site);
                         direct.entry((fi, ii)).or_default().insert(recv.clone());
                         evs.push(BodyEvent::Lock(recv, t.line));
                     }
@@ -381,7 +265,6 @@ pub fn analyze_sync(model: &Model) -> SyncReport {
                             to: next.clone(),
                             file: file.rel.clone(),
                             line: *line,
-                            via: None,
                         });
                     }
                     BodyEvent::Call(name, line) => {
@@ -393,7 +276,6 @@ pub fn analyze_sync(model: &Model) -> SyncReport {
                                         to: reached.clone(),
                                         file: file.rel.clone(),
                                         line: *line,
-                                        via: Some(name.clone()),
                                     });
                                 }
                             }
@@ -406,7 +288,7 @@ pub fn analyze_sync(model: &Model) -> SyncReport {
     }
     report.edges = edge_set.into_iter().collect();
     report.cycles = find_cycles(&report.edges);
-    report.mismatches = find_mismatches(&report.atomic_sites);
+    report.mismatches = find_mismatches(&atomic_sites);
     report
 }
 
@@ -553,7 +435,6 @@ fn find_mismatches(sites: &[AtomicSite]) -> Vec<AtomicMismatch> {
                 .find(|s| s.orderings.iter().any(|o| is_acquire(o)))
                 .expect("an acquire load exists");
             out.push(AtomicMismatch {
-                name: name.to_string(),
                 detail: format!(
                     "`{name}` is Acquire-loaded but every write is Relaxed: \
                      the load synchronizes with nothing"
@@ -568,7 +449,6 @@ fn find_mismatches(sites: &[AtomicSite]) -> Vec<AtomicMismatch> {
                 .find(|s| s.orderings.iter().any(|o| is_release(o)))
                 .expect("a release write exists");
             out.push(AtomicMismatch {
-                name: name.to_string(),
                 detail: format!(
                     "`{name}` is Release-written but every load is Relaxed: \
                      the store publishes to nobody"
@@ -794,52 +674,59 @@ mod tests {
         report
     }
 
+    /// The rule ids [`check`] emits for the given sources.
+    fn checked(tag: &str, files: &[(&str, &str)]) -> Vec<String> {
+        let root = mini(tag, files);
+        let model = Model::build(&root).expect("model");
+        let mut out = Vec::new();
+        check(&model, &mut out);
+        std::fs::remove_dir_all(&root).ok();
+        out.into_iter().map(|v| v.rule).collect()
+    }
+
     #[test]
     fn ab_ba_order_is_a_cycle() {
-        let report = analyze(
-            "abba",
-            &[(
-                "locks",
-                "pub fn f(a: &M, b: &M) { let _x = a.lock(); let _y = b.lock(); }\n\
-                 pub fn g(a: &M, b: &M) { let _y = b.lock(); let _x = a.lock(); }\n",
-            )],
-        );
+        let files = [(
+            "locks",
+            "pub fn f(a: &M, b: &M) { let _x = a.lock(); let _y = b.lock(); }\n\
+             pub fn g(a: &M, b: &M) { let _y = b.lock(); let _x = a.lock(); }\n",
+        )];
+        let report = analyze("abba", &files);
         assert_eq!(report.cycles.len(), 1, "{report:?}");
         assert_eq!(report.cycles[0], vec!["a".to_string(), "b".to_string()]);
-        assert!(!report.ok());
+        assert_eq!(checked("abba-check", &files), ["lock-order-cycle"]);
     }
 
     #[test]
     fn consistent_order_is_clean() {
-        let report = analyze(
-            "ordered",
-            &[(
-                "locks",
-                "pub fn f(a: &M, b: &M) { let _x = a.lock(); let _y = b.lock(); }\n\
-                 pub fn g(a: &M, b: &M) { let _x = a.lock(); let _y = b.lock(); }\n",
-            )],
-        );
+        let files = [(
+            "locks",
+            "pub fn f(a: &M, b: &M) { let _x = a.lock(); let _y = b.lock(); }\n\
+             pub fn g(a: &M, b: &M) { let _x = a.lock(); let _y = b.lock(); }\n",
+        )];
+        let report = analyze("ordered", &files);
         assert!(report.cycles.is_empty(), "{report:?}");
-        assert_eq!(report.lock_sites.len(), 4);
+        assert!(!report.edges.is_empty());
         assert!(report.edges.iter().all(|e| e.from == "a" && e.to == "b"));
+        assert!(checked("ordered-check", &files).is_empty());
     }
 
     #[test]
     fn cycles_are_found_through_callees() {
-        let report = analyze(
-            "transitive",
-            &[(
-                "locks",
-                "pub fn helper(b: &M) { let _y = b.lock(); }\n\
-                 pub fn f(a: &M, b: &M) { let _x = a.lock(); helper(b); }\n\
-                 pub fn g(a: &M, b: &M) { let _y = b.lock(); let _x = a.lock(); }\n",
-            )],
-        );
+        let files = [(
+            "locks",
+            "pub fn helper(b: &M) { let _y = b.lock(); }\n\
+             pub fn f(a: &M, b: &M) { let _x = a.lock(); helper(b); }\n\
+             pub fn g(a: &M, b: &M) { let _y = b.lock(); let _x = a.lock(); }\n",
+        )];
+        let report = analyze("transitive", &files);
         assert_eq!(report.cycles.len(), 1, "{report:?}");
+        // The indirect a → b edge sits on the `helper(b)` call (line 2).
         assert!(report
             .edges
             .iter()
-            .any(|e| e.via.as_deref() == Some("helper")));
+            .any(|e| e.from == "a" && e.to == "b" && e.line == 2));
+        assert_eq!(checked("transitive-check", &files), ["lock-order-cycle"]);
     }
 
     #[test]
@@ -860,18 +747,16 @@ mod tests {
 
     #[test]
     fn paired_and_all_relaxed_atomics_pass() {
-        let report = analyze(
-            "paired",
-            &[(
-                "atomics",
-                "pub fn f(s: &A) -> u8 { s.load(Ordering::Acquire) }\n\
-                 pub fn g(s: &A) { s.store(1, Ordering::Release); }\n\
-                 pub fn h(n: &A) -> u64 { n.fetch_add(1, Ordering::Relaxed) }\n\
-                 pub fn i(n: &A) -> u64 { n.load(Ordering::Relaxed) }\n",
-            )],
-        );
+        let files = [(
+            "atomics",
+            "pub fn f(s: &A) -> u8 { s.load(Ordering::Acquire) }\n\
+             pub fn g(s: &A) { s.store(1, Ordering::Release); }\n\
+             pub fn h(n: &A) -> u64 { n.fetch_add(1, Ordering::Relaxed) }\n\
+             pub fn i(n: &A) -> u64 { n.load(Ordering::Relaxed) }\n",
+        )];
+        let report = analyze("paired", &files);
         assert!(report.mismatches.is_empty(), "{report:?}");
-        assert_eq!(report.atomic_sites.len(), 4);
+        assert!(checked("paired-check", &files).is_empty());
     }
 
     #[test]
@@ -890,23 +775,17 @@ mod tests {
     }
 
     #[test]
-    fn report_json_carries_cycles_and_profiles() {
-        let report = analyze(
-            "json",
+    fn clean_sources_check_clean() {
+        // A single lock order and an Acquire load with no writer at all:
+        // nothing to pair, nothing to report.
+        let rules = checked(
+            "clean",
             &[(
                 "locks",
                 "pub fn f(a: &M, b: &M) { let _x = a.lock(); let _y = b.lock(); }\n\
                  pub fn g(c: &A) -> bool { c.load(Ordering::Acquire) }\n",
             )],
         );
-        let j = report.to_json();
-        assert_eq!(j["check"].as_str(), Some("sync"));
-        assert_eq!(j["ok"].as_bool(), Some(true));
-        assert_eq!(j["cycles"].as_array().map(Vec::len), Some(0));
-        assert_eq!(
-            j["atomics"]["c"]["loads"]["Acquire"].as_u64(),
-            Some(1),
-            "{j:?}"
-        );
+        assert!(rules.is_empty(), "{rules:?}");
     }
 }

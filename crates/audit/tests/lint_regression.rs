@@ -191,6 +191,60 @@ fn planted_cast_is_found_but_checked_conversion_is_not() {
 }
 
 #[test]
+fn planted_ab_ba_lock_pair_is_an_acquisition_cycle() {
+    let root = fixture_tree("lock-order");
+    plant(
+        &root,
+        "crates/sim/src/runner.rs",
+        "//! Fixture.\npub fn try_run_jobs() { sim_step(); }\n\n\
+         /// Takes `a`, then `b`.\npub fn forward(a: &Lock, b: &Lock) {\n    \
+         let _ga = a.lock();\n    let _gb = b.lock();\n}\n\n\
+         /// Takes `b`, then `a`.\npub fn backward(a: &Lock, b: &Lock) {\n    \
+         let _gb = b.lock();\n    let _ga = a.lock();\n}\n",
+    );
+    let report = run_lint(&root, &Allowlist::default());
+    let found: Vec<(&str, &str)> = report
+        .blocking()
+        .map(|v| (v.file.as_str(), v.rule.as_str()))
+        .collect();
+    assert_eq!(found, [("crates/sim/src/runner.rs", "lock-order-cycle")]);
+    let v = report.blocking().next().expect("one finding");
+    assert!(v.message.contains("{a, b}"), "{v:?}");
+    std::fs::remove_dir_all(&root).ok();
+}
+
+#[test]
+fn raw_std_mutex_in_a_facade_crate_is_flagged() {
+    let root = fixture_tree("facade");
+    plant(
+        &root,
+        "crates/core/src/manager.rs",
+        "//! Fixture module.\nuse std::sync::Mutex;\nfn hook_manager() -> u64 { 41 + 1 }\n",
+    );
+    // The same import outside the facade scope is none of the rule's
+    // business.
+    plant(
+        &root,
+        "crates/types/src/geometry.rs",
+        "//! Fixture module.\nuse std::sync::Mutex;\nfn geometry_helper() -> u64 { 41 + 1 }\n",
+    );
+    let report = run_lint(&root, &Allowlist::default());
+    let found: Vec<(&str, usize, &str)> = report
+        .blocking()
+        .map(|v| (v.file.as_str(), v.line, v.rule.as_str()))
+        .collect();
+    assert_eq!(
+        found,
+        [(
+            "crates/core/src/manager.rs",
+            2,
+            "sync-primitive-outside-facade"
+        )]
+    );
+    std::fs::remove_dir_all(&root).ok();
+}
+
+#[test]
 fn planted_println_is_found_in_pipeline_and_telemetry_modules() {
     let root = fixture_tree("print");
     plant(
@@ -464,6 +518,19 @@ fn cli_exit_codes_and_json_report() {
         String::from_utf8_lossy(&out.stderr)
     );
     std::fs::remove_dir_all(&stale).ok();
+}
+
+/// The retired `effects` and `sync` subcommands are unknown commands now:
+/// usage error, exit 2, with the usage text.
+#[test]
+fn cli_retired_subcommands_exit_2_with_usage() {
+    let bin = env!("CARGO_BIN_EXE_mempod-audit");
+    for cmd in ["effects", "sync"] {
+        let out = Command::new(bin).arg(cmd).output().expect("run CLI");
+        assert_eq!(out.status.code(), Some(2), "`{cmd}` must exit 2");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("usage: mempod-audit lint"), "{stderr}");
+    }
 }
 
 /// End-to-end `--deny-new` flow: freeze existing debt with

@@ -72,7 +72,7 @@ impl EnergyModel {
     /// A swap reads and writes both sides: each line crosses the memory
     /// array twice per side (read + write) and the interconnect twice.
     pub fn migration_pj(&self, m: &Migration, kind: ManagerKind) -> f64 {
-        let bytes_per_side = (m.line_count as u64 * LINE_SIZE as u64) as f64;
+        let bytes_per_side = f64::from(m.line_count) * LINE_SIZE as f64;
         let hops = self.hops_for(kind) as f64;
         // frame_a side + frame_b side; tier split is approximated as one
         // fast + one slow side (true for every swap the managers produce:

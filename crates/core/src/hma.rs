@@ -24,6 +24,7 @@
 //!   argument for why the measured 1.2 s sort is infeasible).
 
 use mempod_tracker::{ActivityTracker, FullCounters};
+use mempod_types::convert::u32_from_u64;
 use mempod_types::{FrameId, Geometry, MemRequest, PageId, Picos, Tier};
 
 use crate::manager::{AccessOutcome, ManagerConfig, ManagerKind, MemoryManager, MigrationStats};
@@ -151,7 +152,7 @@ impl MemoryManager for HmaManager {
         };
         AccessOutcome {
             frame: self.remap.frame_of(page),
-            line_in_page: req.addr.line().index_in_page() as u32,
+            line_in_page: u32_from_u64(req.addr.line().index_in_page()),
             migrations,
             stall: Picos::ZERO,
             meta_miss,

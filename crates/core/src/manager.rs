@@ -1,5 +1,6 @@
 //! The [`MemoryManager`] trait, shared configuration, and the factory.
 
+use mempod_types::convert::usize_from_u32;
 use mempod_types::{FrameId, Geometry, MemRequest, Picos, TrackerKind};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -209,10 +210,11 @@ impl MigrationStats {
         self.migrations += 1;
         self.bytes_moved += m.bytes_moved();
         if let Some(pod) = m.pod {
-            if self.per_pod_bytes.len() <= pod as usize {
-                self.per_pod_bytes.resize(pod as usize + 1, 0);
+            let pod = usize_from_u32(pod);
+            if self.per_pod_bytes.len() <= pod {
+                self.per_pod_bytes.resize(pod + 1, 0);
             }
-            self.per_pod_bytes[pod as usize] += m.bytes_moved();
+            self.per_pod_bytes[pod] += m.bytes_moved();
         }
     }
 

@@ -17,6 +17,7 @@
 //! * an optional per-pod metadata cache holds remap entries (§6.3.3).
 
 use mempod_tracker::{ActivityTracker, FullCounters, MeaTracker};
+use mempod_types::convert::{u32_from_u64, u64_from_u32, usize_from_u32};
 use mempod_types::{FrameId, Geometry, MemRequest, PageId, Picos, Tier, TrackerKind};
 
 use crate::manager::{AccessOutcome, ManagerConfig, ManagerKind, MemoryManager, MigrationStats};
@@ -123,7 +124,7 @@ impl MemPodManager {
             })
             .collect();
         let meta_caches = cfg.meta_cache_bytes.map(|total| {
-            let per_pod = (total / geo.pods() as u64).max(64);
+            let per_pod = (total / u64_from_u32(geo.pods())).max(64);
             (0..geo.pods())
                 .map(|_| MetaCache::new(per_pod, 8))
                 .collect()
@@ -135,7 +136,7 @@ impl MemPodManager {
             epoch: cfg.epoch,
             next_epoch: cfg.epoch,
             stats: MigrationStats {
-                per_pod_bytes: vec![0; geo.pods() as usize],
+                per_pod_bytes: vec![0; usize_from_u32(geo.pods())],
                 ..MigrationStats::default()
             },
             meta_caches,
@@ -182,8 +183,9 @@ impl MemPodManager {
                 self.remap.swap_frames(cur, slot);
                 if let Some(caches) = &mut self.meta_caches {
                     // Both pages' remap entries changed in memory.
-                    caches[pod.id as usize].invalidate(page.0);
-                    caches[pod.id as usize].invalidate(resident.0);
+                    let cache = &mut caches[usize_from_u32(pod.id)];
+                    cache.invalidate(page.0);
+                    cache.invalidate(resident.0);
                 }
                 self.stats.record(&m);
                 migrations.push(m);
@@ -203,16 +205,16 @@ impl MemoryManager for MemPodManager {
             self.next_epoch += self.epoch;
         }
         let page = req.addr.page();
-        let pod_id = self.geo.pod_of_page(page);
-        self.pods[pod_id as usize].tracker.record(page);
+        let pod_id = usize_from_u32(self.geo.pod_of_page(page));
+        self.pods[pod_id].tracker.record(page);
         let meta_miss = match &mut self.meta_caches {
-            Some(caches) => !caches[pod_id as usize].access(page.0),
+            Some(caches) => !caches[pod_id].access(page.0),
             None => false,
         };
         let frame = self.remap.frame_of(page);
         AccessOutcome {
             frame,
-            line_in_page: req.addr.line().index_in_page() as u32,
+            line_in_page: u32_from_u64(req.addr.line().index_in_page()),
             migrations,
             stall: Picos::ZERO,
             meta_miss,

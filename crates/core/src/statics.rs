@@ -6,6 +6,7 @@
 //! all-fast layout, DDR-only on an all-slow layout (see
 //! `mempod-sim`'s layout selection).
 
+use mempod_types::convert::u32_from_u64;
 use mempod_types::{FrameId, MemRequest, PageId, Picos};
 
 use crate::manager::{AccessOutcome, ManagerConfig, ManagerKind, MemoryManager, MigrationStats};
@@ -48,7 +49,7 @@ impl MemoryManager for StaticManager {
         let page = req.addr.page();
         AccessOutcome {
             frame: FrameId(page.0),
-            line_in_page: req.addr.line().index_in_page() as u32,
+            line_in_page: u32_from_u64(req.addr.line().index_in_page()),
             migrations: Vec::new(),
             stall: Picos::ZERO,
             meta_miss: false,

@@ -11,6 +11,7 @@
 use std::collections::HashMap;
 
 use mempod_tracker::{CompetingCounter, CompetingOutcome};
+use mempod_types::convert::u32_from_u64;
 use mempod_types::{BuildPageHasher, FrameId, MemRequest, PageId, Picos};
 
 use crate::manager::{AccessOutcome, ManagerConfig, ManagerKind, MemoryManager, MigrationStats};
@@ -116,7 +117,7 @@ impl MemoryManager for ThmManager {
         let frame = FrameId(self.segs.location_of(page.0));
         AccessOutcome {
             frame,
-            line_in_page: req.addr.line().index_in_page() as u32,
+            line_in_page: u32_from_u64(req.addr.line().index_in_page()),
             migrations,
             stall: Picos::ZERO,
             meta_miss,

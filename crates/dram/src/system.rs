@@ -6,7 +6,7 @@
 //! A fixed controller/interconnect latency is added to every access.
 
 use mempod_types::convert::{u32_from_u64, u64_from_usize, usize_from_u32};
-use mempod_types::{AccessKind, FrameId, Picos, Tier, LINE_SIZE, PAGE_SIZE};
+use mempod_types::{AccessKind, FrameId, Picos, Tier, LINES_PER_PAGE, PAGE_SIZE};
 use serde::{Deserialize, Serialize};
 
 use crate::channel::{Channel, ChannelProbe, ChannelStats, Priority, ReqToken};
@@ -40,8 +40,8 @@ impl MemLayout {
     /// DDR4-1600 over 4 channels.
     pub fn paper_default() -> Self {
         MemLayout {
-            fast_frames: (1u64 << 30) / PAGE_SIZE as u64,
-            slow_frames: (8u64 << 30) / PAGE_SIZE as u64,
+            fast_frames: (1u64 << 30) / u64_from_usize(PAGE_SIZE),
+            slow_frames: (8u64 << 30) / u64_from_usize(PAGE_SIZE),
             fast_channels: 8,
             slow_channels: 4,
             fast_timing: DramTiming::hbm(),
@@ -95,8 +95,8 @@ impl MemLayout {
     /// [`Geometry::tiny`]: mempod_types::Geometry::tiny
     pub fn tiny() -> Self {
         MemLayout {
-            fast_frames: (4u64 << 20) / PAGE_SIZE as u64,
-            slow_frames: (32u64 << 20) / PAGE_SIZE as u64,
+            fast_frames: (4u64 << 20) / u64_from_usize(PAGE_SIZE),
+            slow_frames: (32u64 << 20) / u64_from_usize(PAGE_SIZE),
             ..MemLayout::paper_default()
         }
     }
@@ -216,8 +216,8 @@ impl MemorySystem {
             layout.slow_channels,
             layout.fast_timing.banks,
             layout.slow_timing.banks,
-            layout.fast_timing.pages_per_row(PAGE_SIZE as u64),
-            layout.slow_timing.pages_per_row(PAGE_SIZE as u64),
+            layout.fast_timing.pages_per_row(u64_from_usize(PAGE_SIZE)),
+            layout.slow_timing.pages_per_row(u64_from_usize(PAGE_SIZE)),
         )
         .with_interleave(layout.interleave);
         let mut channels = Vec::new();
@@ -436,7 +436,7 @@ impl MemorySystem {
 
     /// Lines per page, exposed for migration traffic generation.
     pub fn lines_per_page(&self) -> u32 {
-        (PAGE_SIZE / LINE_SIZE) as u32
+        u32_from_u64(u64_from_usize(LINES_PER_PAGE))
     }
 
     /// Attaches a telemetry probe to every channel (idempotent). From then

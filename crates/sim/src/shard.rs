@@ -914,10 +914,10 @@ impl Shard {
 /// page's own pod (`frame % pods == page % pods`), matching the paper's
 /// per-pod metadata organization (§6.3.3) — and, structurally, keeping the
 /// metadata fetch on the same shard as the access that triggered it. The
-/// old global hash was exactly the cross-shard hazard the shard-safety
-/// report flagged: a pod-0 access could inject a read into pod-3's
-/// channels. Layouts with fewer fast frames than pods (no room for a
-/// per-pod slice) keep the global hash; such systems never shard.
+/// old global hash was a cross-shard hazard: a pod-0 access could inject
+/// a read into pod-3's channels. Layouts with fewer fast frames than pods
+/// (no room for a per-pod slice) keep the global hash; such systems never
+/// shard.
 fn meta_backing_frame(page: PageId, fast_frames: u64, pods: u32) -> FrameId {
     let fast = fast_frames.max(1);
     let pods = u64::from(pods.max(1));

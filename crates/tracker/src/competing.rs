@@ -138,7 +138,7 @@ impl CompetingCounter {
     /// Hardware cost in bits: counter plus a challenger tag.
     pub fn storage_bits(&self, tag_bits: u32) -> u64 {
         let counter_bits = 32 - self.threshold.leading_zeros().min(31);
-        counter_bits as u64 + tag_bits as u64
+        u64::from(counter_bits) + u64::from(tag_bits)
     }
 }
 

@@ -118,7 +118,7 @@ impl ActivityTracker for FullCounters {
 
     fn storage_bits(&self, _tag_bits: u32) -> u64 {
         // Dense hardware table: one counter per page, no tags needed.
-        self.total_pages * self.counter_bits as u64
+        self.total_pages * u64::from(self.counter_bits)
     }
 }
 
