@@ -185,10 +185,14 @@ fn workloads_and_fault_seeds_match_their_golden_digests() {
 }
 
 /// A MemPod run with telemetry and full causal span tracing: the report
-/// digest (timeline included) and the digest of the sorted sink lines.
+/// digest (timeline included), the digest of the sorted sink lines, and
+/// the digests of the sink stream in the order it was emitted at one shard
+/// and at the largest shard count (which pin the barrier merge's order).
 const GOLDEN_OBSERVED: &Golden = &[
     ("MemPod observed: report", "8c3995050facca95", 4),
     ("MemPod observed: sorted lines", "49550d154a4c0c6e", 4),
+    ("MemPod observed: emitted lines", "b0d4f3074a2f606a", 1),
+    ("MemPod observed: emitted lines", "29799d1e4f0b58c0", 4),
 ];
 
 #[test]
@@ -205,14 +209,15 @@ fn observed_run_matches_its_golden_digests() {
         let effective = sim.effective_shards();
         let report = sim.run(&t);
         let mut lines = lines.lock().expect("sink mutex").clone();
+        let emitted = fnv1a(&lines.join("\n"));
         // Shards merge their events per barrier interval in
         // timestamp-then-shard order, which may permute same-instant lines
         // against a one-shard run: compare them as multisets.
         lines.sort();
-        (report, lines, effective)
+        (report, lines, emitted, effective)
     };
-    let (one, one_lines, _) = run(1);
-    let (many, many_lines, shards) = run(MAX_SHARDS);
+    let (one, one_lines, one_emitted, _) = run(1);
+    let (many, many_lines, many_emitted, shards) = run(MAX_SHARDS);
     assert!(!one.timeline.is_empty(), "the timeline was recorded");
     assert_eq!(one, many, "1 vs {shards} shards diverged");
     assert_eq!(one_lines, many_lines, "1 vs {shards} shards: sink lines");
@@ -221,6 +226,12 @@ fn observed_run_matches_its_golden_digests() {
         (
             "MemPod observed: sorted lines".to_string(),
             fnv1a(&one_lines.join("\n")),
+            shards,
+        ),
+        ("MemPod observed: emitted lines".to_string(), one_emitted, 1),
+        (
+            "MemPod observed: emitted lines".to_string(),
+            many_emitted,
             shards,
         ),
     ];
