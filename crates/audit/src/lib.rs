@@ -23,9 +23,7 @@
 //!     meta-lint that flags pipeline modules escaping the derived
 //!     coverage.
 //!   - [`sync_pass`] — the concurrency rules: lock-acquisition-order
-//!     cycle detection, acquire/release pairing of atomics, and the
-//!     `sync-primitive-outside-facade` boundary that keeps the pipeline
-//!     on the `mempod-sync` facade.
+//!     cycle detection and acquire/release pairing of atomics.
 //!   - [`baseline`] — `--deny-new` support: a committed baseline of
 //!     frozen debt, with stale-entry reporting so it only shrinks.
 //!   - [`lint`] — the orchestrator tying those together, with a JSON

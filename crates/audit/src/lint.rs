@@ -27,11 +27,9 @@
 //! * `interior-mut` — `static mut`/`thread_local!`/cells/locks that hide
 //!   writes behind shared references.
 //! * `coverage-gap` — pipeline modules escaping the derived coverage.
-//! * `lock-order-cycle` / `atomic-ordering-mismatch` /
-//!   `sync-primitive-outside-facade` — the concurrency audit
-//!   ([`crate::sync_pass`]): acquisition-order cycles, unpaired
-//!   acquire/release atomics, and raw `std::sync`/`std::thread` escaping
-//!   the `mempod-sync` facade.
+//! * `lock-order-cycle` / `atomic-ordering-mismatch` — the concurrency
+//!   audit ([`crate::sync_pass`]): acquisition-order cycles and unpaired
+//!   acquire/release atomics.
 //!
 //! Two grandfathering mechanisms with different lifecycles:
 //! * [`Allowlist`] (`audit.allowlist.json`) — intentional, permanent

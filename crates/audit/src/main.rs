@@ -24,9 +24,8 @@ and print bans, lossy-cast ban, pub-API doc/Debug coverage, unit-mismatch,
 unchecked address arithmetic, ignored Results, the determinism family
 (nondet-iter, nondet-float-reduce, nondet-clock, interior-mut),
 unsampled-span, the concurrency rules (lock-order-cycle,
-atomic-ordering-mismatch, sync-primitive-outside-facade), and the
-coverage-gap meta-lint. Rule coverage is derived from call-graph
-reachability off the simulation entry points.
+atomic-ordering-mismatch), and the coverage-gap meta-lint. Rule coverage
+is derived from call-graph reachability off the simulation entry points.
 
   --root DIR        workspace root (default: .)
   --allowlist FILE  intentional exemptions (default:

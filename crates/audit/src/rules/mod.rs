@@ -29,9 +29,8 @@
 //! Meta-lint:
 //! * [`coverage`] — pipeline modules that escape the derived coverage.
 //!
-//! The concurrency rules (`lock-order-cycle`, `atomic-ordering-mismatch`,
-//! `sync-primitive-outside-facade`) live in [`crate::sync_pass`], which
-//! doubles as the analysis behind the `sync` subcommand.
+//! The concurrency rules (`lock-order-cycle`, `atomic-ordering-mismatch`)
+//! live in [`crate::sync_pass`].
 
 pub mod addr_arith;
 pub mod api;

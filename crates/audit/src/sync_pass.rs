@@ -1,16 +1,16 @@
-//! Concurrency audit: lock-acquisition ordering, atomic-ordering
-//! consistency, and the sync-facade boundary.
+//! Concurrency audit: lock-acquisition ordering and atomic-ordering
+//! consistency.
 //!
-//! Three lint rules over the workspace source model, run by
+//! Two lint rules over the workspace source model, run by
 //! `cargo run -p mempod-audit -- lint` through [`check`]:
 //!
 //! * **`lock-order-cycle`** — a directed graph over named locks: an edge
 //!   `A → B` means some function acquires `A` and then (directly, or
 //!   through a callee chain) acquires `B`. Any cycle is a potential
-//!   AB/BA deadlock. Acquisition sites are `.lock(` / `.lock_recovering(`
-//!   calls; the lock's name is the receiver identifier, so two fields
-//!   that share a name are conservatively merged (over-approximation:
-//!   the pass may report a cycle that cannot fire, never the reverse).
+//!   AB/BA deadlock. Acquisition sites are `.lock(` calls; the lock's
+//!   name is the receiver identifier, so two fields that share a name
+//!   are conservatively merged (over-approximation: the pass may report
+//!   a cycle that cannot fire, never the reverse).
 //! * **`atomic-ordering-mismatch`** — per atomic (again named by the
 //!   receiver identifier), the orderings of every `load`/`store`/RMW
 //!   site are aggregated. An `Acquire` load whose writers are all
@@ -18,13 +18,6 @@
 //!   `Acquire`-loads publishes to nobody; both halves of the broken pair
 //!   are flagged. All-`Relaxed` counters (the progress board) are
 //!   deliberate and pass untouched.
-//! * **`sync-primitive-outside-facade`** — the pipeline crates and the
-//!   telemetry crate get their locks, atomics, and thread handles from
-//!   the in-tree `mempod-sync` facade so the `model-check` build can
-//!   interpose on every operation. Any `std::sync` / `std::thread` path
-//!   in their non-test code is a hole in that interposition. The rule is
-//!   baseline-gated like every other: intentional exceptions are frozen
-//!   with a note, new ones fail `--deny-new`.
 //!
 //! Like the rest of the auditor this is token-level, not type-level:
 //! receiver-name identity stands in for object identity. That is exactly
@@ -33,26 +26,21 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-use crate::callgraph::{Model, PIPELINE_CRATES};
+use crate::callgraph::Model;
 use crate::lexer::TokenKind;
 use crate::lint::Violation;
 use crate::parser::ItemKind;
 
-/// Crates required to go through the `mempod-sync` facade: the migration
-/// pipeline plus telemetry (whose progress counters the sharded driver
-/// updates from worker threads). `mempod-sync` itself wraps `std::sync`
-/// by definition, and the bench/audit tooling never runs inside a
-/// model-checked schedule, so neither is in scope.
-pub const FACADE_SCOPE_CRATES: &[&str] = &[
+/// Crates the concurrency rules scan: the migration pipeline plus
+/// telemetry (whose sink lock and phase counters the sharded driver uses).
+/// The bench/audit tooling is out of scope.
+const SCOPE_CRATES: &[&str] = &[
     "mempod-core",
     "mempod-dram",
     "mempod-sim",
     "mempod-tracker",
     "mempod-telemetry",
 ];
-
-/// Method names that acquire a lock through the facade or `std`.
-const LOCK_METHODS: &[&str] = &["lock", "lock_recovering"];
 
 /// Atomic access methods that take an `Ordering` argument.
 const ATOMIC_METHODS: &[&str] = &[
@@ -121,17 +109,6 @@ struct AtomicMismatch {
     pub line: u32,
 }
 
-/// One raw `std::sync`/`std::thread` path in facade-scoped code.
-#[derive(Debug, Clone)]
-struct RawSyncSite {
-    /// Workspace-relative file.
-    pub file: String,
-    /// 1-based line.
-    pub line: u32,
-    /// The path head that matched (`std::sync` or `std::thread`).
-    pub path: String,
-}
-
 /// What [`check`] turns into violations.
 #[derive(Debug, Default)]
 struct SyncReport {
@@ -141,8 +118,6 @@ struct SyncReport {
     cycles: Vec<Vec<String>>,
     /// Acquire/release pairings that synchronize with nothing.
     mismatches: Vec<AtomicMismatch>,
-    /// Raw `std::sync`/`std::thread` uses inside the facade scope.
-    raw_sync: Vec<RawSyncSite>,
 }
 
 /// Is this ordering an acquire (or stronger) for loads?
@@ -176,12 +151,11 @@ fn analyze_sync(model: &Model) -> SyncReport {
     let mut by_name: HashMap<String, Vec<(usize, usize)>> = HashMap::new();
 
     for (fi, file) in model.files.iter().enumerate() {
-        if !scoped(&file.crate_name) {
+        if !SCOPE_CRATES.contains(&file.crate_name.as_str()) {
             continue;
         }
         let pf = &file.parsed;
         let exempt = pf.exempt_ranges();
-        scan_raw_sync(&file.rel, pf, &exempt, &mut report.raw_sync);
         scan_atomics(&file.rel, pf, &exempt, &mut atomic_sites);
 
         for (ii, item) in pf.items.iter().enumerate() {
@@ -206,7 +180,7 @@ fn analyze_sync(model: &Model) -> SyncReport {
                 if !called {
                     continue;
                 }
-                if after_dot && LOCK_METHODS.contains(&text) {
+                if after_dot && text == "lock" {
                     if let Some(recv) = receiver_name(pf, i - 1) {
                         direct.entry((fi, ii)).or_default().insert(recv.clone());
                         evs.push(BodyEvent::Lock(recv, t.line));
@@ -292,11 +266,6 @@ fn analyze_sync(model: &Model) -> SyncReport {
     report
 }
 
-/// Whether a crate is in the facade/concurrency scope.
-fn scoped(crate_name: &str) -> bool {
-    PIPELINE_CRATES.contains(&crate_name) || FACADE_SCOPE_CRATES.contains(&crate_name)
-}
-
 /// The receiver identifier for a method call: the identifier token just
 /// before the `.` at token index `dot`.
 fn receiver_name(pf: &crate::parser::ParsedFile, dot: usize) -> Option<String> {
@@ -307,36 +276,6 @@ fn receiver_name(pf: &crate::parser::ParsedFile, dot: usize) -> Option<String> {
     // `foo.lock()` and `self.foo.lock()` both name `foo`; a call-chain
     // receiver (`handle().lock()`) has `)` here and stays anonymous.
     (prev.kind == TokenKind::Ident).then(|| prev.text(&pf.src).to_string())
-}
-
-/// Scans one file for raw `std::sync` / `std::thread` paths outside
-/// test code. `use` declarations are included deliberately: the import
-/// is the clearest single site to flag and fix.
-fn scan_raw_sync(
-    rel: &str,
-    pf: &crate::parser::ParsedFile,
-    exempt: &[(usize, usize)],
-    out: &mut Vec<RawSyncSite>,
-) {
-    let src = &pf.src;
-    let toks = &pf.tokens;
-    for i in 0..toks.len() {
-        let t = &toks[i];
-        if !t.is_ident(src, "std") || pf.is_exempt(exempt, t.start) {
-            continue;
-        }
-        let Some(sep) = toks.get(i + 1) else { continue };
-        let Some(tail) = toks.get(i + 2) else {
-            continue;
-        };
-        if sep.is_punct(src, "::") && (tail.is_ident(src, "sync") || tail.is_ident(src, "thread")) {
-            out.push(RawSyncSite {
-                file: rel.to_string(),
-                line: t.line,
-                path: format!("std::{}", tail.text(src)),
-            });
-        }
-    }
 }
 
 /// Scans one file for atomic accesses: `.method(… Ordering::X …)` where
@@ -601,26 +540,6 @@ pub fn check(model: &Model, out: &mut Vec<Violation>) {
             baselined: false,
         });
     }
-    for r in &report.raw_sync {
-        let snippet = model
-            .file_index(&r.file)
-            .map(|fi| line_snippet(&model.files[fi].parsed, r.line))
-            .unwrap_or_default();
-        out.push(Violation {
-            file: r.file.clone(),
-            line: r.line as usize,
-            rule: "sync-primitive-outside-facade".to_string(),
-            message: format!(
-                "raw `{}` in a facade-scoped crate escapes the mempod-sync \
-                 instrumentation; import the equivalent from `mempod_sync` so \
-                 the model-check build can interpose",
-                r.path
-            ),
-            snippet,
-            allowed: false,
-            baselined: false,
-        });
-    }
 }
 
 /// The trimmed source text of 1-based line `line`.
@@ -638,8 +557,7 @@ mod tests {
     use super::*;
     use std::path::PathBuf;
 
-    /// A miniature facade-scoped workspace with the given `mempod-sim`
-    /// sources.
+    /// A miniature workspace with the given `mempod-sim` sources.
     fn mini(tag: &str, files: &[(&str, &str)]) -> PathBuf {
         let root =
             std::env::temp_dir().join(format!("mempod-sync-pass-{tag}-{}", std::process::id()));
@@ -757,21 +675,6 @@ mod tests {
         let report = analyze("paired", &files);
         assert!(report.mismatches.is_empty(), "{report:?}");
         assert!(checked("paired-check", &files).is_empty());
-    }
-
-    #[test]
-    fn raw_std_sync_is_flagged_outside_tests() {
-        let report = analyze(
-            "facade",
-            &[(
-                "raw",
-                "use std::sync::Mutex;\n\
-                 pub fn f() { let h = std::thread::spawn(|| 1); let _ = h; }\n\
-                 #[cfg(test)]\nmod tests {\n  use std::sync::Arc;\n}\n",
-            )],
-        );
-        let paths: Vec<&str> = report.raw_sync.iter().map(|r| r.path.as_str()).collect();
-        assert_eq!(paths, ["std::sync", "std::thread"], "{report:?}");
     }
 
     #[test]

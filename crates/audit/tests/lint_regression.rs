@@ -214,37 +214,6 @@ fn planted_ab_ba_lock_pair_is_an_acquisition_cycle() {
 }
 
 #[test]
-fn raw_std_mutex_in_a_facade_crate_is_flagged() {
-    let root = fixture_tree("facade");
-    plant(
-        &root,
-        "crates/core/src/manager.rs",
-        "//! Fixture module.\nuse std::sync::Mutex;\nfn hook_manager() -> u64 { 41 + 1 }\n",
-    );
-    // The same import outside the facade scope is none of the rule's
-    // business.
-    plant(
-        &root,
-        "crates/types/src/geometry.rs",
-        "//! Fixture module.\nuse std::sync::Mutex;\nfn geometry_helper() -> u64 { 41 + 1 }\n",
-    );
-    let report = run_lint(&root, &Allowlist::default());
-    let found: Vec<(&str, usize, &str)> = report
-        .blocking()
-        .map(|v| (v.file.as_str(), v.line, v.rule.as_str()))
-        .collect();
-    assert_eq!(
-        found,
-        [(
-            "crates/core/src/manager.rs",
-            2,
-            "sync-primitive-outside-facade"
-        )]
-    );
-    std::fs::remove_dir_all(&root).ok();
-}
-
-#[test]
 fn planted_println_is_found_in_pipeline_and_telemetry_modules() {
     let root = fixture_tree("print");
     plant(

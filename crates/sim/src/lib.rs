@@ -50,20 +50,3 @@ pub use runner::{
     JobState, RunProgress, WatchdogConfig,
 };
 pub use simulator::Simulator;
-
-/// Runs all jobs on `threads` workers, returning reports in job order.
-///
-/// Convenience wrapper over [`try_run_jobs`] for the experiment harness,
-/// where an invalid entry in a programmatically built matrix is a bug worth
-/// failing loudly on. The runner module itself is panic-free (it is on the
-/// audited hot path); the panic lives here at the crate surface.
-///
-/// # Panics
-///
-/// Panics if any job's configuration is invalid ([`Simulator::new`] fails).
-pub fn run_jobs(jobs: Vec<Job>, threads: usize) -> Vec<SimReport> {
-    match try_run_jobs(jobs, threads) {
-        Ok(reports) => reports,
-        Err(e) => panic!("experiment matrix contains an invalid configuration: {e}"),
-    }
-}

@@ -2,20 +2,18 @@
 //!
 //! The paper's figures are matrices (workloads × mechanisms × parameters).
 //! [`try_run_jobs`] executes a list of independent [`Job`]s across scoped
-//! worker threads (`thread::scope` via the `mempod-sync` facade; no
-//! external thread-pool crates), preserving job order in the output.
-//! Traces are shared by `Arc` so a workload generated once can feed every
-//! mechanism.
+//! worker threads (`thread::scope`; no external thread-pool crates),
+//! preserving job order in the output. Traces are shared by `Arc` so a
+//! workload generated once can feed every mechanism.
 //!
 //! This module is on the audited hot path (`mempod-audit` forbids
 //! `unwrap`/`expect`/`panic!` here), so every fallible step propagates a
-//! [`SimError`]; the panicking convenience wrapper
-//! [`run_jobs`](crate::run_jobs) lives at the crate surface instead.
+//! [`SimError`].
 
 use std::time::Instant;
 
 use mempod_sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use mempod_sync::{thread, Arc, Mutex};
+use mempod_sync::{thread, Arc, Mutex, PoisonError};
 
 use mempod_trace::Trace;
 
@@ -339,7 +337,7 @@ fn run_jobs_core(
                 // Index-keyed slots are either fully written or absent, so
                 // recovering from a poisoned lock here is sound; worker
                 // panics still propagate out of the scope.
-                results.lock_recovering()[i] = Some(outcome);
+                results.lock().unwrap_or_else(PoisonError::into_inner)[i] = Some(outcome);
                 remaining.fetch_sub(1, Ordering::Release);
             });
         }
@@ -352,14 +350,16 @@ fn run_jobs_core(
                 while remaining.load(Ordering::Acquire) > 0 {
                     thread::sleep(std::time::Duration::from_millis(w.poll_ms.max(1)));
                     let elapsed = board.elapsed_ms();
-                    for (slot, token) in board.jobs.iter().zip(cancels) {
+                    for (slot, cancel) in board.jobs.iter().zip(cancels) {
                         if slot
                             .running_for_ms(elapsed)
                             .is_some_and(|ms| ms > w.hard_timeout_ms)
                         {
                             // Release pairs with the simulator's Acquire
-                            // poll at the batch boundary.
-                            token.store(true, Ordering::Release);
+                            // poll at the batch boundary; both ends name
+                            // the token `cancel` so the
+                            // atomic-ordering-mismatch lint pairs them.
+                            cancel.store(true, Ordering::Release);
                         }
                     }
                 }
@@ -369,7 +369,7 @@ fn run_jobs_core(
         // a config error) re-raises here without any explicit join code.
     });
 
-    let slots = results.into_inner();
+    let slots = results.into_inner().unwrap_or_else(PoisonError::into_inner);
     slots
         .into_iter()
         .enumerate()
@@ -586,16 +586,16 @@ mod tests {
         let results: Arc<Mutex<Vec<Option<usize>>>> = Arc::new(Mutex::new(vec![None; 3]));
         let r2 = Arc::clone(&results);
         let dead = thread::spawn(move || {
-            let mut g = r2.lock_recovering();
+            let mut g = r2.lock().unwrap_or_else(PoisonError::into_inner);
             g[0] = Some(0);
             panic!("worker dies mid-update");
         });
         assert!(dead.join().is_err());
         assert!(results.is_poisoned(), "unwinding guard must poison");
         for i in 1..3 {
-            results.lock_recovering()[i] = Some(i);
+            results.lock().unwrap_or_else(PoisonError::into_inner)[i] = Some(i);
         }
-        let slots = results.lock_recovering();
+        let slots = results.lock().unwrap_or_else(PoisonError::into_inner);
         for (i, slot) in slots.iter().enumerate() {
             assert_eq!(*slot, Some(i), "slot {i} complete and untorn");
         }

@@ -646,7 +646,7 @@ impl Simulator {
                 if self
                     .cancel
                     .as_ref()
-                    .is_some_and(|c| c.load(Ordering::Acquire))
+                    .is_some_and(|cancel| cancel.load(Ordering::Acquire))
                 {
                     cancelled = true;
                     break;
@@ -1723,6 +1723,67 @@ mod tests {
             assert_eq!(r.requests, 300_000);
         }
         assert_eq!(counter.load(Ordering::Relaxed), r.requests);
+    }
+
+    /// Trips a cancel token from the admission loop itself, mid-batch: at
+    /// the first epoch snapshot, which the loop emits synchronously between
+    /// two requests of an open batch.
+    #[derive(Debug)]
+    struct CancelAtFirstEpoch {
+        token: Arc<AtomicBool>,
+        /// Requests admitted when the token was tripped.
+        tripped_at: Arc<AtomicU64>,
+    }
+
+    impl mempod_telemetry::EventSink for CancelAtFirstEpoch {
+        fn emit(&mut self, _line: &str) {}
+
+        fn emit_event(&mut self, event: &mempod_telemetry::Event) {
+            if let EventKind::Epoch(snap) = &event.kind {
+                if !self.token.swap(true, Ordering::Relaxed) {
+                    self.tripped_at.store(snap.requests, Ordering::Relaxed);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn cancel_tripped_mid_batch_is_honoured_only_after_the_batch() {
+        // Deterministic counterpart of the timed test above: the token
+        // trips while a batch is open, and the loop must finish that
+        // barrier interval (at least BATCH_TICKS more requests) before it
+        // stops, at every shard count.
+        for shards in [1u32, 4] {
+            let token = Arc::new(AtomicBool::new(false));
+            let tripped_at = Arc::new(AtomicU64::new(0));
+            let counter = Arc::new(AtomicU64::new(0));
+            let sink = CancelAtFirstEpoch {
+                token: Arc::clone(&token),
+                tripped_at: Arc::clone(&tripped_at),
+            };
+            let cfg = SimConfig::new(SystemConfig::tiny(), ManagerKind::MemPod);
+            let r = Simulator::new(cfg)
+                .expect("valid")
+                .with_shards(shards)
+                .with_telemetry(Telemetry::with_sink(Box::new(sink)))
+                .with_cancel(Arc::clone(&token))
+                .with_progress(Arc::clone(&counter))
+                .run(&demo_trace(100_000));
+            let tripped = tripped_at.load(Ordering::Relaxed);
+            assert!(token.load(Ordering::Relaxed), "{shards} shards: tripped");
+            assert!(r.faults.cancelled, "{shards} shards");
+            assert!(r.requests < 100_000, "{shards} shards: stopped early");
+            assert!(
+                r.requests >= tripped + u64_from_usize(BATCH_TICKS),
+                "{shards} shards: stopped at {} inside the batch open at {tripped}",
+                r.requests
+            );
+            assert_eq!(
+                counter.load(Ordering::Relaxed),
+                r.requests,
+                "{shards} shards"
+            );
+        }
     }
 
     #[test]

@@ -1,50 +1,10 @@
-//! Synchronization facade for the MemPod suite.
+//! The std synchronization items the MemPod crates use, re-exported.
 //!
-//! Every pipeline crate that needs a lock, an atomic, or a thread handle
-//! imports it from here instead of `std::sync` / `std::thread` (the
-//! `sync-primitive-outside-facade` audit rule enforces this). The facade
-//! has two personalities:
-//!
-//! * **Normal builds** (default): transparent newtypes over the std
-//!   primitives. Every method is a one-line `#[inline]` delegation, so
-//!   the facade costs nothing — the simulator's hot paths compile to the
-//!   same code they did against `std::sync` directly.
-//! * **`model-check` builds** (the `model-check` cargo feature): every
-//!   facade operation first announces itself to the bounded interleaving
-//!   explorer in [`model`] — if one is driving the current thread — and
-//!   blocks until the explorer's deterministic scheduler grants it. The
-//!   scheduler permutes these switch points across threads (with
-//!   sleep-set pruning and a schedule budget), records acquisition
-//!   order, atomic orderings, and condvar park/unpark edges per
-//!   schedule, and detects deadlocks and lost wakeups. Outside an
-//!   explorer run the instrumented facade falls back to plain std
-//!   behavior, so ordinary tests still pass with the feature enabled.
-//!
-//! Two deliberate deviations from `std::sync`:
-//!
-//! * [`Mutex::lock_recovering`] recovers from poisoning (the runner's
-//!   progress board and result slots are index-keyed, so a panicking
-//!   writer cannot leave them half-updated in a way later readers would
-//!   misread; see `crates/sim/src/runner.rs`).
-//! * [`Condvar`] is simulated entirely by the scheduler under
-//!   `model-check`, which is what makes lost-wakeup bugs show up as
-//!   deterministic deadlocks instead of flaky hangs.
+//! The simulator's concurrency is a `thread::scope` fork/join over
+//! disjoint shards plus the experiment runner's job pool (index-keyed
+//! result slots behind one lock, atomic progress counters and cancel
+//! flags), so plain `std` is all it needs.
 
-pub mod atomic;
-mod mutex;
-pub mod thread;
-
-#[cfg(feature = "model-check")]
-pub mod model;
-
-pub use mutex::{Condvar, Mutex, MutexGuard};
-
-/// Shared-ownership handle, re-exported so facade users need no
-/// `std::sync` import. `Arc` itself performs no blocking or ordered
-/// operation the explorer would need to interleave (its refcounts are
-/// opaque to the program), so it passes through unwrapped.
-pub use std::sync::Arc;
-
-/// Re-exported poison error so callers can pattern-match lock results
-/// without importing `std::sync`.
-pub use std::sync::{LockResult, PoisonError};
+pub use std::sync::atomic;
+pub use std::sync::{Arc, Mutex, PoisonError};
+pub use std::thread;

@@ -130,28 +130,6 @@ pub enum EventKind {
         /// Shard whose panic triggered the degradation.
         shard: u32,
     },
-    /// The runner watchdog cancelled a job that exceeded its hard
-    /// per-job timeout.
-    JobTimeout {
-        /// Job index within the submitted batch.
-        job: usize,
-    },
-    /// A parallel-runner job started.
-    JobStart {
-        /// Job index within the submitted batch.
-        job: usize,
-        /// Short job label (workload/manager).
-        label: String,
-    },
-    /// A parallel-runner job finished.
-    JobFinish {
-        /// Job index within the submitted batch.
-        job: usize,
-        /// Wall-clock milliseconds the job took.
-        wall_ms: u64,
-        /// Requests simulated.
-        requests: u64,
-    },
     /// A completed causal/execution span (see [`SpanRecord`]). The event's
     /// `t_ps` is the span's end time, so the merged stream stays ordered
     /// by when things were *known*, not when they began.
@@ -170,12 +148,10 @@ pub enum EventKind {
 
 /// A timestamped event.
 ///
-/// `t_ps` is simulated picoseconds for simulator events and wall-clock
-/// milliseconds-since-run-start for runner events (runner progress has no
-/// simulated clock).
+/// `t_ps` is the simulated time in picoseconds.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Event {
-    /// Timestamp (see type docs for units).
+    /// Simulated timestamp in picoseconds.
     pub t_ps: u64,
     /// Payload.
     pub kind: EventKind,
@@ -283,14 +259,6 @@ mod tests {
                 },
             ),
             Event::new(
-                70,
-                EventKind::JobFinish {
-                    job: 4,
-                    wall_ms: 1500,
-                    requests: 1_000_000,
-                },
-            ),
-            Event::new(
                 80,
                 EventKind::MigrationAbort {
                     pod: Some(1),
@@ -321,7 +289,6 @@ mod tests {
             ),
             Event::new(110, EventKind::ShardPanic { shard: 3 }),
             Event::new(120, EventKind::DegradedToSequential { shard: 3 }),
-            Event::new(130, EventKind::JobTimeout { job: 2 }),
             Event::new(
                 140,
                 EventKind::Span(SpanRecord {
