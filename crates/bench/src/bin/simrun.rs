@@ -186,18 +186,19 @@ fn run() -> Result<(), String> {
     }
 
     let mut sim = Simulator::new(cfg).map_err(|e| format!("invalid configuration: {e}"))?;
-    let jsonl: Option<Box<dyn EventSink>> = timeline.as_ref().map(|path| {
-        Box::new(
-            FileSink::create(path)
-                .unwrap_or_else(|e| panic!("cannot open timeline file {path}: {e}")),
-        ) as Box<dyn EventSink>
-    });
-    let chrome: Option<Box<dyn EventSink>> = trace_out.as_ref().map(|path| {
-        Box::new(
+    let jsonl = match &timeline {
+        Some(path) => Some(Box::new(
+            FileSink::create(path).map_err(|e| format!("cannot open timeline file {path}: {e}"))?,
+        ) as Box<dyn EventSink>),
+        None => None,
+    };
+    let chrome = match &trace_out {
+        Some(path) => Some(Box::new(
             ChromeTraceSink::create(path)
-                .unwrap_or_else(|e| panic!("cannot open trace file {path}: {e}")),
-        ) as Box<dyn EventSink>
-    });
+                .map_err(|e| format!("cannot open trace file {path}: {e}"))?,
+        ) as Box<dyn EventSink>),
+        None => None,
+    };
     let sink = match (jsonl, chrome) {
         (Some(a), Some(b)) => Some(Box::new(TeeSink::new(a, b)) as Box<dyn EventSink>),
         (Some(a), None) => Some(a),

@@ -50,9 +50,9 @@ fn kind_of(v: &Value) -> String {
     }
 }
 
-fn load(path: &str) -> TraceFile {
-    let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("cannot read trace file {path}: {e}"));
+fn load(path: &str) -> Result<TraceFile, String> {
+    let text =
+        std::fs::read_to_string(path).map_err(|e| format!("cannot read trace file {path}: {e}"))?;
     let mut problems = Vec::new();
     let chrome = text.trim_start().starts_with('[');
     let mut recs = Vec::new();
@@ -106,11 +106,11 @@ fn load(path: &str) -> TraceFile {
             }
         }
     }
-    TraceFile {
+    Ok(TraceFile {
         chrome,
         recs,
         problems,
-    }
+    })
 }
 
 /// The span payload of a record, if it is one: JSONL `kind.Span` objects,
@@ -395,7 +395,19 @@ fn self_check(tf: &TraceFile) -> Result<String, String> {
     }
 }
 
+const USAGE: &str = "usage: tracelens FILE [--hottest N | --aborts | --shards | --self-check]";
+
 fn main() -> ExitCode {
+    match run() {
+        Ok(code) => code,
+        Err(msg) => {
+            eprintln!("error: {msg}");
+            ExitCode::from(2)
+        }
+    }
+}
+
+fn run() -> Result<ExitCode, String> {
     let mut file: Option<String> = None;
     let mut top = 10usize;
     let mut mode = "summary".to_string();
@@ -404,22 +416,21 @@ fn main() -> ExitCode {
         match a.as_str() {
             "--hottest" => {
                 mode = "hottest".to_string();
-                top = args
-                    .next()
-                    .map(|v| v.parse().expect("integer"))
-                    .unwrap_or(10);
+                if let Some(v) = args.next() {
+                    top = v
+                        .parse()
+                        .map_err(|_| format!("--hottest expects an integer, got {v:?}"))?;
+                }
             }
             "--aborts" => mode = "aborts".to_string(),
             "--shards" => mode = "shards".to_string(),
             "--self-check" => mode = "self-check".to_string(),
             other if !other.starts_with("--") && file.is_none() => file = Some(other.to_string()),
-            other => panic!("unknown argument {other}"),
+            other => return Err(format!("unknown argument {other:?}\n{USAGE}")),
         }
     }
-    let file = file.unwrap_or_else(|| {
-        panic!("usage: tracelens FILE [--hottest N | --aborts | --shards | --self-check]")
-    });
-    let tf = load(&file);
+    let file = file.ok_or_else(|| format!("missing FILE\n{USAGE}"))?;
+    let tf = load(&file)?;
     match mode.as_str() {
         "hottest" => hottest(&tf, top),
         "aborts" => aborts(&tf),
@@ -428,10 +439,10 @@ fn main() -> ExitCode {
             Ok(msg) => println!("{msg}"),
             Err(problems) => {
                 eprintln!("self-check FAILED:\n{problems}");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
         },
         _ => summary(&tf),
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }

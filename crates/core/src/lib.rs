@@ -29,6 +29,29 @@
 //! assert_eq!(out.frame.0, 0); // identity before any migration
 //! ```
 
+// Pipeline rules (DESIGN.md §8): no panics, prints, lossy casts,
+// wall-clock reads, hash-order iteration or interior mutability outside
+// tests. The `disallowed_*` lists live in the root clippy.toml.
+#![cfg_attr(
+    not(test),
+    warn(
+        missing_docs,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unimplemented,
+        clippy::print_stdout,
+        clippy::print_stderr,
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        clippy::cast_possible_wrap,
+        clippy::disallowed_methods,
+        clippy::disallowed_types,
+        clippy::disallowed_macros,
+        clippy::iter_over_hash_type
+    )
+)]
+
 pub mod cameo;
 pub mod costs;
 pub mod energy;

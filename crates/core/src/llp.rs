@@ -78,6 +78,10 @@ impl LineLocationPredictor {
         self.stats
     }
 
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "only the low bits survive the mask by the power-of-two table length"
+    )]
     fn index(&self, group: u64) -> usize {
         let h = group.wrapping_mul(0x9E3779B97F4A7C15);
         (h as usize) & (self.counters.len() - 1)

@@ -10,6 +10,7 @@
 //! keyed by an opaque `u64` (page id for MemPod's remap entries and HMA's
 //! counters, segment id for THM).
 
+use mempod_types::convert::usize_from_u64;
 use serde::{Deserialize, Serialize};
 
 /// Hit/miss counters for a [`MetaCache`].
@@ -68,7 +69,7 @@ impl MetaCache {
     /// Panics if either argument is zero.
     pub fn new(capacity_bytes: u64, entry_bytes: u64) -> Self {
         assert!(capacity_bytes > 0 && entry_bytes > 0);
-        let entries = (capacity_bytes / entry_bytes).max(1) as usize;
+        let entries = usize_from_u64((capacity_bytes / entry_bytes).max(1));
         let ways = Self::WAYS.min(entries);
         let num_sets = (entries / ways).max(1);
         MetaCache {
@@ -91,6 +92,10 @@ impl MetaCache {
 
     /// Looks up `key`, installing it on miss (evicting LRU). Returns `true`
     /// on hit.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a residue modulo the set count fits usize"
+    )]
     pub fn access(&mut self, key: u64) -> bool {
         self.clock += 1;
         self.stats.lookups += 1;
@@ -104,6 +109,10 @@ impl MetaCache {
         }
         self.stats.misses += 1;
         if set.len() >= self.ways {
+            #[expect(
+                clippy::expect_used,
+                reason = "invariant: ways >= 1, so a set this full has an LRU entry"
+            )]
             let lru = set
                 .iter()
                 .enumerate()
@@ -117,6 +126,10 @@ impl MetaCache {
     }
 
     /// Removes `key` if present (used when an entry is restructured).
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a residue modulo the set count fits usize"
+    )]
     pub fn invalidate(&mut self, key: u64) {
         let h = key.wrapping_mul(0x9E3779B97F4A7C15);
         let set_idx = (h % self.sets.len() as u64) as usize;

@@ -120,6 +120,10 @@ impl GroupMut<'_> {
     }
 
     /// See [`SegmentMap::swap_into_fast`].
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a position in a group of 1 + ratio <= 256 members fits MemberIdx"
+    )]
     pub(crate) fn swap_into_fast(&mut self, member: MemberIdx) -> Option<(MemberIdx, MemberIdx)> {
         let my_slot = self.perm[usize::from(member)];
         if my_slot == 0 {
@@ -194,6 +198,10 @@ impl SegmentMap {
     /// # Panics
     ///
     /// Panics if `unit` is out of range.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "unit < fast_units * (1 + ratio), so each member index is at most ratio <= 255"
+    )]
     pub fn group_of(&self, unit: u64) -> (GroupId, MemberIdx) {
         assert!(unit < self.total_units(), "unit {unit} out of range");
         match self.layout {
@@ -257,6 +265,10 @@ impl SegmentMap {
     }
 
     /// The member whose data currently occupies `slot` within `group`.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a position in a group of 1 + ratio <= 256 members fits MemberIdx"
+    )]
     pub fn occupant_of(&self, group: GroupId, slot: MemberIdx) -> MemberIdx {
         match self.index.get(&group) {
             None => slot,

@@ -170,6 +170,10 @@ impl MemoryManager for ThmManager {
             self.segs.check_invariant(),
             "THM: a segment's slot permutation is no longer a bijection"
         );
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "order-insensitive: counts orphaned counters for an invariant check"
+        )]
         let orphans = self
             .counters
             .keys()

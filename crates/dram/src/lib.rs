@@ -34,6 +34,28 @@
 //! # let _ = t;
 //! ```
 
+// Pipeline rules (DESIGN.md §8): no panics, prints, lossy casts,
+// wall-clock reads, hash-order iteration or interior mutability outside
+// tests. The `disallowed_*` lists live in the root clippy.toml.
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unimplemented,
+        clippy::print_stdout,
+        clippy::print_stderr,
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        clippy::cast_possible_wrap,
+        clippy::disallowed_methods,
+        clippy::disallowed_types,
+        clippy::disallowed_macros,
+        clippy::iter_over_hash_type
+    )
+)]
+
 pub mod channel;
 pub mod mapper;
 pub mod system;

@@ -6,14 +6,14 @@
 //! preserving job order in the output. Traces are shared by `Arc` so a
 //! workload generated once can feed every mechanism.
 //!
-//! This module is on the audited hot path (`mempod-audit` forbids
-//! `unwrap`/`expect`/`panic!` here), so every fallible step propagates a
-//! [`SimError`].
+//! The crate denies `unwrap`/`expect`/`panic!` outside tests (clippy's
+//! `unwrap_used`, `expect_used` and `panic`), so every fallible step
+//! propagates a [`SimError`].
 
 use std::time::Instant;
 
 use mempod_sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use mempod_sync::{thread, Arc, Mutex, PoisonError};
+use mempod_sync::{thread, Arc, PoisonError};
 
 use mempod_trace::Trace;
 
@@ -149,8 +149,13 @@ impl RunProgress {
     /// A progress board with one slot per job, labelled
     /// `workload/manager`. Clocks start now.
     pub fn for_jobs(jobs: &[Job]) -> Arc<Self> {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "observability-only: wall-clock origin feeds the progress board, never simulated state"
+        )]
+        let origin = Instant::now();
         Arc::new(RunProgress {
-            origin: Instant::now(),
+            origin,
             jobs: jobs
                 .iter()
                 .map(|j| {
@@ -301,8 +306,12 @@ fn run_jobs_core(
     let next = AtomicUsize::new(0);
     let remaining = AtomicUsize::new(n);
     let cancels: Vec<Arc<AtomicBool>> = (0..n).map(|_| Arc::new(AtomicBool::new(false))).collect();
-    let results: Mutex<Vec<Option<Result<SimReport, SimError>>>> =
-        Mutex::new((0..n).map(|_| None).collect());
+    #[expect(
+        clippy::disallowed_types,
+        reason = "job results land in index-keyed slots, so lock order cannot affect output"
+    )]
+    let results: mempod_sync::Mutex<Vec<Option<Result<SimReport, SimError>>>> =
+        mempod_sync::Mutex::new((0..n).map(|_| None).collect());
 
     thread::scope(|scope| {
         for _ in 0..threads {
@@ -356,9 +365,7 @@ fn run_jobs_core(
                             .is_some_and(|ms| ms > w.hard_timeout_ms)
                         {
                             // Release pairs with the simulator's Acquire
-                            // poll at the batch boundary; both ends name
-                            // the token `cancel` so the
-                            // atomic-ordering-mismatch lint pairs them.
+                            // poll at the batch boundary.
                             cancel.store(true, Ordering::Release);
                         }
                     }
@@ -583,6 +590,7 @@ mod tests {
         // The runner's result board pattern in isolation: a worker dies
         // holding the lock mid-update; survivors recover the poisoned
         // lock and every slot is still either complete or absent.
+        use mempod_sync::Mutex;
         let results: Arc<Mutex<Vec<Option<usize>>>> = Arc::new(Mutex::new(vec![None; 3]));
         let r2 = Arc::clone(&results);
         let dead = thread::spawn(move || {

@@ -289,8 +289,8 @@ impl Shard {
 
     /// Buffers a completed span, timestamped at its end. Records whose id
     /// is [`SPAN_NONE`] are unsampled markers and are dropped here — this
-    /// is the shard-side emission gate the `unsampled-span` audit rule
-    /// forces every tick-phase span through.
+    /// is the shard-side emission gate every tick-phase span must go
+    /// through (DESIGN.md §13).
     fn push_span(&mut self, rec: SpanRecord) {
         if rec.id == SPAN_NONE || !self.spans_enabled {
             return;
@@ -358,9 +358,8 @@ impl Shard {
             if self.batches_run >= b.max(1) {
                 // Injected fault: deliberately crash this shard worker so
                 // the barrier's containment-and-degrade path is exercised.
-                // `panic_any` (not the panic macro) keeps the audit's
-                // panic-free rules meaningful: this is fault-injection
-                // machinery, not an error path.
+                // The typed payload lets tests tell it from a real panic.
+                #[expect(clippy::panic, reason = "fault-injection machinery, not an error path")]
                 std::panic::panic_any(InjectedShardPanic);
             }
         }
@@ -431,6 +430,11 @@ impl Shard {
     }
 
     fn handle_completion(&mut self, c: Completion) {
+        #[expect(
+            clippy::expect_used,
+            reason = "invariant: every channel completion token was issued by this shard and \
+                      registered in owners; a miss is a routing bug worth crashing on"
+        )]
         let owner = self
             .owners
             .remove(c.token)
@@ -728,6 +732,11 @@ impl Shard {
         // Chain: launch the lane's next queued migration.
         if let Some(lane) = lane_of(&m) {
             let next = {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "invariant: a completing laned migration was enqueued on that lane \
+                              at start; a missing queue is a lane-routing bug worth crashing on"
+                )]
                 let q = self.lanes.get_mut(&lane).expect("lane exists");
                 debug_assert_eq!(q.front(), Some(&mig));
                 q.pop_front();

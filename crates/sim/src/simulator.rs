@@ -622,8 +622,11 @@ impl Simulator {
 
         let serial = self.serial_shards;
         let clock = self.phase_clock.clone();
-        // Observability-only: wall-clock phase accounting for the scaling
-        // benchmark; nothing simulated ever reads it.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "observability-only: wall-clock admission accounting for the scaling \
+                      benchmark; never feeds simulated state"
+        )]
         let mut admit_start = clock.as_ref().map(|_| Instant::now());
 
         let mut arrivals: Vec<Picos> = Vec::with_capacity(BATCH_TICKS + 1);
@@ -893,6 +896,10 @@ impl Simulator {
     /// before the panic stays in the sink (it faithfully observed the
     /// prefix); the replay's stream follows the [`EventKind::ShardPanic`] /
     /// [`EventKind::DegradedToSequential`] markers.
+    #[expect(
+        clippy::print_stderr,
+        reason = "recovery path: a degraded run warns once on stderr, next to its telemetry markers"
+    )]
     fn degrade(mut self, trace: &Trace, shard: u32, flushed_progress: u64, t: Picos) -> SimReport {
         let cause = EngineError::ShardWorkerPanicked { shard };
         eprintln!("warning: {cause}; replaying the run at one shard");
@@ -1089,9 +1096,12 @@ fn barrier(
         merge_events(tel, shards, main_events);
     }
     arrivals.clear();
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "observability-only: wall-clock origin of the next admission phase for the \
+                  PhaseClock; never feeds simulated state"
+    )]
     if let Some(t0) = admit_start.as_mut() {
-        // Observability-only: wall-clock origin of the next admission
-        // phase; never feeds simulated state.
         *t0 = Instant::now();
     }
 }
@@ -1124,8 +1134,11 @@ fn run_batch(
             .zip(work.iter_mut())
             .enumerate()
             .map(|(i, (s, w))| {
-                // Observability-only: wall-clock busy-time measurement for
-                // the phase clock; never feeds simulated state.
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "observability-only: per-shard busy-time measurement for the \
+                              PhaseClock critical path; never feeds simulated state"
+                )]
                 let t0 = timed.then(Instant::now);
                 let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     s.run_ticks(arrivals, w);
@@ -1144,9 +1157,11 @@ fn run_batch(
                 .zip(work.iter_mut())
                 .map(|(s, w)| {
                     scope.spawn(move || {
-                        // Observability-only: per-worker wall-clock busy
-                        // time; accurate when cores >= shards, summarized
-                        // by the phase clock either way.
+                        #[expect(
+                            clippy::disallowed_methods,
+                            reason = "observability-only: per-worker wall-clock busy time \
+                                      for the PhaseClock; never feeds simulated state"
+                        )]
                         let t0 = timed.then(Instant::now);
                         s.run_ticks(arrivals, w);
                         w.clear();

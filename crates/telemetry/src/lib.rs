@@ -38,6 +38,18 @@
 //! assert_eq!(lines.lock().unwrap().len(), 1);
 //! ```
 
+// Telemetry rules (DESIGN.md §8): no prints and no interior mutability
+// outside tests; the `disallowed_*` lists live in the root clippy.toml.
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::print_stdout,
+        clippy::print_stderr,
+        clippy::disallowed_types,
+        clippy::disallowed_macros
+    )
+)]
+
 mod chrome;
 mod event;
 mod metrics;
@@ -154,8 +166,8 @@ impl Telemetry {
 
     /// Emits a completed span as an [`EventKind::Span`] event, timestamped
     /// at its end. Records whose id is [`SPAN_NONE`] are unsampled markers
-    /// and are dropped here — this is the single gate the audit rule
-    /// `unsampled-span` forces tick-phase emitters through.
+    /// and are dropped here — the single gate every emitter must use
+    /// (DESIGN.md §13).
     pub fn emit_span(&mut self, rec: SpanRecord) {
         if rec.id == SPAN_NONE {
             return;

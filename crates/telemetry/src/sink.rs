@@ -1,6 +1,6 @@
 //! Pluggable JSONL sinks for the event stream.
 
-use mempod_sync::{Arc, Mutex};
+use mempod_sync::Arc;
 use std::fmt;
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
@@ -123,8 +123,12 @@ impl EventSink for FileSink {
 /// The backing vector is shared: keep a [`MemorySink::handle`] before
 /// moving the sink into a `Telemetry` and read the lines after the run.
 #[derive(Debug, Default)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "a test sink: the run holds the lock only to append, the test only to read after it"
+)]
 pub struct MemorySink {
-    lines: Arc<Mutex<Vec<String>>>,
+    lines: Arc<mempod_sync::Mutex<Vec<String>>>,
 }
 
 impl MemorySink {
@@ -134,7 +138,8 @@ impl MemorySink {
     }
 
     /// A shared handle to the collected lines.
-    pub fn handle(&self) -> Arc<Mutex<Vec<String>>> {
+    #[expect(clippy::disallowed_types, reason = "hands out the test sink's lines")]
+    pub fn handle(&self) -> Arc<mempod_sync::Mutex<Vec<String>>> {
         Arc::clone(&self.lines)
     }
 }

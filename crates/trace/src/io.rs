@@ -92,7 +92,8 @@ pub fn write_trace<W: Write>(trace: &Trace, mut w: W) -> io::Result<()> {
 ///
 /// # Errors
 ///
-/// Returns an error on I/O failure, bad magic, or a truncated stream.
+/// Returns an error on I/O failure, bad magic, a truncated stream, or
+/// bytes after the last record.
 pub fn read_trace<R: Read>(mut r: R) -> io::Result<Trace> {
     let mut raw = Vec::new();
     r.read_to_end(&mut raw)?;
@@ -107,10 +108,17 @@ pub fn read_trace<R: Read>(mut r: R) -> io::Result<Trace> {
     let name = std::str::from_utf8(name_bytes)
         .map_err(|_| fail("name is not utf-8"))?
         .to_string();
-    let count_u64 = buf.get_u64_le().ok_or_else(|| fail("truncated name"))?;
+    let count_u64 = buf
+        .get_u64_le()
+        .ok_or_else(|| fail("truncated record count"))?;
     let count = usize::try_from(count_u64).map_err(|_| fail("record count overflow"))?;
-    if buf.remaining() < count.saturating_mul(RECORD_BYTES) {
-        return Err(fail("truncated records"));
+    let body = count
+        .checked_mul(RECORD_BYTES)
+        .ok_or_else(|| fail("record count overflow"))?;
+    match buf.remaining().cmp(&body) {
+        std::cmp::Ordering::Less => return Err(fail("truncated records")),
+        std::cmp::Ordering::Greater => return Err(fail("trailing bytes after the last record")),
+        std::cmp::Ordering::Equal => {}
     }
     let mut requests = Vec::with_capacity(count);
     for _ in 0..count {
@@ -164,11 +172,21 @@ mod tests {
     #[test]
     fn truncated_stream_rejected() {
         let spec = WorkloadSpec::hotcold_demo();
-        let t = TraceGenerator::new(spec, 3).take_requests(100, &Geometry::tiny());
+        let t = TraceGenerator::new(spec, 3).take_requests(3, &Geometry::tiny());
         let mut buf = Vec::new();
         write_trace(&t, &mut buf).expect("write");
-        buf.truncate(buf.len() - 5);
-        assert!(read_trace(buf.as_slice()).is_err());
+        let count_at = 4 + 2 + t.name().len();
+        for len in 0..buf.len() {
+            let err = read_trace(&buf[..len]).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "prefix {len}");
+            if (count_at..count_at + 8).contains(&len) {
+                assert_eq!(err.to_string(), "truncated record count", "prefix {len}");
+            }
+        }
+        buf.push(0);
+        let err = read_trace(buf.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(err.to_string(), "trailing bytes after the last record");
     }
 
     #[test]

@@ -95,6 +95,10 @@ fn tier_sets(ranking: &[(PageId, u64)]) -> [HashSet<PageId>; TIERS] {
     sets
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "order-insensitive: only the size of the intersection is used"
+)]
 fn score_against_tiers(
     prediction: &HashSet<PageId>,
     tiers: &[HashSet<PageId>; TIERS],

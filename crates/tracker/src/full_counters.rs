@@ -81,6 +81,10 @@ impl FullCounters {
     /// The `n` most-accessed pages, highest first (deterministic tie-break
     /// by page id). Cheaper than `hot_pages()` when `n` is small because it
     /// avoids sorting the full touched set.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "order-insensitive: collected vec is fully ordered by select_nth + sort_hot (total tie-break)"
+    )]
     pub fn top_n(&self, n: usize) -> Vec<(PageId, u64)> {
         let mut v: Vec<(PageId, u64)> = self.counts.iter().map(|(&p, &c)| (p, c)).collect();
         let n = n.min(v.len());
@@ -108,6 +112,10 @@ impl ActivityTracker for FullCounters {
         }
     }
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "order-insensitive: sort_hot applies a total order with page-id tie-break"
+    )]
     fn hot_pages(&self) -> Vec<(PageId, u64)> {
         sort_hot(self.counts.iter().map(|(&p, &c)| (p, c)).collect())
     }

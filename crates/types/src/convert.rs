@@ -1,13 +1,12 @@
 //! Checked integer conversions for address arithmetic.
 //!
-//! The audit lint (`cargo run -p mempod-audit -- lint`) bans bare `as`
-//! casts in the address-arithmetic modules ([`addr`](crate::addr),
-//! [`geometry`](crate::geometry), and the DRAM address mapper): a silent
-//! truncation there turns into a wrong bank/row/pod, which the simulator
-//! happily models without ever crashing. Every width change instead routes
-//! through this module, where each conversion is either provably lossless
-//! (widening, with a compile-time guard on platform word size) or
-//! explicitly checked.
+//! The pipeline crates turn on clippy's `cast_possible_truncation`,
+//! `cast_sign_loss` and `cast_possible_wrap` (DESIGN.md §8): a silent
+//! truncation in address arithmetic turns into a wrong bank/row/pod, which
+//! the simulator happily models without ever crashing. Every width change
+//! instead routes through this module, where each conversion is either
+//! provably lossless (widening, with a compile-time guard on platform word
+//! size) or explicitly checked. It is the one module that may cast.
 //!
 //! Two flavors are provided for narrowing:
 //!
@@ -16,6 +15,11 @@
 //!   structurally bounded (e.g. a residue modulo a `u32` channel count),
 //!   where overflow is a programming error, and which remain usable in
 //!   `const fn` address math.
+
+#![expect(
+    clippy::cast_possible_truncation,
+    reason = "each narrowing cast here follows its own range check"
+)]
 
 use std::fmt;
 

@@ -14,9 +14,9 @@
 //!   frames + slow DDR frames, pages, pods).
 //! * [`config`] — the serializable top-level system configuration mirroring
 //!   Table 2 of the paper.
-//! * [`convert`] — checked integer conversions; the audit lint bans bare
-//!   `as` casts in address arithmetic, and these helpers are the sanctioned
-//!   route for width changes.
+//! * [`convert`] — checked integer conversions; clippy's cast lints ban
+//!   lossy `as` casts in the pipeline crates, and these helpers are the
+//!   sanctioned route for width changes.
 //! * [`hash`] — the seedless multiplicative hasher every integer-keyed
 //!   per-access map uses.
 //!
@@ -31,6 +31,18 @@
 //! assert_eq!(geo.pages_per_pod(), 1_179_648); // the paper's "1.1M" pages/pod
 //! assert_eq!(geo.tier_of_page(PageId(0)), Tier::Fast);
 //! ```
+
+// Shared-type rules (DESIGN.md §8): no lossy casts outside the
+// `convert` helpers, and every public item documented.
+#![cfg_attr(
+    not(test),
+    warn(
+        missing_docs,
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        clippy::cast_possible_wrap
+    )
+)]
 
 pub mod addr;
 pub mod config;

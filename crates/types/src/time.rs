@@ -204,6 +204,11 @@ impl Clock {
     ///
     /// Rounds up to the next picosecond so that a timing *constraint* of N
     /// cycles is never shortened by integer truncation.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a u64 picosecond count spans 213 days of simulated time; \
+                  the u128 product only guards the intermediate"
+    )]
     pub fn cycles_to_ps(self, cycles: u64) -> Picos {
         // cycles * 1e12 / (khz * 1e3) = cycles * 1e9 / khz
         let num = (cycles as u128) * 1_000_000_000u128;
@@ -212,6 +217,11 @@ impl Clock {
     }
 
     /// How many *complete* cycles fit in `span`.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "below 1 THz a span holds fewer cycles than picoseconds, \
+                  so the quotient fits the u64 span it came from"
+    )]
     pub fn ps_to_cycles(self, span: Picos) -> u64 {
         let num = (span.0 as u128) * (self.freq_khz as u128);
         (num / 1_000_000_000u128) as u64

@@ -1,7 +1,9 @@
 #!/bin/bash
-# Full verification pipeline: formatting, clippy at -D warnings, the
-# mempod-audit lint engine, the whole test suite, and the runtime
-# invariant auditor build. Exits non-zero on the first failing stage.
+# Full verification pipeline, run as-is by CI: formatting, clippy at
+# -D warnings (which also enforces the pipeline crates' source rules, see
+# clippy.toml), the whole test suite, the runtime invariant auditor build,
+# the release build and the benchmark smokes. Exits non-zero on the first
+# failing stage.
 set -eu
 cd "$(dirname "$0")"
 
@@ -22,9 +24,6 @@ step "cargo clippy (debug-invariants, -D warnings)" \
     cargo clippy --workspace --all-targets --offline \
     --features mempod-dram/debug-invariants,mempod-core/debug-invariants,mempod-sim/debug-invariants \
     -- -D warnings
-step "mempod-audit lint (--deny-new)" \
-    cargo run -q -p mempod-audit --offline -- lint --deny-new \
-    --report audit.report.json
 step "cargo test (workspace)" cargo test -q --workspace --offline
 # The slow suites CI also runs: among them tests/sharding.rs's 4 managers
 # x 4 shard counts, clean and faulted, the main shard-count-invariance
@@ -45,6 +44,7 @@ step "cargo test (debug-invariants, crate unit tests)" \
 # benchmark/Cargo.lock instead of rewriting it silently.
 step "cargo test (benchmark crate)" \
     cargo test -q --offline --locked --manifest-path benchmark/Cargo.toml
+step "cargo build --release" cargo build --release --offline
 
 # Telemetry-overhead smoke: the gate must pass — null-sink end-to-end
 # overhead < 2% at full scale, with noise headroom (< 5%) at the ~0.2s
@@ -104,8 +104,8 @@ step "simrun --timeline smoke" timeline_smoke
 # Trace smoke: a sharded, span-traced run must export a Perfetto-loadable
 # Chrome trace that survives tracelens's structural self-check (balanced
 # begin/end pairs, no inverted spans, no parse problems), and the JSONL
-# timeline of the same run must pass the same gate. CI uploads the Chrome
-# trace as an artifact.
+# timeline of the same run must pass the same gate, and the default
+# summary must render. CI uploads the Chrome trace as an artifact.
 trace_smoke() {
     cargo run -q --release -p mempod-bench --bin simrun --offline -- \
         --workload mix1 --manager mempod --requests 150000 --smoke \
@@ -115,6 +115,8 @@ trace_smoke() {
         trace.smoke.json --self-check
     cargo run -q --release -p mempod-bench --bin tracelens --offline -- \
         trace.smoke.jsonl --self-check
+    cargo run -q --release -p mempod-bench --bin tracelens --offline -- \
+        trace.smoke.json
     rm -f trace.smoke.jsonl
 }
 step "simrun --trace-out smoke (tracelens --self-check)" trace_smoke
