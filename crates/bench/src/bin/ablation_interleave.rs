@@ -6,7 +6,7 @@
 //!
 //! Run: `cargo run --release -p mempod-bench --bin ablation_interleave`
 
-use mempod_bench::{write_json, Opts, TextTable};
+use mempod_bench::{Opts, TextTable};
 use mempod_core::ManagerKind;
 use mempod_dram::Interleave;
 use mempod_sim::Simulator;
@@ -58,5 +58,5 @@ fn main() {
     println!("Line striping fans each within-page burst across all channels, so");
     println!("per-channel row-hit rates collapse toward the paper's low baselines.");
 
-    write_json("ablation_interleave", &serde_json::Value::Array(json));
+    opts.write_json("ablation_interleave", &serde_json::Value::Array(json));
 }

@@ -9,7 +9,7 @@
 //!
 //! Run: `cargo run --release -p mempod-bench --bin ablation_pods`
 
-use mempod_bench::{write_json, Opts, TextTable};
+use mempod_bench::{Opts, TextTable};
 use mempod_core::{EnergyModel, ManagerKind};
 use mempod_sim::{geometric_mean, Simulator};
 use mempod_types::Geometry;
@@ -94,5 +94,5 @@ fn main() {
     println!("Expected: 1 pod ≈ any-to-any flexibility but serial migration and");
     println!("global-distance energy; many pods restrict candidates per pod.");
 
-    write_json("ablation_pods", &serde_json::Value::Array(json));
+    opts.write_json("ablation_pods", &serde_json::Value::Array(json));
 }

@@ -8,7 +8,7 @@
 //!
 //! Run: `cargo run --release -p mempod-bench --bin ablation_tracker`
 
-use mempod_bench::{write_json, Opts, TextTable};
+use mempod_bench::{Opts, TextTable};
 use mempod_core::ManagerKind;
 use mempod_sim::{geometric_mean, Simulator};
 use mempod_types::TrackerKind;
@@ -102,5 +102,5 @@ fn main() {
     json.push(serde_json::json!({"config": "cameo_llp", "ammat_ns": llp_mean}));
 
     println!("{}", t.render());
-    write_json("ablation_tracker", &serde_json::Value::Array(json));
+    opts.write_json("ablation_tracker", &serde_json::Value::Array(json));
 }

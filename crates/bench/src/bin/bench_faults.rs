@@ -23,7 +23,7 @@
 //! (`--smoke` for the CI-scale pass writing `results/bench_faults.smoke.json`,
 //! `--requests N` / `--seed N` to rescope).
 
-use mempod_bench::{write_json, Opts, TextTable};
+use mempod_bench::{Opts, TextTable};
 use mempod_core::ManagerKind;
 use mempod_sim::{SimReport, Simulator};
 use mempod_telemetry::{NullSink, Telemetry};
@@ -141,10 +141,5 @@ fn main() {
                  baseline on the same trace; queue_depth_p99_worst is the maximum \
                  per-epoch queue-depth p99 across the telemetry timeline.",
     });
-    let name = if opts.smoke {
-        "bench_faults.smoke"
-    } else {
-        "bench_faults"
-    };
-    write_json(name, &json);
+    opts.write_json("bench_faults", &json);
 }

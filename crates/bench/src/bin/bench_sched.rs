@@ -2,6 +2,8 @@
 //! [`ChannelProbe`] attached, and full simulator runs with null-sink
 //! telemetry vs. none.
 //!
+//! [`ChannelProbe`]: mempod_dram::ChannelProbe
+//!
 //! For each queue depth, the benchmark floods one HBM channel with a
 //! migration-storm mix (64-line background page swaps plus a demand
 //! trickle), then wall-clock-times a full drain with and without the

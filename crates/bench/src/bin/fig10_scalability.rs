@@ -4,7 +4,7 @@
 //!
 //! Run: `cargo run --release -p mempod-bench --bin fig10_scalability`
 
-use mempod_bench::{group_means, write_json, Opts, TextTable};
+use mempod_bench::{group_means, Opts, TextTable};
 use mempod_core::ManagerKind;
 use mempod_sim::{normalize_to, SimReport, Simulator};
 
@@ -84,5 +84,5 @@ fn main() {
         .map(|(w, r)| (w.clone(), serde_json::to_value(r).expect("serializable")))
         .collect::<serde_json::Map<_, _>>()
         .into();
-    write_json("fig10_scalability", &json);
+    opts.write_json("fig10_scalability", &json);
 }

@@ -7,7 +7,7 @@
 //!
 //! Run: `cargo run --release -p mempod-bench --bin fig1_mea_counting`
 
-use mempod_bench::{group_means, write_json, Opts, TextTable};
+use mempod_bench::{group_means, Opts, TextTable};
 use mempod_tracker::{prediction_study, AccuracyReport};
 
 /// The paper's §3 study parameters.
@@ -60,5 +60,5 @@ fn main() {
         .map(|(w, r)| (w.clone(), serde_json::to_value(r).expect("serializable")))
         .collect::<serde_json::Map<_, _>>()
         .into();
-    write_json("fig1_mea_counting", &json);
+    opts.write_json("fig1_mea_counting", &json);
 }

@@ -7,7 +7,7 @@
 //!
 //! Run: `cargo run --release -p mempod-bench --bin fig2_mea_prediction`
 
-use mempod_bench::{group_means, write_json, Opts, TextTable};
+use mempod_bench::{group_means, Opts, TextTable};
 use mempod_tracker::{prediction_study, AccuracyReport};
 
 const INTERVAL: usize = 5500;
@@ -79,5 +79,5 @@ fn main() {
         .map(|(w, r)| (w.clone(), serde_json::to_value(r).expect("serializable")))
         .collect::<serde_json::Map<_, _>>()
         .into();
-    write_json("fig2_mea_prediction", &json);
+    opts.write_json("fig2_mea_prediction", &json);
 }

@@ -5,7 +5,7 @@
 //!
 //! Run: `cargo run --release -p mempod-bench --bin fig3_prediction_detail`
 
-use mempod_bench::{write_json, Opts, TextTable};
+use mempod_bench::{Opts, TextTable};
 use mempod_tracker::prediction_study;
 
 const INTERVAL: usize = 5500;
@@ -53,5 +53,5 @@ fn main() {
     println!("  bwaves      — both tiny; MEA > 0 via end-of-interval recency");
     println!("  lbm         — FC ranks finished pages (near zero); MEA scores");
 
-    write_json("fig3_prediction_detail", &serde_json::Value::Object(json));
+    opts.write_json("fig3_prediction_detail", &serde_json::Value::Object(json));
 }

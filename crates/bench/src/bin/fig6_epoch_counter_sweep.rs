@@ -4,7 +4,7 @@
 //!
 //! Run: `cargo run --release -p mempod-bench --bin fig6_epoch_counter_sweep`
 
-use mempod_bench::{write_json, Opts, TextTable};
+use mempod_bench::{Opts, TextTable};
 use mempod_core::ManagerKind;
 use mempod_sim::{geometric_mean, Simulator};
 use mempod_types::Picos;
@@ -65,7 +65,7 @@ fn main() {
     );
     println!("the low-AMMAT cells should lie along the matrix diagonal (constant migration rate).");
 
-    write_json(
+    opts.write_json(
         "fig6_epoch_counter_sweep",
         &serde_json::json!({
             "epochs_us": EPOCHS_US,

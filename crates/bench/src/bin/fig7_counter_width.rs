@@ -4,7 +4,7 @@
 //!
 //! Run: `cargo run --release -p mempod-bench --bin fig7_counter_width`
 
-use mempod_bench::{write_json, Opts, TextTable};
+use mempod_bench::{Opts, TextTable};
 use mempod_core::ManagerKind;
 use mempod_sim::geometric_mean;
 use mempod_sim::Simulator;
@@ -69,7 +69,7 @@ fn main() {
     let b = run_panel(&opts, n, 100, 128, "b");
     println!("Paper: differences are small; 2 bits best at 50us/64 counters,");
     println!("optimal width grows to ~4 bits at 100us/128 counters.");
-    write_json(
+    opts.write_json(
         "fig7_counter_width",
         &serde_json::json!({ "panel_a_50us_64": a, "panel_b_100us_128": b }),
     );

@@ -15,7 +15,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use mempod_bench::{group_means, write_json, Opts, TextTable};
+use mempod_bench::{group_means, Opts, TextTable};
 use mempod_core::ManagerKind;
 use mempod_sim::{normalize_to, try_run_jobs_with_progress, Job, JobState, RunProgress, SimReport};
 
@@ -215,5 +215,5 @@ fn main() {
         })
         .collect::<serde_json::Map<_, _>>()
         .into();
-    write_json("fig8_performance", &json);
+    opts.write_json("fig8_performance", &json);
 }

@@ -5,7 +5,7 @@
 //!
 //! Run: `cargo run --release -p mempod-bench --bin fig9_cache_sensitivity`
 
-use mempod_bench::{group_means, write_json, Opts, TextTable};
+use mempod_bench::{group_means, Opts, TextTable};
 use mempod_core::ManagerKind;
 use mempod_sim::{SimReport, Simulator};
 
@@ -107,5 +107,5 @@ fn main() {
     println!("Paper: with 16/32/64 KB MemPod improves 4/7/9% over TLM and stays ahead;");
     println!("cache impact vs cache-free is ~16/14/12% (MemPod), ~12/10/9% (THM).");
 
-    write_json("fig9_cache_sensitivity", &serde_json::Value::Array(json));
+    opts.write_json("fig9_cache_sensitivity", &serde_json::Value::Array(json));
 }

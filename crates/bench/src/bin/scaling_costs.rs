@@ -10,7 +10,7 @@
 //!
 //! Run: `cargo run --release -p mempod-bench --bin scaling_costs`
 
-use mempod_bench::{write_json, TextTable};
+use mempod_bench::{Opts, TextTable};
 use mempod_core::RemapTable;
 use mempod_types::Geometry;
 
@@ -19,6 +19,9 @@ fn tag_bits(n: u64) -> u64 {
 }
 
 fn main() {
+    // No option changes the computation; `--smoke` only redirects the
+    // results file.
+    let opts = Opts::from_args();
     println!("§6.3.4 — structure scaling for MemPod\n");
 
     // Panel A: scale by adding pods (capacity per pod constant).
@@ -86,7 +89,7 @@ fn main() {
     println!("-> the remap entry (and MEA tag) width grows only logarithmically:");
     println!("   8x the memory per pod costs 3 extra bits per entry.");
 
-    write_json(
+    opts.write_json(
         "scaling_costs",
         &serde_json::json!({ "add_pods": json_a, "grow_per_pod": json_b }),
     );

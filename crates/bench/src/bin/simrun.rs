@@ -35,9 +35,8 @@
 //! with status 2.
 
 use std::process::ExitCode;
-use std::str::FromStr;
 
-use mempod_bench::{write_json, Opts};
+use mempod_bench::{int, Opts};
 use mempod_core::ManagerKind;
 use mempod_sim::Simulator;
 use mempod_telemetry::{ChromeTraceSink, EventSink, FileSink, SpanConfig, TeeSink, Telemetry};
@@ -59,13 +58,6 @@ fn parse_manager(s: &str) -> Result<ManagerKind, String> {
             ))
         }
     })
-}
-
-/// Parses `value` as the integer argument of `flag`.
-fn int<T: FromStr>(flag: &str, value: &str) -> Result<T, String> {
-    value
-        .parse()
-        .map_err(|_| format!("{flag} expects an integer, got {value:?}"))
 }
 
 fn main() -> ExitCode {
@@ -308,7 +300,7 @@ fn run() -> Result<(), String> {
             meta.lookups
         );
     }
-    write_json(
+    opts.write_json(
         &format!("simrun_{}_{}", workload, report.manager),
         &serde_json::to_value(&report).expect("serializable"),
     );

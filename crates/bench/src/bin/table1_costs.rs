@@ -2,7 +2,7 @@
 //!
 //! Run: `cargo run --release -p mempod-bench --bin table1_costs`
 
-use mempod_bench::{write_json, Opts, TextTable};
+use mempod_bench::{Opts, TextTable};
 use mempod_core::storage_cost_table;
 
 fn human(bytes: u64) -> String {
@@ -53,7 +53,7 @@ fn main() {
     );
     println!("(paper: ~712x and ~12800x at the 1+8 GB configuration)");
 
-    write_json(
+    opts.write_json(
         "table1_costs",
         &serde_json::to_value(&rows).expect("serializable"),
     );

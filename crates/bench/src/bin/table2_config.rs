@@ -2,7 +2,7 @@
 //!
 //! Run: `cargo run --release -p mempod-bench --bin table2_config`
 
-use mempod_bench::{write_json, Opts, TextTable};
+use mempod_bench::{Opts, TextTable};
 use mempod_dram::DramTiming;
 
 fn main() {
@@ -53,7 +53,7 @@ fn main() {
         sys.epoch
     );
 
-    write_json(
+    opts.write_json(
         "table2_config",
         &serde_json::json!({
             "system": sys,

@@ -2,10 +2,13 @@
 //!
 //! Run: `cargo run --release -p mempod-bench --bin table3_mixes`
 
-use mempod_bench::{write_json, TextTable};
+use mempod_bench::{Opts, TextTable};
 use mempod_trace::{mix_composition, mix_names, BENCHMARKS};
 
 fn main() {
+    // No option changes the computation; `--smoke` only redirects the
+    // results file.
+    let opts = Opts::from_args();
     println!("Table 3 — mixed workloads (normalized to 8 cores; see rustdoc of");
     println!("mempod_trace::mixes for the truncate/cycle normalization rule)\n");
 
@@ -44,5 +47,5 @@ fn main() {
         .map(|(m, c)| (m.to_string(), serde_json::json!(c)))
         .collect::<serde_json::Map<_, _>>()
         .into();
-    write_json("table3_mixes", &json);
+    opts.write_json("table3_mixes", &json);
 }

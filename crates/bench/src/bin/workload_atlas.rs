@@ -4,7 +4,7 @@
 //!
 //! Run: `cargo run --release -p mempod-bench --bin workload_atlas`
 
-use mempod_bench::{write_json, Opts, TextTable};
+use mempod_bench::{Opts, TextTable};
 use mempod_trace::TraceStats;
 
 fn main() {
@@ -46,5 +46,5 @@ fn main() {
     println!("Signatures to check: libquantum fp/HBM < 1 (fits); bwaves/lbm/mcf >> 1;");
     println!("cactus/xalanc high top64 share; mcf low same-page runs (pointer chase).");
 
-    write_json("workload_atlas", &serde_json::Value::Object(json));
+    opts.write_json("workload_atlas", &serde_json::Value::Object(json));
 }

@@ -38,40 +38,55 @@ pub struct Opts {
 }
 
 impl Opts {
-    /// Parses `--smoke`, `--requests N`, `--workloads a,b,c`, `--seed N`.
-    ///
-    /// # Panics
-    ///
-    /// Panics with a usage message on malformed arguments.
+    /// Parses `--smoke`, `--requests N`, `--workloads a,b,c` (`all` names
+    /// the whole suite) and `--seed N` from the process arguments. Bad
+    /// input prints `error: ...` and exits with status 2, as `simrun` and
+    /// `tracelens` do.
     pub fn from_args() -> Self {
+        match Self::parse(std::env::args().skip(1)) {
+            Ok(opts) => opts,
+            Err(msg) => {
+                eprintln!("error: {msg}");
+                std::process::exit(2);
+            }
+        }
+    }
+
+    /// The argument parser behind [`Opts::from_args`]: the message for an
+    /// unknown flag or workload, or a missing, non-integer or zero value.
+    fn parse(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
         let mut opts = Opts {
             smoke: false,
             requests: None,
             workloads: None,
             seed: 7,
         };
-        let mut args = std::env::args().skip(1);
+        let mut args = args.into_iter();
         while let Some(a) = args.next() {
+            let mut val = || args.next().ok_or_else(|| format!("{a} needs a value"));
             match a.as_str() {
                 "--smoke" => opts.smoke = true,
-                "--requests" => {
-                    let v = args.next().expect("--requests needs a value");
-                    opts.requests = Some(v.parse().expect("--requests must be an integer"));
-                }
+                "--requests" => match int(&a, &val()?)? {
+                    0 => return Err(format!("{a} must be at least 1")),
+                    n => opts.requests = Some(n),
+                },
                 "--workloads" => {
-                    let v = args.next().expect("--workloads needs a value");
-                    opts.workloads = Some(v.split(',').map(str::to_string).collect());
+                    let names: Vec<String> = val()?.split(',').map(str::to_string).collect();
+                    if let Some(bad) = names.iter().find(|n| *n != "all" && lookup(n).is_none()) {
+                        return Err(format!("unknown workload {bad:?}"));
+                    }
+                    opts.workloads = Some(names);
                 }
-                "--seed" => {
-                    let v = args.next().expect("--seed needs a value");
-                    opts.seed = v.parse().expect("--seed must be an integer");
+                "--seed" => opts.seed = int(&a, &val()?)?,
+                other => {
+                    return Err(format!(
+                        "unknown argument {other:?}; expected --smoke, --requests N, \
+                         --workloads a,b,c, --seed N"
+                    ))
                 }
-                other => panic!(
-                    "unknown argument {other}; expected --smoke, --requests N, --workloads a,b,c, --seed N"
-                ),
             }
         }
-        opts
+        Ok(opts)
     }
 
     /// The system configuration at this scale.
@@ -93,37 +108,38 @@ impl Opts {
     }
 
     /// Resolves the workload list: explicit `--workloads`, else `default`.
+    /// `all` expands to the whole 29-workload suite, and a workload named
+    /// twice runs once.
     ///
     /// # Panics
     ///
-    /// Panics if a named workload does not exist.
+    /// Panics if a named workload does not exist ([`Opts::from_args`]
+    /// rejects those).
     pub fn workload_specs(&self, default: &[&str]) -> Vec<WorkloadSpec> {
-        let names: Vec<String> = match &self.workloads {
-            Some(v) => v.clone(),
-            None => default.iter().map(|s| s.to_string()).collect(),
+        let names: Vec<&str> = match &self.workloads {
+            Some(v) => v.iter().map(String::as_str).collect(),
+            None => default.to_vec(),
         };
-        names
-            .iter()
-            .map(|n| {
-                if n == "all" {
-                    unreachable!("expand 'all' before calling workload_specs")
-                } else {
-                    WorkloadSpec::homogeneous(n)
-                        .or_else(|| WorkloadSpec::mix(n))
-                        .unwrap_or_else(|| panic!("unknown workload {n}"))
+        let mut specs: Vec<WorkloadSpec> = Vec::new();
+        for n in names {
+            let named = if n == "all" {
+                WorkloadSpec::all_workloads()
+            } else {
+                vec![lookup(n).unwrap_or_else(|| panic!("unknown workload {n}"))]
+            };
+            for spec in named {
+                if !specs.iter().any(|s| s.name() == spec.name()) {
+                    specs.push(spec);
                 }
-            })
-            .collect()
-    }
-
-    /// The complete 29-workload suite, or a short list under `--smoke`.
-    pub fn full_suite(&self) -> Vec<WorkloadSpec> {
-        if let Some(v) = &self.workloads {
-            if !(v.len() == 1 && v[0] == "all") {
-                return self.workload_specs(&[]);
             }
         }
-        if self.smoke {
+        specs
+    }
+
+    /// The complete 29-workload suite, or a short list under `--smoke`;
+    /// an explicit `--workloads` list replaces either.
+    pub fn full_suite(&self) -> Vec<WorkloadSpec> {
+        if self.smoke || self.workloads.is_some() {
             self.workload_specs(&["gcc", "bwaves", "mix5"])
         } else {
             WorkloadSpec::all_workloads()
@@ -132,13 +148,10 @@ impl Opts {
 
     /// A representative medium subset used by the parameter sweeps.
     pub fn sweep_suite(&self) -> Vec<WorkloadSpec> {
-        if self.workloads.is_some() {
-            return self.workload_specs(&[]);
-        }
-        let names = if self.smoke {
-            vec!["gcc", "mix5"]
+        if self.smoke {
+            self.workload_specs(&["gcc", "mix5"])
         } else {
-            vec![
+            self.workload_specs(&[
                 "gcc",
                 "xalanc",
                 "cactus",
@@ -146,16 +159,8 @@ impl Opts {
                 "libquantum",
                 "mix5",
                 "mix9",
-            ]
-        };
-        names
-            .iter()
-            .map(|n| {
-                WorkloadSpec::homogeneous(n)
-                    .or_else(|| WorkloadSpec::mix(n))
-                    .expect("known workload")
-            })
-            .collect()
+            ])
+        }
     }
 
     /// Simulation config for one manager at this experiment scale.
@@ -180,23 +185,46 @@ impl Opts {
             TraceGenerator::new(spec.clone(), self.seed).take_requests(requests, &sys.geometry),
         )
     }
+
+    /// Where [`Opts::write_json`] saves `name`.
+    fn results_path(&self, name: &str) -> PathBuf {
+        let scale = if self.smoke { ".smoke" } else { "" };
+        PathBuf::from("results").join(format!("{name}{scale}.json"))
+    }
+
+    /// Writes a JSON value to `results/<name>.json`, or to
+    /// `results/<name>.smoke.json` under `--smoke` so a CI-scale pass never
+    /// overwrites full-scale results (creating the directory).
+    ///
+    /// # Panics
+    ///
+    /// Panics on I/O errors — experiment results must not be silently lost.
+    pub fn write_json(&self, name: &str, value: &serde_json::Value) {
+        let path = self.results_path(name);
+        std::fs::create_dir_all("results").expect("create results dir");
+        std::fs::write(
+            &path,
+            serde_json::to_string_pretty(value).expect("serialize"),
+        )
+        .expect("write results file");
+        println!("\n[saved {}]", path.display());
+    }
 }
 
-/// Writes a JSON value into `results/<name>.json` (creating the directory).
+/// A homogeneous workload or a Table 3 mix, by name.
+fn lookup(name: &str) -> Option<WorkloadSpec> {
+    WorkloadSpec::homogeneous(name).or_else(|| WorkloadSpec::mix(name))
+}
+
+/// Parses `value` as the integer argument of `flag`.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics on I/O errors — experiment results must not be silently lost.
-pub fn write_json(name: &str, value: &serde_json::Value) {
-    let dir = PathBuf::from("results");
-    std::fs::create_dir_all(&dir).expect("create results dir");
-    let path = dir.join(format!("{name}.json"));
-    std::fs::write(
-        &path,
-        serde_json::to_string_pretty(value).expect("serialize"),
-    )
-    .expect("write results file");
-    println!("\n[saved {}]", path.display());
+/// Returns `"<flag> expects an integer, got <value>"`.
+pub fn int<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
+    value
+        .parse()
+        .map_err(|_| format!("{flag} expects an integer, got {value:?}"))
 }
 
 /// Simple fixed-width table printer for experiment output.
@@ -333,5 +361,79 @@ mod tests {
         assert_eq!(o.requests_or(6_000_000), 120_000);
         assert_eq!(o.full_suite().len(), 3);
         assert!(o.system().geometry.total_bytes() < 1 << 30);
+    }
+
+    fn parse(args: &[&str]) -> Result<Opts, String> {
+        Opts::parse(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn smoke_results_never_overwrite_full_scale_ones() {
+        let full = parse(&[]).expect("no args");
+        let smoke = parse(&["--smoke"]).expect("smoke");
+        assert_eq!(
+            full.results_path("fig8"),
+            PathBuf::from("results/fig8.json")
+        );
+        assert_eq!(
+            smoke.results_path("fig8"),
+            PathBuf::from("results/fig8.smoke.json")
+        );
+    }
+
+    #[test]
+    fn all_expands_to_the_whole_suite() {
+        let names = |o: &Opts| -> Vec<String> {
+            o.sweep_suite()
+                .iter()
+                .map(|s| s.name().to_string())
+                .collect()
+        };
+        let suite: Vec<String> = WorkloadSpec::all_workloads()
+            .iter()
+            .map(|s| s.name().to_string())
+            .collect();
+        let all = parse(&["--workloads", "all"]).expect("all");
+        assert_eq!(names(&all), suite);
+        assert_eq!(all.full_suite().len(), 29);
+        // A workload also covered by `all` runs once, in first-named order.
+        let gcc_all = parse(&["--smoke", "--workloads", "gcc,all"]).expect("gcc,all");
+        let got = names(&gcc_all);
+        assert_eq!(got.len(), 29);
+        assert_eq!(got[0], "gcc");
+        assert_eq!(gcc_all.full_suite().len(), 29);
+    }
+
+    #[test]
+    fn bad_arguments_are_errors() {
+        let err = |args: &[&str]| parse(args).expect_err("rejected");
+        assert!(err(&["--bogus"]).starts_with("unknown argument \"--bogus\""));
+        assert_eq!(err(&["--requests"]), "--requests needs a value");
+        assert_eq!(
+            err(&["--requests", "abc"]),
+            "--requests expects an integer, got \"abc\""
+        );
+        assert_eq!(err(&["--requests", "0"]), "--requests must be at least 1");
+        assert_eq!(
+            err(&["--seed", "-1"]),
+            "--seed expects an integer, got \"-1\""
+        );
+        assert_eq!(
+            err(&["--workloads", "gcc,nope"]),
+            "unknown workload \"nope\""
+        );
+        let ok = parse(&[
+            "--smoke",
+            "--requests",
+            "9",
+            "--seed",
+            "3",
+            "--workloads",
+            "mix1",
+        ])
+        .expect("valid");
+        assert!(ok.smoke);
+        assert_eq!((ok.requests, ok.seed), (Some(9), 3));
+        assert_eq!(ok.workload_specs(&[]).len(), 1);
     }
 }

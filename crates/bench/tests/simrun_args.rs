@@ -1,10 +1,12 @@
-//! `simrun` and `tracelens` reject bad command-line input and unusable
-//! files with an `error:` line and exit status 2, never a panic.
+//! `simrun`, `tracelens` and the `Opts`-driven experiment binaries reject
+//! bad command-line input and unusable files with an `error:` line and
+//! exit status 2, never a panic.
 
 use std::process::Command;
 
 const SIMRUN: &str = env!("CARGO_BIN_EXE_simrun");
 const TRACELENS: &str = env!("CARGO_BIN_EXE_tracelens");
+const TABLE2: &str = env!("CARGO_BIN_EXE_table2_config");
 
 /// Runs the binary at `bin` with `args` and asserts a clean input error
 /// whose message contains `expected`.
@@ -129,4 +131,20 @@ fn tracelens_input_errors_are_clean() {
     assert_input_error(TRACELENS, &["--bogus"], "unknown argument \"--bogus\"");
     assert_input_error(TRACELENS, &[], "missing FILE");
     assert_input_error(TRACELENS, &["--self-check"], "missing FILE");
+}
+
+#[test]
+fn experiment_binary_input_errors_are_clean() {
+    // Every figure and table binary parses its flags through `Opts`.
+    assert_input_error(TABLE2, &["--bogus"], "unknown argument \"--bogus\"");
+    assert_input_error(
+        TABLE2,
+        &["--requests", "abc"],
+        "--requests expects an integer, got \"abc\"",
+    );
+    assert_input_error(
+        TABLE2,
+        &["--workloads", "nope"],
+        "unknown workload \"nope\"",
+    );
 }

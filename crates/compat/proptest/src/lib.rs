@@ -5,7 +5,7 @@
 //! * the [`proptest!`] macro with an optional
 //!   `#![proptest_config(ProptestConfig::with_cases(n))]` inner attribute
 //!   and `name in strategy` argument bindings;
-//! * range strategies over integers and `f64`, plus [`Just`];
+//! * range strategies over integers and `f64`, plus [`Just`](strategy::Just);
 //! * [`prop_assert!`], [`prop_assert_eq!`], [`prop_assert_ne!`].
 //!
 //! Unlike the real proptest there is no shrinking: a failing case panics

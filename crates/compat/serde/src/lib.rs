@@ -5,13 +5,13 @@
 //! API-compatible subsets under `crates/compat/`. This crate implements the
 //! serde surface the workspace actually uses:
 //!
-//! * [`Serialize`] / [`Deserialize`] traits over a concrete JSON-like
-//!   [`Value`] data model (instead of serde's visitor architecture);
-//! * `#[derive(Serialize, Deserialize)]` via the sibling `serde_derive`
-//!   proc-macro crate, honouring `#[serde(transparent)]`,
-//!   `#[serde(skip)]` and `#[serde(default)]`;
-//! * the [`de::DeserializeOwned`] marker bound.
+//! * the [`Serialize`] trait over a concrete JSON-like [`Value`] data
+//!   model (instead of serde's visitor architecture);
+//! * `#[derive(Serialize)]` via the sibling `serde_derive` proc-macro
+//!   crate, honouring `#[serde(transparent)]` and `#[serde(skip)]`.
 //!
+//! Serialization only: the workspace writes typed values and reads JSON
+//! back solely as an untyped [`Value`], so there is no typed reading half.
 //! The sibling `serde_json` crate re-exports [`Value`]/[`Map`] and adds
 //! text rendering/parsing on top of this data model.
 
@@ -19,14 +19,14 @@ pub mod value;
 
 pub use value::{Map, Number, Value};
 
-// The derive macros live in the macro namespace, the traits in the type
-// namespace; both can be re-exported under the same names, exactly as the
+// The derive macro lives in the macro namespace, the trait in the type
+// namespace; both can be re-exported under the same name, exactly as the
 // real serde does with its `derive` feature.
-pub use serde_derive::{Deserialize, Serialize};
+pub use serde_derive::Serialize;
 
 use std::fmt;
 
-/// Serialization/deserialization failure.
+/// A JSON rendering or parsing failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Error {
     msg: String,
@@ -55,30 +55,6 @@ pub trait Serialize {
     fn to_value(&self) -> Value;
 }
 
-/// A type that can be reconstructed from the [`Value`] data model.
-pub trait Deserialize: Sized {
-    /// Reconstructs `Self` from a [`Value`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error`] if the value's shape does not match `Self`.
-    fn deserialize(v: &Value) -> Result<Self, Error>;
-}
-
-/// The `serde::de` module: owned-deserialization marker bound.
-pub mod de {
-    /// Marker for types deserializable without borrowing from the input.
-    /// In this vendored subset every [`Deserialize`](crate::Deserialize)
-    /// type qualifies.
-    pub trait DeserializeOwned: crate::Deserialize {}
-    impl<T: crate::Deserialize> DeserializeOwned for T {}
-}
-
-/// The `serde::ser` module, for parity with upstream paths.
-pub mod ser {
-    pub use crate::{Error, Serialize};
-}
-
 macro_rules! impl_int {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
@@ -88,26 +64,6 @@ macro_rules! impl_int {
                     Value::Number(Number::U64(*self as u64))
                 } else {
                     Value::Number(Number::I64(*self as i64))
-                }
-            }
-        }
-        impl Deserialize for $t {
-            fn deserialize(v: &Value) -> Result<Self, Error> {
-                match v {
-                    Value::Number(Number::U64(n)) => {
-                        <$t>::try_from(*n).map_err(Error::custom)
-                    }
-                    Value::Number(Number::I64(n)) => {
-                        <$t>::try_from(*n).map_err(Error::custom)
-                    }
-                    Value::Number(Number::F64(n))
-                        if n.fract() == 0.0 && *n >= 0.0 =>
-                    {
-                        <$t>::try_from(*n as u64).map_err(Error::custom)
-                    }
-                    other => Err(Error::custom(format!(
-                        "expected integer, got {other:?}"
-                    ))),
                 }
             }
         }
@@ -122,27 +78,9 @@ impl Serialize for bool {
     }
 }
 
-impl Deserialize for bool {
-    fn deserialize(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Bool(b) => Ok(*b),
-            other => Err(Error::custom(format!("expected bool, got {other:?}"))),
-        }
-    }
-}
-
 impl Serialize for f64 {
     fn to_value(&self) -> Value {
         Value::Number(Number::F64(*self))
-    }
-}
-
-impl Deserialize for f64 {
-    fn deserialize(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Number(n) => Ok(n.as_f64()),
-            other => Err(Error::custom(format!("expected number, got {other:?}"))),
-        }
     }
 }
 
@@ -152,42 +90,15 @@ impl Serialize for f32 {
     }
 }
 
-impl Deserialize for f32 {
-    fn deserialize(v: &Value) -> Result<Self, Error> {
-        f64::deserialize(v).map(|x| x as f32)
-    }
-}
-
 impl Serialize for String {
     fn to_value(&self) -> Value {
         Value::String(self.clone())
     }
 }
 
-impl Deserialize for String {
-    fn deserialize(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::String(s) => Ok(s.clone()),
-            other => Err(Error::custom(format!("expected string, got {other:?}"))),
-        }
-    }
-}
-
 impl Serialize for str {
     fn to_value(&self) -> Value {
         Value::String(self.to_string())
-    }
-}
-
-impl Deserialize for &'static str {
-    /// Leaks the string to obtain `'static` — acceptable because the only
-    /// such fields in this workspace are benchmark names on config types,
-    /// deserialized a handful of times per process.
-    fn deserialize(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::String(s) => Ok(Box::leak(s.clone().into_boxed_str())),
-            other => Err(Error::custom(format!("expected string, got {other:?}"))),
-        }
     }
 }
 
@@ -212,27 +123,9 @@ impl<T: Serialize> Serialize for Option<T> {
     }
 }
 
-impl<T: Deserialize> Deserialize for Option<T> {
-    fn deserialize(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Null => Ok(None),
-            other => T::deserialize(other).map(Some),
-        }
-    }
-}
-
 impl<T: Serialize> Serialize for Vec<T> {
     fn to_value(&self) -> Value {
         Value::Array(self.iter().map(Serialize::to_value).collect())
-    }
-}
-
-impl<T: Deserialize> Deserialize for Vec<T> {
-    fn deserialize(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Array(items) => items.iter().map(T::deserialize).collect(),
-            other => Err(Error::custom(format!("expected array, got {other:?}"))),
-        }
     }
 }
 
@@ -245,19 +138,6 @@ impl<T: Serialize> Serialize for [T] {
 impl<T: Serialize, const N: usize> Serialize for [T; N] {
     fn to_value(&self) -> Value {
         Value::Array(self.iter().map(Serialize::to_value).collect())
-    }
-}
-
-impl<T: Deserialize, const N: usize> Deserialize for [T; N] {
-    fn deserialize(v: &Value) -> Result<Self, Error> {
-        let items = match v {
-            Value::Array(items) => items,
-            other => return Err(Error::custom(format!("expected array, got {other:?}"))),
-        };
-        let parsed: Vec<T> = items.iter().map(T::deserialize).collect::<Result<_, _>>()?;
-        parsed.try_into().map_err(|bad: Vec<T>| {
-            Error::custom(format!("expected {N} elements, got {}", bad.len()))
-        })
     }
 }
 
@@ -278,25 +158,15 @@ impl<A: Serialize, B: Serialize, C: Serialize> Serialize for (A, B, C) {
 }
 
 /// Types usable as JSON object keys (JSON keys are always strings, so
-/// integer keys round-trip through their decimal rendering, exactly as
-/// serde_json does).
-pub trait MapKey: Sized {
+/// integer keys render as their decimal text, exactly as serde_json does).
+pub trait MapKey {
     /// Renders the key for the JSON object.
     fn to_key(&self) -> String;
-    /// Parses the key back.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error`] if `key` does not parse as `Self`.
-    fn from_key(key: &str) -> Result<Self, Error>;
 }
 
 impl MapKey for String {
     fn to_key(&self) -> String {
         self.clone()
-    }
-    fn from_key(key: &str) -> Result<Self, Error> {
-        Ok(key.to_string())
     }
 }
 
@@ -305,9 +175,6 @@ macro_rules! impl_int_key {
         impl MapKey for $t {
             fn to_key(&self) -> String {
                 self.to_string()
-            }
-            fn from_key(key: &str) -> Result<Self, Error> {
-                key.parse().map_err(Error::custom)
             }
         }
     )*};
@@ -328,65 +195,44 @@ impl<K: MapKey, V: Serialize, S> Serialize for std::collections::HashMap<K, V, S
     }
 }
 
-impl<K, V, S> Deserialize for std::collections::HashMap<K, V, S>
-where
-    K: MapKey + std::hash::Hash + Eq,
-    V: Deserialize,
-    S: std::hash::BuildHasher + Default,
-{
-    fn deserialize(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Object(m) => m
-                .iter()
-                .map(|(k, v)| Ok((K::from_key(k)?, V::deserialize(v)?)))
-                .collect(),
-            other => Err(Error::custom(format!("expected object, got {other:?}"))),
-        }
-    }
-}
-
 impl Serialize for Value {
     fn to_value(&self) -> Value {
         self.clone()
     }
 }
 
-impl Deserialize for Value {
-    fn deserialize(v: &Value) -> Result<Self, Error> {
-        Ok(v.clone())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
     #[test]
-    fn primitives_round_trip() {
+    fn primitives_map_onto_the_value_model() {
         assert_eq!(42u64.to_value(), Value::Number(Number::U64(42)));
-        assert_eq!(u64::deserialize(&42u64.to_value()), Ok(42));
-        assert_eq!(bool::deserialize(&true.to_value()), Ok(true));
-        assert_eq!(
-            String::deserialize(&"hi".to_string().to_value()),
-            Ok("hi".to_string())
-        );
-        assert_eq!(f64::deserialize(&1.5f64.to_value()), Ok(1.5));
+        assert_eq!((-3i32).to_value(), Value::Number(Number::I64(-3)));
+        assert_eq!(true.to_value(), Value::Bool(true));
+        assert_eq!("hi".to_value(), Value::String("hi".to_string()));
+        assert_eq!(1.5f64.to_value(), Value::Number(Number::F64(1.5)));
     }
 
     #[test]
-    fn containers_round_trip() {
-        let v = vec![1u32, 2, 3];
-        assert_eq!(Vec::<u32>::deserialize(&v.to_value()), Ok(v));
-        let o: Option<u64> = None;
-        assert_eq!(o.to_value(), Value::Null);
-        assert_eq!(Option::<u64>::deserialize(&Value::Null), Ok(None));
-        assert_eq!(Option::<u64>::deserialize(&7u64.to_value()), Ok(Some(7)));
+    fn containers_map_onto_the_value_model() {
+        let nums =
+            |ns: &[u64]| Value::Array(ns.iter().map(|&n| Value::Number(Number::U64(n))).collect());
+        assert_eq!(vec![1u32, 2, 3].to_value(), nums(&[1, 2, 3]));
+        assert_eq!([4u8, 5].to_value(), nums(&[4, 5]));
+        assert_eq!(None::<u64>.to_value(), Value::Null);
+        assert_eq!(Some(7u64).to_value(), 7u64.to_value());
     }
 
     #[test]
-    fn mismatch_is_an_error() {
-        assert!(u64::deserialize(&Value::Bool(true)).is_err());
-        assert!(bool::deserialize(&Value::Null).is_err());
-        assert!(u8::deserialize(&300u64.to_value()).is_err());
+    fn hash_map_keys_render_sorted_as_text() {
+        let m: HashMap<u32, bool> = [(10, true), (2, false), (33, true)].into_iter().collect();
+        let Value::Object(obj) = m.to_value() else {
+            panic!("maps serialize to objects");
+        };
+        let keys: Vec<&String> = obj.keys().collect();
+        assert_eq!(keys, ["10", "2", "33"]);
+        assert_eq!(obj.get("2"), Some(&Value::Bool(false)));
     }
 }

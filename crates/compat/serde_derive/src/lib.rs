@@ -1,4 +1,4 @@
-//! `#[derive(Serialize, Deserialize)]` for the vendored serde subset.
+//! `#[derive(Serialize)]` for the vendored serde subset.
 //!
 //! The real serde_derive pulls in syn + quote, neither of which is
 //! available offline, so this crate parses the item token stream by hand.
@@ -7,7 +7,7 @@
 //! * structs with named fields, tuple structs, unit structs;
 //! * enums whose variants are unit, tuple, or struct-like;
 //! * container attribute `#[serde(transparent)]`;
-//! * field attributes `#[serde(skip)]` and `#[serde(default)]`.
+//! * field attribute `#[serde(skip)]`.
 //!
 //! Generics are intentionally unsupported — the derive panics with a clear
 //! message at compile time if it meets a `<` after the type name.
@@ -28,7 +28,6 @@ struct Field {
     /// Field name for named fields, decimal index for tuple fields.
     accessor: String,
     skip: bool,
-    default: bool,
 }
 
 /// The field layout of a struct or enum variant.
@@ -55,7 +54,6 @@ enum Kind {
 struct SerdeAttrs {
     transparent: bool,
     skip: bool,
-    default: bool,
 }
 
 /// Consumes leading `#[...]` attribute groups, returning any serde
@@ -83,7 +81,6 @@ fn take_attrs(tokens: &[TokenTree], pos: &mut usize) -> SerdeAttrs {
                         match flag.to_string().as_str() {
                             "transparent" => attrs.transparent = true,
                             "skip" => attrs.skip = true,
-                            "default" => attrs.default = true,
                             other => panic!(
                                 "serde_derive (vendored): unsupported \
                                  #[serde({other})] attribute"
@@ -150,7 +147,6 @@ fn parse_named_fields(stream: TokenStream) -> Vec<Field> {
         fields.push(Field {
             accessor: name.to_string(),
             skip: attrs.skip,
-            default: attrs.default,
         });
     }
     fields
@@ -169,7 +165,6 @@ fn parse_tuple_fields(stream: TokenStream) -> Vec<Field> {
         fields.push(Field {
             accessor: index.to_string(),
             skip: attrs.skip,
-            default: attrs.default,
         });
         index += 1;
     }
@@ -229,7 +224,7 @@ fn parse_item(input: TokenStream) -> Item {
         if p.as_char() == '<' {
             panic!(
                 "serde_derive (vendored): generic type `{name}` is not \
-                 supported; write manual Serialize/Deserialize impls"
+                 supported; write a manual Serialize impl"
             );
         }
     }
@@ -289,77 +284,6 @@ fn shape_to_value(shape: &Shape, access: &dyn Fn(&str) -> String) -> String {
                 ));
             }
             code.push_str("::serde::Value::Object(__m) }");
-            code
-        }
-    }
-}
-
-/// Deserialize expression building a value of `path` (a type or variant
-/// path) from the object/value expression `src` for this shape.
-fn shape_from_value(shape: &Shape, path: &str, src: &str) -> String {
-    match shape {
-        Shape::Unit => format!("Ok({path})"),
-        Shape::Tuple(fields) => {
-            let live: Vec<&Field> = fields.iter().filter(|f| !f.skip).collect();
-            if live.len() == 1 && fields.len() == 1 {
-                format!("Ok({path}(::serde::Deserialize::deserialize({src})?))")
-            } else {
-                // Longer tuples deserialize from arrays, positionally;
-                // skipped fields take their default.
-                let mut code = format!(
-                    "{{ let __a = match {src} {{ \
-                       ::serde::Value::Array(a) => a, \
-                       _ => return Err(::serde::Error::custom(\
-                           \"expected array\")) }}; Ok({path}("
-                );
-                let mut live_idx = 0usize;
-                for f in fields {
-                    if f.skip {
-                        code.push_str("::std::default::Default::default(), ");
-                    } else {
-                        code.push_str(&format!(
-                            "::serde::Deserialize::deserialize(\
-                             __a.get({live_idx}).unwrap_or(&::serde::Value::Null))?, "
-                        ));
-                        live_idx += 1;
-                    }
-                }
-                code.push_str(")) }");
-                code
-            }
-        }
-        Shape::Named(fields) => {
-            let mut code = format!(
-                "{{ let __m = match {src} {{ \
-                   ::serde::Value::Object(m) => m, \
-                   _ => return Err(::serde::Error::custom(\
-                       \"expected object\")) }}; Ok({path} {{ "
-            );
-            for f in fields {
-                if f.skip {
-                    code.push_str(&format!(
-                        "{}: ::std::default::Default::default(), ",
-                        f.accessor
-                    ));
-                } else if f.default {
-                    code.push_str(&format!(
-                        "{0}: match __m.get(\"{0}\") {{ \
-                           Some(v) => ::serde::Deserialize::deserialize(v)?, \
-                           None => ::std::default::Default::default() }}, ",
-                        f.accessor
-                    ));
-                } else {
-                    // A missing key behaves like an explicit null, so
-                    // Option fields tolerate omission and everything else
-                    // reports a type mismatch.
-                    code.push_str(&format!(
-                        "{0}: ::serde::Deserialize::deserialize(\
-                           __m.get(\"{0}\").unwrap_or(&::serde::Value::Null))?, ",
-                        f.accessor
-                    ));
-                }
-            }
-            code.push_str("}) }");
             code
         }
     }
@@ -433,73 +357,4 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
     )
     .parse()
     .expect("serde_derive (vendored): generated Serialize impl parses")
-}
-
-#[proc_macro_derive(Deserialize, attributes(serde))]
-pub fn derive_deserialize(input: TokenStream) -> TokenStream {
-    let item = parse_item(input);
-    let name = &item.name;
-    let body = match &item.kind {
-        Kind::Struct(Shape::Named(fields)) if item.transparent => {
-            let live: Vec<&Field> = fields.iter().filter(|f| !f.skip).collect();
-            match live[..] {
-                [f] => {
-                    let mut init =
-                        format!("{}: ::serde::Deserialize::deserialize(__v)?, ", f.accessor);
-                    for skipped in fields.iter().filter(|f| f.skip) {
-                        init.push_str(&format!(
-                            "{}: ::std::default::Default::default(), ",
-                            skipped.accessor
-                        ));
-                    }
-                    format!("Ok({name} {{ {init} }})")
-                }
-                _ => panic!(
-                    "serde_derive (vendored): transparent needs exactly one \
-                     non-skipped field"
-                ),
-            }
-        }
-        Kind::Struct(shape) => shape_from_value(shape, name, "__v"),
-        Kind::Enum(variants) => {
-            let mut unit_arms = String::new();
-            let mut data_arms = String::new();
-            for (vname, shape) in variants {
-                match shape {
-                    Shape::Unit => {
-                        unit_arms.push_str(&format!("\"{vname}\" => Ok({name}::{vname}),\n"))
-                    }
-                    _ => data_arms.push_str(&format!(
-                        "if let Some(__inner) = __m.get(\"{vname}\") {{ \
-                           return {}; }}\n",
-                        shape_from_value(shape, &format!("{name}::{vname}"), "__inner")
-                    )),
-                }
-            }
-            format!(
-                "match __v {{\n\
-                   ::serde::Value::String(__s) => match __s.as_str() {{\n\
-                     {unit_arms}\n\
-                     __other => Err(::serde::Error::custom(format!(\n\
-                       \"unknown variant `{{__other}}` of {name}\"))),\n\
-                   }},\n\
-                   ::serde::Value::Object(__m) => {{\n\
-                     {data_arms}\n\
-                     Err(::serde::Error::custom(\n\
-                       \"unknown data variant of {name}\"))\n\
-                   }},\n\
-                   _ => Err(::serde::Error::custom(\n\
-                     \"expected string or object for enum {name}\")),\n\
-                 }}"
-            )
-        }
-    };
-    format!(
-        "impl ::serde::Deserialize for {name} {{\n\
-           fn deserialize(__v: &::serde::Value) \
-             -> ::std::result::Result<Self, ::serde::Error> {{ {body} }}\n\
-         }}"
-    )
-    .parse()
-    .expect("serde_derive (vendored): generated Deserialize impl parses")
 }

@@ -43,12 +43,16 @@ pub fn to_string_pretty<T: Serialize>(value: T) -> Result<String, Error> {
     Ok(out)
 }
 
-/// Parses JSON text into a `T`.
+/// Parses JSON text into a [`Value`].
+///
+/// JSON is only ever read back untyped; the type parameter exists so
+/// upstream-style calls (`from_str::<Value>(..)`, or a `Value` inferred
+/// from the binding) compile unchanged.
 ///
 /// # Errors
 ///
-/// Returns [`Error`] on malformed JSON or a shape mismatch with `T`.
-pub fn from_str<T: serde::Deserialize>(s: &str) -> Result<T, Error> {
+/// Returns [`Error`] on malformed JSON.
+pub fn from_str<T: From<Value>>(s: &str) -> Result<T, Error> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
@@ -59,7 +63,7 @@ pub fn from_str<T: serde::Deserialize>(s: &str) -> Result<T, Error> {
     if p.pos != p.bytes.len() {
         return Err(Error::custom("trailing characters after JSON value"));
     }
-    T::deserialize(&v)
+    Ok(T::from(v))
 }
 
 fn write_escaped(out: &mut String, s: &str) {

@@ -5,13 +5,13 @@
 //! trigger and driver classification.
 
 use mempod_types::Geometry;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::manager::ManagerKind;
 use crate::remap::RemapTable;
 
 /// One row of the Table 1 comparison.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct CostRow {
     /// Mechanism.
     pub mechanism: String,

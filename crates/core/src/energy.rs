@@ -15,7 +15,7 @@
 //! hierarchy.
 
 use mempod_types::LINE_SIZE;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::manager::{ManagerKind, MigrationStats};
 use crate::migration::Migration;
@@ -25,7 +25,7 @@ use crate::migration::Migration;
 /// Defaults are in line with published DRAM energy figures (HBM ≈ 4 pJ/bit
 /// access+IO, DDR4 ≈ 15–20 pJ/bit; on-chip link ≈ 1 pJ/bit/hop scaled to
 /// bytes).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct EnergyModel {
     /// Array + IO energy per byte read or written in the fast tier.
     pub fast_pj_per_byte: f64,

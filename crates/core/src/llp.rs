@@ -11,10 +11,10 @@
 //! by a hash of the *group* id: groups whose fast slot keeps servicing
 //! accesses train toward "fast-resident", thrashing groups train away.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Prediction statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct LlpStats {
     /// Total predictions made.
     pub predictions: u64,

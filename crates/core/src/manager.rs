@@ -2,7 +2,7 @@
 
 use mempod_types::convert::usize_from_u32;
 use mempod_types::{FrameId, Geometry, MemRequest, Picos, TrackerKind};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 use crate::cameo::CameoManager;
@@ -15,7 +15,7 @@ use crate::statics::StaticManager;
 use crate::thm::ThmManager;
 
 /// Which migration mechanism manages the two-level memory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum ManagerKind {
     /// The paper's contribution (§5).
     MemPod,
@@ -72,7 +72,7 @@ impl fmt::Display for ManagerKind {
 }
 
 /// Configuration shared by all managers (each reads the fields it needs).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ManagerConfig {
     /// Memory layout.
     pub geometry: Geometry,
@@ -188,7 +188,7 @@ impl AccessOutcome {
 }
 
 /// Aggregate migration accounting.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct MigrationStats {
     /// Number of swaps performed.
     pub migrations: u64,
@@ -200,7 +200,6 @@ pub struct MigrationStats {
     pub intervals: u64,
     /// Migrations rolled back after exhausting their fault-retry budget
     /// (0 unless a fault plan injects migration aborts).
-    #[serde(default)]
     pub aborted: u64,
 }
 

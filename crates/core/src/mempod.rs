@@ -11,7 +11,7 @@
 //! * the eviction candidate scan is a **clock hand** over the pod's fast
 //!   frames: "starts at the very first fast memory location and iterates
 //!   sequentially until it detects a page address that is not in the set of
-//!   hottest pages. For the next migration [it] simply continues where it
+//!   hottest pages. For the next migration \[it\] simply continues where it
 //!   left off" (§5.2) — which is also what co-locates simultaneously-hot
 //!   pages in the same DRAM row (the libquantum effect, §6.3.2);
 //! * an optional per-pod metadata cache holds remap entries (§6.3.3).

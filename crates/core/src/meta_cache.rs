@@ -11,10 +11,10 @@
 //! counters, segment id for THM).
 
 use mempod_types::convert::usize_from_u64;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Hit/miss counters for a [`MetaCache`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct MetaCacheStats {
     /// Total lookups.
     pub lookups: u64,

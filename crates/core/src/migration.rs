@@ -2,7 +2,7 @@
 
 use mempod_types::convert::{self, u64_from_u32, u64_from_usize};
 use mempod_types::{FrameId, PageId, LINES_PER_PAGE, LINE_SIZE};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Lines exchanged per direction by a full-page swap.
 ///
@@ -22,7 +22,7 @@ const _: () = assert!(convert::usize_from_u32(PAGE_SWAP_LINES) == LINES_PER_PAGE
 /// `line_start = 0, line_count = 32` — the paper's "32 read requests for
 /// each of the two migration candidates and then another set of 32 requests
 /// for each of the two write-backs" (§6.2). CAMEO swaps a single line.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct Migration {
     /// One frame of the swap.
     pub frame_a: FrameId,
@@ -43,7 +43,6 @@ pub struct Migration {
     /// does not expose a count. Recorded so provenance ledgers can keep the
     /// "MEA count at decision" without re-querying tracker state that the
     /// epoch boundary may already have reset.
-    #[serde(default)]
     pub hotness: u64,
 }
 

@@ -29,10 +29,10 @@ use std::collections::HashMap;
 
 use mempod_types::convert::{u32_from_u64, u64_from_usize, u8_from_u64, usize_from_u32};
 use mempod_types::BuildPageHasher;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// How units are assigned to groups.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
 pub enum SegmentLayout {
     /// CAMEO-style congruence groups: members stride by the fast-unit count.
     #[default]

@@ -34,12 +34,12 @@ use mempod_faults::ChannelFaultStream;
 use mempod_telemetry::Log2Histogram;
 use mempod_types::convert::usize_from_u32;
 use mempod_types::{ChannelFaultKind, Picos};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::timing::DramTiming;
 
 /// Opaque per-request token assigned by the caller, echoed at completion.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub struct ReqToken(pub u64);
 
 /// How long a demand request may wait before it overrides row-hit priority.
@@ -54,7 +54,7 @@ const BACKGROUND_STARVATION_BOUND: Picos = Picos::from_us(2);
 /// Memory controllers service demand (CPU) traffic ahead of background data
 /// movement; MemPod's migration driver lives beside the MCs and its swap
 /// traffic yields to demand accesses (paper §4.4/§5.3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum Priority {
     /// Foreground CPU traffic (and metadata fetches gating it).
     Demand,
@@ -149,7 +149,7 @@ enum RowOutcome {
 }
 
 /// Aggregated channel statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
 pub struct ChannelStats {
     /// Read requests serviced.
     pub reads: u64,
@@ -170,17 +170,14 @@ pub struct ChannelStats {
     /// All-bank refresh operations performed.
     pub refreshes: u64,
     /// Scheduling decisions taken (one per serviced request).
-    #[serde(default)]
     pub sched_decisions: u64,
     /// The queue depth (both classes) at each scheduling decision, summed:
     /// the number of requests every decision chose from. The pick stops
     /// early, so this bounds the entries it examines rather than counting
     /// them.
-    #[serde(default)]
     pub sched_scan_ops: u64,
     /// Injected channel faults applied (at most one per fault window; 0
     /// unless a fault stream is attached).
-    #[serde(default)]
     pub faults_injected: u64,
 }
 

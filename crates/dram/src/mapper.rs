@@ -14,10 +14,10 @@
 
 use mempod_types::convert::{u32_from_u64, u64_from_u32, u64_from_usize, usize_from_u32};
 use mempod_types::{FrameId, Tier, LINE_SIZE, PAGE_SIZE};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// How addresses interleave across a tier's channels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
 pub enum Interleave {
     /// Page-frame granularity: a frame's 32 lines share one channel/row.
     /// Keeps pods channel-aligned (the co-design of paper §5.3) and is the
@@ -33,7 +33,7 @@ pub enum Interleave {
 }
 
 /// A fully decoded physical location of one 64 B line.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct PhysLoc {
     /// Global channel index (fast channels first, then slow).
     pub channel: u32,
@@ -48,7 +48,7 @@ pub struct PhysLoc {
 }
 
 /// Decodes frames/lines into [`PhysLoc`]s for a two-tier channel layout.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct AddressMapper {
     fast_frames: u64,
     fast_channels: u32,

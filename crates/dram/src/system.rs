@@ -7,14 +7,14 @@
 
 use mempod_types::convert::{u32_from_u64, u64_from_usize, usize_from_u32};
 use mempod_types::{AccessKind, FrameId, Picos, Tier, LINES_PER_PAGE, PAGE_SIZE};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::channel::{Channel, ChannelProbe, ChannelStats, Priority, ReqToken};
 use crate::mapper::{AddressMapper, Interleave};
 use crate::timing::DramTiming;
 
 /// Capacity/channel/timing description of a complete memory system.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct MemLayout {
     /// Number of fast-tier page frames (frames `0..fast_frames`).
     pub fast_frames: u64,
@@ -31,7 +31,6 @@ pub struct MemLayout {
     /// Fixed controller + interconnect latency added to each access.
     pub ctrl_latency: Picos,
     /// Channel interleaving granularity.
-    #[serde(default)]
     pub interleave: Interleave,
 }
 
@@ -117,7 +116,7 @@ impl MemLayout {
 }
 
 /// A completed memory access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct Completion {
     /// The token returned by [`MemorySystem::submit`].
     pub token: ReqToken,
@@ -130,7 +129,7 @@ pub struct Completion {
 }
 
 /// System-wide statistics, split by tier.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
 pub struct SystemStats {
     /// Aggregate over fast channels.
     pub fast: ChannelStats,

@@ -13,7 +13,7 @@
 //! widening the fast:slow latency differential.
 
 use mempod_types::{Clock, Picos};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Timing and organization parameters of one DRAM technology.
 ///
@@ -34,7 +34,7 @@ use serde::{Deserialize, Serialize};
 /// let ddr = DramTiming::ddr4_1600();
 /// assert!(ddr.row_miss_floor() > hbm.row_miss_floor());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct DramTiming {
     /// Human-readable technology name ("HBM", "DDR4-1600", ...). Not
     /// serialized (defaults to "" after deserialization); purely a label.

@@ -4,7 +4,7 @@
 use mempod_core::{ManagerConfig, ManagerKind};
 use mempod_dram::{DramTiming, MemLayout};
 use mempod_types::{FaultConfig, Picos, SystemConfig, TrackerKind};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::error::Error;
 use std::fmt;
 
@@ -66,7 +66,7 @@ impl Error for SimError {}
 /// // HMA's 100 ms interval is auto-scaled to the 36 MB test geometry.
 /// assert!(cfg.mgr.hma_interval < mempod_types::Picos::from_ms(100));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SimConfig {
     /// Which migration mechanism to simulate.
     pub manager: ManagerKind,
@@ -77,9 +77,7 @@ pub struct SimConfig {
     /// Slow-tier DRAM timing.
     pub slow_timing: DramTiming,
     /// Deterministic fault-injection plan seed and rates (`None`, the
-    /// default, runs fault-free; `default` keeps pre-fault configs
-    /// deserializable).
-    #[serde(default)]
+    /// default, runs fault-free).
     pub faults: Option<FaultConfig>,
 }
 

@@ -4,7 +4,7 @@ use mempod_core::{ManagerKind, MetaCacheStats, MigrationStats};
 use mempod_dram::SystemStats;
 use mempod_telemetry::EpochSnapshot;
 use mempod_types::Picos;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::provenance::ProvenanceSummary;
 
@@ -12,7 +12,7 @@ use crate::provenance::ProvenanceSummary;
 ///
 /// All zeros / false for a run without an active fault plan, so the
 /// summary is free to carry unconditionally on every report.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct FaultSummary {
     /// Migrations the fault plan selected for at least one mid-swap abort.
     pub migration_faults: u64,
@@ -35,7 +35,7 @@ pub struct FaultSummary {
 }
 
 /// Everything one simulation run measured.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SimReport {
     /// Workload name.
     pub workload: String,
@@ -58,13 +58,10 @@ pub struct SimReport {
     /// DRAM-level statistics (row hits, tier service split, ...).
     pub mem_stats: SystemStats,
     /// Fault-injection and recovery accounting (all zeros when no fault
-    /// plan was active; `default` keeps pre-fault reports deserializable).
-    #[serde(default)]
+    /// plan was active).
     pub faults: FaultSummary,
     /// Page provenance totals and hottest-page histories (`None` unless
-    /// the run had telemetry attached; `default` keeps pre-provenance
-    /// reports deserializable).
-    #[serde(default)]
+    /// the run had telemetry attached).
     pub provenance: Option<ProvenanceSummary>,
     /// Per-epoch snapshots retained by the telemetry ring (empty unless the
     /// run had telemetry attached; the full series streams to the JSONL

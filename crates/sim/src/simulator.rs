@@ -15,7 +15,7 @@
 //! * a metadata-cache miss injects one read to the backing store in fast
 //!   memory (paper §6.3.3); the access parks on the fetch.
 //!
-//! The engine state machine itself lives in [`crate::shard`]; this module
+//! The engine state machine itself lives in the `shard` module; this module
 //! drives it through one event loop. The memory system is split into
 //! per-pod/per-channel residue classes ([`MemorySystem::into_shards`])
 //! that tick independently between deterministic barriers: the main

@@ -3,10 +3,10 @@
 //! The paper's claims are temporal — per-epoch hot-set churn (§3),
 //! migration traffic over time, epoch-boundary remap activity — so the
 //! simulator needs more than end-of-run aggregates. This crate provides
-//! the three observability primitives the rest of the workspace wires in:
+//! the observability primitives the rest of the workspace wires in:
 //!
-//! * a [`MetricRegistry`] of counters/gauges/[`Log2Histogram`]s with cheap
-//!   pre-registered index handles (no hashing on the record path);
+//! * [`Log2Histogram`]s, the cheap queue-depth distributions behind the
+//!   per-epoch percentiles;
 //! * [`EpochSnapshot`]s — derived per-epoch metrics pushed into a bounded
 //!   [`SnapshotRing`] and streamed to the sink;
 //! * structured [`Event`]s (migration start/complete, remap swaps,
@@ -60,7 +60,7 @@ pub mod span;
 
 pub use chrome::ChromeTraceSink;
 pub use event::{Event, EventKind};
-pub use metrics::{CounterId, GaugeId, HistogramId, Log2Histogram, MetricRegistry, LOG2_BUCKETS};
+pub use metrics::{Log2Histogram, LOG2_BUCKETS};
 pub use phase::PhaseClock;
 pub use ring::{EpochSnapshot, SnapshotRing};
 pub use sink::{DiscardSink, EventSink, FileSink, MemorySink, NullSink, TeeSink};
@@ -69,8 +69,7 @@ pub use span::{SpanConfig, SpanName, SpanRecord, SPAN_NONE};
 /// Default number of epoch snapshots retained in memory.
 pub const DEFAULT_RING_CAPACITY: usize = 1024;
 
-/// The facade a producer holds: registry + ring + sink behind one enabled
-/// flag.
+/// The facade a producer holds: ring + sink behind one enabled flag.
 ///
 /// A disabled `Telemetry` ([`Telemetry::disabled`]) makes every emit a
 /// branch on a bool; an enabled one with a [`NullSink`] still skips event
@@ -79,8 +78,6 @@ pub const DEFAULT_RING_CAPACITY: usize = 1024;
 #[derive(Debug)]
 pub struct Telemetry {
     enabled: bool,
-    /// Pre-registered metrics.
-    pub registry: MetricRegistry,
     /// Recent epoch snapshots.
     pub ring: SnapshotRing,
     sink: Box<dyn EventSink>,
@@ -99,7 +96,6 @@ impl Telemetry {
     pub fn disabled() -> Self {
         Telemetry {
             enabled: false,
-            registry: MetricRegistry::new(),
             ring: SnapshotRing::new(0),
             sink: Box::new(NullSink),
             spans: None,
@@ -115,7 +111,6 @@ impl Telemetry {
     pub fn with_sink(sink: Box<dyn EventSink>) -> Self {
         Telemetry {
             enabled: true,
-            registry: MetricRegistry::new(),
             ring: SnapshotRing::new(DEFAULT_RING_CAPACITY),
             sink,
             spans: None,

@@ -1,15 +1,8 @@
-//! Metric primitives: counters, gauges and log2-bucket histograms behind a
-//! registry with cheap pre-registered handles.
-//!
-//! The registry is built for hot loops: registration happens once up front
-//! and returns a plain index ([`CounterId`] / [`GaugeId`] / [`HistogramId`]),
-//! so recording is an array indexing plus an add — no hashing, no string
-//! comparison, no allocation. Snapshot readers (the epoch driver, report
-//! assembly) pull cumulative values and diff them between epochs.
+//! The log2-bucket histogram behind the per-epoch queue-depth
+//! percentiles: recording is a leading-zeros count plus an add, and the
+//! epoch driver diffs cumulative histograms between epochs.
 
-use std::collections::HashMap;
-
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Number of log2 buckets: bucket `b` holds values whose bit length is `b`
 /// (value 0 in bucket 0, 1 in bucket 1, 2–3 in bucket 2, ... up to bucket
@@ -39,7 +32,7 @@ pub const LOG2_BUCKETS: usize = 65;
 /// let p99 = h.value_at_quantile(0.99).unwrap();
 /// assert!(1 <= p50 && p50 <= p99 && p99 <= 100);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Log2Histogram {
     buckets: [u64; LOG2_BUCKETS],
     count: u64,
@@ -177,123 +170,6 @@ impl Log2Histogram {
     }
 }
 
-/// Handle to a registered counter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CounterId(usize);
-
-/// Handle to a registered gauge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GaugeId(usize);
-
-/// Handle to a registered histogram.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HistogramId(usize);
-
-/// A registry of named metrics with index handles.
-///
-/// # Examples
-///
-/// ```
-/// use mempod_telemetry::MetricRegistry;
-///
-/// let mut reg = MetricRegistry::new();
-/// let c = reg.counter("sim.requests");
-/// reg.inc(c, 3);
-/// assert_eq!(reg.counter_value(c), 3);
-/// ```
-#[derive(Debug, Default)]
-pub struct MetricRegistry {
-    counter_names: Vec<&'static str>,
-    counters: Vec<u64>,
-    gauge_names: Vec<&'static str>,
-    gauges: Vec<u64>,
-    hist_names: Vec<&'static str>,
-    hists: Vec<Log2Histogram>,
-}
-
-impl MetricRegistry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Registers (or looks up) a counter named `name`.
-    pub fn counter(&mut self, name: &'static str) -> CounterId {
-        if let Some(i) = self.counter_names.iter().position(|n| *n == name) {
-            return CounterId(i);
-        }
-        self.counter_names.push(name);
-        self.counters.push(0);
-        CounterId(self.counters.len() - 1)
-    }
-
-    /// Registers (or looks up) a gauge named `name`.
-    pub fn gauge(&mut self, name: &'static str) -> GaugeId {
-        if let Some(i) = self.gauge_names.iter().position(|n| *n == name) {
-            return GaugeId(i);
-        }
-        self.gauge_names.push(name);
-        self.gauges.push(0);
-        GaugeId(self.gauges.len() - 1)
-    }
-
-    /// Registers (or looks up) a histogram named `name`.
-    pub fn histogram(&mut self, name: &'static str) -> HistogramId {
-        if let Some(i) = self.hist_names.iter().position(|n| *n == name) {
-            return HistogramId(i);
-        }
-        self.hist_names.push(name);
-        self.hists.push(Log2Histogram::new());
-        HistogramId(self.hists.len() - 1)
-    }
-
-    /// Adds `by` to a counter.
-    #[inline]
-    pub fn inc(&mut self, id: CounterId, by: u64) {
-        self.counters[id.0] += by;
-    }
-
-    /// Sets a gauge.
-    #[inline]
-    pub fn set(&mut self, id: GaugeId, v: u64) {
-        self.gauges[id.0] = v;
-    }
-
-    /// Records a histogram sample.
-    #[inline]
-    pub fn record(&mut self, id: HistogramId, v: u64) {
-        self.hists[id.0].record(v);
-    }
-
-    /// Current counter value.
-    pub fn counter_value(&self, id: CounterId) -> u64 {
-        self.counters[id.0]
-    }
-
-    /// Current gauge value.
-    pub fn gauge_value(&self, id: GaugeId) -> u64 {
-        self.gauges[id.0]
-    }
-
-    /// Borrow of a histogram.
-    pub fn histogram_ref(&self, id: HistogramId) -> &Log2Histogram {
-        &self.hists[id.0]
-    }
-
-    /// All counters and gauges by name (gauges share the namespace), for
-    /// snapshot assembly.
-    pub fn scalars(&self) -> HashMap<String, u64> {
-        let mut out = HashMap::new();
-        for (n, v) in self.counter_names.iter().zip(self.counters.iter()) {
-            out.insert((*n).to_string(), *v);
-        }
-        for (n, v) in self.gauge_names.iter().zip(self.gauges.iter()) {
-            out.insert((*n).to_string(), *v);
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -361,27 +237,5 @@ mod tests {
         let back = merged.diff(&a);
         assert_eq!(back.count(), b.count());
         assert_eq!(back.sum(), b.sum());
-    }
-
-    #[test]
-    fn registry_handles_are_stable_and_deduplicated() {
-        let mut reg = MetricRegistry::new();
-        let a = reg.counter("x");
-        let b = reg.counter("y");
-        let a2 = reg.counter("x");
-        assert_eq!(a, a2);
-        assert_ne!(a, b);
-        reg.inc(a, 2);
-        reg.inc(b, 5);
-        let g = reg.gauge("depth");
-        reg.set(g, 9);
-        let h = reg.histogram("lat");
-        reg.record(h, 100);
-        assert_eq!(reg.counter_value(a), 2);
-        assert_eq!(reg.gauge_value(g), 9);
-        assert_eq!(reg.histogram_ref(h).count(), 1);
-        let scalars = reg.scalars();
-        assert_eq!(scalars["x"], 2);
-        assert_eq!(scalars["depth"], 9);
     }
 }

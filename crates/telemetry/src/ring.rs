@@ -3,14 +3,14 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One epoch's worth of derived metrics.
 ///
 /// Cumulative fields carry their value *as of the epoch boundary*; `_delta`
 /// fields cover the window since the previous snapshot (which spans several
 /// epochs when the trace was idle — see [`EpochSnapshot::epochs_elapsed`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct EpochSnapshot {
     /// Epoch index at this boundary (`floor(t / epoch_len)`).
     pub epoch: u64,

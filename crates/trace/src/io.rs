@@ -88,7 +88,7 @@ pub fn write_trace<W: Write>(trace: &Trace, mut w: W) -> io::Result<()> {
     w.write_all(&buf)
 }
 
-/// Deserializes a trace from a reader.
+/// Reads a trace from a reader.
 ///
 /// # Errors
 ///

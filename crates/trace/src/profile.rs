@@ -21,10 +21,10 @@
 //! * `xalanc` — skewed with *fast* phase rotation: adaptivity pays.
 //! * `mcf` — enormous pointer-chasing footprint, flat-ish skew.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// How a benchmark walks its footprint.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub enum AccessStyle {
     /// Sequential cursor over the whole footprint, wrapping around. Small
     /// footprints therefore *loop* (libquantum); large ones *stream*
@@ -44,7 +44,7 @@ pub enum AccessStyle {
 }
 
 /// A parameterized synthetic benchmark.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct BenchProfile {
     /// Benchmark name (matches the paper's Table 3 rows).
     pub name: &'static str,

@@ -8,12 +8,12 @@
 use std::collections::HashMap;
 
 use mempod_types::{Geometry, PAGE_SIZE};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::trace::Trace;
 
 /// Aggregate characterization of one trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct TraceStats {
     /// Requests analyzed.
     pub requests: u64,

@@ -17,7 +17,7 @@
 use std::collections::HashSet;
 
 use mempod_types::PageId;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::{sort_hot, ActivityTracker, FullCounters, MeaTracker};
 
@@ -27,7 +27,7 @@ pub const TIERS: usize = 3;
 pub const TIER_WIDTH: usize = 10;
 
 /// Hits (or identification counts) on each tier, plus the opportunity count.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
 pub struct TierScore {
     /// Raw hits per tier, summed over intervals.
     pub hits: [u64; TIERS],
@@ -56,7 +56,7 @@ impl TierScore {
 }
 
 /// The complete §3 study for one workload.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct AccuracyReport {
     /// Fig. 1: MEA's identification of the past interval's top tiers.
     pub mea_counting: TierScore,

@@ -13,10 +13,10 @@
 //! a segment.
 
 use mempod_types::PageId;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// What a [`CompetingCounter`] decided after observing one access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum CompetingOutcome {
     /// No migration triggered.
     None,
@@ -44,7 +44,7 @@ pub enum CompetingOutcome {
 ///     CompetingOutcome::Swap { winner: PageId(9) }
 /// );
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct CompetingCounter {
     challenger: Option<PageId>,
     count: u32,

@@ -23,13 +23,13 @@
 
 use mempod_types::convert::u64_from_usize;
 use mempod_types::PageId;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::{sort_hot, ActivityTracker};
 
 /// Counts of each MEA hardware operation, for micro-benchmarks and the
 /// single-cycle-feasibility discussion in the paper's §3.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct MeaOpStats {
     /// Operation (1): increment an existing entry.
     pub increments: u64,

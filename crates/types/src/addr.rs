@@ -14,7 +14,7 @@
 //! Keeping these as separate newtypes means a remap table that accidentally
 //! returns a page where a frame is required simply does not compile.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 use crate::convert::u64_from_usize;
@@ -32,9 +32,7 @@ use crate::geometry::{LINE_SIZE, PAGE_SIZE};
 /// assert_eq!(a.line(), LineId(2 * 32 + 2));
 /// assert_eq!(a.page_offset(), 130);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize)]
 #[serde(transparent)]
 pub struct Addr(pub u64);
 
@@ -79,9 +77,7 @@ impl From<u64> for Addr {
 }
 
 /// A 2 KB page identifier in the original address space.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize)]
 #[serde(transparent)]
 pub struct PageId(pub u64);
 
@@ -109,9 +105,7 @@ impl fmt::Display for PageId {
 }
 
 /// A 64 B cache-line identifier in the original address space.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize)]
 #[serde(transparent)]
 pub struct LineId(pub u64);
 
@@ -149,9 +143,7 @@ impl fmt::Display for LineId {
 /// fast-tier frame count are HBM frames, the rest are off-chip DDR frames
 /// (see [`Geometry`](crate::geometry::Geometry) for the split and for
 /// pod-local numbering).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize)]
 #[serde(transparent)]
 pub struct FrameId(pub u64);
 

@@ -49,36 +49,15 @@ impl fmt::Display for GeometryError {
 impl Error for GeometryError {}
 
 /// Runtime failures inside the simulation engine, each carrying enough
-/// context (which shard, which pod, which migration, which resource) to
-/// locate the failure without a debugger. These are *recoverable* errors:
-/// the engine's policy is to degrade (one-shard replay, rollback,
-/// lock-state reconstruction) rather than abort the process.
+/// context (which shard) to locate the failure without a debugger. These
+/// are *recoverable* errors: the engine's policy is to degrade (one-shard
+/// replay) rather than abort the process.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EngineError {
     /// A shard worker thread panicked mid-batch.
     ShardWorkerPanicked {
         /// Index of the shard whose worker died.
         shard: u32,
-    },
-    /// A migration exhausted its retries and was rolled back.
-    MigrationAborted {
-        /// Pod performing the swap, if the manager is pod-clustered.
-        pod: Option<u32>,
-        /// One frame of the abandoned swap.
-        frame_a: u64,
-        /// The other frame.
-        frame_b: u64,
-    },
-    /// A channel fault left a DRAM channel in a degraded state.
-    ChannelDegraded {
-        /// Global channel index.
-        channel: u32,
-    },
-    /// A mutex was poisoned by a panicking holder; the state was
-    /// reconstructed from the poisoned guard.
-    LockPoisoned {
-        /// Which shared resource the lock guarded.
-        resource: &'static str,
     },
 }
 
@@ -87,23 +66,6 @@ impl fmt::Display for EngineError {
         match self {
             EngineError::ShardWorkerPanicked { shard } => {
                 write!(f, "shard {shard} worker panicked mid-batch")
-            }
-            EngineError::MigrationAborted {
-                pod,
-                frame_a,
-                frame_b,
-            } => match pod {
-                Some(p) => write!(
-                    f,
-                    "migration {frame_a}<->{frame_b} in pod {p} aborted permanently"
-                ),
-                None => write!(f, "migration {frame_a}<->{frame_b} aborted permanently"),
-            },
-            EngineError::ChannelDegraded { channel } => {
-                write!(f, "channel {channel} degraded by an injected fault")
-            }
-            EngineError::LockPoisoned { resource } => {
-                write!(f, "lock for {resource} was poisoned and recovered")
             }
         }
     }
@@ -131,38 +93,10 @@ mod tests {
 
     #[test]
     fn engine_errors_carry_their_context() {
-        let cases: Vec<(EngineError, &[&str])> = vec![
-            (
-                EngineError::ShardWorkerPanicked { shard: 3 },
-                &["shard 3", "panicked"],
-            ),
-            (
-                EngineError::MigrationAborted {
-                    pod: Some(2),
-                    frame_a: 17,
-                    frame_b: 40,
-                },
-                &["17", "40", "pod 2"],
-            ),
-            (
-                EngineError::MigrationAborted {
-                    pod: None,
-                    frame_a: 5,
-                    frame_b: 9,
-                },
-                &["5", "9"],
-            ),
-            (
-                EngineError::ChannelDegraded { channel: 11 },
-                &["channel 11"],
-            ),
-            (
-                EngineError::LockPoisoned {
-                    resource: "result slots",
-                },
-                &["result slots", "poisoned"],
-            ),
-        ];
+        let cases: Vec<(EngineError, &[&str])> = vec![(
+            EngineError::ShardWorkerPanicked { shard: 3 },
+            &["shard 3", "panicked"],
+        )];
         for (e, needles) in cases {
             let s = e.to_string();
             for needle in needles {

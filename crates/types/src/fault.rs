@@ -18,7 +18,7 @@
 //! * **runner faults** — a shard worker panic, contained at the epoch
 //!   barrier and recovered by degrading to a one-shard replay.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::time::Picos;
 
@@ -30,7 +30,7 @@ pub const PPM: u64 = 1_000_000;
 ///
 /// All rates are expressed in parts per million ([`PPM`]); a rate of 0
 /// disables that fault class. The default config injects nothing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct FaultConfig {
     /// Seed every fault decision is derived from.
     pub seed: u64,
@@ -85,7 +85,7 @@ impl Default for FaultConfig {
 /// A forced shard-worker panic: shard `shard % shard_count` panics when it
 /// runs its `batch`-th barrier batch. Only runs with more than one
 /// effective shard inject it; a one-shard run ignores it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct WorkerPanic {
     /// Target shard (taken modulo the effective shard count).
     pub shard: u32,
@@ -94,7 +94,7 @@ pub struct WorkerPanic {
 }
 
 /// The planned outcome for one faulted migration, decided at admission.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct MigrationFaultSpec {
     /// Number of attempts that abort mid-swap (at least 1).
     pub failed_attempts: u32,
@@ -103,7 +103,7 @@ pub struct MigrationFaultSpec {
 }
 
 /// Why a migration attempt aborted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum FaultCause {
     /// A transient failure of the migration datapath.
     Transient,
@@ -113,7 +113,7 @@ pub enum FaultCause {
 }
 
 /// A timing perturbation injected into one DRAM channel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum ChannelFaultKind {
     /// The data bus blacks out for the given extra duration.
     LatencySpike(Picos),
@@ -127,6 +127,7 @@ pub enum ChannelFaultKind {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde_json::{json, Value};
 
     #[test]
     fn quiet_config_is_inactive() {
@@ -161,24 +162,49 @@ mod tests {
             channel_window: Picos::from_us(2),
             worker_panic: Some(WorkerPanic { shard: 1, batch: 9 }),
         };
-        let json = serde_json::to_string(cfg).expect("serialize");
-        let back: FaultConfig = serde_json::from_str(&json).expect("deserialize");
-        assert_eq!(cfg, back);
+        // Written JSON is only ever read back untyped: pin the parsed
+        // shape, field order included.
+        let parsed = |text: String| -> Value { serde_json::from_str(&text).expect("valid JSON") };
+        assert_eq!(
+            parsed(serde_json::to_string(cfg).expect("serialize")),
+            json!({
+                "seed": 42,
+                "migration_abort_ppm": 5_000,
+                "migration_max_retries": 3,
+                "migration_backoff": 200_000,
+                "migration_backoff_cap": 4_000_000,
+                "channel_fault_ppm": 100,
+                "channel_window": 2_000_000,
+                "worker_panic": { "shard": 1, "batch": 9 },
+            })
+        );
         let spec = MigrationFaultSpec {
             failed_attempts: 2,
             permanent: false,
         };
-        let json = serde_json::to_string(spec).expect("serialize");
-        let back: MigrationFaultSpec = serde_json::from_str(&json).expect("deserialize");
-        assert_eq!(spec, back);
-        for kind in [
-            ChannelFaultKind::LatencySpike(Picos::from_ns(800)),
-            ChannelFaultKind::StuckBank(5),
-            ChannelFaultKind::RefreshStorm(3),
+        assert_eq!(
+            parsed(serde_json::to_string(spec).expect("serialize")),
+            json!({ "failed_attempts": 2, "permanent": false })
+        );
+        for (kind, expected) in [
+            (
+                ChannelFaultKind::LatencySpike(Picos::from_ns(800)),
+                json!({ "LatencySpike": 800_000 }),
+            ),
+            (ChannelFaultKind::StuckBank(5), json!({ "StuckBank": 5 })),
+            (
+                ChannelFaultKind::RefreshStorm(3),
+                json!({ "RefreshStorm": 3 }),
+            ),
         ] {
-            let json = serde_json::to_string(kind).expect("serialize");
-            let back: ChannelFaultKind = serde_json::from_str(&json).expect("deserialize");
-            assert_eq!(kind, back);
+            assert_eq!(
+                parsed(serde_json::to_string(kind).expect("serialize")),
+                expected
+            );
         }
+        assert_eq!(
+            serde_json::to_string(FaultCause::ConflictingWrite).expect("serialize"),
+            "\"ConflictingWrite\""
+        );
     }
 }

@@ -12,7 +12,7 @@
 //!   so intra-pod migration never changes a page's pod (the property MemPod's
 //!   clustered design depends on).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 use crate::addr::{FrameId, LineId, PageId};
@@ -27,7 +27,7 @@ pub const LINE_SIZE: usize = 64;
 pub const LINES_PER_PAGE: usize = PAGE_SIZE / LINE_SIZE;
 
 /// Which level of the two-level memory a page or frame belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub enum Tier {
     /// Die-stacked, high-bandwidth, low-latency memory (HBM).
     Fast,
@@ -58,7 +58,7 @@ impl fmt::Display for Tier {
 /// assert_eq!(geo.pod_of_page(PageId(6)), 2);       // 6 % 4
 /// assert_eq!(geo.tier_of_frame(FrameId(524_288)), Tier::Slow);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct Geometry {
     fast_bytes: u64,
     slow_bytes: u64,

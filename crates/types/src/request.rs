@@ -1,13 +1,13 @@
 //! Memory requests as they leave the last-level cache.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 use crate::addr::Addr;
 use crate::time::Picos;
 
 /// Read or write.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum AccessKind {
     /// A demand read (LLC miss fill).
     Read,
@@ -32,9 +32,7 @@ impl fmt::Display for AccessKind {
 }
 
 /// Identifies which of the simulated CPU cores issued a request.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize)]
 #[serde(transparent)]
 pub struct CoreId(pub u8);
 
@@ -45,9 +43,7 @@ impl fmt::Display for CoreId {
 }
 
 /// Monotonic identifier assigned by the simulator to each request.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize)]
 #[serde(transparent)]
 pub struct RequestId(pub u64);
 
@@ -68,7 +64,7 @@ impl fmt::Display for RequestId {
 /// assert_eq!(r.addr.page().0, 2); // 0x1000 / 2048
 /// assert!(!r.kind.is_write());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct MemRequest {
     /// Original (pre-remap) byte address.
     pub addr: Addr,

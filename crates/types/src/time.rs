@@ -7,7 +7,7 @@
 //! queue totally ordered without floating-point comparison hazards; each
 //! [`Clock`] converts between its own cycle counts and global picoseconds.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
@@ -25,9 +25,7 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 /// let t = Picos::from_ns(50) + Picos::from_us(1);
 /// assert_eq!(t.as_ps(), 1_050_000);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize)]
 #[serde(transparent)]
 pub struct Picos(pub u64);
 
@@ -167,7 +165,7 @@ impl Sum for Picos {
 /// let ddr = Clock::from_mhz(800);
 /// assert_eq!(ddr.cycles_to_ps(11), Picos(13_750));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct Clock {
     freq_khz: u64,
 }

@@ -1,9 +1,9 @@
 #!/bin/bash
 # Full verification pipeline, run as-is by CI: formatting, clippy at
 # -D warnings (which also enforces the pipeline crates' source rules, see
-# clippy.toml), the whole test suite, the runtime invariant auditor build,
-# the release build and the benchmark smokes. Exits non-zero on the first
-# failing stage.
+# clippy.toml), warning-free API docs, the whole test suite, the runtime
+# invariant auditor build, the release build, the figure smokes and the
+# benchmark smokes. Exits non-zero on the first failing stage.
 set -eu
 cd "$(dirname "$0")"
 
@@ -24,6 +24,9 @@ step "cargo clippy (debug-invariants, -D warnings)" \
     cargo clippy --workspace --all-targets --offline \
     --features mempod-dram/debug-invariants,mempod-core/debug-invariants,mempod-sim/debug-invariants \
     -- -D warnings
+# A deletion that leaves a dangling intra-doc link fails here.
+step "cargo doc (-D warnings)" \
+    env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 step "cargo test (workspace)" cargo test -q --workspace --offline
 # The slow suites CI also runs: among them tests/sharding.rs's 4 managers
 # x 4 shard counts, clean and faulted, the main shard-count-invariance
@@ -45,6 +48,18 @@ step "cargo test (debug-invariants, crate unit tests)" \
 step "cargo test (benchmark crate)" \
     cargo test -q --offline --locked --manifest-path benchmark/Cargo.toml
 step "cargo build --release" cargo build --release --offline
+
+# Figure smokes: every binary run_experiments.sh runs must complete at CI
+# scale. `--smoke` writes results/<name>.smoke.json (gitignored), so the
+# committed full-scale results stay untouched.
+figure_smokes() {
+    cargo build -q --release --offline -p mempod-bench --bins
+    for bin in $(awk '$1 == "run" { print $2 }' run_experiments.sh); do
+        echo "$bin --smoke"
+        "./target/release/$bin" --smoke > /dev/null
+    done
+}
+step "figure binaries --smoke" figure_smokes
 
 # Telemetry-overhead smoke: the gate must pass — null-sink end-to-end
 # overhead < 2% at full scale, with noise headroom (< 5%) at the ~0.2s
