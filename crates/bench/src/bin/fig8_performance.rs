@@ -17,7 +17,7 @@ use std::time::Duration;
 
 use mempod_bench::{group_means, Opts, TextTable};
 use mempod_core::ManagerKind;
-use mempod_sim::{normalize_to, try_run_jobs_with_progress, Job, JobState, RunProgress, SimReport};
+use mempod_sim::{normalize_to, try_run_jobs, Job, JobState, RunProgress, SimReport};
 
 const KINDS: [ManagerKind; 6] = [
     ManagerKind::NoMigration,
@@ -91,8 +91,7 @@ fn main() {
         let board = Arc::clone(&progress);
         std::thread::spawn(move || heartbeat(board))
     };
-    let flat = try_run_jobs_with_progress(jobs, threads, Some(Arc::clone(&progress)))
-        .expect("valid experiment config");
+    let flat = try_run_jobs(&jobs, threads, Some(&progress)).expect("valid experiment config");
     monitor.join().expect("monitor thread exits cleanly");
     eprintln!(
         "  [all {} jobs done in {:.1}s]",

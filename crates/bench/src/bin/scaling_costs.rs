@@ -19,9 +19,8 @@ fn tag_bits(n: u64) -> u64 {
 }
 
 fn main() {
-    // No option changes the computation; `--smoke` only redirects the
-    // results file.
-    let opts = Opts::from_args();
+    // `--smoke` only redirects the results file.
+    let opts = Opts::smoke_from_args();
     println!("§6.3.4 — structure scaling for MemPod\n");
 
     // Panel A: scale by adding pods (capacity per pod constant).

@@ -261,9 +261,6 @@ fn run() -> Result<(), String> {
     if report.faults.degraded_to_sequential {
         fault_flags.push_str(" [degraded to sequential]");
     }
-    if report.faults.cancelled {
-        fault_flags.push_str(" [cancelled]");
-    }
     println!(
         "faults     : {} migrations faulted ({} aborts, {} retries, {} rolled back), {} channel faults{}",
         report.faults.migration_faults,

@@ -18,7 +18,7 @@ fn human(bytes: u64) -> String {
 }
 
 fn main() {
-    let opts = Opts::from_args();
+    let opts = Opts::smoke_from_args();
     let geo = opts.system().geometry;
     println!("Table 1 — building-block cost breakdown ({geo})\n");
 

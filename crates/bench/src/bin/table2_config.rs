@@ -6,7 +6,7 @@ use mempod_bench::{Opts, TextTable};
 use mempod_dram::DramTiming;
 
 fn main() {
-    let opts = Opts::from_args();
+    let opts = Opts::smoke_from_args();
     let sys = opts.system();
     println!("Table 2 — experimental framework configuration\n");
     println!(

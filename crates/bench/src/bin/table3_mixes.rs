@@ -6,9 +6,8 @@ use mempod_bench::{Opts, TextTable};
 use mempod_trace::{mix_composition, mix_names, BENCHMARKS};
 
 fn main() {
-    // No option changes the computation; `--smoke` only redirects the
-    // results file.
-    let opts = Opts::from_args();
+    // `--smoke` only redirects the results file.
+    let opts = Opts::smoke_from_args();
     println!("Table 3 — mixed workloads (normalized to 8 cores; see rustdoc of");
     println!("mempod_trace::mixes for the truncate/cycle normalization rule)\n");
 

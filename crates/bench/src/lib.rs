@@ -43,12 +43,32 @@ impl Opts {
     /// input prints `error: ...` and exits with status 2, as `simrun` and
     /// `tracelens` do.
     pub fn from_args() -> Self {
-        match Self::parse(std::env::args().skip(1)) {
-            Ok(opts) => opts,
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                std::process::exit(2);
-            }
+        Self::or_exit(Self::parse(std::env::args().skip(1)))
+    }
+
+    /// [`Opts::from_args`] for the binaries that simulate no trace (the
+    /// tables and `scaling_costs`): `--smoke` is the only flag that changes
+    /// what they do, so any other is an input error, not silently ignored.
+    pub fn smoke_from_args() -> Self {
+        Self::or_exit(Self::parse_smoke_only(std::env::args().skip(1)))
+    }
+
+    fn or_exit(parsed: Result<Self, String>) -> Self {
+        parsed.unwrap_or_else(|msg| {
+            eprintln!("error: {msg}");
+            std::process::exit(2)
+        })
+    }
+
+    /// [`Opts::parse`], then the message for any flag besides `--smoke`.
+    fn parse_smoke_only(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
+        let args: Vec<String> = args.into_iter().collect();
+        let opts = Self::parse(args.iter().cloned())?;
+        match args.iter().find(|a| *a != "--smoke") {
+            Some(a) => Err(format!(
+                "{a} does not apply here; this binary accepts only --smoke"
+            )),
+            None => Ok(opts),
         }
     }
 

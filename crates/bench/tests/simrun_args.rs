@@ -7,6 +7,7 @@ use std::process::Command;
 const SIMRUN: &str = env!("CARGO_BIN_EXE_simrun");
 const TRACELENS: &str = env!("CARGO_BIN_EXE_tracelens");
 const TABLE2: &str = env!("CARGO_BIN_EXE_table2_config");
+const SCALING: &str = env!("CARGO_BIN_EXE_scaling_costs");
 
 /// Runs the binary at `bin` with `args` and asserts a clean input error
 /// whose message contains `expected`.
@@ -146,5 +147,18 @@ fn experiment_binary_input_errors_are_clean() {
         TABLE2,
         &["--workloads", "nope"],
         "unknown workload \"nope\"",
+    );
+    // The tables and `scaling_costs` simulate no trace, so they take only
+    // `--smoke`; a well-formed trace flag is an error, not ignored.
+    let smoke_only = "does not apply here; this binary accepts only --smoke";
+    assert_input_error(
+        TABLE2,
+        &["--workloads", "gcc"],
+        &format!("--workloads {smoke_only}"),
+    );
+    assert_input_error(
+        SCALING,
+        &["--requests", "5"],
+        &format!("--requests {smoke_only}"),
     );
 }

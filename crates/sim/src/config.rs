@@ -18,20 +18,6 @@ pub enum SimError {
         /// Slow pages.
         slow: u64,
     },
-    /// A parallel-runner worker disappeared without reporting a result.
-    /// Only reachable if a worker thread dies without panicking, which the
-    /// runner cannot distinguish from a harness bug — surfaced as an error
-    /// so the hot path never panics.
-    WorkerLost {
-        /// Index of the job whose result never arrived.
-        job: usize,
-    },
-    /// The runner watchdog cancelled a job that exceeded its hard per-job
-    /// timeout; completed jobs in the same batch keep their reports.
-    JobTimedOut {
-        /// Index of the cancelled job.
-        job: usize,
-    },
 }
 
 impl fmt::Display for SimError {
@@ -41,12 +27,6 @@ impl fmt::Display for SimError {
                 f,
                 "segmented managers need slow pages ({slow}) to be an integer multiple of fast pages ({fast})"
             ),
-            SimError::WorkerLost { job } => {
-                write!(f, "parallel runner lost the result of job {job}")
-            }
-            SimError::JobTimedOut { job } => {
-                write!(f, "watchdog cancelled job {job} after its hard timeout")
-            }
         }
     }
 }

@@ -67,8 +67,5 @@ pub mod simulator;
 pub use config::{SimConfig, SimError};
 pub use metrics::{geometric_mean, normalize_to, FaultSummary, SimReport};
 pub use provenance::{PageMove, PageProvenance, ProvenanceLedger, ProvenanceSummary};
-pub use runner::{
-    try_run_jobs, try_run_jobs_with_progress, try_run_jobs_with_watchdog, Job, JobProgress,
-    JobState, RunProgress, WatchdogConfig,
-};
+pub use runner::{try_run_jobs, Job, JobProgress, JobState, RunProgress};
 pub use simulator::Simulator;

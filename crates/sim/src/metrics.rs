@@ -28,9 +28,9 @@ pub struct FaultSummary {
     /// Whether the sharded engine abandoned its state and replayed the run
     /// at one shard.
     pub degraded_to_sequential: bool,
-    /// Whether the run was cancelled early (watchdog or external token);
-    /// a cancelled report covers only the requests admitted before the
-    /// cancellation was observed.
+    /// Always `false`: runs can no longer be cancelled. The field stays
+    /// because the report JSON, its golden digests and the benchmark's
+    /// correctness check read it; delete it with the next benchmark change.
     pub cancelled: bool,
 }
 

@@ -12,8 +12,8 @@
 
 use std::time::Instant;
 
-use mempod_sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use mempod_sync::{thread, Arc, PoisonError};
+use mempod_sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use mempod_sync::{thread, Arc};
 
 use mempod_trace::Trace;
 
@@ -132,7 +132,7 @@ impl JobProgress {
     }
 }
 
-/// Shared live view of a whole [`try_run_jobs_with_progress`] batch.
+/// Shared live view of a whole [`try_run_jobs`] batch.
 ///
 /// Create one with [`RunProgress::for_jobs`], hand a clone of the `Arc` to
 /// a monitor thread, and pass it to the runner; the monitor polls
@@ -222,34 +222,7 @@ impl RunProgress {
     }
 }
 
-/// Hard-timeout policy for a watchdog-monitored run.
-///
-/// The watchdog escalates beyond [`RunProgress::stragglers`] (report-only):
-/// a job running longer than `hard_timeout_ms` is *cancelled* through its
-/// simulator's cooperative cancellation token and surfaced as
-/// [`SimError::JobTimedOut`] in the partial-results summary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WatchdogConfig {
-    /// How often the monitor samples job states, in milliseconds
-    /// (clamped to at least 1).
-    pub poll_ms: u64,
-    /// A running job is cancelled once it has been running for more than
-    /// this many wall-clock milliseconds.
-    pub hard_timeout_ms: u64,
-}
-
 /// Runs all jobs on `threads` workers, returning reports in job order.
-///
-/// # Errors
-///
-/// Returns the first [`SimError`] (in job order) if any job's configuration
-/// is rejected by [`Simulator::new`]. Remaining jobs still run; only the
-/// result assembly short-circuits.
-pub fn try_run_jobs(jobs: Vec<Job>, threads: usize) -> Result<Vec<SimReport>, SimError> {
-    try_run_jobs_with_progress(jobs, threads, None)
-}
-
-/// [`try_run_jobs`] with an optional live progress board.
 ///
 /// When `progress` is supplied it must come from [`RunProgress::for_jobs`]
 /// on the same job list (slot `i` tracks job `i`; a shorter board simply
@@ -257,145 +230,65 @@ pub fn try_run_jobs(jobs: Vec<Job>, threads: usize) -> Result<Vec<SimReport>, Si
 /// and stream batched request counts into it via
 /// [`Simulator::with_progress`].
 ///
+/// Each worker hands its `(index, outcome)` pairs back through its join
+/// handle, so no result state is shared; a worker panic (a bug, not a
+/// config error) re-raises on the calling thread.
+///
 /// # Errors
 ///
-/// Same contract as [`try_run_jobs`].
-pub fn try_run_jobs_with_progress(
-    jobs: Vec<Job>,
+/// Returns the first [`SimError`] (in job order) if any job's configuration
+/// is rejected by [`Simulator::new`]. Remaining jobs still run; only the
+/// result assembly short-circuits.
+pub fn try_run_jobs(
+    jobs: &[Job],
     threads: usize,
-    progress: Option<Arc<RunProgress>>,
+    progress: Option<&RunProgress>,
 ) -> Result<Vec<SimReport>, SimError> {
-    run_jobs_core(jobs, threads, progress, None)
-        .into_iter()
-        .collect()
-}
-
-/// [`try_run_jobs_with_progress`] under a hard-timeout watchdog, returning
-/// a *partial-results summary*: per-job `Result`s in job order, where jobs
-/// that finished keep their reports and jobs the watchdog cancelled come
-/// back as [`SimError::JobTimedOut`] — one slow job no longer forfeits the
-/// whole batch.
-///
-/// A progress board is created automatically when `progress` is `None`
-/// (the watchdog needs per-job running times to measure timeouts against).
-pub fn try_run_jobs_with_watchdog(
-    jobs: Vec<Job>,
-    threads: usize,
-    progress: Option<Arc<RunProgress>>,
-    watchdog: WatchdogConfig,
-) -> Vec<Result<SimReport, SimError>> {
-    let progress = match progress {
-        Some(board) => board,
-        None => RunProgress::for_jobs(&jobs),
-    };
-    run_jobs_core(jobs, threads, Some(progress), Some(watchdog))
-}
-
-/// Shared engine behind the `try_run_jobs*` family: scoped workers pull
-/// jobs off a shared counter; an optional watchdog thread polls the
-/// progress board and trips per-job cancellation tokens.
-fn run_jobs_core(
-    jobs: Vec<Job>,
-    threads: usize,
-    progress: Option<Arc<RunProgress>>,
-    watchdog: Option<WatchdogConfig>,
-) -> Vec<Result<SimReport, SimError>> {
-    let threads = threads.max(1).min(jobs.len().max(1));
-    let n = jobs.len();
-    let jobs = Arc::new(jobs);
     let next = AtomicUsize::new(0);
-    let remaining = AtomicUsize::new(n);
-    let cancels: Vec<Arc<AtomicBool>> = (0..n).map(|_| Arc::new(AtomicBool::new(false))).collect();
-    #[expect(
-        clippy::disallowed_types,
-        reason = "job results land in index-keyed slots, so lock order cannot affect output"
-    )]
-    let results: mempod_sync::Mutex<Vec<Option<Result<SimReport, SimError>>>> =
-        mempod_sync::Mutex::new((0..n).map(|_| None).collect());
-
-    thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let job = &jobs[i];
-                let slot = progress.as_deref().and_then(|p| p.jobs.get(i));
-                if let Some(slot) = slot {
-                    let now = progress.as_deref().map_or(0, |p| p.elapsed_ms());
-                    slot.started_ms.store(now, Ordering::Relaxed);
-                    slot.state.store(STATE_RUNNING, Ordering::Release);
-                }
-                let outcome = Simulator::new(job.cfg.clone()).map(|sim| {
-                    let sim = match slot {
-                        Some(slot) => sim.with_progress(Arc::clone(&slot.requests_done)),
-                        None => sim,
-                    };
-                    let sim = match (watchdog.is_some(), cancels.get(i)) {
-                        (true, Some(token)) => sim.with_cancel(Arc::clone(token)),
-                        _ => sim,
-                    };
-                    sim.run(&job.trace)
-                });
-                if let Some(slot) = slot {
-                    let now = progress.as_deref().map_or(0, |p| p.elapsed_ms());
-                    slot.finished_ms.store(now, Ordering::Relaxed);
-                    slot.state.store(STATE_DONE, Ordering::Release);
-                }
-                // Index-keyed slots are either fully written or absent, so
-                // recovering from a poisoned lock here is sound; worker
-                // panics still propagate out of the scope.
-                results.lock().unwrap_or_else(PoisonError::into_inner)[i] = Some(outcome);
-                remaining.fetch_sub(1, Ordering::Release);
-            });
-        }
-        if let (Some(w), Some(board)) = (watchdog, progress.as_deref()) {
-            // The monitor lives in the same scope, so it can never outlive
-            // the tokens; it exits as soon as the last job reports in.
-            let remaining = &remaining;
-            let cancels = &cancels;
-            scope.spawn(move || {
-                while remaining.load(Ordering::Acquire) > 0 {
-                    thread::sleep(std::time::Duration::from_millis(w.poll_ms.max(1)));
-                    let elapsed = board.elapsed_ms();
-                    for (slot, cancel) in board.jobs.iter().zip(cancels) {
-                        if slot
-                            .running_for_ms(elapsed)
-                            .is_some_and(|ms| ms > w.hard_timeout_ms)
-                        {
-                            // Release pairs with the simulator's Acquire
-                            // poll at the batch boundary.
-                            cancel.store(true, Ordering::Release);
-                        }
-                    }
-                }
-            });
-        }
-        // Leaving the scope joins every worker; a worker panic (a bug, not
-        // a config error) re-raises here without any explicit join code.
-    });
-
-    let slots = results.into_inner().unwrap_or_else(PoisonError::into_inner);
-    slots
-        .into_iter()
-        .enumerate()
-        .map(|(i, slot)| {
-            let outcome = slot.unwrap_or(Err(SimError::WorkerLost { job: i }));
-            match outcome {
-                // A report flagged `cancelled` after its token tripped is
-                // the watchdog's doing: convert it to the timeout error so
-                // a truncated run is never mistaken for a complete one.
-                Ok(r)
-                    if r.faults.cancelled
-                        && cancels.get(i).is_some_and(|c| c.load(Ordering::Relaxed)) =>
-                {
-                    Err(SimError::JobTimedOut { job: i })
-                }
-                other => other,
+    let worker = || {
+        let mut outcomes = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(job) = jobs.get(i) else {
+                return outcomes;
+            };
+            let slot = progress.and_then(|board| Some((board, board.jobs.get(i)?)));
+            if let Some((board, slot)) = slot {
+                slot.started_ms.store(board.elapsed_ms(), Ordering::Relaxed);
+                slot.state.store(STATE_RUNNING, Ordering::Release);
             }
-        })
-        .collect()
+            let outcome = Simulator::new(job.cfg.clone()).map(|sim| {
+                let sim = match slot {
+                    Some((_, slot)) => sim.with_progress(Arc::clone(&slot.requests_done)),
+                    None => sim,
+                };
+                sim.run(&job.trace)
+            });
+            if let Some((board, slot)) = slot {
+                slot.finished_ms
+                    .store(board.elapsed_ms(), Ordering::Relaxed);
+                // Release pairs with `JobProgress::state`'s Acquire: a
+                // reader that sees `Done` also sees the run's final
+                // progress flush and finish time.
+                slot.state.store(STATE_DONE, Ordering::Release);
+            }
+            outcomes.push((i, outcome));
+        }
+    };
+    let mut outcomes: Vec<(usize, Result<SimReport, SimError>)> = thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads.clamp(1, jobs.len().max(1)))
+            .map(|_| scope.spawn(worker))
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| {
+                w.join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .collect()
+    });
+    outcomes.sort_unstable_by_key(|&(i, _)| i);
+    outcomes.into_iter().map(|(_, outcome)| outcome).collect()
 }
 
 #[cfg(test)]
@@ -422,7 +315,7 @@ mod tests {
             .iter()
             .map(|&k| Job::new(SimConfig::new(sys.clone(), k), trace.clone()))
             .collect();
-        let parallel = try_run_jobs(jobs.clone(), 4).expect("all configs valid");
+        let parallel = try_run_jobs(&jobs, 4, None).expect("all configs valid");
         let serial: Vec<SimReport> = jobs
             .into_iter()
             .map(|j| Simulator::new(j.cfg).unwrap().run(&j.trace))
@@ -436,7 +329,7 @@ mod tests {
 
     #[test]
     fn empty_job_list_is_fine() {
-        assert!(try_run_jobs(Vec::new(), 8)
+        assert!(try_run_jobs(&[], 8, None)
             .expect("empty is valid")
             .is_empty());
     }
@@ -458,8 +351,7 @@ mod tests {
         assert_eq!(progress.jobs()[0].total_requests(), 5_000);
         assert!(progress.jobs()[0].label().contains("MemPod"));
 
-        let reports = try_run_jobs_with_progress(jobs, 2, Some(Arc::clone(&progress)))
-            .expect("valid configs");
+        let reports = try_run_jobs(&jobs, 2, Some(&progress)).expect("valid configs");
         assert_eq!(reports.len(), 2);
         for (slot, report) in progress.jobs().iter().zip(&reports) {
             assert_eq!(slot.state(), JobState::Done);
@@ -490,123 +382,40 @@ mod tests {
     }
 
     #[test]
-    fn watchdog_cancels_a_job_past_its_hard_timeout() {
+    fn a_slot_reads_done_only_after_its_final_progress_flush() {
+        // The worker's Release store of `Done` follows the run's last
+        // progress flush, and `state()` loads with Acquire, so a poller
+        // that sees `Done` must see the full request count. Polling a
+        // long single-worker run catches a slot marked `Done` early.
         let sys = SystemConfig::tiny();
         let trace = Arc::new(
             TraceGenerator::new(WorkloadSpec::hotcold_demo(), 1)
                 .take_requests(200_000, &sys.geometry),
         );
         let jobs = vec![Job::new(SimConfig::new(sys, ManagerKind::MemPod), trace)];
-        let outcomes = try_run_jobs_with_watchdog(
-            jobs,
-            1,
-            None,
-            WatchdogConfig {
-                poll_ms: 1,
-                hard_timeout_ms: 0,
-            },
-        );
-        assert_eq!(outcomes.len(), 1);
-        assert!(matches!(outcomes[0], Err(SimError::JobTimedOut { job: 0 })));
-    }
-
-    #[test]
-    fn watchdog_leaves_prompt_jobs_alone() {
-        let sys = SystemConfig::tiny();
-        let trace = Arc::new(
-            TraceGenerator::new(WorkloadSpec::hotcold_demo(), 1)
-                .take_requests(2_000, &sys.geometry),
-        );
-        let jobs: Vec<Job> = [ManagerKind::MemPod, ManagerKind::NoMigration]
-            .iter()
-            .map(|&k| Job::new(SimConfig::new(sys.clone(), k), trace.clone()))
-            .collect();
-        let plain = try_run_jobs(jobs.clone(), 2).expect("valid configs");
-        let outcomes = try_run_jobs_with_watchdog(
-            jobs,
-            2,
-            None,
-            WatchdogConfig {
-                poll_ms: 1,
-                hard_timeout_ms: 600_000,
-            },
-        );
-        assert_eq!(outcomes.len(), 2);
-        for (outcome, baseline) in outcomes.iter().zip(&plain) {
-            let r = outcome.as_ref().expect("finished well inside timeout");
-            assert_eq!(r.total_stall, baseline.total_stall);
-            assert!(!r.faults.cancelled);
-        }
-    }
-
-    #[test]
-    fn partial_results_keep_job_order_under_mixed_outcomes() {
-        let sys = SystemConfig::tiny();
-        let small = Arc::new(
-            TraceGenerator::new(WorkloadSpec::hotcold_demo(), 1)
-                .take_requests(2_000, &sys.geometry),
-        );
-        let huge = Arc::new(
-            TraceGenerator::new(WorkloadSpec::hotcold_demo(), 2)
-                .take_requests(400_000, &sys.geometry),
-        );
-        let jobs = vec![
-            Job::new(
-                SimConfig::new(sys.clone(), ManagerKind::NoMigration),
-                Arc::clone(&small),
-            ),
-            Job::new(SimConfig::new(sys.clone(), ManagerKind::MemPod), huge),
-            Job::new(SimConfig::new(sys, ManagerKind::Thm), small),
-        ];
-        let outcomes = try_run_jobs_with_watchdog(
-            jobs,
-            3,
-            None,
-            WatchdogConfig {
-                poll_ms: 1,
-                hard_timeout_ms: 5,
-            },
-        );
-        assert_eq!(outcomes.len(), 3);
-        // Ordering assertion: slot `i` always describes job `i`, whether
-        // it finished or timed out — a timeout never shifts later results.
-        for (i, outcome) in outcomes.iter().enumerate() {
-            match outcome {
-                Ok(r) => assert_eq!(r.requests, 2_000, "job {i}"),
-                Err(SimError::JobTimedOut { job }) => assert_eq!(*job, i),
-                Err(e) => panic!("job {i}: unexpected error {e:?}"),
+        let progress = RunProgress::for_jobs(&jobs);
+        let slot = &progress.jobs()[0];
+        let reports = thread::scope(|scope| {
+            let run = scope.spawn(|| try_run_jobs(&jobs, 1, Some(&progress)));
+            loop {
+                let done = slot.state() == JobState::Done;
+                assert!(slot.requests_done() <= slot.total_requests());
+                if done {
+                    assert_eq!(slot.requests_done(), slot.total_requests());
+                    break;
+                }
+                if run.is_finished() {
+                    // A panicked worker never marks its slot: `join`
+                    // re-raises the panic instead of polling forever.
+                    break;
+                }
+                thread::sleep(std::time::Duration::from_millis(1));
             }
-        }
-        // The 400k-request job cannot finish inside a 5ms hard timeout.
-        assert!(
-            matches!(outcomes[1], Err(SimError::JobTimedOut { job: 1 })),
-            "outcome 1 was {:?}",
-            outcomes[1].as_ref().map(|r| r.requests)
-        );
-    }
-
-    #[test]
-    fn result_slots_recover_from_a_poisoned_lock_with_consistent_state() {
-        // The runner's result board pattern in isolation: a worker dies
-        // holding the lock mid-update; survivors recover the poisoned
-        // lock and every slot is still either complete or absent.
-        use mempod_sync::Mutex;
-        let results: Arc<Mutex<Vec<Option<usize>>>> = Arc::new(Mutex::new(vec![None; 3]));
-        let r2 = Arc::clone(&results);
-        let dead = thread::spawn(move || {
-            let mut g = r2.lock().unwrap_or_else(PoisonError::into_inner);
-            g[0] = Some(0);
-            panic!("worker dies mid-update");
-        });
-        assert!(dead.join().is_err());
-        assert!(results.is_poisoned(), "unwinding guard must poison");
-        for i in 1..3 {
-            results.lock().unwrap_or_else(PoisonError::into_inner)[i] = Some(i);
-        }
-        let slots = results.lock().unwrap_or_else(PoisonError::into_inner);
-        for (i, slot) in slots.iter().enumerate() {
-            assert_eq!(*slot, Some(i), "slot {i} complete and untorn");
-        }
+            run.join().expect("runner thread")
+        })
+        .expect("valid config");
+        assert_eq!(slot.state(), JobState::Done);
+        assert_eq!(reports[0].requests, slot.total_requests());
     }
 
     #[test]
@@ -620,6 +429,6 @@ mod tests {
             SimConfig::new(sys, ManagerKind::NoMigration),
             trace,
         )];
-        assert_eq!(try_run_jobs(jobs, 1).expect("valid").len(), 1);
+        assert_eq!(try_run_jobs(&jobs, 1, None).expect("valid").len(), 1);
     }
 }

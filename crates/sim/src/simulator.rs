@@ -40,7 +40,7 @@ use std::time::Instant;
 use mempod_core::{build_manager, MemoryManager, Migration};
 use mempod_dram::{ChannelProbe, Interleave, MemLayout, MemorySystem, SystemStats};
 use mempod_faults::FaultPlan;
-use mempod_sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use mempod_sync::atomic::{AtomicU64, Ordering};
 use mempod_sync::{thread, Arc};
 use mempod_telemetry::span::{exec_span_id, request_span_id};
 use mempod_telemetry::{
@@ -62,8 +62,7 @@ const META_MISS_BURST_MIN: u64 = 8;
 const REFRESH_STALL_EVENT_MIN: u64 = 16;
 /// Arrival-grid ticks per barrier interval. Large enough to amortize the
 /// fork/join cost over thousands of channel decisions, small enough that
-/// telemetry merges, the epoch driver, progress and cancellation stay
-/// responsive.
+/// telemetry merges, the epoch driver and progress stay responsive.
 const BATCH_TICKS: usize = 4096;
 
 /// A merged snapshot of engine state for the epoch driver, built at
@@ -346,10 +345,6 @@ pub struct Simulator {
     /// busy timing for [`PhaseClock`]; bit-identical results).
     serial_shards: bool,
     phase_clock: Option<Arc<PhaseClock>>,
-    /// Cooperative cancellation token (the runner watchdog's hard-timeout
-    /// lever): when set, admission stops, in-flight work drains, and the
-    /// partial report comes back flagged `faults.cancelled`.
-    cancel: Option<Arc<AtomicBool>>,
 }
 
 impl std::fmt::Debug for Simulator {
@@ -402,7 +397,6 @@ impl Simulator {
             shards: 1,
             serial_shards: false,
             phase_clock: None,
-            cancel: None,
         })
     }
 
@@ -460,19 +454,6 @@ impl Simulator {
     #[must_use]
     pub fn with_phase_clock(mut self, clock: Arc<PhaseClock>) -> Self {
         self.phase_clock = Some(clock);
-        self
-    }
-
-    /// Attaches a cooperative cancellation token. When another thread sets
-    /// it, the run stops admitting trace requests at the next barrier,
-    /// drains everything already in flight (so no request is lost), and
-    /// returns a partial report with `faults.cancelled` set and `requests`
-    /// reduced to the admitted count. This is the lever behind the parallel
-    /// runner's hard per-job timeout
-    /// ([`try_run_jobs_with_watchdog`](crate::try_run_jobs_with_watchdog)).
-    #[must_use]
-    pub fn with_cancel(mut self, token: Arc<AtomicBool>) -> Self {
-        self.cancel = Some(token);
         self
     }
 
@@ -581,7 +562,6 @@ impl Simulator {
 
         let plan = self.fault_plan();
         let mut faulted_migrations = 0u64;
-        let mut cancelled = false;
 
         let span_cfg = self.tel.span_config();
         let mut ledger = telemetry_on
@@ -637,22 +617,12 @@ impl Simulator {
 
         for req in trace.requests() {
             // Barrier boundaries (no batch open) are the one quantum for
-            // progress and cancellation: the counter is flushed and the
-            // token polled only here, so a cancelled run stops between
-            // whole barrier intervals wherever the watchdog's store lands,
-            // and the counter equals the partial request count exactly.
+            // progress: the counter is flushed here and once when the run
+            // ends, so a live reader sees whole barrier intervals.
             if arrivals.is_empty() {
                 if let Some(p) = &self.progress {
                     p.fetch_add(requests_so_far - flushed, Ordering::Relaxed);
                     flushed = requests_so_far;
-                }
-                if self
-                    .cancel
-                    .as_ref()
-                    .is_some_and(|cancel| cancel.load(Ordering::Acquire))
-                {
-                    cancelled = true;
-                    break;
                 }
             }
             let crossing = driver.as_ref().is_some_and(|d| d.crosses(req.arrival));
@@ -875,10 +845,6 @@ impl Simulator {
         report.faults.migration_aborts = shards.iter().map(|sh| sh.fault_aborts).sum();
         report.faults.channel_faults = report.mem_stats.total().faults_injected;
         report.provenance = ledger.as_ref().map(ProvenanceLedger::summary);
-        if cancelled {
-            report.faults.cancelled = true;
-            report.requests = requests_so_far;
-        }
         self.tel.flush();
         report.timeline = self.tel.ring.drain();
         report
@@ -924,7 +890,6 @@ impl Simulator {
         };
         sim.tel = std::mem::replace(&mut self.tel, Telemetry::disabled());
         sim.progress = self.progress.clone();
-        sim.cancel = self.cancel.clone();
         let mut report = sim.run(trace);
         report.faults.shard_panics += 1;
         report.faults.degraded_to_sequential = true;
@@ -1333,10 +1298,7 @@ mod tests {
         assert_eq!(a.migration.migrations, b.migration.migrations);
     }
 
-    fn run_with_memory_sink(
-        kind: ManagerKind,
-        n: usize,
-    ) -> (SimReport, Arc<mempod_sync::Mutex<Vec<String>>>) {
+    fn run_with_memory_sink(kind: ManagerKind, n: usize) -> (SimReport, Vec<String>) {
         let sink = mempod_telemetry::MemorySink::new();
         let lines = sink.handle();
         let cfg = SimConfig::new(SystemConfig::tiny(), kind);
@@ -1344,6 +1306,7 @@ mod tests {
             .expect("valid")
             .with_telemetry(Telemetry::with_sink(Box::new(sink)))
             .run(&demo_trace(n));
+        let lines = lines.lock().expect("sink mutex").clone();
         (report, lines)
     }
 
@@ -1389,7 +1352,6 @@ mod tests {
     fn telemetry_sink_receives_migration_and_epoch_events() {
         let (report, lines) = run_with_memory_sink(ManagerKind::MemPod, 40_000);
         assert!(report.migration.migrations > 0);
-        let lines = lines.lock().expect("sink mutex");
         // Events are externally tagged: {"kind":{"MigrationStart":{...}}}.
         let kind_count = |k: &str| {
             lines
@@ -1687,118 +1649,6 @@ mod tests {
         let lines = lines.lock().expect("sink mutex");
         assert!(lines.iter().any(|l| l.contains("ShardPanic")));
         assert!(lines.iter().any(|l| l.contains("DegradedToSequential")));
-    }
-
-    #[test]
-    fn pre_cancelled_runs_stop_early_and_say_so() {
-        for shards in [1u32, 4] {
-            let token = Arc::new(AtomicBool::new(true));
-            let cfg = SimConfig::new(SystemConfig::tiny(), ManagerKind::MemPod);
-            let r = Simulator::new(cfg)
-                .expect("valid")
-                .with_shards(shards)
-                .with_cancel(Arc::clone(&token))
-                .run(&demo_trace(5_000));
-            assert!(r.faults.cancelled, "{shards} shards");
-            assert_eq!(r.requests, 0, "{shards} shards");
-        }
-    }
-
-    #[test]
-    fn mid_run_cancellation_stops_on_a_batch_boundary_with_exact_progress() {
-        // Whenever the watchdog's store lands, the loop only honours it at
-        // a barrier boundary: without telemetry (no epoch pre-pump rounds)
-        // the partial request count is a whole number of batches, and the
-        // progress counter, flushed at the same barriers, equals it
-        // exactly (no trailing unflushed remainder).
-        let token = Arc::new(AtomicBool::new(false));
-        let counter = Arc::new(AtomicU64::new(0));
-        let cfg = SimConfig::new(SystemConfig::tiny(), ManagerKind::MemPod);
-        let sim = Simulator::new(cfg)
-            .expect("valid")
-            .with_cancel(Arc::clone(&token))
-            .with_progress(Arc::clone(&counter));
-        let trace = demo_trace(300_000);
-        let arm = Arc::clone(&token);
-        let watchdog = thread::spawn(move || {
-            thread::sleep(std::time::Duration::from_millis(2));
-            arm.store(true, Ordering::Release);
-        });
-        let r = sim.run(&trace);
-        watchdog.join().expect("watchdog thread");
-        if r.faults.cancelled {
-            assert!(r.requests < 300_000, "stopped early");
-            assert_eq!(
-                r.requests % u64_from_usize(BATCH_TICKS),
-                0,
-                "batch-quantized stop"
-            );
-        } else {
-            // The machine outran the 2ms fuse; the run completed instead.
-            assert_eq!(r.requests, 300_000);
-        }
-        assert_eq!(counter.load(Ordering::Relaxed), r.requests);
-    }
-
-    /// Trips a cancel token from the admission loop itself, mid-batch: at
-    /// the first epoch snapshot, which the loop emits synchronously between
-    /// two requests of an open batch.
-    #[derive(Debug)]
-    struct CancelAtFirstEpoch {
-        token: Arc<AtomicBool>,
-        /// Requests admitted when the token was tripped.
-        tripped_at: Arc<AtomicU64>,
-    }
-
-    impl mempod_telemetry::EventSink for CancelAtFirstEpoch {
-        fn emit(&mut self, _line: &str) {}
-
-        fn emit_event(&mut self, event: &mempod_telemetry::Event) {
-            if let EventKind::Epoch(snap) = &event.kind {
-                if !self.token.swap(true, Ordering::Relaxed) {
-                    self.tripped_at.store(snap.requests, Ordering::Relaxed);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn cancel_tripped_mid_batch_is_honoured_only_after_the_batch() {
-        // Deterministic counterpart of the timed test above: the token
-        // trips while a batch is open, and the loop must finish that
-        // barrier interval (at least BATCH_TICKS more requests) before it
-        // stops, at every shard count.
-        for shards in [1u32, 4] {
-            let token = Arc::new(AtomicBool::new(false));
-            let tripped_at = Arc::new(AtomicU64::new(0));
-            let counter = Arc::new(AtomicU64::new(0));
-            let sink = CancelAtFirstEpoch {
-                token: Arc::clone(&token),
-                tripped_at: Arc::clone(&tripped_at),
-            };
-            let cfg = SimConfig::new(SystemConfig::tiny(), ManagerKind::MemPod);
-            let r = Simulator::new(cfg)
-                .expect("valid")
-                .with_shards(shards)
-                .with_telemetry(Telemetry::with_sink(Box::new(sink)))
-                .with_cancel(Arc::clone(&token))
-                .with_progress(Arc::clone(&counter))
-                .run(&demo_trace(100_000));
-            let tripped = tripped_at.load(Ordering::Relaxed);
-            assert!(token.load(Ordering::Relaxed), "{shards} shards: tripped");
-            assert!(r.faults.cancelled, "{shards} shards");
-            assert!(r.requests < 100_000, "{shards} shards: stopped early");
-            assert!(
-                r.requests >= tripped + u64_from_usize(BATCH_TICKS),
-                "{shards} shards: stopped at {} inside the batch open at {tripped}",
-                r.requests
-            );
-            assert_eq!(
-                counter.load(Ordering::Relaxed),
-                r.requests,
-                "{shards} shards"
-            );
-        }
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! The std synchronization items the MemPod crates use, re-exported.
 //!
 //! The simulator's concurrency is a `thread::scope` fork/join over
-//! disjoint shards plus the experiment runner's job pool (index-keyed
-//! result slots behind one lock, atomic progress counters and cancel
-//! flags), so plain `std` is all it needs.
+//! disjoint shards plus the experiment runner's job pool (results come
+//! back through join handles; progress is atomic counters), so plain
+//! `std` is all it needs. The one lock is in `MemorySink`, the in-memory
+//! telemetry sink that tests read.
 
 pub use std::sync::atomic;
-pub use std::sync::{Arc, Mutex, PoisonError};
+pub use std::sync::{Arc, Mutex};
 pub use std::thread;

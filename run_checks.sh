@@ -3,15 +3,42 @@
 # -D warnings (which also enforces the pipeline crates' source rules, see
 # clippy.toml), warning-free API docs, the whole test suite, the runtime
 # invariant auditor build, the release build, the figure smokes and the
-# benchmark smokes. Exits non-zero on the first failing stage.
+# benchmark smokes. Exits non-zero on the first failing stage, and on the
+# first stage that changes the working tree.
 set -eu
 cd "$(dirname "$0")"
 
+# One line per changed or untracked path: its status and content hash.
+tree_state() {
+    git status --porcelain --untracked-files=all | while IFS= read -r entry; do
+        echo "$entry $(git hash-object -- "${entry:3}" 2>/dev/null || echo -)"
+    done
+}
+# Every step must leave the tree as it found it (committed results
+# included). Outside a git work tree, e.g. a `git archive` copy, there is
+# nothing to compare against, so the check is skipped.
+if git rev-parse --is-inside-work-tree > /dev/null 2>&1; then
+    TREE_AT_START=$(tree_state)
+    CHECK_TREE=1
+else
+    CHECK_TREE=0
+fi
+
 step() {
+    local name=$1
     echo
-    echo "=== $1 ==="
+    echo "=== $name ==="
     shift
     "$@"
+    if [ "$CHECK_TREE" = 1 ]; then
+        local now
+        now=$(tree_state)
+        if [ "$now" != "$TREE_AT_START" ]; then
+            echo "step \"$name\" changed the working tree:" >&2
+            diff <(echo "$TREE_AT_START") <(echo "$now") | sed -n 's/^[<>] /    /p' >&2
+            exit 1
+        fi
+    fi
 }
 
 step "cargo fmt --check" cargo fmt --all -- --check

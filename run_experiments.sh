@@ -1,11 +1,23 @@
 #!/bin/bash
-# Regenerates every table and figure. Output: results/*.txt + results/*.json
-set -u
+# Regenerates every table and figure into results/<bin>.txt, .err and .json.
+# Builds the experiment binaries first and stops at the first binary that
+# fails. Each binary's output goes to temporary files that replace the
+# committed results/<bin>.txt and .err only when it exits 0.
+set -euo pipefail
 cd "$(dirname "$0")"
+cargo build -q --release --offline -p mempod-bench --bins
 BIN=./target/release
+TMP=$(mktemp -d)
+trap 'rm -rf "$TMP"' EXIT
 run() {
     echo "=== $1 ($(date +%H:%M:%S)) ==="
-    $BIN/$1 "${@:2}" > results/$1.txt 2>results/$1.err
+    "$BIN/$1" "${@:2}" > "$TMP/$1.txt" 2> "$TMP/$1.err" || {
+        status=$?
+        echo "$1 failed (exit $status); results/$1.* left as they were:" >&2
+        cat "$TMP/$1.err" >&2
+        exit "$status"
+    }
+    mv "$TMP/$1.txt" "$TMP/$1.err" results/
     echo "    done ($(date +%H:%M:%S))"
 }
 run table1_costs
