@@ -31,16 +31,19 @@
 //! report bit for bit.
 //!
 //! Bad input (an unknown flag, workload or manager, a missing,
-//! non-integer or out-of-range flag value) prints `error: ...` and exits
-//! with status 2.
+//! non-integer or out-of-range flag value) and an output file that cannot
+//! be opened or written print `error: ...` and exit with status 2.
 
 use std::process::ExitCode;
 
 use mempod_bench::{int, Opts};
 use mempod_core::ManagerKind;
 use mempod_sim::Simulator;
-use mempod_telemetry::{ChromeTraceSink, EventSink, FileSink, SpanConfig, TeeSink, Telemetry};
+use mempod_telemetry::{
+    ChromeTraceSink, EventSink, FileSink, SpanConfig, TeeSink, Telemetry, WriteErrors,
+};
 use mempod_trace::{TraceGenerator, WorkloadSpec};
+use mempod_types::fault::PPM;
 use mempod_types::{FaultConfig, Picos};
 
 fn parse_manager(s: &str) -> Result<ManagerKind, String> {
@@ -130,6 +133,17 @@ fn run() -> Result<(), String> {
     if let Some(bits) = mea_bits.filter(|b| !(1..=64).contains(b)) {
         return Err(format!("--mea-bits must be between 1 and 64, got {bits}"));
     }
+    let rates = [
+        ("--faults", fault_ppm),
+        ("--channel-faults", channel_fault_ppm),
+        ("--span-ppm", span_ppm),
+    ];
+    if let Some((flag, _)) = rates
+        .iter()
+        .find(|(_, ppm)| ppm.is_some_and(|p| u64::from(p) > PPM))
+    {
+        return Err(format!("{flag} must be between 0 and {PPM}"));
+    }
 
     let opts = Opts {
         smoke,
@@ -178,17 +192,24 @@ fn run() -> Result<(), String> {
     }
 
     let mut sim = Simulator::new(cfg).map_err(|e| format!("invalid configuration: {e}"))?;
+    // Each output file's failed-write count, read back after the run.
+    let mut outputs: Vec<(&str, &str, WriteErrors)> = Vec::new();
     let jsonl = match &timeline {
-        Some(path) => Some(Box::new(
-            FileSink::create(path).map_err(|e| format!("cannot open timeline file {path}: {e}"))?,
-        ) as Box<dyn EventSink>),
+        Some(path) => {
+            let sink = FileSink::create(path)
+                .map_err(|e| format!("cannot open timeline file {path}: {e}"))?;
+            outputs.push(("timeline", path, sink.errors()));
+            Some(Box::new(sink) as Box<dyn EventSink>)
+        }
         None => None,
     };
     let chrome = match &trace_out {
-        Some(path) => Some(Box::new(
-            ChromeTraceSink::create(path)
-                .map_err(|e| format!("cannot open trace file {path}: {e}"))?,
-        ) as Box<dyn EventSink>),
+        Some(path) => {
+            let sink = ChromeTraceSink::create(path)
+                .map_err(|e| format!("cannot open trace file {path}: {e}"))?;
+            outputs.push(("trace", path, sink.errors()));
+            Some(Box::new(sink) as Box<dyn EventSink>)
+        }
         None => None,
     };
     let sink = match (jsonl, chrome) {
@@ -213,6 +234,14 @@ fn run() -> Result<(), String> {
         sim = sim.with_shards(shards);
     }
     let report = sim.run(&trace);
+    for (what, path, errors) in &outputs {
+        let failed = errors.count();
+        if failed > 0 {
+            return Err(format!(
+                "cannot write {what} file {path}: {failed} writes failed"
+            ));
+        }
+    }
     println!(
         "workload   : {} ({} requests, {})",
         workload, report.requests, report.duration
@@ -243,32 +272,17 @@ fn run() -> Result<(), String> {
         println!("per-pod MB : [{}]", per.join(", "));
     }
     if let Some(path) = &timeline {
-        println!(
-            "timeline   : {} epoch snapshots -> {path}",
-            report.timeline.len().max(
-                std::fs::read_to_string(path)
-                    .map(|t| t.lines().filter(|l| l.contains("\"Epoch\"")).count())
-                    .unwrap_or(0)
-            )
-        );
+        println!("timeline   : epoch snapshots and events (JSONL) -> {path}");
     }
     // Always surfaced: a run without an active fault plan prints all
     // zeros, which is itself the assertion that nothing was injected.
-    let mut fault_flags = String::new();
-    if report.faults.shard_panics > 0 {
-        fault_flags.push_str(&format!(" [{} shard panics]", report.faults.shard_panics));
-    }
-    if report.faults.degraded_to_sequential {
-        fault_flags.push_str(" [degraded to sequential]");
-    }
     println!(
-        "faults     : {} migrations faulted ({} aborts, {} retries, {} rolled back), {} channel faults{}",
+        "faults     : {} migrations faulted ({} aborts, {} retries, {} rolled back), {} channel faults",
         report.faults.migration_faults,
         report.faults.migration_aborts,
         report.faults.migration_retries,
         report.migration.aborted,
         report.faults.channel_faults,
-        fault_flags
     );
     if let Some(p) = &report.provenance {
         let skipped = if p.skipped_moves > 0 {

@@ -85,6 +85,13 @@ fn out_of_range_values_are_input_errors() {
         &["--mea-bits", "65"],
         "--mea-bits must be between 1 and 64",
     );
+    for flag in ["--faults", "--channel-faults", "--span-ppm"] {
+        assert_input_error(
+            SIMRUN,
+            &[flag, "5000000"],
+            &format!("{flag} must be between 0 and 1000000"),
+        );
+    }
 }
 
 #[test]
@@ -112,6 +119,20 @@ fn unopenable_output_files_are_input_errors() {
             SIMRUN,
             &["--smoke", "--requests", "10", flag, missing],
             &format!("cannot open {what} file {missing}"),
+        );
+    }
+}
+
+/// `/dev/full` opens but fails every write, so the run must end with an
+/// error rather than report a file it never wrote.
+#[cfg(target_os = "linux")]
+#[test]
+fn unwritable_output_files_are_errors() {
+    for (flag, what) in [("--timeline", "timeline"), ("--trace-out", "trace")] {
+        assert_input_error(
+            SIMRUN,
+            &["--smoke", "--requests", "20000", flag, "/dev/full"],
+            &format!("cannot write {what} file /dev/full"),
         );
     }
 }

@@ -23,10 +23,13 @@ pub struct FaultSummary {
     /// Channel-level timing faults injected (latency spikes, stuck banks,
     /// refresh storms).
     pub channel_faults: u64,
-    /// Shard worker panics caught at the epoch barrier.
+    /// Always `0`: a shard worker panic is a bug and propagates out of the
+    /// run. The field stays because the report JSON, its golden digests
+    /// and the benchmark's correctness check read it; delete it with the
+    /// next benchmark change.
     pub shard_panics: u64,
-    /// Whether the sharded engine abandoned its state and replayed the run
-    /// at one shard.
+    /// Always `false`: the engine never replays a run at one shard. Kept
+    /// for the same readers as `shard_panics`.
     pub degraded_to_sequential: bool,
     /// Always `false`: runs can no longer be cancelled. The field stays
     /// because the report JSON, its golden digests and the benchmark's

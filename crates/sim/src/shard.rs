@@ -27,12 +27,6 @@ use mempod_telemetry::{EventKind, SpanName, SpanRecord, SPAN_NONE};
 use mempod_types::convert::{u64_from_usize, usize_from_u32};
 use mempod_types::{AccessKind, BuildPageHasher, FrameId, MigrationFaultSpec, PageId, Picos};
 
-/// Panic payload for the injected shard-worker crash
-/// ([`mempod_types::WorkerPanic`]); the barrier recognises any worker
-/// panic, this type just keeps the unwind payload self-describing.
-#[derive(Debug)]
-pub(crate) struct InjectedShardPanic;
-
 /// A foreground access waiting to be issued (possibly via a metadata
 /// fetch).
 #[derive(Debug, Clone, Copy)]
@@ -187,17 +181,11 @@ pub(crate) enum WorkItem {
     Admit { page: PageId, w: Waiter },
 }
 
-/// All shards of one run, in residue-class order: `shards[s]` owns the
-/// channels, frames, and pages whose index is `≡ s` modulo the set's
-/// length. The per-shard engine state is replicated here — nothing in a
-/// [`Shard`] is reachable from any other.
-#[derive(Debug)]
-pub(crate) struct ShardSet {
-    pub(crate) shards: Vec<Shard>,
-}
-
 /// One residue class of the engine: its memory-system view plus all state
-/// keyed by its frames and pages.
+/// keyed by its frames and pages. A run keeps its shards in residue-class
+/// order: of `n` shards, `shards[s]` owns the channels, frames, and pages
+/// whose index is `≡ s (mod n)`, and nothing in one shard is reachable
+/// from any other.
 #[derive(Debug)]
 pub(crate) struct Shard {
     /// Memory channels of this residue class ([`MemorySystem::shard_id`]).
@@ -229,11 +217,6 @@ pub(crate) struct Shard {
     pub(crate) backoff_cap: Picos,
     pub(crate) fault_aborts: u64,
     pub(crate) fault_retries: u64,
-    /// Injected worker panic: fires on the given (1-based) `run_ticks`
-    /// batch. Only a run with more than one shard sets it, so the
-    /// one-shard replay that follows the panic can never re-trigger it.
-    pub(crate) panic_at_batch: Option<u64>,
-    batches_run: u64,
     /// Whether events are worth buffering (telemetry enabled and the sink
     /// keeps lines).
     events_wanted: bool,
@@ -272,8 +255,6 @@ impl Shard {
             backoff_cap: Picos::from_us(8),
             fault_aborts: 0,
             fault_retries: 0,
-            panic_at_batch: None,
-            batches_run: 0,
             events_wanted,
             spans_enabled: spans_enabled && events_wanted,
             events: Vec::new(),
@@ -353,16 +334,6 @@ impl Shard {
     /// what makes the shared grid safe and the result independent of the
     /// batch boundaries.
     pub(crate) fn run_ticks(&mut self, arrivals: &[Picos], work: &[(u32, WorkItem)]) {
-        self.batches_run += 1;
-        if let Some(b) = self.panic_at_batch {
-            if self.batches_run >= b.max(1) {
-                // Injected fault: deliberately crash this shard worker so
-                // the barrier's containment-and-degrade path is exercised.
-                // The typed payload lets tests tell it from a real panic.
-                #[expect(clippy::panic, reason = "fault-injection machinery, not an error path")]
-                std::panic::panic_any(InjectedShardPanic);
-            }
-        }
         let mut next = 0usize;
         for (tick, &horizon) in arrivals.iter().enumerate() {
             self.pump(horizon);

@@ -34,7 +34,6 @@
 //! formulation (§6.2). Injected traffic contributes through contention and
 //! blocking, not through its own queueing time.
 
-use std::any::Any;
 use std::time::Instant;
 
 use mempod_core::{build_manager, MemoryManager, Migration};
@@ -47,13 +46,13 @@ use mempod_telemetry::{
     EpochSnapshot, EventKind, Log2Histogram, PhaseClock, SpanName, SpanRecord, Telemetry, SPAN_NONE,
 };
 use mempod_trace::Trace;
-use mempod_types::convert::{u32_from_u64, u64_from_usize, usize_from_u32, usize_from_u64};
-use mempod_types::{EngineError, MigrationFaultSpec, Picos};
+use mempod_types::convert::{u32_from_u64, u64_from_usize, usize_from_u64};
+use mempod_types::{MigrationFaultSpec, Picos};
 
 use crate::config::{SimConfig, SimError};
 use crate::metrics::SimReport;
 use crate::provenance::ProvenanceLedger;
-use crate::shard::{gcd, Shard, ShardSet, Waiter, WorkItem};
+use crate::shard::{gcd, Shard, Waiter, WorkItem};
 
 /// Consecutive metadata-cache misses that qualify as a burst event.
 const META_MISS_BURST_MIN: u64 = 8;
@@ -579,26 +578,18 @@ impl Simulator {
         }
         let pods = self.cfg.mgr.geometry.pods();
         let nu = u64::from(n);
-        let mut set = ShardSet {
-            shards: mem
-                .into_shards(n)
-                .into_iter()
-                .map(|mem| Shard::new(mem, pods, events_wanted, span_cfg.is_some()))
-                .collect(),
-        };
+        let mut shards: Vec<Shard> = mem
+            .into_shards(n)
+            .into_iter()
+            .map(|mem| Shard::new(mem, pods, events_wanted, span_cfg.is_some()))
+            .collect();
         if let Some(p) = &plan {
-            for sh in &mut set.shards {
+            for sh in &mut shards {
                 sh.backoff_base = p.config().migration_backoff;
                 sh.backoff_cap = p.config().migration_backoff_cap;
             }
-            // A worker panic needs a sibling shard to degrade to, so only a
-            // sharded run injects it; the one-shard replay after a panic
-            // therefore cannot re-trigger it.
-            if let Some(wp) = p.config().worker_panic.filter(|_| n > 1) {
-                set.shards[usize_from_u32(wp.shard % n)].panic_at_batch = Some(wp.batch);
-            }
         }
-        let shards = &mut set.shards;
+        let shards = &mut shards[..];
 
         let serial = self.serial_shards;
         let clock = self.phase_clock.clone();
@@ -632,7 +623,7 @@ impl Simulator {
                 // batch boundaries. The next batch re-pumps to the same
                 // horizon, which is a no-op.
                 arrivals.push(req.arrival);
-                if let Err(shard) = advance_shards(
+                advance_shards(
                     shards,
                     &mut arrivals,
                     &mut work,
@@ -643,9 +634,7 @@ impl Simulator {
                     &mut main_events,
                     events_wanted,
                     exec_spans.then_some(&mut exec_seq),
-                ) {
-                    return self.degrade(trace, shard, flushed, req.arrival);
-                }
+                );
             }
             if let Some(d) = driver.as_mut().filter(|_| crossing) {
                 let mut view = engine_view(shards);
@@ -735,7 +724,7 @@ impl Simulator {
             requests_so_far += 1;
 
             if arrivals.len() >= BATCH_TICKS {
-                if let Err(shard) = advance_shards(
+                advance_shards(
                     shards,
                     &mut arrivals,
                     &mut work,
@@ -746,9 +735,7 @@ impl Simulator {
                     &mut main_events,
                     events_wanted,
                     exec_spans.then_some(&mut exec_seq),
-                ) {
-                    return self.degrade(trace, shard, flushed, req.arrival);
-                }
+                );
                 // Shard state only changes inside `advance_shards`, and
                 // after it every migration the manager decided has reached
                 // its shard's ledger, so each barrier is audited.
@@ -770,7 +757,7 @@ impl Simulator {
         // Final round: every shard pumps to the end of time so completions
         // can spawn write phases and parked accesses.
         arrivals.push(Picos::MAX);
-        if let Err(shard) = advance_shards(
+        advance_shards(
             shards,
             &mut arrivals,
             &mut work,
@@ -781,9 +768,7 @@ impl Simulator {
             &mut main_events,
             events_wanted,
             exec_spans.then_some(&mut exec_seq),
-        ) {
-            return self.degrade(trace, shard, flushed, trace.duration());
-        }
+        );
 
         if let Some(p) = &self.progress {
             p.fetch_add(requests_so_far - flushed, Ordering::Relaxed);
@@ -847,52 +832,6 @@ impl Simulator {
         report.provenance = ledger.as_ref().map(ProvenanceLedger::summary);
         self.tel.flush();
         report.timeline = self.tel.ring.drain();
-        report
-    }
-
-    /// Recovers from a shard-worker panic by replaying the whole trace at
-    /// one shard, where the same loop reproduces the sharded run's report
-    /// bit for bit. The panicked run's partial engine state is discarded;
-    /// the manager and memory system are rebuilt from the configuration
-    /// and layout, so the degraded report is exactly a clean run's,
-    /// flagged with the panic.
-    ///
-    /// Progress already flushed to the live counter is compensated with a
-    /// `fetch_sub` before the replay re-counts from zero. Telemetry emitted
-    /// before the panic stays in the sink (it faithfully observed the
-    /// prefix); the replay's stream follows the [`EventKind::ShardPanic`] /
-    /// [`EventKind::DegradedToSequential`] markers.
-    #[expect(
-        clippy::print_stderr,
-        reason = "recovery path: a degraded run warns once on stderr, next to its telemetry markers"
-    )]
-    fn degrade(mut self, trace: &Trace, shard: u32, flushed_progress: u64, t: Picos) -> SimReport {
-        let cause = EngineError::ShardWorkerPanicked { shard };
-        eprintln!("warning: {cause}; replaying the run at one shard");
-        let t = t.min(trace.duration());
-        self.tel.event(t.as_ps(), EventKind::ShardPanic { shard });
-        self.tel
-            .event(t.as_ps(), EventKind::DegradedToSequential { shard });
-        if let Some(p) = &self.progress {
-            p.fetch_sub(flushed_progress, Ordering::Relaxed);
-        }
-        let mut sim = match Simulator::with_layout(self.cfg.clone(), self.layout) {
-            Ok(sim) => sim,
-            Err(e) => {
-                // Unreachable: the config validated when `self` was built.
-                // Recovery path, so degrade once more instead of panicking.
-                eprintln!("warning: cannot rebuild simulator after shard panic: {e}");
-                let mut report = SimReport::new(trace.name(), self.cfg.manager);
-                report.faults.shard_panics = 1;
-                report.faults.degraded_to_sequential = true;
-                return report;
-            }
-        };
-        sim.tel = std::mem::replace(&mut self.tel, Telemetry::disabled());
-        sim.progress = self.progress.clone();
-        let mut report = sim.run(trace);
-        report.faults.shard_panics += 1;
-        report.faults.degraded_to_sequential = true;
         report
     }
 }
@@ -962,12 +901,6 @@ fn decide_migration_faults(
 /// then the [`barrier`]'s epoch work. The admission time and, with
 /// `exec_seq` set, the work items routed to each shard are taken just
 /// before the shard phase.
-///
-/// # Errors
-///
-/// Returns the index of the first (lowest-numbered) shard whose worker
-/// panicked; the batch state is left as-is for the caller's degrade path
-/// to discard.
 #[allow(clippy::too_many_arguments)]
 fn advance_shards(
     shards: &mut [Shard],
@@ -980,14 +913,14 @@ fn advance_shards(
     main_events: &mut Vec<(u64, EventKind)>,
     events_wanted: bool,
     exec_seq: Option<&mut u64>,
-) -> Result<(), u32> {
+) {
     if let (Some(c), Some(t0)) = (clock, admit_start.as_ref()) {
         c.record_admission(elapsed_ns(t0));
     }
     let counts = exec_seq
         .is_some()
         .then(|| work.iter().map(Vec::len).collect::<Vec<usize>>());
-    run_batch(shards, arrivals, work, serial, clock)?;
+    run_batch(shards, arrivals, work, serial, clock);
     barrier(
         shards,
         arrivals,
@@ -997,7 +930,6 @@ fn advance_shards(
         main_events,
         events_wanted,
     );
-    Ok(())
 }
 
 /// The epoch half of a barrier: merge the buffered telemetry
@@ -1076,41 +1008,28 @@ fn barrier(
 /// per-shard busy times are wanted (shards are disjoint, so the results
 /// are identical either way).
 ///
-/// # Errors
-///
-/// A worker panic (injected or real) is contained here — joined on the
-/// threaded path, caught on the serial path — and reported as the index of
-/// the first affected shard instead of unwinding through the barrier. A
-/// one-shard run has no sibling to degrade to, so its panic resumes
-/// unwinding with the original payload, as any other panic of the run
-/// would.
+/// A worker panic is a bug, not a fault: it propagates out of the run
+/// with its original payload, as any other panic of the run would.
 fn run_batch(
     shards: &mut [Shard],
     arrivals: &[Picos],
     work: &mut [Vec<(u32, WorkItem)>],
     serial: bool,
     clock: Option<&PhaseClock>,
-) -> Result<(), u32> {
+) {
     let timed = clock.is_some();
-    let mut panicked: Option<(u32, Box<dyn Any + Send>)> = None;
     let busys: Vec<u64> = if serial || shards.len() == 1 {
         shards
             .iter_mut()
             .zip(work.iter_mut())
-            .enumerate()
-            .map(|(i, (s, w))| {
+            .map(|(s, w)| {
                 #[expect(
                     clippy::disallowed_methods,
                     reason = "observability-only: per-shard busy-time measurement for the \
                               PhaseClock critical path; never feeds simulated state"
                 )]
                 let t0 = timed.then(Instant::now);
-                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    s.run_ticks(arrivals, w);
-                }));
-                if let Err(payload) = outcome {
-                    panicked.get_or_insert((u32_from_u64(u64_from_usize(i)), payload));
-                }
+                s.run_ticks(arrivals, w);
                 w.clear();
                 t0.as_ref().map_or(0, elapsed_ns)
             })
@@ -1136,30 +1055,13 @@ fn run_batch(
                 .collect();
             handles
                 .into_iter()
-                .enumerate()
-                .map(|(i, h)| match h.join() {
-                    Ok(ns) => ns,
-                    Err(payload) => {
-                        // Explicitly joining captures the unwind, so the
-                        // scope does not re-raise it; the barrier reports
-                        // the shard instead.
-                        panicked.get_or_insert((u32_from_u64(u64_from_usize(i)), payload));
-                        0
-                    }
-                })
+                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
                 .collect()
         })
     };
-    if let Some((shard, payload)) = panicked {
-        if shards.len() == 1 {
-            std::panic::resume_unwind(payload);
-        }
-        return Err(shard);
-    }
     if let Some(c) = clock {
         c.record_interval(&busys);
     }
-    Ok(())
 }
 
 /// Nanoseconds elapsed since `t0`, saturating.
@@ -1381,15 +1283,29 @@ mod tests {
         assert!(epochs > 0, "per-window mempod.epochs deltas sum > 0");
     }
 
+    /// Runs MemPod at `shards` shards with a progress counter attached and
+    /// checks the barrier flushes add up to the request count exactly.
+    fn progress_counter_reaches_request_total_at(shards: u32) {
+        let counter = Arc::new(AtomicU64::new(0));
+        let cfg = SimConfig::new(SystemConfig::tiny(), ManagerKind::MemPod);
+        let sim = Simulator::new(cfg)
+            .expect("valid")
+            .with_shards(shards)
+            .with_progress(Arc::clone(&counter));
+        assert_eq!(sim.effective_shards(), shards);
+        let report = sim.run(&demo_trace(20_000));
+        assert_eq!(
+            counter.load(Ordering::Relaxed),
+            report.requests,
+            "{shards} shards"
+        );
+    }
+
     #[test]
     fn progress_counter_reaches_request_total() {
-        let counter = Arc::new(AtomicU64::new(0));
-        let cfg = SimConfig::new(SystemConfig::tiny(), ManagerKind::NoMigration);
-        let report = Simulator::new(cfg)
-            .expect("valid")
-            .with_progress(Arc::clone(&counter))
-            .run(&demo_trace(10_000));
-        assert_eq!(counter.load(Ordering::Relaxed), report.requests);
+        for shards in [1, 4] {
+            progress_counter_reaches_request_total_at(shards);
+        }
     }
 
     fn run_sharded_with(kind: ManagerKind, n: usize, shards: u32) -> SimReport {
@@ -1591,85 +1507,5 @@ mod tests {
         // Observation must not perturb the simulation.
         assert_eq!(plain.total_stall, telem.total_stall);
         assert_eq!(plain.migration.migrations, telem.migration.migrations);
-    }
-
-    #[test]
-    fn forced_worker_panic_degrades_to_sequential_and_matches_reference() {
-        use mempod_types::{FaultConfig, WorkerPanic};
-        let mut cfg = SimConfig::new(SystemConfig::tiny(), ManagerKind::MemPod);
-        let mut f = FaultConfig::quiet(5);
-        f.worker_panic = Some(WorkerPanic { shard: 1, batch: 2 });
-        cfg.faults = Some(f);
-        let mut degraded = Simulator::new(cfg)
-            .expect("valid")
-            .with_shards(4)
-            .run(&demo_trace(20_000));
-        assert!(degraded.faults.degraded_to_sequential);
-        assert_eq!(degraded.faults.shard_panics, 1);
-        // Apart from the recovery accounting, the degraded run must be
-        // bit-identical to a clean one-shard run: fault decisions are pure
-        // functions, so the replay is the exact same simulation.
-        degraded.faults.shard_panics = 0;
-        degraded.faults.degraded_to_sequential = false;
-        let clean = run_one_shard(ManagerKind::MemPod, 20_000);
-        assert_eq!(degraded, clean);
-    }
-
-    #[test]
-    fn worker_panic_is_ignored_by_a_one_shard_run() {
-        use mempod_types::{FaultConfig, WorkerPanic};
-        let mut cfg = SimConfig::new(SystemConfig::tiny(), ManagerKind::MemPod);
-        let mut f = FaultConfig::quiet(5);
-        f.worker_panic = Some(WorkerPanic { shard: 0, batch: 1 });
-        cfg.faults = Some(f);
-        let report = Simulator::new(cfg)
-            .expect("valid")
-            .with_shards(1)
-            .run(&demo_trace(20_000));
-        assert!(!report.faults.degraded_to_sequential);
-        assert_eq!(report.faults.shard_panics, 0);
-        assert_eq!(report, run_one_shard(ManagerKind::MemPod, 20_000));
-    }
-
-    #[test]
-    fn forced_worker_panic_reaches_telemetry() {
-        use mempod_types::{FaultConfig, WorkerPanic};
-        let sink = mempod_telemetry::MemorySink::new();
-        let lines = sink.handle();
-        let mut cfg = SimConfig::new(SystemConfig::tiny(), ManagerKind::MemPod);
-        let mut f = FaultConfig::quiet(5);
-        f.worker_panic = Some(WorkerPanic { shard: 0, batch: 1 });
-        cfg.faults = Some(f);
-        let report = Simulator::new(cfg)
-            .expect("valid")
-            .with_shards(4)
-            .with_telemetry(Telemetry::with_sink(Box::new(sink)))
-            .run(&demo_trace(10_000));
-        assert!(report.faults.degraded_to_sequential);
-        let lines = lines.lock().expect("sink mutex");
-        assert!(lines.iter().any(|l| l.contains("ShardPanic")));
-        assert!(lines.iter().any(|l| l.contains("DegradedToSequential")));
-    }
-
-    #[test]
-    fn progress_board_stays_consistent_across_shard_panic_degradation() {
-        // A shard panic mid-run degrades to a one-shard replay; the shared
-        // progress counter must roll back the partial sharded credit and
-        // land exactly on the final request count — never double-counting
-        // replayed work.
-        use mempod_types::{FaultConfig, WorkerPanic};
-        let counter = Arc::new(AtomicU64::new(0));
-        let mut cfg = SimConfig::new(SystemConfig::tiny(), ManagerKind::MemPod);
-        let mut f = FaultConfig::quiet(5);
-        f.worker_panic = Some(WorkerPanic { shard: 1, batch: 2 });
-        cfg.faults = Some(f);
-        let r = Simulator::new(cfg)
-            .expect("valid")
-            .with_shards(4)
-            .with_progress(Arc::clone(&counter))
-            .run(&demo_trace(20_000));
-        assert!(r.faults.degraded_to_sequential);
-        assert_eq!(r.requests, 20_000);
-        assert_eq!(counter.load(Ordering::Relaxed), r.requests);
     }
 }

@@ -24,7 +24,7 @@ use std::path::Path;
 use serde_json::{json, Value};
 
 use crate::event::{Event, EventKind};
-use crate::sink::EventSink;
+use crate::sink::{EventSink, WriteErrors};
 use crate::span::{SpanName, SpanRecord, SPAN_NONE};
 
 /// Synthetic process id for causal (simulated-machine) tracks.
@@ -52,7 +52,7 @@ pub struct ChromeTraceSink {
     w: BufWriter<File>,
     wrote_any: bool,
     closed: bool,
-    errors: u64,
+    errors: WriteErrors,
 }
 
 impl ChromeTraceSink {
@@ -67,10 +67,10 @@ impl ChromeTraceSink {
             w: BufWriter::new(File::create(path)?),
             wrote_any: false,
             closed: false,
-            errors: 0,
+            errors: WriteErrors::default(),
         };
         if sink.w.write_all(b"[").is_err() {
-            sink.errors += 1;
+            sink.errors.add();
         }
         sink.record(json!({
             "name": "process_name", "ph": "M", "pid": PID_CAUSAL,
@@ -83,21 +83,22 @@ impl ChromeTraceSink {
         Ok(sink)
     }
 
-    /// Number of write errors swallowed (or post-close events dropped).
-    pub fn errors(&self) -> u64 {
-        self.errors
+    /// A shared handle to the count of failed writes (and of events
+    /// dropped after the close).
+    pub fn errors(&self) -> WriteErrors {
+        self.errors.clone()
     }
 
     /// Appends one trace record to the array.
     fn record(&mut self, v: Value) {
         if self.closed {
-            self.errors += 1;
+            self.errors.add();
             return;
         }
         let sep: &[u8] = if self.wrote_any { b",\n" } else { b"\n" };
         let line = serde_json::to_string(&v).unwrap_or_default();
         if self.w.write_all(sep).is_err() || self.w.write_all(line.as_bytes()).is_err() {
-            self.errors += 1;
+            self.errors.add();
         }
         self.wrote_any = true;
     }
@@ -264,11 +265,11 @@ impl EventSink for ChromeTraceSink {
         if !self.closed {
             self.closed = true;
             if self.w.write_all(b"\n]\n").is_err() {
-                self.errors += 1;
+                self.errors.add();
             }
         }
         if self.w.flush().is_err() {
-            self.errors += 1;
+            self.errors.add();
         }
     }
 }
@@ -320,7 +321,7 @@ mod tests {
                 },
             ));
             sink.flush();
-            assert_eq!(sink.errors(), 0);
+            assert_eq!(sink.errors().count(), 0);
         }
         let text = std::fs::read_to_string(&path).expect("read back");
         let v: Value = serde_json::from_str(&text).expect("valid JSON");
@@ -346,7 +347,7 @@ mod tests {
             sink.flush();
             sink.flush();
             sink.emit_event(&Event::new(1, EventKind::MetaMissBurst { len: 9 }));
-            assert_eq!(sink.errors(), 0); // unmapped kind: silently skipped
+            assert_eq!(sink.errors().count(), 0); // unmapped kind: silently skipped
             sink.emit_event(&Event::new(
                 1,
                 EventKind::PagePingPong {
@@ -355,7 +356,7 @@ mod tests {
                     trips: 1,
                 },
             ));
-            assert_eq!(sink.errors(), 1); // mapped kind after close: dropped
+            assert_eq!(sink.errors().count(), 1); // mapped kind after close: dropped
         }
         let text = std::fs::read_to_string(&path).expect("read back");
         assert!(serde_json::from_str::<Value>(&text).is_ok(), "{text}");

@@ -119,17 +119,6 @@ pub enum EventKind {
         /// Total attempts made before giving up.
         attempts: u32,
     },
-    /// A shard worker panicked; caught at the epoch barrier.
-    ShardPanic {
-        /// Index of the first shard whose worker panicked.
-        shard: u32,
-    },
-    /// The sharded engine abandoned its partial state and replayed the
-    /// run at one shard.
-    DegradedToSequential {
-        /// Shard whose panic triggered the degradation.
-        shard: u32,
-    },
     /// A completed causal/execution span (see [`SpanRecord`]). The event's
     /// `t_ps` is the span's end time, so the merged stream stays ordered
     /// by when things were *known*, not when they began.
@@ -287,8 +276,6 @@ mod tests {
                     attempts: 4,
                 },
             ),
-            Event::new(110, EventKind::ShardPanic { shard: 3 }),
-            Event::new(120, EventKind::DegradedToSequential { shard: 3 }),
             Event::new(
                 140,
                 EventKind::Span(SpanRecord {

@@ -63,7 +63,7 @@ pub use event::{Event, EventKind};
 pub use metrics::{Log2Histogram, LOG2_BUCKETS};
 pub use phase::PhaseClock;
 pub use ring::{EpochSnapshot, SnapshotRing};
-pub use sink::{DiscardSink, EventSink, FileSink, MemorySink, NullSink, TeeSink};
+pub use sink::{DiscardSink, EventSink, FileSink, MemorySink, NullSink, TeeSink, WriteErrors};
 pub use span::{SpanConfig, SpanName, SpanRecord, SPAN_NONE};
 
 /// Default number of epoch snapshots retained in memory.

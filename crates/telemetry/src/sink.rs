@@ -1,5 +1,6 @@
 //! Pluggable JSONL sinks for the event stream.
 
+use mempod_sync::atomic::{AtomicU64, Ordering};
 use mempod_sync::Arc;
 use std::fmt;
 use std::fs::File;
@@ -76,13 +77,31 @@ impl EventSink for DiscardSink {
     }
 }
 
+/// A shared count of the writes a file-backed sink failed. The sink counts
+/// a failed write instead of panicking mid-run; keep a handle
+/// ([`FileSink::errors`], [`ChromeTraceSink::errors`](crate::ChromeTraceSink::errors))
+/// before moving the sink into a `Telemetry` and read it after the run.
+#[derive(Debug, Clone, Default)]
+pub struct WriteErrors(Arc<AtomicU64>);
+
+impl WriteErrors {
+    /// Failed writes counted so far. `Relaxed` suffices: the count
+    /// publishes no other data, and it is read after the run that wrote it
+    /// has returned.
+    pub fn count(&self) -> u64 {
+        self.0.load(Ordering::Relaxed)
+    }
+
+    pub(crate) fn add(&self) {
+        self.0.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 /// Streams events to a file, one JSON object per line.
 #[derive(Debug)]
 pub struct FileSink {
     w: BufWriter<File>,
-    /// I/O errors observed while writing (surfaced at `flush`, not by
-    /// panicking mid-run).
-    errors: u64,
+    errors: WriteErrors,
 }
 
 impl FileSink {
@@ -94,26 +113,26 @@ impl FileSink {
     pub fn create(path: impl AsRef<Path>) -> io::Result<Self> {
         Ok(FileSink {
             w: BufWriter::new(File::create(path)?),
-            errors: 0,
+            errors: WriteErrors::default(),
         })
     }
 
-    /// Number of write errors swallowed so far.
-    pub fn errors(&self) -> u64 {
-        self.errors
+    /// A shared handle to this sink's failed-write count.
+    pub fn errors(&self) -> WriteErrors {
+        self.errors.clone()
     }
 }
 
 impl EventSink for FileSink {
     fn emit(&mut self, line: &str) {
         if writeln!(self.w, "{line}").is_err() {
-            self.errors += 1;
+            self.errors.add();
         }
     }
 
     fn flush(&mut self) {
         if self.w.flush().is_err() {
-            self.errors += 1;
+            self.errors.add();
         }
     }
 }
@@ -224,7 +243,7 @@ mod tests {
             s.emit("{\"a\":1}");
             s.emit("{\"b\":2}");
             s.flush();
-            assert_eq!(s.errors(), 0);
+            assert_eq!(s.errors().count(), 0);
         }
         let text = std::fs::read_to_string(&path).expect("read back");
         assert_eq!(text, "{\"a\":1}\n{\"b\":2}\n");

@@ -16,6 +16,7 @@
 
 use std::collections::HashSet;
 
+use mempod_types::convert::u64_from_usize;
 use mempod_types::PageId;
 use serde::Serialize;
 
@@ -79,12 +80,17 @@ pub fn split_into_intervals(pages: &[PageId], interval_len: usize) -> Vec<&[Page
 }
 
 /// Exact ranking of an interval's pages: count descending, id ascending.
+/// Pages are counted by sorting a copy and grouping equal runs, so no hash
+/// order can reach the ranking.
 pub fn true_ranking(interval: &[PageId]) -> Vec<(PageId, u64)> {
-    let mut counts = std::collections::HashMap::new();
-    for &p in interval {
-        *counts.entry(p).or_insert(0u64) += 1;
-    }
-    sort_hot(counts.into_iter().collect())
+    let mut sorted = interval.to_vec();
+    sorted.sort_unstable();
+    sort_hot(
+        sorted
+            .chunk_by(PartialEq::eq)
+            .filter_map(|run| Some((*run.first()?, u64_from_usize(run.len()))))
+            .collect(),
+    )
 }
 
 fn tier_sets(ranking: &[(PageId, u64)]) -> [HashSet<PageId>; TIERS] {

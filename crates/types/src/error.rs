@@ -48,31 +48,6 @@ impl fmt::Display for GeometryError {
 
 impl Error for GeometryError {}
 
-/// Runtime failures inside the simulation engine, each carrying enough
-/// context (which shard) to locate the failure without a debugger. These
-/// are *recoverable* errors: the engine's policy is to degrade (one-shard
-/// replay) rather than abort the process.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum EngineError {
-    /// A shard worker thread panicked mid-batch.
-    ShardWorkerPanicked {
-        /// Index of the shard whose worker died.
-        shard: u32,
-    },
-}
-
-impl fmt::Display for EngineError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            EngineError::ShardWorkerPanicked { shard } => {
-                write!(f, "shard {shard} worker panicked mid-batch")
-            }
-        }
-    }
-}
-
-impl Error for EngineError {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -92,25 +67,8 @@ mod tests {
     }
 
     #[test]
-    fn engine_errors_carry_their_context() {
-        let cases: Vec<(EngineError, &[&str])> = vec![(
-            EngineError::ShardWorkerPanicked { shard: 3 },
-            &["shard 3", "panicked"],
-        )];
-        for (e, needles) in cases {
-            let s = e.to_string();
-            for needle in needles {
-                assert!(s.contains(needle), "{s:?} missing {needle:?}");
-            }
-            assert!(!s.starts_with(char::is_uppercase));
-            assert!(!s.ends_with('.'));
-        }
-    }
-
-    #[test]
     fn implements_error_and_is_send_sync() {
         fn takes_err<E: Error + Send + Sync + 'static>(_: E) {}
         takes_err(GeometryError::ZeroCapacity);
-        takes_err(EngineError::ShardWorkerPanicked { shard: 0 });
     }
 }

@@ -8,15 +8,16 @@
 //! shard counts — the property the differential tests in `tests/sharding.rs`
 //! pin down.
 //!
-//! The taxonomy has three levels:
+//! The taxonomy has two classes:
 //!
 //! * **migration faults** — a swap aborts mid-flight (transiently, retried
 //!   with exponential backoff in simulated time, or permanently, rolled
 //!   back so the address map is exactly as before);
 //! * **channel faults** — timing perturbations inside a DRAM channel
-//!   ([`ChannelFaultKind`]): latency spikes, stuck banks, refresh storms;
-//! * **runner faults** — a shard worker panic, contained at the epoch
-//!   barrier and recovered by degrading to a one-shard replay.
+//!   ([`ChannelFaultKind`]): latency spikes, stuck banks, refresh storms.
+//!
+//! A shard worker panic is not in the taxonomy: shards are deterministic,
+//! so a panic is a bug, and it propagates out of the run.
 
 use serde::Serialize;
 
@@ -50,9 +51,6 @@ pub struct FaultConfig {
     pub channel_fault_ppm: u32,
     /// Width of the channel-fault decision window.
     pub channel_window: Picos,
-    /// Force a worker panic on one shard at one barrier batch (for
-    /// degradation testing).
-    pub worker_panic: Option<WorkerPanic>,
 }
 
 impl FaultConfig {
@@ -66,13 +64,12 @@ impl FaultConfig {
             migration_backoff_cap: Picos::from_us(8),
             channel_fault_ppm: 0,
             channel_window: Picos::from_us(1),
-            worker_panic: None,
         }
     }
 
     /// Whether any fault class can actually fire.
     pub fn is_active(&self) -> bool {
-        self.migration_abort_ppm > 0 || self.channel_fault_ppm > 0 || self.worker_panic.is_some()
+        self.migration_abort_ppm > 0 || self.channel_fault_ppm > 0
     }
 }
 
@@ -80,17 +77,6 @@ impl Default for FaultConfig {
     fn default() -> Self {
         FaultConfig::quiet(0)
     }
-}
-
-/// A forced shard-worker panic: shard `shard % shard_count` panics when it
-/// runs its `batch`-th barrier batch. Only runs with more than one
-/// effective shard inject it; a one-shard run ignores it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
-pub struct WorkerPanic {
-    /// Target shard (taken modulo the effective shard count).
-    pub shard: u32,
-    /// Barrier batch index at which the panic fires (0 = first batch).
-    pub batch: u64,
 }
 
 /// The planned outcome for one faulted migration, decided at admission.
@@ -145,9 +131,6 @@ mod tests {
         let mut cfg = FaultConfig::quiet(1);
         cfg.channel_fault_ppm = 1;
         assert!(cfg.is_active());
-        let mut cfg = FaultConfig::quiet(1);
-        cfg.worker_panic = Some(WorkerPanic { shard: 0, batch: 3 });
-        assert!(cfg.is_active());
     }
 
     #[test]
@@ -160,7 +143,6 @@ mod tests {
             migration_backoff_cap: Picos::from_us(4),
             channel_fault_ppm: 100,
             channel_window: Picos::from_us(2),
-            worker_panic: Some(WorkerPanic { shard: 1, batch: 9 }),
         };
         // Written JSON is only ever read back untyped: pin the parsed
         // shape, field order included.
@@ -175,7 +157,6 @@ mod tests {
                 "migration_backoff_cap": 4_000_000,
                 "channel_fault_ppm": 100,
                 "channel_window": 2_000_000,
-                "worker_panic": { "shard": 1, "batch": 9 },
             })
         );
         let spec = MigrationFaultSpec {

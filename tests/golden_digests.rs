@@ -17,7 +17,7 @@
 use mempod_suite::core::ManagerKind;
 use mempod_suite::sim::{SimConfig, SimReport, Simulator};
 use mempod_suite::trace::{Trace, TraceGenerator, WorkloadSpec};
-use mempod_suite::types::{FaultConfig, SystemConfig, WorkerPanic};
+use mempod_suite::types::{FaultConfig, SystemConfig};
 use mempod_telemetry::{MemorySink, SpanConfig, Telemetry};
 
 const REQUESTS: usize = 20_000;
@@ -236,36 +236,4 @@ fn observed_run_matches_its_golden_digests() {
         ),
     ];
     assert_table(&got, GOLDEN_OBSERVED);
-}
-
-/// An injected shard-worker panic degrades a sharded run to a replay whose
-/// report, apart from the recovery accounting, is the clean run's; a
-/// one-shard run has no worker to crash and ignores the injection.
-#[test]
-fn worker_panic_replay_matches_the_clean_digest() {
-    let t = trace();
-    let mut f = FaultConfig::quiet(5);
-    f.worker_panic = Some(WorkerPanic { shard: 1, batch: 2 });
-    let cfg = SimConfig::new(SystemConfig::tiny(), ManagerKind::MemPod).with_faults(f);
-    let clean = GOLDEN
-        .iter()
-        .find(|(label, _, _)| *label == "MemPod")
-        .map(|&(_, d, _)| d)
-        .expect("the clean MemPod digest is pinned");
-    for shards in [1u32, 4] {
-        let mut r = Simulator::new(cfg.clone())
-            .expect("valid")
-            .with_shards(shards)
-            .run(&t);
-        let degraded = shards > 1;
-        assert_eq!(r.faults.degraded_to_sequential, degraded, "{shards} shards");
-        assert_eq!(
-            r.faults.shard_panics,
-            u64::from(degraded),
-            "{shards} shards"
-        );
-        r.faults.shard_panics = 0;
-        r.faults.degraded_to_sequential = false;
-        assert_eq!(digest(&r), clean, "{shards} shards");
-    }
 }
