@@ -20,7 +20,9 @@
 //! `--exec-spans`. `--spans` turns span tracing on for a JSONL-only run.
 //! Both sinks can run together (`--timeline` + `--trace-out` tees the
 //! stream), and `--shards N` drives the sharded engine — the causal trace
-//! is bit-identical at any accepted shard count.
+//! is bit-identical at any accepted shard count. A run with `--shards`
+//! above 1 prints the count it used, which the layout and the manager's
+//! migration domains may clamp below the request.
 //!
 //! With `--faults PPM` a deterministic fault plan injects mid-swap
 //! migration aborts (and, via `--channel-faults PPM`, channel timing
@@ -233,6 +235,7 @@ fn run() -> Result<(), String> {
     if shards > 1 {
         sim = sim.with_shards(shards);
     }
+    let effective = sim.effective_shards();
     let report = sim.run(&trace);
     for (what, path, errors) in &outputs {
         let failed = errors.count();
@@ -247,6 +250,11 @@ fn run() -> Result<(), String> {
         workload, report.requests, report.duration
     );
     println!("manager    : {}", report.manager);
+    if shards > 1 {
+        // The engine clamps the request to a count the layout and the
+        // manager's migration domains allow: say which one ran.
+        println!("shards     : {effective} of {shards} requested");
+    }
     println!(
         "AMMAT      : {:.2} ns",
         report.ammat_ns().expect("non-empty run")

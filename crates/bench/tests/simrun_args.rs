@@ -1,6 +1,6 @@
 //! `simrun`, `tracelens` and the `Opts`-driven experiment binaries reject
 //! bad command-line input and unusable files with an `error:` line and
-//! exit status 2, never a panic.
+//! exit status 2, never a panic; `simrun` says how many shards a run used.
 
 use std::process::Command;
 
@@ -182,4 +182,31 @@ fn experiment_binary_input_errors_are_clean() {
         &["--requests", "5"],
         &format!("--requests {smoke_only}"),
     );
+}
+
+/// `--shards N` is clamped to what the layout and the manager's migration
+/// domains allow, and `simrun` prints the count that ran: CAMEO's
+/// pod-aligned congruence groups take all 4 of the tiny geometry's
+/// shards, while THM reports one migration domain and takes 1.
+#[test]
+fn simrun_reports_the_effective_shard_count() {
+    // The run saves its report under `results/`: keep it out of the tree.
+    let dir = std::env::temp_dir().join(format!("simrun-shards-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    for (manager, effective) in [("cameo", 4), ("thm", 1)] {
+        let out = Command::new(SIMRUN)
+            .args(["--smoke", "--requests", "2000", "--manager", manager])
+            .args(["--shards", "4"])
+            .current_dir(&dir)
+            .output()
+            .expect("simrun starts");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(out.status.success(), "{manager}: {stdout}");
+        let want = format!("shards     : {effective} of 4 requested");
+        assert!(
+            stdout.contains(&want),
+            "{manager}: expected {want:?} in {stdout}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -49,6 +49,8 @@ pub struct CameoManager {
     /// Optional Line Location Predictor (paper §2): mispredictions cost a
     /// blocking bookkeeping read.
     llp: Option<LineLocationPredictor>,
+    /// Pod count of the geometry: CAMEO's migration-domain count.
+    pods: u32,
 }
 
 impl CameoManager {
@@ -70,6 +72,7 @@ impl CameoManager {
             stats: MigrationStats::default(),
             wasted: 0,
             llp: cfg.cameo_llp.then(|| LineLocationPredictor::new(4096)),
+            pods: geo.pods(),
         }
     }
 
@@ -187,6 +190,23 @@ impl MemoryManager for CameoManager {
         g.set_flag(false);
         self.stats.aborted += 1;
         true
+    }
+
+    /// CAMEO's congruence groups are residue-aligned, so it reports the pod
+    /// count. Group `g` holds the line units `g + k·F`, where `F` is the
+    /// fast-line count and `F / 32` the fast-frame count. Member `k` sits
+    /// in frame and page `⌊g/32⌋ + k·(F/32)`, so whenever `S` divides the
+    /// fast-frame count every frame and page of the group lies in residue
+    /// class `⌊g/32⌋ mod S`: both frames and both pages of a swap, and the
+    /// page and fast frame of every access. The LLP's metadata fetch goes
+    /// to a pod-local backing frame, congruent to the page mod the pod
+    /// count, so it stays in that class whenever `S` also divides the pod
+    /// count. The sharded engine's shard count already divides both (the
+    /// fast-frame count through its channel check, the pod count through
+    /// this answer), and its admission audits every routed item against
+    /// the class under `debug-invariants`.
+    fn migration_domains(&self) -> u32 {
+        self.pods
     }
 
     /// CAMEO's structural invariants: every diverged congruence-group

@@ -282,10 +282,19 @@ pub trait MemoryManager {
     ///
     /// - MemPod swaps strictly within pods and its remap is pod-preserving
     ///   (audited under `debug-invariants`), so it reports the pod count;
+    /// - CAMEO's strided congruence groups keep every member in one frame
+    ///   residue class whenever the class count divides the fast-frame
+    ///   count, and its metadata frames are pod-local, so it reports the
+    ///   pod count too;
     /// - the static baselines never migrate or meta-miss and report
     ///   [`u32::MAX`], meaning "unconstrained — any partition is safe";
     /// - the conservative default of 1 suits managers whose swaps cross
-    ///   the whole address space (HMA, THM, CAMEO).
+    ///   the whole address space or share one global migration lane (HMA;
+    ///   THM, whose page swaps carry no pod).
+    ///
+    /// Under `debug-invariants` the sharded engine checks the answer at
+    /// admission: every access and swap it routes must lie wholly in the
+    /// residue class of the shard it is sent to.
     ///
     /// The answer must be constant for the manager's lifetime; the sharded
     /// event loop reads it once at setup to size its shard plan.
@@ -365,8 +374,14 @@ mod tests {
             let m = build_manager(kind, &cfg);
             let domains = m.migration_domains();
             match kind {
-                ManagerKind::MemPod => assert_eq!(domains, cfg.geometry.pods()),
-                ManagerKind::Hma | ManagerKind::Thm | ManagerKind::Cameo => {
+                ManagerKind::MemPod | ManagerKind::Cameo => {
+                    assert_eq!(
+                        domains,
+                        cfg.geometry.pods(),
+                        "{kind} swaps stay pod-aligned"
+                    )
+                }
+                ManagerKind::Hma | ManagerKind::Thm => {
                     assert_eq!(domains, 1, "{kind} swaps cross the whole space")
                 }
                 _ => assert_eq!(domains, u32::MAX, "{kind} is unconstrained"),

@@ -898,7 +898,7 @@ impl Shard {
 /// a read into pod-3's channels. Layouts with fewer fast frames than pods
 /// (no room for a per-pod slice) keep the global hash; such systems never
 /// shard.
-fn meta_backing_frame(page: PageId, fast_frames: u64, pods: u32) -> FrameId {
+pub(crate) fn meta_backing_frame(page: PageId, fast_frames: u64, pods: u32) -> FrameId {
     let fast = fast_frames.max(1);
     let pods = u64::from(pods.max(1));
     let hash = page.0.wrapping_mul(0x9E37_79B9_7F4A_7C15);

@@ -47,11 +47,13 @@ use mempod_telemetry::{
 };
 use mempod_trace::Trace;
 use mempod_types::convert::{u32_from_u64, u64_from_usize, usize_from_u64};
-use mempod_types::{MigrationFaultSpec, Picos};
+use mempod_types::Picos;
 
 use crate::config::{SimConfig, SimError};
 use crate::metrics::SimReport;
 use crate::provenance::ProvenanceLedger;
+#[cfg(feature = "debug-invariants")]
+use crate::shard::meta_backing_frame;
 use crate::shard::{gcd, Shard, Waiter, WorkItem};
 
 /// Consecutive metadata-cache misses that qualify as a burst event.
@@ -664,15 +666,16 @@ impl Simulator {
                     miss_run = 0;
                 }
             }
-            #[cfg(feature = "debug-invariants")]
-            let migrated = !outcome.migrations.is_empty();
-            for (m, spec) in decide_migration_faults(
-                self.mgr.as_mut(),
-                plan.as_ref(),
-                outcome.migrations,
-                req.arrival,
-                &mut faulted_migrations,
-            ) {
+            // Each committed swap goes straight to the shard that owns it,
+            // in commit order, with its fault verdict: decided here, on the
+            // main thread, so every shard count sees identical verdicts.
+            let mut doomed = false;
+            for &m in &outcome.migrations {
+                let spec = plan
+                    .as_ref()
+                    .and_then(|p| p.migration_spec(m.frame_a, m.frame_b, req.arrival));
+                faulted_migrations += u64::from(spec.is_some());
+                doomed |= spec.is_some_and(|s| s.permanent);
                 if let Some(ldg) = ledger.as_mut() {
                     for pong in ldg.record(&m, req.arrival, spec.is_some_and(|s| s.permanent)) {
                         if events_wanted {
@@ -688,13 +691,19 @@ impl Simulator {
                     }
                 }
                 let s = usize_from_u64(m.frame_a.0 % nu);
-                work[s].push((tick, WorkItem::Migrate(m, spec)));
+                let item = WorkItem::Migrate(m, spec);
+                #[cfg(feature = "debug-invariants")]
+                audit_residue(&mut auditor, &item, s, nu, &self.layout, pods);
+                work[s].push((tick, item));
+            }
+            if let Some(p) = plan.as_ref().filter(|_| doomed) {
+                roll_back_doomed(self.mgr.as_mut(), p, &outcome.migrations, req.arrival);
             }
             // The manager changes on this thread, request by request, so
             // its remap/segment state is audited here rather than at the
             // barrier: a table torn and repaired within a batch is caught.
             #[cfg(feature = "debug-invariants")]
-            if migrated && auditor.should_sample() {
+            if !outcome.migrations.is_empty() && auditor.should_sample() {
                 self.mgr.audit_invariants(&mut auditor);
             }
 
@@ -714,13 +723,13 @@ impl Simulator {
                 ),
             };
             let s = usize_from_u64(outcome.frame.0 % nu);
-            work[s].push((
-                tick,
-                WorkItem::Admit {
-                    page: req.addr.page(),
-                    w,
-                },
-            ));
+            let item = WorkItem::Admit {
+                page: req.addr.page(),
+                w,
+            };
+            #[cfg(feature = "debug-invariants")]
+            audit_residue(&mut auditor, &item, s, nu, &self.layout, pods);
+            work[s].push((tick, item));
             requests_so_far += 1;
 
             if arrivals.len() >= BATCH_TICKS {
@@ -862,39 +871,93 @@ fn request_span(
     }
 }
 
-/// Decides fault outcomes for one batch of committed migrations (on the
-/// main thread, so every shard count sees identical verdicts) and rolls
-/// the permanently-doomed ones back out of the manager's map in reverse
-/// commit order. Returns `(migration, spec)` pairs in commit order for the
-/// engine, which models the doomed attempts' timing but never moves their
-/// data.
-fn decide_migration_faults(
+/// Rolls the permanently-doomed swaps among one access's committed
+/// `migrations` back out of the manager's map, in reverse commit order.
+/// The engine still models the doomed attempts' timing but never moves
+/// their data. The verdicts are redrawn rather than kept: they are pure
+/// ([`FaultPlan::migration_spec`]), and only an access that committed a
+/// doomed swap walks here, while keeping them would cost every committing
+/// access a buffer.
+fn roll_back_doomed(
     mgr: &mut dyn MemoryManager,
-    plan: Option<&FaultPlan>,
-    migrations: Vec<Migration>,
+    plan: &FaultPlan,
+    migrations: &[Migration],
     at: Picos,
-    faulted: &mut u64,
-) -> Vec<(Migration, Option<MigrationFaultSpec>)> {
-    if migrations.is_empty() {
-        // Most accesses commit nothing: skip the per-request map/collect.
-        return Vec::new();
-    }
-    let decided: Vec<(Migration, Option<MigrationFaultSpec>)> = migrations
-        .into_iter()
-        .map(|m| {
-            let spec = plan.and_then(|p| p.migration_spec(m.frame_a, m.frame_b, at));
-            if spec.is_some() {
-                *faulted += 1;
-            }
-            (m, spec)
-        })
-        .collect();
-    for (m, spec) in decided.iter().rev() {
-        if spec.is_some_and(|s| s.permanent) {
+) {
+    for m in migrations.iter().rev() {
+        if plan
+            .migration_spec(m.frame_a, m.frame_b, at)
+            .is_some_and(|s| s.permanent)
+        {
             let _ = mgr.rollback_migration(m);
         }
     }
-    decided
+}
+
+/// Checks that a work item routed to shard `s` of `n` lies wholly in that
+/// shard's residue class: an access's page, frame and, when it needs one,
+/// metadata frame; a swap's two frames, two pages and, for a page swap,
+/// its migration lane. A miss means the manager's
+/// [`MemoryManager::migration_domains`] promised more domains than its
+/// decisions respect, so the run stops before a shard acts on the item.
+#[cfg(feature = "debug-invariants")]
+fn audit_residue(
+    auditor: &mut mempod_audit::InvariantAuditor,
+    item: &WorkItem,
+    s: usize,
+    n: u64,
+    layout: &MemLayout,
+    pods: u32,
+) {
+    let class = u64_from_usize(s);
+    let what = match item {
+        WorkItem::Migrate(..) => "swap",
+        WorkItem::Admit { .. } => "access",
+    };
+    let mut misrouted = false;
+    let mut check = |name: &str, v: u64| {
+        auditor.observe(v % n == class, || {
+            misrouted = true;
+            format!(
+                "residue: {what} routed to shard {s} of {n} has {name} {v}, in class {}",
+                v % n
+            )
+        });
+    };
+    match item {
+        WorkItem::Migrate(m, _) => {
+            check("frame_a", m.frame_a.0);
+            check("frame_b", m.frame_b.0);
+            check("page_a", m.page_a.0);
+            check("page_b", m.page_b.0);
+            // A page swap queues on its pod's lane; a swap with no pod
+            // queues on the one global lane, which only a lone shard owns.
+            if m.is_page_swap() {
+                match m.pod {
+                    Some(pod) => check("lane pod", u64::from(pod)),
+                    None => auditor.observe(n == 1, || {
+                        misrouted = true;
+                        format!(
+                            "residue: {what} routed to shard {s} of {n} queues on the global lane"
+                        )
+                    }),
+                }
+            }
+        }
+        WorkItem::Admit { page, w } => {
+            check("page", page.0);
+            check("frame", w.frame.0);
+            if w.needs_meta {
+                check(
+                    "metadata frame",
+                    meta_backing_frame(*page, layout.fast_frames, pods).0,
+                );
+            }
+        }
+    }
+    if misrouted {
+        auditor.assert_clean();
+    }
 }
 
 /// One barrier interval: the shard phase ([`run_batch`]) on the tick path,
@@ -1335,10 +1398,11 @@ mod tests {
         assert_eq!(sim(ManagerKind::MemPod, 4), 4);
         assert_eq!(sim(ManagerKind::MemPod, 8), 4);
         assert_eq!(sim(ManagerKind::MemPod, 3), 1);
+        // CAMEO's strided groups are pod-aligned, so it shards like MemPod.
+        assert_eq!(sim(ManagerKind::Cameo, 8), 4);
         // Single-domain managers never shard.
         assert_eq!(sim(ManagerKind::Hma, 8), 1);
         assert_eq!(sim(ManagerKind::Thm, 8), 1);
-        assert_eq!(sim(ManagerKind::Cameo, 8), 1);
         // Statics are unconstrained by domains: HBM-only has 8 fast
         // channels and no slow tier.
         assert_eq!(sim(ManagerKind::HbmOnly, 8), 8);
@@ -1349,6 +1413,7 @@ mod tests {
     fn sharded_runs_match_the_reference_bit_for_bit() {
         for kind in [
             ManagerKind::MemPod,
+            ManagerKind::Cameo,
             ManagerKind::NoMigration,
             ManagerKind::HbmOnly,
         ] {
@@ -1358,6 +1423,28 @@ mod tests {
                 assert_eq!(reference, sharded, "{kind} diverged at {shards} shards");
             }
         }
+    }
+
+    /// The LLP's metadata fetches go to pod-local backing frames, so
+    /// CAMEO with the predictor on shards as bit-identically as without.
+    #[test]
+    fn cameo_llp_runs_match_across_shard_counts() {
+        let trace = demo_trace(15_000);
+        let run = |shards: u32| {
+            let mut cfg = SimConfig::new(SystemConfig::tiny(), ManagerKind::Cameo);
+            cfg.mgr.cameo_llp = true;
+            let sim = Simulator::new(cfg).expect("valid").with_shards(shards);
+            let effective = sim.effective_shards();
+            (sim.run(&trace), effective)
+        };
+        let (reference, _) = run(1);
+        let (sharded, effective) = run(4);
+        assert_eq!(effective, 4);
+        assert!(
+            reference.injected_meta_requests > 0,
+            "the LLP must mispredict"
+        );
+        assert_eq!(reference, sharded, "CAMEO+LLP diverged at 4 shards");
     }
 
     #[test]
@@ -1485,10 +1572,11 @@ mod tests {
             fn shard_count_never_changes_the_report(
                 shards in 1u32..=8,
                 n in 2_000usize..6_000,
-                kind_idx in 0usize..3,
+                kind_idx in 0usize..4,
             ) {
                 let kind = [
                     ManagerKind::MemPod,
+                    ManagerKind::Cameo,
                     ManagerKind::NoMigration,
                     ManagerKind::HbmOnly,
                 ][kind_idx];

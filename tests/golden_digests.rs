@@ -91,7 +91,7 @@ const GOLDEN: &Golden = &[
     ("MemPod", "43d1a7d1fb3a7bb5", 4),
     ("HMA", "36093cd7e85a3874", 1),
     ("THM", "8f6fe915c412cdff", 1),
-    ("CAMEO", "e80392aa8c2b9c5e", 1),
+    ("CAMEO", "e80392aa8c2b9c5e", 4),
     ("TLM", "495a277117770a35", 4),
     ("HBM-only", "691c031bf0731c55", 8),
     ("DDR-only", "1a4dd30f044750bf", 4),
@@ -131,7 +131,7 @@ fn reports_match_their_golden_digests() {
 const GOLDEN_WORKLOADS: &Golden = &[
     ("MemPod on mix1", "12ccebd5ae801752", 4),
     ("MemPod on bwaves", "65ced71febcde82e", 4),
-    ("CAMEO on mcf", "70893ffc69f8e83f", 1),
+    ("CAMEO on mcf", "70893ffc69f8e83f", 4),
     ("MemPod+faults seed 11", "2237b15b983ee3cf", 4),
     ("MemPod+faults seed 23", "1457a30d715ddf19", 4),
 ];

@@ -40,25 +40,28 @@ fn faulted_storm_run(sys: &SystemConfig, kind: ManagerKind, n: usize, shards: u3
 
 /// Fault decisions are a pure function of (seed, frames, arrival), decided
 /// at admission — so a faulted run must stay bit-identical across shard
-/// counts exactly like a clean one. Fast single-manager version; the
-/// slow-tests variant below covers every migrating manager.
+/// counts exactly like a clean one. Fast version over the managers that
+/// really shard (MemPod's page swaps, CAMEO's line swaps); the slow-tests
+/// variant below covers every migrating manager.
 #[test]
 fn injected_faults_preserve_shard_equivalence() {
     let sys = SystemConfig::tiny();
-    let reference = faulted_storm_run(&sys, ManagerKind::MemPod, 20_000, 1);
-    assert!(
-        reference.faults.migration_faults > 0,
-        "the plan must actually fault migrations (got {:?})",
-        reference.faults
-    );
-    assert!(reference.faults.migration_aborts >= reference.faults.migration_faults);
-    assert!(reference.faults.channel_faults > 0);
-    for shards in [2u32, 4, 8] {
-        let sharded = faulted_storm_run(&sys, ManagerKind::MemPod, 20_000, shards);
-        assert_eq!(
-            reference, sharded,
-            "faulted run diverged at {shards} shards"
+    for kind in [ManagerKind::MemPod, ManagerKind::Cameo] {
+        let reference = faulted_storm_run(&sys, kind, 20_000, 1);
+        assert!(
+            reference.faults.migration_faults > 0,
+            "{kind}: the plan must actually fault migrations (got {:?})",
+            reference.faults
         );
+        assert!(reference.faults.migration_aborts >= reference.faults.migration_faults);
+        assert!(reference.faults.channel_faults > 0);
+        for shards in [2u32, 4, 8] {
+            let sharded = faulted_storm_run(&sys, kind, 20_000, shards);
+            assert_eq!(
+                reference, sharded,
+                "{kind}: faulted run diverged at {shards} shards"
+            );
+        }
     }
 }
 
@@ -99,7 +102,7 @@ fn all_permanent_aborts_roll_back_every_migration() {
     f.migration_max_retries = 0;
     let t =
         TraceGenerator::new(WorkloadSpec::hotcold_demo(), 97).take_requests(20_000, &sys.geometry);
-    for kind in [ManagerKind::MemPod, ManagerKind::Thm] {
+    for kind in [ManagerKind::MemPod, ManagerKind::Thm, ManagerKind::Cameo] {
         for shards in [1u32, 4] {
             let r = Simulator::new(SimConfig::new(sys.clone(), kind).with_faults(f))
                 .expect("valid")
