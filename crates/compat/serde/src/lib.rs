@@ -5,16 +5,19 @@
 //! API-compatible subsets under `crates/compat/`. This crate implements the
 //! serde surface the workspace actually uses:
 //!
-//! * the [`Serialize`] trait over a concrete JSON-like [`Value`] data
-//!   model (instead of serde's visitor architecture);
+//! * the [`Serialize`] trait, whose one method writes compact JSON text
+//!   straight into a `String` (instead of serde's visitor architecture);
 //! * `#[derive(Serialize)]` via the sibling `serde_derive` proc-macro
 //!   crate, honouring `#[serde(transparent)]` and `#[serde(skip)]`.
 //!
 //! Serialization only: the workspace writes typed values and reads JSON
 //! back solely as an untyped [`Value`], so there is no typed reading half.
-//! The sibling `serde_json` crate re-exports [`Value`]/[`Map`] and adds
-//! text rendering/parsing on top of this data model.
+//! An untyped [`Value`] tree backs `json!`, parsing and pretty-printing;
+//! typed values never pass through it on the way to text. The sibling
+//! `serde_json` crate re-exports [`Value`]/[`Map`] and wraps the [`json`]
+//! text layer in serde_json's function names.
 
+pub mod json;
 pub mod value;
 
 pub use value::{Map, Number, Value};
@@ -49,22 +52,32 @@ impl fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
-/// A type that can render itself into the [`Value`] data model.
+/// A type that can write itself as JSON text.
 pub trait Serialize {
-    /// Converts `self` into a [`Value`].
-    fn to_value(&self) -> Value;
+    /// Appends `self` to `out` as compact JSON text.
+    fn write_json(&self, out: &mut String);
+
+    /// Converts `self` into a [`Value`] by rendering it and parsing the
+    /// text back, so a whole float of 1e15 or more reads back as an
+    /// integer and a non-finite one as `Null`. For cold paths only: the
+    /// figure binaries, `json!` and tests.
+    fn to_value(&self) -> Value {
+        let mut text = String::new();
+        self.write_json(&mut text);
+        json::parse(&text).expect("write_json emits valid JSON")
+    }
 }
 
 macro_rules! impl_int {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                #[allow(unused_comparisons)]
-                if *self >= 0 {
-                    Value::Number(Number::U64(*self as u64))
-                } else {
-                    Value::Number(Number::I64(*self as i64))
+            fn write_json(&self, out: &mut String) {
+                // Every listed type fits i128, and its magnitude fits u64.
+                let n = *self as i128;
+                if n < 0 {
+                    out.push('-');
                 }
+                json::write_u64(out, n.unsigned_abs() as u64);
             }
         }
     )*};
@@ -73,87 +86,106 @@ macro_rules! impl_int {
 impl_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
 
 impl Serialize for bool {
-    fn to_value(&self) -> Value {
-        Value::Bool(*self)
+    fn write_json(&self, out: &mut String) {
+        out.push_str(if *self { "true" } else { "false" });
     }
 }
 
 impl Serialize for f64 {
-    fn to_value(&self) -> Value {
-        Value::Number(Number::F64(*self))
+    fn write_json(&self, out: &mut String) {
+        json::write_f64(out, *self);
     }
 }
 
 impl Serialize for f32 {
-    fn to_value(&self) -> Value {
-        Value::Number(Number::F64(f64::from(*self)))
+    fn write_json(&self, out: &mut String) {
+        json::write_f64(out, f64::from(*self));
     }
 }
 
 impl Serialize for String {
-    fn to_value(&self) -> Value {
-        Value::String(self.clone())
+    fn write_json(&self, out: &mut String) {
+        json::write_str(out, self);
     }
 }
 
 impl Serialize for str {
-    fn to_value(&self) -> Value {
-        Value::String(self.to_string())
+    fn write_json(&self, out: &mut String) {
+        json::write_str(out, self);
     }
 }
 
 impl Serialize for char {
-    fn to_value(&self) -> Value {
-        Value::String(self.to_string())
+    fn write_json(&self, out: &mut String) {
+        json::write_str(out, self.encode_utf8(&mut [0; 4]));
     }
 }
 
 impl<T: Serialize + ?Sized> Serialize for &T {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
+    fn write_json(&self, out: &mut String) {
+        (**self).write_json(out);
+    }
+}
+
+impl<T: Serialize + ?Sized> Serialize for Box<T> {
+    fn write_json(&self, out: &mut String) {
+        (**self).write_json(out);
     }
 }
 
 impl<T: Serialize> Serialize for Option<T> {
-    fn to_value(&self) -> Value {
+    fn write_json(&self, out: &mut String) {
         match self {
-            Some(x) => x.to_value(),
-            None => Value::Null,
+            Some(x) => x.write_json(out),
+            None => out.push_str("null"),
         }
     }
 }
 
 impl<T: Serialize> Serialize for Vec<T> {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
+    fn write_json(&self, out: &mut String) {
+        self.as_slice().write_json(out);
     }
 }
 
 impl<T: Serialize> Serialize for [T] {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
+    fn write_json(&self, out: &mut String) {
+        out.push('[');
+        for (i, item) in self.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            item.write_json(out);
+        }
+        out.push(']');
     }
 }
 
 impl<T: Serialize, const N: usize> Serialize for [T; N] {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
+    fn write_json(&self, out: &mut String) {
+        self.as_slice().write_json(out);
     }
 }
 
 impl<A: Serialize, B: Serialize> Serialize for (A, B) {
-    fn to_value(&self) -> Value {
-        Value::Array(vec![self.0.to_value(), self.1.to_value()])
+    fn write_json(&self, out: &mut String) {
+        out.push('[');
+        self.0.write_json(out);
+        out.push(',');
+        self.1.write_json(out);
+        out.push(']');
     }
 }
 
 impl<A: Serialize, B: Serialize, C: Serialize> Serialize for (A, B, C) {
-    fn to_value(&self) -> Value {
-        Value::Array(vec![
-            self.0.to_value(),
-            self.1.to_value(),
-            self.2.to_value(),
-        ])
+    fn write_json(&self, out: &mut String) {
+        out.push('[');
+        self.0.write_json(out);
+        out.push(',');
+        self.1.write_json(out);
+        out.push(',');
+        self.2.write_json(out);
+        out.push(']');
     }
 }
 
@@ -183,19 +215,29 @@ macro_rules! impl_int_key {
 impl_int_key!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
 
 impl<K: MapKey, V: Serialize, S> Serialize for std::collections::HashMap<K, V, S> {
-    fn to_value(&self) -> Value {
+    fn write_json(&self, out: &mut String) {
         // Sort keys so serialization is deterministic despite HashMap's
         // randomized iteration order.
-        let mut entries: Vec<(String, Value)> = self
-            .iter()
-            .map(|(k, v)| (k.to_key(), v.to_value()))
-            .collect();
+        let mut entries: Vec<(String, &V)> = self.iter().map(|(k, v)| (k.to_key(), v)).collect();
         entries.sort_by(|a, b| a.0.cmp(&b.0));
-        Value::Object(entries.into_iter().collect())
+        out.push('{');
+        for (i, (k, v)) in entries.into_iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            json::write_str(out, &k);
+            out.push(':');
+            v.write_json(out);
+        }
+        out.push('}');
     }
 }
 
 impl Serialize for Value {
+    fn write_json(&self, out: &mut String) {
+        json::write_value(out, self, None, 0);
+    }
+
     fn to_value(&self) -> Value {
         self.clone()
     }

@@ -38,18 +38,7 @@ impl fmt::Display for Number {
         match self {
             Number::U64(n) => write!(f, "{n}"),
             Number::I64(n) => write!(f, "{n}"),
-            Number::F64(n) => {
-                if n.is_finite() {
-                    if n.fract() == 0.0 && n.abs() < 1e15 {
-                        write!(f, "{n:.1}")
-                    } else {
-                        write!(f, "{n}")
-                    }
-                } else {
-                    // JSON has no Inf/NaN; emit null like serde_json does.
-                    write!(f, "null")
-                }
-            }
+            Number::F64(n) => crate::json::fmt_f64(f, *n),
         }
     }
 }

@@ -12,10 +12,13 @@
 //! Generics are intentionally unsupported — the derive panics with a clear
 //! message at compile time if it meets a `<` after the type name.
 //!
-//! Data model: named structs serialize to objects, one-field tuple structs
-//! to their inner value, longer tuple structs to arrays, unit variants to
-//! their name as a string, and data-carrying variants to externally-tagged
-//! one-key objects — matching serde_json's defaults for the same shapes.
+//! The generated `write_json` streams compact JSON text: it pushes the
+//! literal pieces (`{"field":`, `,"next":`, `}`) and recurses into each
+//! field, building no intermediate tree. Named structs serialize to
+//! objects, unit structs to `null`, one-field tuple structs to their inner
+//! value, longer tuple structs to arrays, unit variants to their name as a
+//! string, and data-carrying variants to externally-tagged one-key
+//! objects — matching serde_json's defaults for the same shapes.
 
 // Hand-rolled token walking reads better with explicit matches, and the
 // helper signatures mirror what syn/quote would produce.
@@ -253,56 +256,97 @@ fn parse_item(input: TokenStream) -> Item {
     }
 }
 
-/// Serialize expression for a `Shape` whose fields are reachable through
-/// `access(field_accessor)`, e.g. `self.x` or a bound pattern name.
-fn shape_to_value(shape: &Shape, access: &dyn Fn(&str) -> String) -> String {
+/// One step of a generated `write_json` body: literal JSON text, or a
+/// field expression to serialize in place.
+enum Piece {
+    Lit(String),
+    Field(String),
+}
+
+/// Appends the pieces that write a `Shape` whose fields are reachable
+/// through `access(field_accessor)`, e.g. `self.x` or a bound pattern name.
+fn shape_pieces(shape: &Shape, access: &dyn Fn(&str) -> String, pieces: &mut Vec<Piece>) {
     match shape {
-        Shape::Unit => "::serde::Value::Null".to_string(),
+        Shape::Unit => pieces.push(Piece::Lit("null".to_string())),
         Shape::Tuple(fields) => {
             let live: Vec<&Field> = fields.iter().filter(|f| !f.skip).collect();
-            if live.len() == 1 {
-                format!(
-                    "::serde::Serialize::to_value(&{})",
-                    access(&live[0].accessor)
-                )
-            } else {
-                let items: Vec<String> = live
-                    .iter()
-                    .map(|f| format!("::serde::Serialize::to_value(&{})", access(&f.accessor)))
-                    .collect();
-                format!("::serde::Value::Array(vec![{}])", items.join(", "))
+            if let [f] = live[..] {
+                pieces.push(Piece::Field(access(&f.accessor)));
+                return;
             }
+            pieces.push(Piece::Lit("[".to_string()));
+            for (i, f) in live.iter().enumerate() {
+                if i > 0 {
+                    pieces.push(Piece::Lit(",".to_string()));
+                }
+                pieces.push(Piece::Field(access(&f.accessor)));
+            }
+            pieces.push(Piece::Lit("]".to_string()));
         }
         Shape::Named(fields) => {
-            let mut code = String::from("{ let mut __m = ::serde::Map::new(); ");
-            for f in fields.iter().filter(|f| !f.skip) {
-                code.push_str(&format!(
-                    "__m.insert(::std::string::String::from(\"{}\"), \
-                     ::serde::Serialize::to_value(&{})); ",
-                    f.accessor,
-                    access(&f.accessor)
-                ));
+            pieces.push(Piece::Lit("{".to_string()));
+            for (i, f) in fields.iter().filter(|f| !f.skip).enumerate() {
+                let sep = if i > 0 { "," } else { "" };
+                pieces.push(Piece::Lit(format!("{sep}\"{}\":", f.accessor)));
+                pieces.push(Piece::Field(access(&f.accessor)));
             }
-            code.push_str("::serde::Value::Object(__m) }");
-            code
+            pieces.push(Piece::Lit("}".to_string()));
         }
     }
 }
 
-/// Pattern that binds a shape's fields inside a `match` arm, plus the
+/// Statements writing `pieces` to `__out`, with adjacent literals merged
+/// into one `push_str`.
+fn pieces_to_code(pieces: Vec<Piece>) -> String {
+    let mut code = String::new();
+    let mut lit = String::new();
+    for piece in pieces {
+        match piece {
+            Piece::Lit(text) => lit.push_str(&text),
+            Piece::Field(expr) => {
+                if !lit.is_empty() {
+                    code.push_str(&format!("__out.push_str({lit:?}); "));
+                    lit.clear();
+                }
+                code.push_str(&format!("::serde::Serialize::write_json(&{expr}, __out); "));
+            }
+        }
+    }
+    if !lit.is_empty() {
+        code.push_str(&format!("__out.push_str({lit:?}); "));
+    }
+    code
+}
+
+/// Pattern that binds a shape's live fields inside a `match` arm, plus the
 /// accessor function for the bound names.
 fn variant_pattern(shape: &Shape) -> (String, Box<dyn Fn(&str) -> String>) {
     match shape {
         Shape::Unit => (String::new(), Box::new(|a: &str| a.to_string())),
         Shape::Tuple(fields) => {
-            let binds: Vec<String> = (0..fields.len()).map(|i| format!("__f{i}")).collect();
+            let binds: Vec<String> = fields
+                .iter()
+                .enumerate()
+                .map(|(i, f)| {
+                    if f.skip {
+                        "_".to_string()
+                    } else {
+                        format!("__f{i}")
+                    }
+                })
+                .collect();
             (
                 format!("({})", binds.join(", ")),
                 Box::new(|a: &str| format!("__f{a}")),
             )
         }
         Shape::Named(fields) => {
-            let binds: Vec<String> = fields.iter().map(|f| f.accessor.clone()).collect();
+            let mut binds: Vec<String> = fields
+                .iter()
+                .filter(|f| !f.skip)
+                .map(|f| f.accessor.clone())
+                .collect();
+            binds.push("..".to_string());
             (
                 format!("{{ {} }}", binds.join(", ")),
                 Box::new(|a: &str| a.to_string()),
@@ -321,38 +365,41 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
         Kind::Struct(Shape::Named(fields)) if item.transparent => {
             let live: Vec<&Field> = fields.iter().filter(|f| !f.skip).collect();
             match live[..] {
-                [f] => format!("::serde::Serialize::to_value(&self.{})", f.accessor),
+                [f] => pieces_to_code(vec![Piece::Field(format!("self.{}", f.accessor))]),
                 _ => panic!(
                     "serde_derive (vendored): transparent needs exactly one \
                      non-skipped field"
                 ),
             }
         }
-        Kind::Struct(shape) => shape_to_value(shape, &|a: &str| format!("self.{a}")),
+        Kind::Struct(shape) => {
+            let mut pieces = Vec::new();
+            shape_pieces(shape, &|a: &str| format!("self.{a}"), &mut pieces);
+            pieces_to_code(pieces)
+        }
         Kind::Enum(variants) => {
             let mut arms = String::new();
             for (vname, shape) in variants {
                 let (pat, access) = variant_pattern(shape);
-                let value = match shape {
-                    Shape::Unit => format!(
-                        "::serde::Value::String(\
-                         ::std::string::String::from(\"{vname}\"))"
-                    ),
-                    _ => format!(
-                        "{{ let mut __outer = ::serde::Map::new(); \
-                         __outer.insert(::std::string::String::from(\"{vname}\"), {}); \
-                         ::serde::Value::Object(__outer) }}",
-                        shape_to_value(shape, &*access)
-                    ),
-                };
-                arms.push_str(&format!("{name}::{vname} {pat} => {value},\n"));
+                let mut pieces = Vec::new();
+                if let Shape::Unit = shape {
+                    pieces.push(Piece::Lit(format!("\"{vname}\"")));
+                } else {
+                    pieces.push(Piece::Lit(format!("{{\"{vname}\":")));
+                    shape_pieces(shape, &*access, &mut pieces);
+                    pieces.push(Piece::Lit("}".to_string()));
+                }
+                arms.push_str(&format!(
+                    "{name}::{vname} {pat} => {{ {} }}\n",
+                    pieces_to_code(pieces)
+                ));
             }
             format!("match self {{ {arms} }}")
         }
     };
     format!(
         "impl ::serde::Serialize for {name} {{\n\
-           fn to_value(&self) -> ::serde::Value {{ {body} }}\n\
+           fn write_json(&self, __out: &mut ::std::string::String) {{ {body} }}\n\
          }}"
     )
     .parse()

@@ -1,10 +1,12 @@
 //! Vendored, dependency-free stand-in for the `serde_json` crate.
 //!
 //! Re-exports the [`Value`]/[`Map`]/[`Number`] data model from the sibling
-//! vendored `serde` and adds the text layer this workspace uses:
-//! [`to_value`], [`to_string`], [`to_string_pretty`], [`from_str`], and the
-//! [`json!`] macro (a tt-muncher supporting nested object/array literals
-//! and arbitrary expression values, like the real one).
+//! vendored `serde` and wraps its text layer in the functions this
+//! workspace uses: [`to_string`] (which streams through
+//! [`Serialize::write_json`]), [`to_string_pretty`], [`to_value`],
+//! [`from_str`], and the [`json!`] macro (a tt-muncher supporting nested
+//! object/array literals and arbitrary expression values, like the real
+//! one).
 
 pub use serde::value::{Map, Number, Value};
 pub use serde::Error;
@@ -27,8 +29,10 @@ pub fn to_value<T: Serialize>(value: T) -> Result<Value, Error> {
 ///
 /// Never fails in this vendored subset.
 pub fn to_string<T: Serialize>(value: T) -> Result<String, Error> {
-    let mut out = String::new();
-    write_value(&mut out, &value.to_value(), None, 0);
+    // Room for a whole event line (a span line is ~170 B), so the hot
+    // telemetry path allocates once per line.
+    let mut out = String::with_capacity(256);
+    value.write_json(&mut out);
     Ok(out)
 }
 
@@ -39,7 +43,7 @@ pub fn to_string<T: Serialize>(value: T) -> Result<String, Error> {
 /// Never fails in this vendored subset.
 pub fn to_string_pretty<T: Serialize>(value: T) -> Result<String, Error> {
     let mut out = String::new();
-    write_value(&mut out, &value.to_value(), Some(2), 0);
+    serde::json::write_value(&mut out, &value.to_value(), Some(2), 0);
     Ok(out)
 }
 
@@ -53,293 +57,7 @@ pub fn to_string_pretty<T: Serialize>(value: T) -> Result<String, Error> {
 ///
 /// Returns [`Error`] on malformed JSON.
 pub fn from_str<T: From<Value>>(s: &str) -> Result<T, Error> {
-    let mut p = Parser {
-        bytes: s.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    let v = p.parse_value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(Error::custom("trailing characters after JSON value"));
-    }
-    Ok(T::from(v))
-}
-
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-fn write_value(out: &mut String, v: &Value, indent: Option<usize>, depth: usize) {
-    let (nl, pad, pad_in) = match indent {
-        Some(w) => ("\n", " ".repeat(w * depth), " ".repeat(w * (depth + 1))),
-        None => ("", String::new(), String::new()),
-    };
-    match v {
-        Value::Null => out.push_str("null"),
-        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Number(n) => out.push_str(&n.to_string()),
-        Value::String(s) => write_escaped(out, s),
-        Value::Array(items) => {
-            if items.is_empty() {
-                out.push_str("[]");
-                return;
-            }
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(nl);
-                out.push_str(&pad_in);
-                write_value(out, item, indent, depth + 1);
-            }
-            out.push_str(nl);
-            out.push_str(&pad);
-            out.push(']');
-        }
-        Value::Object(m) => {
-            if m.is_empty() {
-                out.push_str("{}");
-                return;
-            }
-            out.push('{');
-            for (i, (k, item)) in m.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(nl);
-                out.push_str(&pad_in);
-                write_escaped(out, k);
-                out.push(':');
-                if indent.is_some() {
-                    out.push(' ');
-                }
-                write_value(out, item, indent, depth + 1);
-            }
-            out.push_str(nl);
-            out.push_str(&pad);
-            out.push('}');
-        }
-    }
-}
-
-/// Minimal recursive-descent JSON parser over the input bytes.
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while let Some(b) = self.bytes.get(self.pos) {
-            if b.is_ascii_whitespace() {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn eat(&mut self, b: u8) -> Result<(), Error> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(Error::custom(format!(
-                "expected `{}` at byte {}",
-                b as char, self.pos
-            )))
-        }
-    }
-
-    fn eat_word(&mut self, word: &str) -> bool {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn parse_value(&mut self) -> Result<Value, Error> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'n') if self.eat_word("null") => Ok(Value::Null),
-            Some(b't') if self.eat_word("true") => Ok(Value::Bool(true)),
-            Some(b'f') if self.eat_word("false") => Ok(Value::Bool(false)),
-            Some(b'"') => self.parse_string().map(Value::String),
-            Some(b'[') => {
-                self.pos += 1;
-                let mut items = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b']') {
-                    self.pos += 1;
-                    return Ok(Value::Array(items));
-                }
-                loop {
-                    items.push(self.parse_value()?);
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b']') => {
-                            self.pos += 1;
-                            return Ok(Value::Array(items));
-                        }
-                        _ => return Err(Error::custom("expected `,` or `]` in array")),
-                    }
-                }
-            }
-            Some(b'{') => {
-                self.pos += 1;
-                let mut m = Map::new();
-                self.skip_ws();
-                if self.peek() == Some(b'}') {
-                    self.pos += 1;
-                    return Ok(Value::Object(m));
-                }
-                loop {
-                    self.skip_ws();
-                    let key = self.parse_string()?;
-                    self.skip_ws();
-                    self.eat(b':')?;
-                    let val = self.parse_value()?;
-                    m.insert(key, val);
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b'}') => {
-                            self.pos += 1;
-                            return Ok(Value::Object(m));
-                        }
-                        _ => return Err(Error::custom("expected `,` or `}` in object")),
-                    }
-                }
-            }
-            Some(b) if b == b'-' || b.is_ascii_digit() => self.parse_number(),
-            _ => Err(Error::custom(format!(
-                "unexpected character at byte {}",
-                self.pos
-            ))),
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String, Error> {
-        self.eat(b'"')?;
-        let mut s = String::new();
-        loop {
-            let Some(b) = self.peek() else {
-                return Err(Error::custom("unterminated string"));
-            };
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(s),
-                b'\\' => {
-                    let Some(esc) = self.peek() else {
-                        return Err(Error::custom("unterminated escape"));
-                    };
-                    self.pos += 1;
-                    match esc {
-                        b'"' => s.push('"'),
-                        b'\\' => s.push('\\'),
-                        b'/' => s.push('/'),
-                        b'n' => s.push('\n'),
-                        b'r' => s.push('\r'),
-                        b't' => s.push('\t'),
-                        b'b' => s.push('\u{8}'),
-                        b'f' => s.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or_else(|| Error::custom("bad \\u escape"))?;
-                            self.pos += 4;
-                            // Surrogate pairs are not needed by this
-                            // workspace's data; map them to the
-                            // replacement character instead of failing.
-                            s.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
-                        }
-                        other => {
-                            return Err(Error::custom(format!("bad escape `\\{}`", other as char)))
-                        }
-                    }
-                }
-                _ => {
-                    // Collect the full UTF-8 sequence starting at b.
-                    let start = self.pos - 1;
-                    let width = utf8_width(b);
-                    let end = start + width;
-                    let chunk = self
-                        .bytes
-                        .get(start..end)
-                        .and_then(|c| std::str::from_utf8(c).ok())
-                        .ok_or_else(|| Error::custom("invalid UTF-8"))?;
-                    s.push_str(chunk);
-                    self.pos = end;
-                }
-            }
-        }
-    }
-
-    fn parse_number(&mut self) -> Result<Value, Error> {
-        let start = self.pos;
-        let mut is_float = false;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while let Some(b) = self.peek() {
-            match b {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    is_float = true;
-                    self.pos += 1;
-                }
-                _ => break,
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| Error::custom("invalid number"))?;
-        if is_float {
-            text.parse::<f64>()
-                .map(|n| Value::Number(Number::F64(n)))
-                .map_err(Error::custom)
-        } else if let Ok(n) = text.parse::<u64>() {
-            Ok(Value::Number(Number::U64(n)))
-        } else {
-            text.parse::<i64>()
-                .map(|n| Value::Number(Number::I64(n)))
-                .map_err(Error::custom)
-        }
-    }
-}
-
-fn utf8_width(first: u8) -> usize {
-    match first {
-        0x00..=0x7f => 1,
-        0xc0..=0xdf => 2,
-        0xe0..=0xef => 3,
-        _ => 4,
-    }
+    serde::json::parse(s).map(T::from)
 }
 
 /// Builds a [`Value`] from a JSON-like literal, accepting nested object
@@ -498,5 +216,175 @@ mod tests {
         assert!(from_str::<Value>("{\"a\": }").is_err());
         assert!(from_str::<Value>("[1, 2").is_err());
         assert!(from_str::<Value>("true false").is_err());
+    }
+
+    #[test]
+    fn pretty_render_is_pinned() {
+        let v = json!({ "a": 1, "b": [true, null], "e": [], "o": {}, "n": { "x": -2 } });
+        assert_eq!(
+            to_string_pretty(&v).expect("render"),
+            "{\n  \"a\": 1,\n  \"b\": [\n    true,\n    null\n  ],\n  \"e\": [],\n  \"o\": {},\n  \"n\": {\n    \"x\": -2\n  }\n}"
+        );
+    }
+
+    #[test]
+    fn to_value_reads_whole_floats_beyond_64_bits_back_as_floats() {
+        assert_eq!(
+            to_value(1e20).expect("value"),
+            Value::Number(Number::F64(1e20))
+        );
+        assert_eq!(
+            to_value(1e15).expect("value").as_u64(),
+            Some(1_000_000_000_000_000)
+        );
+        assert_eq!(to_value(f64::NAN).expect("value"), Value::Null);
+    }
+}
+
+/// The exact text each derive shape and primitive writes.
+#[cfg(test)]
+mod derive_text {
+    use super::to_string;
+    use serde::Serialize;
+    use std::collections::HashMap;
+
+    fn text<T: Serialize>(v: T) -> String {
+        to_string(v).expect("render")
+    }
+
+    #[derive(Serialize)]
+    struct Named {
+        a: u32,
+        s: String,
+    }
+
+    #[derive(Serialize)]
+    struct Pair(u8, i64);
+
+    #[derive(Serialize)]
+    struct Newtype(u64);
+
+    #[derive(Serialize)]
+    struct Unit;
+
+    #[derive(Serialize)]
+    #[serde(transparent)]
+    struct Transparent {
+        inner: u32,
+    }
+
+    #[allow(dead_code)] // the skipped fields are never read
+    #[derive(Serialize)]
+    struct Skips {
+        kept: u8,
+        #[serde(skip)]
+        dropped: u8,
+        last: bool,
+    }
+
+    #[allow(dead_code)] // the skipped field is never read
+    #[derive(Serialize)]
+    struct TupleSkip(u8, #[serde(skip)] u8);
+
+    #[derive(Serialize)]
+    enum Shape {
+        Unit,
+        One(u8),
+        Tuple(u8, i8),
+        Struct { x: u8, y: Option<u8> },
+        Empty {},
+    }
+
+    #[derive(Serialize)]
+    struct Nested {
+        some: Option<Vec<Option<u8>>>,
+        none: Option<Vec<u8>>,
+        empty: Vec<u8>,
+        map: HashMap<String, u8>,
+        shapes: Vec<Shape>,
+    }
+
+    #[test]
+    fn structs_render_their_pinned_shapes() {
+        let named = Named {
+            a: 1,
+            s: "x".to_string(),
+        };
+        assert_eq!(text(&named), r#"{"a":1,"s":"x"}"#);
+        assert_eq!(text(Pair(1, -2)), "[1,-2]");
+        assert_eq!(text(Newtype(7)), "7");
+        assert_eq!(text(Unit), "null");
+        assert_eq!(text(Transparent { inner: 5 }), "5");
+        let skips = Skips {
+            kept: 1,
+            dropped: 2,
+            last: true,
+        };
+        assert_eq!(text(skips), r#"{"kept":1,"last":true}"#);
+        assert_eq!(text(TupleSkip(3, 4)), "3");
+    }
+
+    #[test]
+    fn variants_render_externally_tagged() {
+        assert_eq!(text(Shape::Unit), r#""Unit""#);
+        assert_eq!(text(Shape::One(3)), r#"{"One":3}"#);
+        assert_eq!(text(Shape::Tuple(1, -1)), r#"{"Tuple":[1,-1]}"#);
+        assert_eq!(
+            text(Shape::Struct { x: 4, y: None }),
+            r#"{"Struct":{"x":4,"y":null}}"#
+        );
+        assert_eq!(text(Shape::Empty {}), r#"{"Empty":{}}"#);
+    }
+
+    #[test]
+    fn containers_nest_and_sort_map_keys() {
+        let nested = Nested {
+            some: Some(vec![Some(1), None]),
+            none: None,
+            empty: Vec::new(),
+            map: HashMap::new(),
+            shapes: vec![Shape::Unit, Shape::One(2)],
+        };
+        assert_eq!(
+            text(&nested),
+            r#"{"some":[1,null],"none":null,"empty":[],"map":{},"shapes":["Unit",{"One":2}]}"#
+        );
+        let by_int: HashMap<u32, bool> = [(10, true), (2, false), (33, true)].into_iter().collect();
+        assert_eq!(text(&by_int), r#"{"10":true,"2":false,"33":true}"#);
+        let by_name: HashMap<String, u8> = [("b".to_string(), 2), ("a".to_string(), 1)]
+            .into_iter()
+            .collect();
+        assert_eq!(text(&by_name), r#"{"a":1,"b":2}"#);
+        assert_eq!(text((1u8, "t", [true])), r#"[1,"t",[true]]"#);
+        assert_eq!(text(Box::new(Some(-7i32))), "-7");
+    }
+
+    #[test]
+    fn integers_and_floats_render_exactly() {
+        assert_eq!(text(0u8), "0");
+        assert_eq!(text(u64::MAX), "18446744073709551615");
+        assert_eq!(text(i64::MIN), "-9223372036854775808");
+        assert_eq!(text(0.0f64), "0.0");
+        assert_eq!(text(-0.0f64), "-0.0");
+        assert_eq!(text(1.5f64), "1.5");
+        assert_eq!(text(2.0f32), "2.0");
+        assert_eq!(text(1e15f64), "1000000000000000");
+        assert_eq!(text(1e-7f64), "0.0000001");
+        assert_eq!(text(f64::NAN), "null");
+        assert_eq!(text(f64::INFINITY), "null");
+        assert_eq!(text(f64::NEG_INFINITY), "null");
+        // `Number`'s Display follows the same rule.
+        assert_eq!(super::Number::F64(3.0).to_string(), "3.0");
+        assert_eq!(super::Number::F64(f64::NAN).to_string(), "null");
+    }
+
+    #[test]
+    fn strings_escape_quotes_backslashes_and_controls() {
+        assert_eq!(
+            text("a\"b\\c\nd\re\tf\u{1}g\u{1f}h\u{7f}é"),
+            "\"a\\\"b\\\\c\\nd\\re\\tf\\u0001g\\u001fh\u{7f}é\""
+        );
+        assert_eq!(text('"'), r#""\"""#);
+        assert_eq!(text(String::new()), r#""""#);
     }
 }

@@ -209,20 +209,20 @@ impl MemoryManager for CameoManager {
         self.pods
     }
 
-    /// CAMEO's structural invariants: every diverged congruence-group
-    /// permutation is still a bijection over its slots, every pending or
-    /// wasted swap-in traces back to a line swap of its own, and byte
-    /// accounting matches the 128 B cost of each line swap. (A line
-    /// awaiting its first fast-resident touch is by construction its
-    /// group's fast occupant: the pending bit belongs to the group.)
+    /// CAMEO's structural invariants: every congruence-group permutation
+    /// written since the last audit is still a bijection over its slots,
+    /// every pending or wasted swap-in traces back to a line swap of its
+    /// own, and byte accounting matches the 128 B cost of each line swap.
+    /// (A line awaiting its first fast-resident touch is by construction
+    /// its group's fast occupant: the pending bit belongs to the group.)
     #[cfg(feature = "debug-invariants")]
-    fn audit_invariants(&self, auditor: &mut mempod_audit::InvariantAuditor) {
+    fn audit_invariants(&mut self, auditor: &mut mempod_audit::InvariantAuditor) {
         use mempod_audit::audit_invariant;
 
         audit_invariant!(
             auditor,
             "group-permutations",
-            self.segs.check_invariant(),
+            self.segs.audit_dirty(),
             "CAMEO: a congruence group's slot permutation is no longer a bijection"
         );
         // A swap either sets its group's clear pending bit or finds it set

@@ -190,7 +190,7 @@ impl MemoryManager for HmaManager {
     /// interval's migration batch), and byte accounting matches the
     /// page-swap cost of each recorded migration.
     #[cfg(feature = "debug-invariants")]
-    fn audit_invariants(&self, auditor: &mut mempod_audit::InvariantAuditor) {
+    fn audit_invariants(&mut self, auditor: &mut mempod_audit::InvariantAuditor) {
         use mempod_audit::audit_invariant;
         use mempod_types::convert::{u64_from_usize, usize_from_u64};
 

@@ -270,8 +270,9 @@ pub trait MemoryManager {
     /// `debug-invariants` feature on, the simulator calls it after every
     /// 8th access that starts a migration and at the end of the run; the
     /// default states nothing, which suits the static baselines.
-    /// Implementations must answer without side effects.
-    fn audit_invariants(&self, auditor: &mut mempod_audit::InvariantAuditor) {
+    /// Implementations may update their own audit bookkeeping (what the
+    /// next audit still has to check) but nothing a run can observe.
+    fn audit_invariants(&mut self, auditor: &mut mempod_audit::InvariantAuditor) {
         let _ = auditor;
     }
 

@@ -270,7 +270,7 @@ impl MemoryManager for MemPodManager {
     /// their own pod (migration is intra-pod by construction), and the
     /// per-pod traffic breakdown sums to the total.
     #[cfg(feature = "debug-invariants")]
-    fn audit_invariants(&self, auditor: &mut mempod_audit::InvariantAuditor) {
+    fn audit_invariants(&mut self, auditor: &mut mempod_audit::InvariantAuditor) {
         use mempod_audit::audit_invariant;
         use mempod_types::convert::usize_from_u64;
 

@@ -91,6 +91,25 @@ pub struct SegmentMap {
     /// `arena[at + member] = slot` for `member ≤ ratio`, then the flag
     /// byte (0 or 1) at `arena[at + 1 + ratio]`.
     arena: Vec<MemberIdx>,
+    /// What the invariant audit has not seen yet.
+    #[cfg(any(test, feature = "debug-invariants"))]
+    book: AuditBook,
+}
+
+/// Incremental audit state. Every write to a group goes through a
+/// [`GroupMut`] from [`SegmentMap::touch`] or [`SegmentMap::touched_mut`],
+/// so an entry not handed out since the last [`SegmentMap::audit_dirty`]
+/// cannot have changed and needs no second look.
+#[cfg(any(test, feature = "debug-invariants"))]
+#[derive(Debug, Clone, Default)]
+struct AuditBook {
+    /// Entries handed out since the last audit, each with its flag byte as
+    /// of its first hand-out (that is, as of the last audit).
+    dirty: Vec<(u32, u8)>,
+    /// Whether each entry is already in `dirty`.
+    listed: Vec<bool>,
+    /// Groups whose flag was set at the last audit.
+    flagged: usize,
 }
 
 /// One touched group's permutation and flag, resolved by a single index
@@ -165,6 +184,8 @@ impl SegmentMap {
             layout,
             index: HashMap::default(),
             arena: Vec::new(),
+            #[cfg(any(test, feature = "debug-invariants"))]
+            book: AuditBook::default(),
         }
     }
 
@@ -298,27 +319,51 @@ impl SegmentMap {
     /// at identity are trivially valid and are not stored, so this is
     /// O(touched groups), not O(total units).
     pub fn check_invariant(&self) -> bool {
-        let members = 1 + usize::from(self.ratio);
         self.arena.len() == self.index.len() * self.stride()
-            && self.arena.chunks_exact(self.stride()).all(|entry| {
-                let (perm, flag) = entry.split_at(members);
-                let mut seen = vec![false; members];
-                flag[0] <= 1
-                    && perm.iter().all(|&slot| {
-                        let s = usize::from(slot);
-                        s < members && !std::mem::replace(&mut seen[s], true)
-                    })
-            })
+            && self.arena.chunks_exact(self.stride()).all(entry_is_valid)
     }
 
-    /// Number of touched groups whose flag is set.
+    /// [`check_invariant`](Self::check_invariant) over only the entries
+    /// handed out for writing since the last call, which also brings
+    /// [`flagged_groups`](Self::flagged_groups) up to date. A run's audits
+    /// together cost O(writes), not O(audits × touched groups).
+    #[cfg(any(test, feature = "debug-invariants"))]
+    pub(crate) fn audit_dirty(&mut self) -> bool {
+        let stride = self.stride();
+        let mut ok = self.arena.len() == self.index.len() * stride;
+        for (e, old_flag) in std::mem::take(&mut self.book.dirty) {
+            let at = usize_from_u32(e) * stride;
+            self.book.listed[usize_from_u32(e)] = false;
+            let Some(entry) = self.arena.get(at..at + stride) else {
+                ok = false;
+                continue;
+            };
+            ok &= entry_is_valid(entry);
+            self.book.flagged = self.book.flagged + usize::from(entry[stride - 1] != 0)
+                - usize::from(old_flag != 0);
+        }
+        ok
+    }
+
+    /// Number of touched groups whose flag was set at the last
+    /// [`audit_dirty`](Self::audit_dirty).
     #[cfg(any(test, feature = "debug-invariants"))]
     pub(crate) fn flagged_groups(&self) -> usize {
-        let stride = self.stride();
-        self.arena
-            .chunks_exact(stride)
-            .filter(|entry| entry[stride - 1] != 0)
-            .count()
+        self.book.flagged
+    }
+
+    /// Lists entry `e` for the next audit, with its flag byte as it is
+    /// before the caller's write.
+    #[cfg(any(test, feature = "debug-invariants"))]
+    fn mark_dirty(&mut self, e: u32) {
+        let i = usize_from_u32(e);
+        if self.book.listed.len() <= i {
+            self.book.listed.resize(i + 1, false);
+        }
+        if !std::mem::replace(&mut self.book.listed[i], true) {
+            let flag = self.arena[(i + 1) * self.stride() - 1];
+            self.book.dirty.push((e, flag));
+        }
     }
 
     /// A touched group's permutation and flag, or `None` while the group
@@ -326,6 +371,8 @@ impl SegmentMap {
     pub(crate) fn touched_mut(&mut self, group: GroupId) -> Option<GroupMut<'_>> {
         let stride = self.stride();
         let e = *self.index.get(&group)?;
+        #[cfg(any(test, feature = "debug-invariants"))]
+        self.mark_dirty(e);
         Some(Self::entry_mut(&mut self.arena, e, stride))
     }
 
@@ -347,6 +394,8 @@ impl SegmentMap {
                 *v.insert(e)
             }
         };
+        #[cfg(any(test, feature = "debug-invariants"))]
+        self.mark_dirty(e);
         Self::entry_mut(&mut self.arena, e, stride)
     }
 
@@ -360,6 +409,18 @@ impl SegmentMap {
     ) -> Option<(MemberIdx, MemberIdx)> {
         self.touch(group).swap_into_fast(member)
     }
+}
+
+/// Whether one arena entry holds a bijection over its slots followed by a
+/// 0/1 flag byte.
+fn entry_is_valid(entry: &[MemberIdx]) -> bool {
+    let (perm, flag) = entry.split_at(entry.len() - 1);
+    let mut seen = [false; 1 << MemberIdx::BITS];
+    flag[0] <= 1
+        && perm.iter().all(|&slot| {
+            let s = usize::from(slot);
+            s < perm.len() && !std::mem::replace(&mut seen[s], true)
+        })
 }
 
 #[cfg(test)]
@@ -477,8 +538,34 @@ mod tests {
         assert_eq!(m.swap_into_fast(1, 4), Some((4, 0)));
         assert!(m.touched_mut(1).expect("touched").flag());
         assert_eq!(m.touched_groups(), 2);
+        assert!(m.audit_dirty());
         assert_eq!(m.flagged_groups(), 1);
         assert!(m.check_invariant());
+    }
+
+    #[test]
+    fn audits_see_every_write_since_the_last_one() {
+        let mut m = SegmentMap::new(4, 8);
+        m.swap_into_fast(1, 3);
+        m.touch(2).set_flag(true);
+        assert!(m.audit_dirty());
+        assert_eq!(m.flagged_groups(), 1);
+        assert!(m.book.dirty.is_empty());
+        // Flag changes on already-audited groups are counted once each.
+        m.touched_mut(2).expect("touched").set_flag(false);
+        m.touched_mut(1).expect("touched").set_flag(true);
+        m.touched_mut(1).expect("touched").set_flag(true);
+        assert_eq!(m.book.dirty.len(), 2);
+        assert!(m.audit_dirty());
+        assert_eq!(m.flagged_groups(), 1);
+        // A torn permutation in an audited group is caught by the next
+        // audit: member 3 and member 0 both claim the fast slot.
+        m.touched_mut(1).expect("touched").perm[0] = 0;
+        assert!(!m.check_invariant());
+        assert!(!m.audit_dirty());
+        // A bad flag byte is caught too.
+        *m.touch(3).flag = 2;
+        assert!(!m.audit_dirty());
     }
 
     #[test]

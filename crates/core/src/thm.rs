@@ -155,19 +155,19 @@ impl MemoryManager for ThmManager {
         true
     }
 
-    /// THM's structural invariants: every diverged segment permutation is
-    /// still a bijection over its slots, every competing counter belongs to
-    /// a real segment, and byte accounting matches the page-swap cost of
-    /// each recorded migration.
+    /// THM's structural invariants: every segment permutation written
+    /// since the last audit is still a bijection over its slots, every
+    /// competing counter belongs to a real segment, and byte accounting
+    /// matches the page-swap cost of each recorded migration.
     #[cfg(feature = "debug-invariants")]
-    fn audit_invariants(&self, auditor: &mut mempod_audit::InvariantAuditor) {
+    fn audit_invariants(&mut self, auditor: &mut mempod_audit::InvariantAuditor) {
         use mempod_audit::audit_invariant;
         use mempod_types::convert::u64_from_usize;
 
         audit_invariant!(
             auditor,
             "segment-permutations",
-            self.segs.check_invariant(),
+            self.segs.audit_dirty(),
             "THM: a segment's slot permutation is no longer a bijection"
         );
         #[expect(

@@ -939,11 +939,19 @@ mod tests {
     #[test]
     fn meta_backing_frame_is_pod_local_and_in_range() {
         let fast = 2048u64;
-        let pods = 4u32;
-        for p in 0..10_000u64 {
-            let f = meta_backing_frame(PageId(p), fast, pods);
-            assert!(f.0 < fast);
-            assert_eq!(f.0 % u64::from(pods), p % u64::from(pods), "page {p}");
+        // The hash multiplier is 1 mod 4, so at 4 pods even a global
+        // `hash % fast` keeps every page in its pod; at 8 it is 5 mod 8,
+        // and only a pod-local hash passes.
+        for pods in [4u32, 8] {
+            for p in 0..10_000u64 {
+                let f = meta_backing_frame(PageId(p), fast, pods);
+                assert!(f.0 < fast);
+                assert_eq!(
+                    f.0 % u64::from(pods),
+                    p % u64::from(pods),
+                    "page {p}, {pods} pods"
+                );
+            }
         }
     }
 

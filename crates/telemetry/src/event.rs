@@ -1,6 +1,8 @@
 //! Structured events: the sanctioned alternative to ad-hoc printing from
 //! hot paths. Each event serializes to one JSONL line through the active
-//! [`EventSink`](crate::EventSink).
+//! [`EventSink`](crate::EventSink); the serde derive writes that line
+//! straight into one `String`, so every variant, spans included, renders
+//! through the same code.
 
 use serde::Serialize;
 
@@ -9,10 +11,9 @@ use crate::span::SpanRecord;
 
 /// What happened.
 ///
-/// `Epoch` dwarfs the other variants, but events are ephemeral — built,
-/// serialized to a sink, dropped — never stored in bulk, and the vendored
-/// serde shims have no `Box` impls to add indirection through.
-#[allow(clippy::large_enum_variant)]
+/// Sharded runs buffer events per shard until the barrier merge, so the
+/// rare, large `Epoch` payload is boxed to keep every buffered event as
+/// small as a span.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub enum EventKind {
     /// A migration's data movement began (its read phase was launched).
@@ -77,7 +78,7 @@ pub enum EventKind {
         epoch: u64,
     },
     /// An epoch boundary's derived metrics (the timeline backbone).
-    Epoch(EpochSnapshot),
+    Epoch(Box<EpochSnapshot>),
     /// A migration attempt was abandoned mid-swap (injected fault): its
     /// queued background traffic was cancelled at the end of the read
     /// phase and no data was committed.
@@ -154,46 +155,10 @@ impl Event {
 
     /// Renders the event as one JSON line (no trailing newline).
     pub fn to_jsonl(&self) -> String {
-        // Spans are the only event emitted per *request* (albeit sampled),
-        // so they get a hand-rolled serializer: the vendored Value model
-        // costs microseconds per line, which alone blows the < 2 % tracing
-        // budget. The output is byte-identical to the derive's (pinned by
-        // `span_fast_path_matches_derived_serialization`).
-        if let EventKind::Span(s) = &self.kind {
-            return span_jsonl(self.t_ps, s);
-        }
-        // Serialization through the vendored Value model is infallible for
-        // derived types; an empty line would only signal a shim bug.
+        // Serialization is infallible for derived types; an empty line
+        // would only signal a shim bug.
         serde_json::to_string(self).unwrap_or_default()
     }
-}
-
-/// Hand-rolled rendering of a span line, byte-identical to the serde
-/// derive's output for [`Event`] wrapping [`EventKind::Span`].
-fn span_jsonl(t_ps: u64, s: &SpanRecord) -> String {
-    use std::fmt::Write;
-    let mut out = String::with_capacity(192);
-    let _ = write!(
-        out,
-        "{{\"t_ps\":{t_ps},\"kind\":{{\"Span\":{{\"id\":{},\"parent\":{},\"name\":\"{}\",\"start_ps\":{},\"end_ps\":{},\"pod\":",
-        s.id,
-        s.parent,
-        s.name.as_str(),
-        s.start_ps,
-        s.end_ps,
-    );
-    match s.pod {
-        Some(p) => {
-            let _ = write!(out, "{p}");
-        }
-        None => out.push_str("null"),
-    }
-    let _ = write!(
-        out,
-        ",\"frame\":{},\"shard\":{},\"aux\":{}}}}}}}",
-        s.frame, s.shard, s.aux
-    );
-    out
 }
 
 #[cfg(test)]
@@ -324,42 +289,72 @@ mod tests {
     }
 
     #[test]
-    fn span_fast_path_matches_derived_serialization() {
+    fn span_lines_are_pinned_for_every_name() {
         use crate::span::{SpanName, SpanRecord, SPAN_NONE};
-        let names = [
-            SpanName::Request,
-            SpanName::Gate,
-            SpanName::Service,
-            SpanName::MetaFetch,
-            SpanName::Migration,
-            SpanName::MigrationAborted,
-            SpanName::MigrationAttempt,
-            SpanName::MigrationBackoff,
-            SpanName::ShardBatch,
-            SpanName::Barrier,
+        let expected = [
+            (
+                SpanName::Request,
+                r#"{"t_ps":18446744073709551615,"kind":{"Span":{"id":18446744073709551615,"parent":0,"name":"Request","start_ps":0,"end_ps":18446744073709551615,"pod":null,"frame":1099511627776,"shard":0,"aux":4294967298}}}"#,
+            ),
+            (
+                SpanName::Gate,
+                r#"{"t_ps":1001,"kind":{"Span":{"id":1,"parent":7,"name":"Gate","start_ps":0,"end_ps":1001,"pod":0,"frame":1099511627776,"shard":1,"aux":4294967298}}}"#,
+            ),
+            (
+                SpanName::Service,
+                r#"{"t_ps":1002,"kind":{"Span":{"id":2,"parent":0,"name":"Service","start_ps":0,"end_ps":1002,"pod":4294967295,"frame":1099511627776,"shard":2,"aux":4294967298}}}"#,
+            ),
+            (
+                SpanName::MetaFetch,
+                r#"{"t_ps":1003,"kind":{"Span":{"id":3,"parent":7,"name":"MetaFetch","start_ps":0,"end_ps":1003,"pod":null,"frame":1099511627776,"shard":3,"aux":4294967298}}}"#,
+            ),
+            (
+                SpanName::Migration,
+                r#"{"t_ps":1004,"kind":{"Span":{"id":4,"parent":0,"name":"Migration","start_ps":0,"end_ps":1004,"pod":0,"frame":1099511627776,"shard":4,"aux":4294967298}}}"#,
+            ),
+            (
+                SpanName::MigrationAborted,
+                r#"{"t_ps":1005,"kind":{"Span":{"id":5,"parent":7,"name":"MigrationAborted","start_ps":0,"end_ps":1005,"pod":4294967295,"frame":1099511627776,"shard":5,"aux":4294967298}}}"#,
+            ),
+            (
+                SpanName::MigrationAttempt,
+                r#"{"t_ps":1006,"kind":{"Span":{"id":6,"parent":0,"name":"MigrationAttempt","start_ps":0,"end_ps":1006,"pod":null,"frame":1099511627776,"shard":6,"aux":4294967298}}}"#,
+            ),
+            (
+                SpanName::MigrationBackoff,
+                r#"{"t_ps":1007,"kind":{"Span":{"id":7,"parent":7,"name":"MigrationBackoff","start_ps":0,"end_ps":1007,"pod":0,"frame":1099511627776,"shard":7,"aux":4294967298}}}"#,
+            ),
+            (
+                SpanName::ShardBatch,
+                r#"{"t_ps":1008,"kind":{"Span":{"id":8,"parent":0,"name":"ShardBatch","start_ps":0,"end_ps":1008,"pod":4294967295,"frame":1099511627776,"shard":8,"aux":4294967298}}}"#,
+            ),
+            (
+                SpanName::Barrier,
+                r#"{"t_ps":1009,"kind":{"Span":{"id":9,"parent":7,"name":"Barrier","start_ps":0,"end_ps":1009,"pod":null,"frame":1099511627776,"shard":9,"aux":4294967298}}}"#,
+            ),
         ];
-        for (i, name) in names.into_iter().enumerate() {
-            for pod in [None, Some(0), Some(u32::MAX)] {
-                let rec = SpanRecord {
-                    id: if i == 0 { u64::MAX } else { i as u64 },
-                    parent: if i % 2 == 0 { SPAN_NONE } else { 7 },
-                    name,
-                    start_ps: 0,
-                    end_ps: u64::MAX - 1,
-                    pod,
-                    frame: 1 << 40,
-                    shard: i as u32,
-                    aux: u64::from(u32::MAX) + 3,
-                };
-                let e = Event::new(u64::MAX, EventKind::Span(rec));
-                // The fast path must be indistinguishable from the derive:
-                // the differential trace tests compare raw lines.
-                assert_eq!(
-                    e.to_jsonl(),
-                    serde_json::to_string(&e).expect("derived serialization"),
-                    "fast path diverged for {name:?} pod {pod:?}"
-                );
-            }
+        for (i, (name, line)) in expected.into_iter().enumerate() {
+            let end_ps = if i == 0 { u64::MAX } else { 1000 + i as u64 };
+            let rec = SpanRecord {
+                id: if i == 0 { u64::MAX } else { i as u64 },
+                parent: if i % 2 == 0 { SPAN_NONE } else { 7 },
+                name,
+                start_ps: 0,
+                end_ps,
+                pod: [None, Some(0), Some(u32::MAX)][i % 3],
+                frame: 1 << 40,
+                shard: i as u32,
+                aux: u64::from(u32::MAX) + 3,
+            };
+            assert_eq!(rec.name.as_str(), format!("{name:?}"));
+            assert_eq!(Event::new(end_ps, EventKind::Span(rec)).to_jsonl(), line);
         }
+    }
+
+    #[test]
+    fn a_buffered_event_is_no_larger_than_a_span() {
+        // Shards buffer `(t, EventKind)` pairs until the barrier merge;
+        // boxing `Epoch` keeps each one at a span's size.
+        assert!(std::mem::size_of::<EventKind>() <= std::mem::size_of::<SpanRecord>());
     }
 }

@@ -13,7 +13,9 @@
 //!   meta-cache miss bursts, refresh stalls, queue-depth high-water marks,
 //!   runner job progress) serialized as JSONL through a pluggable
 //!   [`EventSink`] ([`NullSink`] / [`FileSink`] / [`MemorySink`] /
-//!   [`TeeSink`], plus the Perfetto-loadable [`ChromeTraceSink`]);
+//!   [`TeeSink`], plus the Perfetto-loadable [`ChromeTraceSink`]). Every
+//!   line, spans included, is written by the serde derive straight into
+//!   one `String` ([`Event::to_jsonl`]), with no intermediate value tree;
 //! * deterministic causal [`span`]s ([`SpanRecord`]) over request service,
 //!   migration lifecycles and shard batches, sampled by a pure hash of
 //!   their stable identities ([`SpanConfig`]).
@@ -201,7 +203,7 @@ impl Telemetry {
             return;
         }
         if self.sink.wants_lines() {
-            let ev = Event::new(snap.t_ps, EventKind::Epoch(snap.clone()));
+            let ev = Event::new(snap.t_ps, EventKind::Epoch(Box::new(snap.clone())));
             self.sink.emit_event(&ev);
         }
         self.ring.push(snap);

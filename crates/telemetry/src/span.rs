@@ -126,8 +126,8 @@ pub enum SpanName {
 
 impl SpanName {
     /// The name's serialized form — identical to its serde string, used by
-    /// the hand-rolled span serializer and the Chrome exporter so span
-    /// lines never pay the `Debug`-format allocation.
+    /// the Chrome exporter so trace records never pay the `Debug`-format
+    /// allocation.
     pub fn as_str(self) -> &'static str {
         match self {
             SpanName::Request => "Request",

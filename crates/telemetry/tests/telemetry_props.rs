@@ -155,7 +155,7 @@ proptest! {
             .map(|i| (names[i].to_string(), next(&mut x) >> 20))
             .collect::<HashMap<String, u64>>();
 
-        let line = Event::new(snap.t_ps, EventKind::Epoch(snap.clone())).to_jsonl();
+        let line = Event::new(snap.t_ps, EventKind::Epoch(Box::new(snap.clone()))).to_jsonl();
         prop_assert!(!line.is_empty());
         prop_assert!(!line.contains('\n'));
         let value: Value = serde_json::from_str(&line).expect("valid JSON line");
