@@ -32,6 +32,10 @@
 //! function of the seed, so reruns — at any shard count — reproduce the
 //! report bit for bit.
 //!
+//! The summary ends with the process's peak resident set (`host peak`,
+//! from `VmHWM`) where `/proc/self/status` exists, so a long run's host
+//! memory can be compared with a short one's.
+//!
 //! Bad input (an unknown flag, workload or manager, a missing,
 //! non-integer or out-of-range flag value) and an output file that cannot
 //! be opened or written print `error: ...` and exit with status 2.
@@ -63,6 +67,15 @@ fn parse_manager(s: &str) -> Result<ManagerKind, String> {
             ))
         }
     })
+}
+
+/// This process's peak resident set (`VmHWM` in `/proc/self/status`), in
+/// MB; `None` where that file is missing.
+fn peak_rss_mb() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    let kb: f64 = line.split_whitespace().nth(1)?.parse().ok()?;
+    Some(kb / 1024.0)
 }
 
 fn main() -> ExitCode {
@@ -318,6 +331,9 @@ fn run() -> Result<(), String> {
             meta.miss_rate() * 100.0,
             meta.lookups
         );
+    }
+    if let Some(mb) = peak_rss_mb() {
+        println!("host peak  : {mb:.1} MB resident");
     }
     opts.write_json(
         &format!("simrun_{}_{}", workload, report.manager),

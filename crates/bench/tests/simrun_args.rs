@@ -210,3 +210,27 @@ fn simrun_reports_the_effective_shard_count() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// On Linux the summary reports the process's peak resident set, read
+/// from `VmHWM`.
+#[cfg(target_os = "linux")]
+#[test]
+fn simrun_reports_its_peak_resident_set() {
+    let dir = std::env::temp_dir().join(format!("simrun-rss-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let out = Command::new(SIMRUN)
+        .args(["--smoke", "--requests", "2000"])
+        .current_dir(&dir)
+        .output()
+        .expect("simrun starts");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{stdout}");
+    let mb: f64 = stdout
+        .lines()
+        .find_map(|l| l.strip_prefix("host peak  : "))
+        .and_then(|rest| rest.strip_suffix(" MB resident"))
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| panic!("no host peak line in {stdout}"));
+    assert!(mb > 0.0, "{mb}");
+    let _ = std::fs::remove_dir_all(&dir);
+}

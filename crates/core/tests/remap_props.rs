@@ -140,8 +140,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// A storm of random frame swaps leaves the table a permutation with a
-    /// consistent inverse, and swapping back in reverse order restores the
-    /// identity (swaps are self-inverse).
+    /// consistent inverse that maps every page and frame exactly as a
+    /// dense-array model does, and swapping back in reverse order restores
+    /// the identity (swaps are self-inverse).
     #[test]
     fn swap_storm_preserves_remap_invariant(
         seed in 1u64..u64::MAX,
@@ -149,19 +150,27 @@ proptest! {
         swaps in 0usize..2000,
     ) {
         let mut t = RemapTable::identity(n_pages);
+        // The dense pair of arrays the sparse table replaced.
+        let mut to_frame: Vec<u64> = (0..n_pages).collect();
+        let mut to_page: Vec<u64> = (0..n_pages).collect();
         let mut x = seed;
         let mut history = Vec::with_capacity(swaps);
         for _ in 0..swaps {
             let a = FrameId(next(&mut x) % n_pages);
             let b = FrameId(next(&mut x) % n_pages);
             t.swap_frames(a, b);
+            let (ai, bi) = (a.0 as usize, b.0 as usize);
+            to_page.swap(ai, bi);
+            to_frame[to_page[ai] as usize] = a.0;
+            to_frame[to_page[bi] as usize] = b.0;
             history.push((a, b));
             prop_assert!(t.check_invariant());
         }
-        // Every page is somewhere, and lookups agree both ways.
-        for p in 0..n_pages {
-            let f = t.frame_of(PageId(p));
-            prop_assert_eq!(t.page_in(f), PageId(p));
+        // Every lookup agrees with the model, in both directions.
+        for i in 0..n_pages {
+            prop_assert_eq!(t.frame_of(PageId(i)), FrameId(to_frame[i as usize]));
+            prop_assert_eq!(t.page_in(FrameId(i)), PageId(to_page[i as usize]));
+            prop_assert_eq!(t.is_home(PageId(i)), to_frame[i as usize] == i);
         }
         // Unwind: the storm reversed restores the identity mapping.
         for (a, b) in history.into_iter().rev() {

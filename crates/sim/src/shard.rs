@@ -117,16 +117,16 @@ impl OwnerTable {
     }
 }
 
-/// One in-flight migration's execution state.
+/// One in-flight migration's execution state. Its slot in
+/// [`Shard::migs`] is recycled once the migration completes.
 #[derive(Debug)]
 pub(crate) struct MigExec {
     m: Migration,
     pending: usize,
+    /// Latest completion of the current phase; once `done`, the finish.
     latest: Picos,
     started: bool,
-    reads_done: bool,
-    pub(crate) done: bool,
-    finish: Picos,
+    done: bool,
     /// When the *first* read phase launched (for the completion event's
     /// latency — retries extend the latency, they do not reset it).
     t_start: Picos,
@@ -145,7 +145,7 @@ pub(crate) struct MigExec {
     permanent: bool,
     /// Current read-phase attempt number (1-based).
     attempt: u32,
-    pub(crate) waiters: Vec<Waiter>,
+    waiters: Vec<Waiter>,
 }
 
 /// Lane key for serializing page swaps: pods migrate their pages one at a
@@ -163,7 +163,9 @@ fn lane_of(m: &Migration) -> Option<i64> {
 /// Why a page cannot be accessed right now.
 #[derive(Debug, Clone, Copy)]
 enum PageState {
-    /// Swap in flight; index into the migration list.
+    /// Swap queued or in flight; its slot in the migration list. A swap
+    /// rewrites this to `BlockedUntil` as it completes, before its slot
+    /// can be reused.
     Migrating(usize),
     /// Swap finished at this time; accesses before it must wait.
     BlockedUntil(Picos),
@@ -195,7 +197,14 @@ pub(crate) struct Shard {
     /// Outstanding token ownership, indexed by token (every DRAM request
     /// this shard has queued and not yet seen complete).
     owners: OwnerTable,
-    pub(crate) migs: Vec<MigExec>,
+    /// Migration slots: every queued or in-flight migration, plus the
+    /// finished ones whose slots wait in `free` for reuse. Bounded by the
+    /// peak number in flight, not by the run's migration count.
+    migs: Vec<MigExec>,
+    /// Slots of finished migrations, reused before `migs` grows.
+    free: Vec<usize>,
+    /// Migrations ever entered into this shard.
+    pub(crate) migs_entered: u64,
     /// Blocking state of pages with a queued, in-flight or recently
     /// finished swap. Only ever looked up by key — never iterated — so
     /// its hash order cannot reach a result.
@@ -245,6 +254,8 @@ impl Shard {
             pods,
             owners: OwnerTable::default(),
             migs: Vec::new(),
+            free: Vec::new(),
+            migs_entered: 0,
             blocked: HashMap::default(),
             expiries: BinaryHeap::new(),
             lanes: BTreeMap::new(),
@@ -308,6 +319,11 @@ impl Shard {
     /// Whether every submitted request has completed (end-of-run check).
     pub(crate) fn owners_empty(&self) -> bool {
         self.owners.live == 0
+    }
+
+    /// Migrations queued or in flight (end-of-run check).
+    pub(crate) fn migrations_in_flight(&self) -> usize {
+        self.migs.len() - self.free.len()
     }
 
     /// Checks that every queued DRAM request has exactly one owner: the
@@ -474,7 +490,6 @@ impl Shard {
                     } else if e.aborts_left > 0 {
                         Next::Abort(e.latest)
                     } else {
-                        e.reads_done = true;
                         Next::Writes(e.latest)
                     }
                 };
@@ -631,13 +646,11 @@ impl Shard {
     /// Finishes a migration at `finish` — successfully (`failed == false`,
     /// after its last write-back) or as a rolled-back permanent abort — and
     /// runs the shared release path: rewrite its pages' blocking state,
-    /// dispatch parked waiters, and chain the lane's next migration.
+    /// dispatch parked waiters, and chain the lane's next migration. Then
+    /// nothing refers to the slot any more (its tokens have all completed),
+    /// so it goes on the free list.
     fn complete_migration(&mut self, mig: usize, finish: Picos, failed: bool) {
-        {
-            let e = &mut self.migs[mig];
-            e.done = true;
-            e.finish = finish;
-        }
+        self.migs[mig].done = true;
         let m = self.migs[mig].m;
         if !failed && self.events_wanted {
             let latency = finish.saturating_sub(self.migs[mig].t_start);
@@ -717,6 +730,7 @@ impl Shard {
                 self.start_migration(next, finish);
             }
         }
+        self.free.push(mig);
     }
 
     /// Issues a waiter: via a metadata fetch if one is still needed,
@@ -746,7 +760,6 @@ impl Shard {
     /// movement itself queues behind its lane — a pod migrates one page at
     /// a time.
     fn enqueue_migration(&mut self, m: Migration, at: Picos, spec: Option<MigrationFaultSpec>) {
-        let mig = self.migs.len();
         self.event(
             at,
             EventKind::RemapSwap {
@@ -768,14 +781,12 @@ impl Shard {
         } else {
             SPAN_NONE
         };
-        self.migs.push(MigExec {
+        let exec = MigExec {
             m,
             pending: 0,
             latest: at,
             started: false,
-            reads_done: false,
             done: false,
-            finish: Picos::MAX,
             t_start: at,
             span,
             decided: at,
@@ -784,7 +795,18 @@ impl Shard {
             permanent,
             attempt: 1,
             waiters: Vec::new(),
-        });
+        };
+        let mig = match self.free.pop() {
+            Some(slot) => {
+                self.migs[slot] = exec;
+                slot
+            }
+            None => {
+                self.migs.push(exec);
+                self.migs.len() - 1
+            }
+        };
+        self.migs_entered += 1;
         self.blocked.insert(m.page_a, PageState::Migrating(mig));
         self.blocked.insert(m.page_b, PageState::Migrating(mig));
         match lane_of(&m) {
@@ -867,14 +889,12 @@ impl Shard {
                 };
                 self.dispatch(w);
             }
-            Some(PageState::Migrating(idx)) if !self.migs[*idx].done => {
-                self.migs[*idx].waiters.push(w);
-            }
             Some(PageState::Migrating(idx)) => {
-                let finish = self.migs[*idx].finish;
-                let mut w = w;
-                w.issue = w.issue.max(finish);
-                self.dispatch(w);
+                debug_assert!(
+                    !self.migs[*idx].done,
+                    "a finished swap left its page migrating"
+                );
+                self.migs[*idx].waiters.push(w);
             }
             Some(PageState::BlockedUntil(t)) => {
                 let mut w = w;
@@ -1076,7 +1096,7 @@ mod tests {
             );
         }
         sh.pump(Picos::MAX);
-        let finishes: Vec<Picos> = sh.migs.iter().map(|e| e.finish).collect();
+        let finishes: Vec<Picos> = sh.migs.iter().map(|e| e.latest).collect();
         assert!(finishes.windows(2).all(|w| w[0] < w[1]), "{finishes:?}");
         assert_eq!(sh.blocked.len(), 6);
         // Between the first and second finish: only the first swap's pages go.
@@ -1096,13 +1116,20 @@ mod tests {
         let mut sh = tiny_shard();
         sh.enqueue_migration(swap(7, 70, Some(0)), Picos::ZERO, None);
         sh.pump(Picos::MAX);
-        let first = sh.migs[0].finish;
+        let first = sh.migs[0].latest;
         assert!(matches!(sh.blocked[&PageId(7)], PageState::BlockedUntil(t) if t == first));
         // A later swap moves page 7 again before the first expiry is popped.
         let later = first + Picos::from_ns(5);
         sh.enqueue_migration(swap(7, 71, Some(1)), later, None);
+        let second = sh
+            .migs
+            .iter()
+            .position(|e| !e.done)
+            .expect("the second swap is in flight");
+        assert_eq!(sh.migs[second].m.page_b, PageId(71));
+        assert_eq!(sh.migs.len(), 1, "the second swap reused the first's slot");
         sh.maybe_prune(later);
-        assert!(matches!(sh.blocked[&PageId(7)], PageState::Migrating(1)));
+        assert!(matches!(sh.blocked[&PageId(7)], PageState::Migrating(idx) if idx == second));
         assert!(
             !sh.blocked.contains_key(&PageId(70)),
             "first swap's partner expired"
@@ -1120,6 +1147,7 @@ mod tests {
         // just finished.
         let mut sh = tiny_shard();
         let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut peak_in_flight = 0;
         for i in 0..3_000u64 {
             x ^= x << 13;
             x ^= x >> 7;
@@ -1128,6 +1156,7 @@ mod tests {
             sh.pump(now);
             let line = u32::try_from(x % u64::from(sh.mem.lines_per_page())).unwrap();
             sh.enqueue_migration(swap(x % 16, 16 + (x >> 8) % 32, Some(line)), now, None);
+            peak_in_flight = peak_in_flight.max(sh.migrations_in_flight());
             sh.maybe_prune(now);
             assert_pruned(&sh, now);
             assert_eq!(sh.owners.live, sh.mem.pending(), "owners at step {i}");
@@ -1142,6 +1171,15 @@ mod tests {
         assert!(sh.expiries.is_empty());
         assert!(sh.owners_empty());
         assert!(sh.migs.iter().all(|e| e.done));
+        assert_eq!(sh.migrations_in_flight(), 0);
+        assert_eq!(sh.migs_entered, 3_000);
+        // Finished slots are reused: the list never outgrows what was in
+        // flight at once.
+        assert!(
+            sh.migs.len() <= peak_in_flight && peak_in_flight < 3_000,
+            "{} slots for a peak of {peak_in_flight} in flight",
+            sh.migs.len()
+        );
     }
 
     #[test]

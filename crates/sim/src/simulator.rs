@@ -72,7 +72,7 @@ const BATCH_TICKS: usize = 4096;
 struct EngineView {
     total_stall: Picos,
     injected_meta: u64,
-    /// Migrations entered into the engine (sum of shard `migs` lengths).
+    /// Migrations entered into the engine (sum of shard `migs_entered`).
     migrations_entered: u64,
     stats: SystemStats,
     probe: Option<ChannelProbe>,
@@ -90,7 +90,7 @@ fn engine_view(shards: &[Shard]) -> EngineView {
     for s in shards {
         view.total_stall += s.total_stall;
         view.injected_meta += s.injected_meta;
-        view.migrations_entered += u64_from_usize(s.migs.len());
+        view.migrations_entered += s.migs_entered;
         view.stats.merge(&s.mem.stats());
         if let Some(p) = s.mem.probe_summary() {
             view.probe
@@ -757,7 +757,7 @@ impl Simulator {
                     auditor.check_conserved(
                         "migrations: manager tracker vs engine",
                         self.mgr.migration_stats().migrations,
-                        shards.iter().map(|sh| sh.migs.len() as u64).sum::<u64>(),
+                        shards.iter().map(|sh| sh.migs_entered).sum::<u64>(),
                     );
                 }
             }
@@ -801,9 +801,7 @@ impl Simulator {
         for sh in shards.iter() {
             assert!(sh.owners_empty(), "requests lost in the memory system");
         }
-        debug_assert!(shards
-            .iter()
-            .all(|sh| sh.migs.iter().all(|e| e.done && e.waiters.is_empty())));
+        debug_assert!(shards.iter().all(|sh| sh.migrations_in_flight() == 0));
         #[cfg(feature = "debug-invariants")]
         {
             // End-of-run pass: every invariant is checked at least once even
@@ -816,7 +814,7 @@ impl Simulator {
             auditor.check_conserved(
                 "migrations: manager tracker vs engine",
                 self.mgr.migration_stats().migrations,
-                shards.iter().map(|sh| sh.migs.len() as u64).sum::<u64>(),
+                shards.iter().map(|sh| sh.migs_entered).sum::<u64>(),
             );
             auditor.assert_clean();
         }
