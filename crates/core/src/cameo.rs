@@ -10,7 +10,7 @@
 //! than anyone (3.9 GB per experiment in the paper) and thrashes whenever
 //! two hot lines share a group.
 
-use mempod_types::convert::{u32_from_u64, u64_from_usize};
+use mempod_types::convert::{u32_from_u64, u64_from_usize, usize_from_u32, usize_from_u64};
 use mempod_types::{FrameId, MemRequest, PageId, Picos};
 
 use crate::llp::{LineLocationPredictor, LlpStats};
@@ -158,6 +158,50 @@ impl MemoryManager for CameoManager {
         }
     }
 
+    /// Splits the congruence groups by class, `⌊g/32⌋ mod parts` (the
+    /// class of every frame and page of group `g`; see
+    /// [`migration_domains`](MemoryManager::migration_domains)). Each part
+    /// keeps its class's touched groups and a copy of the LLP, whose
+    /// counters it alone trains for its class; part 0 carries the
+    /// accounting so far.
+    fn split(self: Box<Self>, parts: u32) -> Vec<Box<dyn MemoryManager>> {
+        assert!(
+            parts >= 1 && self.migration_domains().is_multiple_of(parts),
+            "CAMEO's {} domains cannot split into {parts} parts",
+            self.migration_domains()
+        );
+        let this = *self;
+        let n = u64::from(parts);
+        let segs = this.segs.split(usize_from_u32(parts), |g| {
+            usize_from_u64(g / LINES_PER_PAGE % n)
+        });
+        segs.into_iter()
+            .enumerate()
+            .map(|(s, segs)| {
+                let lead = s == 0;
+                Box::new(CameoManager {
+                    segs,
+                    stats: if lead {
+                        this.stats.clone()
+                    } else {
+                        MigrationStats::default()
+                    },
+                    wasted: if lead { this.wasted } else { 0 },
+                    llp: this.llp.as_ref().map(
+                        |llp| {
+                            if lead {
+                                llp.clone()
+                            } else {
+                                llp.part_copy()
+                            }
+                        },
+                    ),
+                    pods: this.pods,
+                }) as Box<dyn MemoryManager>
+            })
+            .collect()
+    }
+
     fn kind(&self) -> ManagerKind {
         ManagerKind::Cameo
     }
@@ -203,10 +247,22 @@ impl MemoryManager for CameoManager {
     /// count, so it stays in that class whenever `S` also divides the pod
     /// count. The sharded engine's shard count already divides both (the
     /// fast-frame count through its channel check, the pod count through
-    /// this answer), and its admission audits every routed item against
+    /// this answer), and each shard audits its part's decisions against
     /// the class under `debug-invariants`.
+    ///
+    /// With the LLP on, a split must also keep every predictor counter in
+    /// one class. A counter is indexed by the low bits of `g × odd`, which
+    /// determine `g mod entries` and nothing more, and the class reads
+    /// bits 5 and up of `g`; so only a power-of-two class count of at most
+    /// `entries / 32` qualifies.
     fn migration_domains(&self) -> u32 {
-        self.pods
+        match &self.llp {
+            Some(llp) => {
+                let pow2 = self.pods & self.pods.wrapping_neg();
+                pow2.min(u32::try_from(llp.entries() / 32).unwrap_or(u32::MAX))
+            }
+            None => self.pods,
+        }
     }
 
     /// CAMEO's structural invariants: every congruence-group permutation

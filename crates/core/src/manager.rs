@@ -217,6 +217,23 @@ impl MigrationStats {
         }
     }
 
+    /// Adds one part's accounting to this merge of a split manager's
+    /// parts (see [`MemoryManager::split`]). Counts and bytes add up, and
+    /// the per-pod breakdowns add element-wise. `intervals` takes the
+    /// maximum: an interval is global time, which every part counts.
+    pub fn merge(&mut self, part: &MigrationStats) {
+        self.migrations += part.migrations;
+        self.bytes_moved += part.bytes_moved;
+        if self.per_pod_bytes.len() < part.per_pod_bytes.len() {
+            self.per_pod_bytes.resize(part.per_pod_bytes.len(), 0);
+        }
+        for (sum, b) in self.per_pod_bytes.iter_mut().zip(&part.per_pod_bytes) {
+            *sum += b;
+        }
+        self.intervals = self.intervals.max(part.intervals);
+        self.aborted += part.aborted;
+    }
+
     /// Mean migrations per interval (0 if no interval has elapsed).
     pub fn migrations_per_interval(&self) -> f64 {
         if self.intervals == 0 {
@@ -233,9 +250,49 @@ impl MigrationStats {
 /// access stream, and emit migrations at their trigger points. They keep
 /// their remap state consistent *immediately* (the swap's timing cost is the
 /// simulator's job).
-pub trait MemoryManager {
-    /// Observes and translates one access.
+///
+/// A manager whose decisions stay inside residue classes can
+/// [`split`](MemoryManager::split) into one part per class, so that each
+/// simulator shard runs its own part. A part is driven by two calls per
+/// trace request: [`advance_to`](MemoryManager::advance_to) at *every*
+/// request's arrival, which fires the interval work due by then, and
+/// [`on_access`](MemoryManager::on_access) for the requests of its own
+/// class only. A whole manager needs only `on_access`, which advances
+/// itself.
+pub trait MemoryManager: Send {
+    /// Observes and translates one access. On a whole manager this first
+    /// runs every interval boundary the arrival has reached, as
+    /// [`advance_to`](MemoryManager::advance_to) would, and returns those
+    /// swaps ahead of the access's own. A part must only be handed the
+    /// accesses of its own residue class.
     fn on_access(&mut self, req: &MemRequest) -> AccessOutcome;
+
+    /// Runs the interval work (MemPod's epoch sweep) of every boundary
+    /// at or before `now`, appending its swaps to `out` in commit order.
+    /// Called at every request's arrival, whatever its class, so each part
+    /// fires a boundary at the first arrival at or after it, exactly where
+    /// the whole manager does. The default has no interval work.
+    fn advance_to(&mut self, now: Picos, out: &mut Vec<Migration>) {
+        let _ = (now, out);
+    }
+
+    /// Splits this manager into `parts` parts, one per residue class:
+    /// part `s` owns the pages, frames and migration domains whose index is
+    /// `≡ s (mod parts)`, with their state, and nothing of another class.
+    /// `parts` divides [`migration_domains`](MemoryManager::migration_domains)
+    /// (any count, for the static placements, which copy themselves). The
+    /// parts' [`migration_stats`](MemoryManager::migration_stats) merge
+    /// back to the whole's through [`MigrationStats::merge`], their
+    /// [`meta_cache_stats`](MemoryManager::meta_cache_stats) through
+    /// [`MetaCacheStats::merge`], and their
+    /// [`telemetry_counters`](MemoryManager::telemetry_counters) by summing
+    /// same-named values.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the manager cannot split into `parts` parts (a
+    /// one-domain manager asked for more than one).
+    fn split(self: Box<Self>, parts: u32) -> Vec<Box<dyn MemoryManager>>;
 
     /// Which mechanism this is.
     fn kind(&self) -> ManagerKind;
@@ -281,21 +338,23 @@ pub trait MemoryManager {
     /// residue classes (`index % d`) only when every migration, remap, and
     /// metadata fetch this manager triggers stays inside one class:
     ///
-    /// - MemPod swaps strictly within pods and its remap is pod-preserving
-    ///   (audited under `debug-invariants`), so it reports the pod count;
+    /// - MemPod swaps strictly within pods and keeps one remap slice per
+    ///   pod, so it reports the pod count;
     /// - CAMEO's strided congruence groups keep every member in one frame
     ///   residue class whenever the class count divides the fast-frame
     ///   count, and its metadata frames are pod-local, so it reports the
-    ///   pod count too;
+    ///   pod count too (with the LLP on, only the classes that keep each
+    ///   predictor counter in one class);
     /// - the static baselines never migrate or meta-miss and report
     ///   [`u32::MAX`], meaning "unconstrained — any partition is safe";
     /// - the conservative default of 1 suits managers whose swaps cross
     ///   the whole address space or share one global migration lane (HMA;
     ///   THM, whose page swaps carry no pod).
     ///
-    /// Under `debug-invariants` the sharded engine checks the answer at
-    /// admission: every access and swap it routes must lie wholly in the
-    /// residue class of the shard it is sent to.
+    /// The sharded engine [`split`](MemoryManager::split)s the manager into
+    /// one part per shard. Under `debug-invariants` each shard checks its
+    /// part's decisions: every access it admits and every swap it commits
+    /// must lie wholly in the shard's residue class.
     ///
     /// The answer must be constant for the manager's lifetime; the sharded
     /// event loop reads it once at setup to size its shard plan.
@@ -305,6 +364,8 @@ pub trait MemoryManager {
 
     /// Appends this manager's *cumulative* telemetry counters as
     /// `(name, value)` pairs (e.g. MEA eviction totals, interval counts).
+    /// The parts of a split manager report counters that sum to the
+    /// whole's, so a count of global intervals comes from one part only.
     /// The epoch snapshot driver polls this at epoch boundaries and diffs
     /// successive values, so implementations must only ever report
     /// monotonically non-decreasing counts, without side effects. The
@@ -312,6 +373,21 @@ pub trait MemoryManager {
     fn telemetry_counters(&self, out: &mut Vec<(&'static str, u64)>) {
         let _ = out;
     }
+}
+
+/// The split of a manager that is one migration domain: itself, whole.
+///
+/// # Panics
+///
+/// Panics if `parts` is not 1.
+pub(crate) fn whole(mgr: Box<dyn MemoryManager>, parts: u32) -> Vec<Box<dyn MemoryManager>> {
+    assert_eq!(
+        parts,
+        1,
+        "{} is one migration domain and cannot split into {parts} parts",
+        mgr.kind()
+    );
+    vec![mgr]
 }
 
 /// Builds a manager of the requested kind.
@@ -388,6 +464,105 @@ mod tests {
                 _ => assert_eq!(domains, u32::MAX, "{kind} is unconstrained"),
             }
         }
+    }
+
+    /// A storm over a small hot set of slow pages plus uniform noise, one
+    /// request every 250 ns.
+    fn storm(cfg: &ManagerConfig, n: u64) -> Vec<MemRequest> {
+        use mempod_types::{AccessKind, Addr, CoreId, PAGE_SIZE};
+        let geo = cfg.geometry;
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        (0..n)
+            .map(|i| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let page = if x.is_multiple_of(4) {
+                    x % geo.total_pages()
+                } else {
+                    geo.fast_pages() + (x >> 8) % 48 * 7
+                };
+                let addr = Addr(page * PAGE_SIZE as u64 + (x >> 32) % 2048);
+                MemRequest::new(addr, AccessKind::Read, Picos::from_ns(250 * i), CoreId(0))
+            })
+            .collect()
+    }
+
+    /// Drives a whole manager and, from mid-trace on, the parts of a copy
+    /// split into `parts`: every part advances at every arrival and
+    /// translates its own class's accesses (`page % parts`), as a shard
+    /// does. The parts must decide what the whole decides, and their
+    /// accounting must merge back to the whole's.
+    fn split_parts_match_the_whole(kind: ManagerKind, cfg: &ManagerConfig, parts: u32) {
+        let reqs = storm(cfg, 40_000);
+        let (before, after) = reqs.split_at(reqs.len() / 2);
+        let mut whole = build_manager(kind, cfg);
+        let mut copy = build_manager(kind, cfg);
+        for r in before {
+            assert_eq!(whole.on_access(r), copy.on_access(r));
+        }
+        let mut split = copy.split(parts);
+        assert_eq!(split.len(), usize_from_u32(parts));
+        let key = |m: &Migration| (m.pod, m.frame_a, m.frame_b);
+        for r in after {
+            let want = whole.on_access(r);
+            let class = usize::try_from(r.addr.page().0 % u64::from(parts)).unwrap();
+            let mut swaps = Vec::new();
+            for (s, part) in split.iter_mut().enumerate() {
+                if s == class {
+                    let got = part.on_access(r);
+                    assert_eq!((got.frame, got.meta_miss), (want.frame, want.meta_miss));
+                    swaps.extend(got.migrations);
+                } else {
+                    part.advance_to(r.arrival, &mut swaps);
+                }
+            }
+            let mut want = want.migrations;
+            want.sort_by_key(key);
+            swaps.sort_by_key(key);
+            assert_eq!(swaps, want, "{kind}: swaps at {:?}", r.arrival);
+        }
+        let mut stats = MigrationStats::default();
+        let mut meta: Option<MetaCacheStats> = None;
+        for part in &split {
+            stats.merge(part.migration_stats());
+            if let Some(m) = part.meta_cache_stats() {
+                meta.get_or_insert_with(MetaCacheStats::default).merge(&m);
+            }
+        }
+        let mut counters: Vec<(&'static str, u64)> = Vec::new();
+        let mut part_counters = Vec::new();
+        for part in &split {
+            part.telemetry_counters(&mut part_counters);
+            for (name, v) in part_counters.drain(..) {
+                match counters.iter_mut().find(|(n, _)| *n == name) {
+                    Some((_, sum)) => *sum += v,
+                    None => counters.push((name, v)),
+                }
+            }
+        }
+        let mut want_counters = Vec::new();
+        whole.telemetry_counters(&mut want_counters);
+        assert_eq!(counters, want_counters, "{kind}: summed counters");
+        assert_eq!(&stats, whole.migration_stats(), "{kind}: merged stats");
+        assert_eq!(meta, whole.meta_cache_stats(), "{kind}: merged cache stats");
+        assert!(stats.migrations > 0, "{kind}: the storm migrates");
+    }
+
+    #[test]
+    fn split_parts_decide_what_the_whole_decides() {
+        let mut cfg = ManagerConfig::tiny();
+        cfg.meta_cache_bytes = Some(8 << 10);
+        split_parts_match_the_whole(ManagerKind::MemPod, &cfg, 2);
+        split_parts_match_the_whole(ManagerKind::MemPod, &cfg, 4);
+        cfg.cameo_llp = true;
+        split_parts_match_the_whole(ManagerKind::Cameo, &cfg, 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "THM is one migration domain and cannot split into 2 parts")]
+    fn a_one_domain_manager_refuses_to_split() {
+        let _ = build_manager(ManagerKind::Thm, &ManagerConfig::tiny()).split(2);
     }
 
     #[test]

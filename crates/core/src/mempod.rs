@@ -14,7 +14,9 @@
 //!   hottest pages. For the next migration \[it\] simply continues where it
 //!   left off" (§5.2) — which is also what co-locates simultaneously-hot
 //!   pages in the same DRAM row (the libquantum effect, §6.3.2);
-//! * an optional per-pod metadata cache holds remap entries (§6.3.3).
+//! * an optional per-pod metadata cache holds remap entries (§6.3.3);
+//! * each pod keeps its own slice of the remap table, so the pods can be
+//!   dealt out to independent parts (one per simulator shard).
 
 use mempod_tracker::{ActivityTracker, FullCounters, MeaTracker};
 use mempod_types::convert::{u32_from_u64, u64_from_u32, usize_from_u32};
@@ -66,16 +68,51 @@ impl PodTracker {
     }
 }
 
-/// Per-pod migration state.
+/// Per-pod migration state: the pod's tracker, its clock hand, its slice
+/// of the remap table and its metadata cache.
 #[derive(Debug, Clone)]
 struct Pod {
     id: u32,
     tracker: PodTracker,
     /// Clock hand over the pod's fast-frame indices.
     hand: u64,
+    /// The pod's pages and frames, indexed pod-locally: page `p` is entry
+    /// `p / pods`, and local frame `i` is frame `i·pods + id`. Pages and
+    /// frames of a pod share its residue, so a swap can never leave it.
+    remap: RemapTable,
+    /// The pod's metadata cache, if one is configured.
+    meta: Option<MetaCache>,
+}
+
+impl Pod {
+    /// The frame holding this pod's page of pod-local index `local`.
+    fn frame_of(&self, local: u64, pods: u64) -> FrameId {
+        FrameId(self.remap.frame_of(PageId(local)).0 * pods + u64::from(self.id))
+    }
+
+    /// The page held by this pod's `i`-th frame.
+    fn page_in(&self, i: u64, pods: u64) -> PageId {
+        PageId(self.remap.page_in(FrameId(i)).0 * pods + u64::from(self.id))
+    }
+
+    /// Exchanges the contents of two of this pod's frames and invalidates
+    /// both pages' cached metadata entries, whose in-memory remap entries
+    /// changed.
+    fn swap(&mut self, m: &Migration, pods: u64) {
+        self.remap
+            .swap_frames(FrameId(m.frame_a.0 / pods), FrameId(m.frame_b.0 / pods));
+        if let Some(cache) = &mut self.meta {
+            cache.invalidate(m.page_a.0);
+            cache.invalidate(m.page_b.0);
+        }
+    }
 }
 
 /// The MemPod migration manager.
+///
+/// The whole manager holds every pod; [`MemoryManager::split`] deals the
+/// pods out to parts by residue (`pod % parts`), each with its tracker,
+/// clock hand, remap slice and metadata cache.
 ///
 /// # Examples
 ///
@@ -97,18 +134,26 @@ struct Pod {
 #[derive(Debug)]
 pub struct MemPodManager {
     geo: Geometry,
-    remap: RemapTable,
+    /// The pod count, for the pod-local index arithmetic.
+    pod_count: u64,
+    /// This part's pods, in id order: pod `p` sits at `p / parts`.
     pods: Vec<Pod>,
+    /// The residue class this part owns, and the class count (0 and 1 for
+    /// a whole manager).
+    part: u32,
+    parts: u32,
     epoch: Picos,
     next_epoch: Picos,
     stats: MigrationStats,
-    meta_caches: Option<Vec<MetaCache>>,
 }
 
 impl MemPodManager {
     /// Builds a MemPod manager from the shared configuration.
     pub fn new(cfg: &ManagerConfig) -> Self {
         let geo = cfg.geometry;
+        let meta_per_pod = cfg
+            .meta_cache_bytes
+            .map(|total| (total / u64_from_u32(geo.pods())).max(64));
         let pods = (0..geo.pods())
             .map(|id| Pod {
                 id,
@@ -121,25 +166,22 @@ impl MemPodManager {
                     }
                 },
                 hand: 0,
+                remap: RemapTable::identity(geo.pages_per_pod()),
+                meta: meta_per_pod.map(|bytes| MetaCache::new(bytes, 8)),
             })
             .collect();
-        let meta_caches = cfg.meta_cache_bytes.map(|total| {
-            let per_pod = (total / u64_from_u32(geo.pods())).max(64);
-            (0..geo.pods())
-                .map(|_| MetaCache::new(per_pod, 8))
-                .collect()
-        });
         MemPodManager {
             geo,
-            remap: RemapTable::identity(geo.total_pages()),
+            pod_count: u64_from_u32(geo.pods()),
             pods,
+            part: 0,
+            parts: 1,
             epoch: cfg.epoch,
             next_epoch: cfg.epoch,
             stats: MigrationStats {
                 per_pod_bytes: vec![0; usize_from_u32(geo.pods())],
                 ..MigrationStats::default()
             },
-            meta_caches,
         }
     }
 
@@ -148,10 +190,37 @@ impl MemPodManager {
         self.epoch
     }
 
-    /// Runs the end-of-interval migration pass for every pod.
-    fn run_epoch(&mut self) -> Vec<Migration> {
-        let mut migrations = Vec::new();
+    /// `page`'s pod and its index among the pod's pages. Pod counts are
+    /// powers of two in every configuration the paper uses, which a mask
+    /// and a shift serve without a division.
+    #[inline]
+    fn locate(&self, page: PageId) -> (u32, u64) {
+        let pods = self.pod_count;
+        if pods.is_power_of_two() {
+            (
+                u32_from_u64(page.0 & (pods - 1)),
+                page.0 >> pods.trailing_zeros(),
+            )
+        } else {
+            (u32_from_u64(page.0 % pods), page.0 / pods)
+        }
+    }
+
+    /// Position of pod `pod` in this part's `pods`: the part holds every
+    /// `parts`-th pod, so pod `p` is its `p / parts`-th.
+    #[inline]
+    fn slot(&self, pod: u32) -> usize {
+        usize_from_u32(if self.parts.is_power_of_two() {
+            pod >> self.parts.trailing_zeros()
+        } else {
+            pod / self.parts
+        })
+    }
+
+    /// Runs the end-of-interval migration pass for every pod of this part.
+    fn run_epoch(&mut self, out: &mut Vec<Migration>) {
         let fast_per_pod = self.geo.fast_pages_per_pod();
+        let pods = self.pod_count;
         for pod in &mut self.pods {
             let hot = pod.tracker.hot_pages();
             // At most K pages, sorted once: each clock-hand probe bisects
@@ -159,7 +228,7 @@ impl MemPodManager {
             let mut hot_set: Vec<PageId> = hot.iter().map(|&(p, _)| p).collect();
             hot_set.sort_unstable();
             for (page, count) in hot {
-                let cur = self.remap.frame_of(page);
+                let cur = pod.frame_of(page.0 / pods, pods);
                 if self.geo.tier_of_frame(cur) == Tier::Fast {
                     // Already fast: the paper ignores it.
                     continue;
@@ -167,11 +236,11 @@ impl MemPodManager {
                 // Clock-hand scan for a fast frame holding a non-hot page.
                 let mut victim = None;
                 for _ in 0..fast_per_pod {
-                    let slot = self.geo.fast_frame_of_pod(pod.id, pod.hand);
+                    let i = pod.hand;
                     pod.hand = (pod.hand + 1) % fast_per_pod;
-                    let resident = self.remap.page_in(slot);
+                    let resident = pod.page_in(i, pods);
                     if hot_set.binary_search(&resident).is_err() {
-                        victim = Some((slot, resident));
+                        victim = Some((self.geo.fast_frame_of_pod(pod.id, i), resident));
                         break;
                     }
                 }
@@ -180,38 +249,28 @@ impl MemPodManager {
                 };
                 let m = Migration::page_swap(cur, slot, page, resident, Some(pod.id))
                     .with_hotness(count);
-                self.remap.swap_frames(cur, slot);
-                if let Some(caches) = &mut self.meta_caches {
-                    // Both pages' remap entries changed in memory.
-                    let cache = &mut caches[usize_from_u32(pod.id)];
-                    cache.invalidate(page.0);
-                    cache.invalidate(resident.0);
-                }
+                pod.swap(&m, pods);
                 self.stats.record(&m);
-                migrations.push(m);
+                out.push(m);
             }
             pod.tracker.reset();
         }
         self.stats.intervals += 1;
-        migrations
     }
 }
 
 impl MemoryManager for MemPodManager {
     fn on_access(&mut self, req: &MemRequest) -> AccessOutcome {
         let mut migrations = Vec::new();
-        while req.arrival >= self.next_epoch {
-            migrations.extend(self.run_epoch());
-            self.next_epoch += self.epoch;
-        }
+        self.advance_to(req.arrival, &mut migrations);
         let page = req.addr.page();
-        let pod_id = usize_from_u32(self.geo.pod_of_page(page));
-        self.pods[pod_id].tracker.record(page);
-        let meta_miss = match &mut self.meta_caches {
-            Some(caches) => !caches[pod_id].access(page.0),
-            None => false,
-        };
-        let frame = self.remap.frame_of(page);
+        let (pod, local) = self.locate(page);
+        let slot = self.slot(pod);
+        let pods = self.pod_count;
+        let pod = &mut self.pods[slot];
+        pod.tracker.record(page);
+        let meta_miss = pod.meta.as_mut().is_some_and(|c| !c.access(page.0));
+        let frame = pod.frame_of(local, pods);
         AccessOutcome {
             frame,
             line_in_page: u32_from_u64(req.addr.line().index_in_page()),
@@ -219,6 +278,51 @@ impl MemoryManager for MemPodManager {
             stall: Picos::ZERO,
             meta_miss,
         }
+    }
+
+    fn advance_to(&mut self, now: Picos, out: &mut Vec<Migration>) {
+        while now >= self.next_epoch {
+            self.run_epoch(out);
+            self.next_epoch += self.epoch;
+        }
+    }
+
+    /// Deals the pods out by residue: part `s` takes pods `s, s + parts,
+    /// …` with all their state, and every part keeps the epoch clock.
+    /// Part 0 carries the accounting so far; the others start from zero.
+    fn split(self: Box<Self>, parts: u32) -> Vec<Box<dyn MemoryManager>> {
+        assert!(
+            self.parts == 1 && parts >= 1 && self.geo.pods().is_multiple_of(parts),
+            "MemPod's {} pods cannot split into {parts} parts",
+            self.geo.pods()
+        );
+        let this = *self;
+        let mut out: Vec<MemPodManager> = (0..parts)
+            .map(|part| MemPodManager {
+                geo: this.geo,
+                pod_count: this.pod_count,
+                pods: Vec::new(),
+                part,
+                parts,
+                epoch: this.epoch,
+                next_epoch: this.next_epoch,
+                stats: if part == 0 {
+                    this.stats.clone()
+                } else {
+                    MigrationStats {
+                        per_pod_bytes: vec![0; this.stats.per_pod_bytes.len()],
+                        intervals: this.stats.intervals,
+                        ..MigrationStats::default()
+                    }
+                },
+            })
+            .collect();
+        for pod in this.pods {
+            out[usize_from_u32(pod.id % parts)].pods.push(pod);
+        }
+        out.into_iter()
+            .map(|m| Box::new(m) as Box<dyn MemoryManager>)
+            .collect()
     }
 
     fn kind(&self) -> ManagerKind {
@@ -230,74 +334,61 @@ impl MemoryManager for MemPodManager {
     }
 
     fn meta_cache_stats(&self) -> Option<MetaCacheStats> {
-        self.meta_caches.as_ref().map(|caches| {
-            let mut s = MetaCacheStats::default();
-            for c in caches {
-                s.merge(&c.stats());
-            }
-            s
-        })
+        let mut caches = self.pods.iter().filter_map(|p| p.meta.as_ref()).peekable();
+        caches.peek()?;
+        let mut s = MetaCacheStats::default();
+        for c in caches {
+            s.merge(&c.stats());
+        }
+        Some(s)
     }
 
     fn frame_of_page(&self, page: PageId) -> FrameId {
-        self.remap.frame_of(page)
+        let (pod, local) = self.locate(page);
+        self.pods[self.slot(pod)].frame_of(local, self.pod_count)
     }
 
-    /// Re-applies the swap's transposition, restoring both remap directions
-    /// ([`RemapTable::swap_frames`] is self-inverse), and invalidates the
-    /// pod's cached metadata entries for both pages — their in-memory remap
-    /// entries changed again.
+    /// Re-applies the swap's transposition in its pod's remap slice
+    /// ([`RemapTable::swap_frames`] is self-inverse) and invalidates the
+    /// pod's cached metadata entries for both pages — their in-memory
+    /// remap entries changed again.
     fn rollback_migration(&mut self, m: &Migration) -> bool {
-        use mempod_types::convert::usize_from_u32;
-        self.remap.swap_frames(m.frame_a, m.frame_b);
-        if let (Some(caches), Some(pod)) = (&mut self.meta_caches, m.pod) {
-            caches[usize_from_u32(pod)].invalidate(m.page_a.0);
-            caches[usize_from_u32(pod)].invalidate(m.page_b.0);
-        }
+        let Some(pod) = m.pod else {
+            return false;
+        };
+        let (slot, pods) = (self.slot(pod), self.pod_count);
+        self.pods[slot].swap(m, pods);
         self.stats.aborted += 1;
         true
     }
 
     /// Pods are independent migration domains (the paper's core structural
-    /// claim): swaps are intra-pod and the remap is pod-preserving, both
-    /// audited under `debug-invariants`.
+    /// claim): each pod's remap slice holds only its own pages and frames.
     fn migration_domains(&self) -> u32 {
         self.geo.pods()
     }
 
-    /// MemPod's structural invariants: the remap table stays a bijection
-    /// with a consistent inverse, fast frames only ever hold pages of
-    /// their own pod (migration is intra-pod by construction), and the
-    /// per-pod traffic breakdown sums to the total.
+    /// MemPod's structural invariants: each pod's remap slice stays a
+    /// bijection with a consistent inverse (a slice covers only its pod's
+    /// pages and frames, so a swap cannot cross pods), and the per-pod
+    /// traffic breakdown sums to the total.
     #[cfg(feature = "debug-invariants")]
     fn audit_invariants(&mut self, auditor: &mut mempod_audit::InvariantAuditor) {
         use mempod_audit::audit_invariant;
         use mempod_types::convert::usize_from_u64;
 
-        auditor.check_bijection(
-            "MemPod remap page->frame",
-            (0..self.geo.total_pages()).map(|p| self.remap.frame_of(PageId(p)).0),
-            usize_from_u64(self.geo.total_pages()),
-        );
-        audit_invariant!(
-            auditor,
-            "remap-inverse",
-            self.remap.check_invariant(),
-            "MemPod page->frame and frame->page tables are not mutual inverses"
-        );
-        let fast_per_pod = self.geo.fast_pages_per_pod();
+        let per_pod = self.geo.pages_per_pod();
         for pod in &self.pods {
-            let misplaced = (0..fast_per_pod)
-                .filter(|&i| {
-                    let frame = self.geo.fast_frame_of_pod(pod.id, i);
-                    self.geo.pod_of_page(self.remap.page_in(frame)) != pod.id
-                })
-                .count();
+            auditor.check_bijection(
+                &format!("MemPod pod {} remap page->frame", pod.id),
+                (0..per_pod).map(|p| pod.remap.frame_of(PageId(p)).0),
+                usize_from_u64(per_pod),
+            );
             audit_invariant!(
                 auditor,
-                "pod-frame-ownership",
-                misplaced == 0,
-                "pod {}: {misplaced} fast frame(s) hold another pod's page",
+                "remap-inverse",
+                pod.remap.check_invariant(),
+                "MemPod pod {}: page->frame and frame->page tables are not mutual inverses",
                 pod.id
             );
         }
@@ -311,8 +402,11 @@ impl MemoryManager for MemPodManager {
     /// MemPod's epoch count plus the pods' MEA hardware-operation totals
     /// (cumulative since construction — `MeaTracker::op_stats` survives the
     /// per-epoch reset, which is what lets the epoch driver diff them).
+    /// Every part counts every epoch, so only part 0 reports the count.
     fn telemetry_counters(&self, out: &mut Vec<(&'static str, u64)>) {
-        out.push(("mempod.epochs", self.stats.intervals));
+        if self.part == 0 {
+            out.push(("mempod.epochs", self.stats.intervals));
+        }
         let mut evictions = 0u64;
         let mut insertions = 0u64;
         let mut increments = 0u64;
@@ -444,7 +538,7 @@ mod tests {
                 t += Picos::from_ns(300);
             }
         }
-        assert!(mgr.remap.check_invariant());
+        assert!(mgr.pods.iter().all(|p| p.remap.check_invariant()));
         assert!(mgr.migration_stats().migrations > 0);
     }
 
@@ -489,7 +583,7 @@ mod tests {
         // Both pages are exactly where they were before the swap.
         assert_eq!(mgr.frame_of_page(m.page_a), m.frame_a);
         assert_eq!(mgr.frame_of_page(m.page_b), m.frame_b);
-        assert!(mgr.remap.check_invariant());
+        assert!(mgr.pods.iter().all(|p| p.remap.check_invariant()));
         assert_eq!(mgr.migration_stats().aborted, 1);
     }
 

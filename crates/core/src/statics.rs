@@ -56,6 +56,19 @@ impl MemoryManager for StaticManager {
         }
     }
 
+    /// A static placement holds no state and never migrates, so every
+    /// part is a fresh copy.
+    fn split(self: Box<Self>, parts: u32) -> Vec<Box<dyn MemoryManager>> {
+        (0..parts)
+            .map(|_| {
+                Box::new(StaticManager {
+                    kind: self.kind,
+                    stats: MigrationStats::default(),
+                }) as Box<dyn MemoryManager>
+            })
+            .collect()
+    }
+
     fn kind(&self) -> ManagerKind {
         self.kind
     }

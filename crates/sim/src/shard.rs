@@ -12,6 +12,12 @@
 //! *bit for bit*: each per-channel decision depends only on that channel's
 //! queue, and every submission a shard makes lands on a channel it owns.
 //!
+//! Each shard also owns its part of the manager
+//! ([`MemoryManager::split`]) and admits its own requests: it walks every
+//! request of a batch, pumps its channels to the arrival, fires the
+//! part's interval work there, and translates and admits the requests of
+//! its own class.
+//!
 //! A one-shard run is one `Shard` over the whole memory system, so there
 //! is exactly one copy of the migration/blocking/metadata state machine to
 //! keep correct.
@@ -19,13 +25,15 @@
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
 
-use mempod_core::Migration;
+use mempod_core::{MemoryManager, Migration};
 use mempod_dram::{Completion, MemorySystem, Priority, ReqToken};
-use mempod_faults::backoff_after;
-use mempod_telemetry::span::{child_span_id, migration_span_id};
-use mempod_telemetry::{EventKind, SpanName, SpanRecord, SPAN_NONE};
-use mempod_types::convert::{u64_from_usize, usize_from_u32};
-use mempod_types::{AccessKind, BuildPageHasher, FrameId, MigrationFaultSpec, PageId, Picos};
+use mempod_faults::{backoff_after, FaultPlan};
+use mempod_telemetry::span::{child_span_id, migration_span_id, request_span_id};
+use mempod_telemetry::{EventKind, SpanConfig, SpanName, SpanRecord, SPAN_NONE};
+use mempod_types::convert::{u32_from_u64, u64_from_usize};
+use mempod_types::{
+    AccessKind, BuildPageHasher, FrameId, MemRequest, MigrationFaultSpec, PageId, Picos,
+};
 
 /// A foreground access waiting to be issued (possibly via a metadata
 /// fetch).
@@ -43,9 +51,9 @@ pub(crate) struct Waiter {
     /// Page used to spread metadata-fetch addresses.
     pub(crate) page: PageId,
     /// Request-service span id, or [`SPAN_NONE`] when the request is
-    /// unsampled (or span tracing is off). Derived on the main thread at
-    /// admission from the request's stable identity, so every shard count
-    /// samples the same requests.
+    /// unsampled (or span tracing is off). Derived at admission from the
+    /// request's stable identity, so every shard count samples the same
+    /// requests.
     pub(crate) span: u64,
 }
 
@@ -171,16 +179,35 @@ enum PageState {
     BlockedUntil(Picos),
 }
 
-/// One unit of admission-phase work routed to a shard, applied at a tick
-/// of the global arrival grid.
+/// One swap a shard's manager part committed, kept for the barrier's
+/// provenance ledger.
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum WorkItem {
-    /// Register a migration the manager committed at this tick, with the
-    /// fault plan's admission-time verdict (decided on the main thread so
-    /// every shard count sees the same outcome).
-    Migrate(Migration, Option<MigrationFaultSpec>),
-    /// Admit a foreground access (after the manager translated it).
-    Admit { page: PageId, w: Waiter },
+pub(crate) struct Commit {
+    /// Position of the committing request in its batch.
+    pub(crate) tick: u32,
+    pub(crate) m: Migration,
+    /// Whether the fault plan dooms the swap (it was rolled back).
+    pub(crate) permanent: bool,
+}
+
+/// What every shard of a run shares: the plan, the span sampling and
+/// which barrier records to keep.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ShardConfig {
+    /// Shard count of the run: shard `s` owns residue class `s`.
+    pub(crate) shards: u32,
+    /// Pod count, for the pod-local metadata backing-store hash.
+    pub(crate) pods: u32,
+    /// Whether events are worth buffering (telemetry enabled and the sink
+    /// keeps lines).
+    pub(crate) events_wanted: bool,
+    /// Causal span tracing, if on; `None` unless `events_wanted`.
+    pub(crate) spans: Option<SpanConfig>,
+    /// The fault plan, if one is active.
+    pub(crate) plan: Option<FaultPlan>,
+    /// Whether telemetry is on: keep commits and metadata misses for the
+    /// barrier's ledger and miss runs.
+    pub(crate) observed: bool,
 }
 
 /// One residue class of the engine: its memory-system view plus all state
@@ -188,12 +215,29 @@ pub(crate) enum WorkItem {
 /// order: of `n` shards, `shards[s]` owns the channels, frames, and pages
 /// whose index is `≡ s (mod n)`, and nothing in one shard is reachable
 /// from any other.
-#[derive(Debug)]
 pub(crate) struct Shard {
     /// Memory channels of this residue class ([`MemorySystem::shard_id`]).
     pub(crate) mem: MemorySystem,
-    /// Pod count, for the pod-local metadata backing-store hash.
-    pods: u32,
+    /// This shard's part of the manager.
+    pub(crate) mgr: Box<dyn MemoryManager>,
+    /// This shard's residue class.
+    class: u64,
+    cfg: ShardConfig,
+    /// Swaps committed at the current arrival (a reused buffer).
+    committed: Vec<Migration>,
+    /// Swaps the fault plan faulted, doomed or not.
+    pub(crate) faulted_migrations: u64,
+    /// This batch's commits, in commit order (kept when `observed`).
+    pub(crate) commits: Vec<Commit>,
+    /// Ticks of this batch whose request missed the metadata cache (kept
+    /// when `observed`).
+    pub(crate) misses: Vec<u32>,
+    /// Requests admitted and swaps committed this batch (the execution
+    /// span's `aux`).
+    pub(crate) items: u64,
+    /// This shard's residue and manager audits.
+    #[cfg(feature = "debug-invariants")]
+    pub(crate) auditor: mempod_audit::InvariantAuditor,
     /// Outstanding token ownership, indexed by token (every DRAM request
     /// this shard has queued and not yet seen complete).
     owners: OwnerTable,
@@ -222,15 +266,10 @@ pub(crate) struct Shard {
     /// Injected migration-fault bookkeeping: exponential-backoff base and
     /// cap for retries (copied from the fault config; identical on every
     /// shard), and counters of aborted attempts and retries.
-    pub(crate) backoff_base: Picos,
-    pub(crate) backoff_cap: Picos,
+    backoff_base: Picos,
+    backoff_cap: Picos,
     pub(crate) fault_aborts: u64,
     pub(crate) fault_retries: u64,
-    /// Whether events are worth buffering (telemetry enabled and the sink
-    /// keeps lines).
-    events_wanted: bool,
-    /// Whether causal span tracing is on (implies `events_wanted`).
-    spans_enabled: bool,
     /// Buffered `(t_ps, kind)` events since the last barrier flush, in
     /// emission order. The main thread merges buffers across shards in
     /// timestamp-then-shard-id order (`Telemetry::emit_merged`).
@@ -241,17 +280,37 @@ pub(crate) struct Shard {
 }
 
 impl Shard {
-    /// Wraps one memory-system view as a shard. `spans_enabled` switches
-    /// causal span emission on (only meaningful with `events_wanted`).
+    /// Wraps one memory-system view and the manager part of the same
+    /// residue `class` as a shard.
     pub(crate) fn new(
+        class: u32,
         mem: MemorySystem,
-        pods: u32,
-        events_wanted: bool,
-        spans_enabled: bool,
+        mgr: Box<dyn MemoryManager>,
+        cfg: ShardConfig,
     ) -> Self {
+        let (backoff_base, backoff_cap) =
+            cfg.plan
+                .map_or((Picos::from_ns(500), Picos::from_us(8)), |p| {
+                    (
+                        p.config().migration_backoff,
+                        p.config().migration_backoff_cap,
+                    )
+                });
         Shard {
             mem,
-            pods,
+            mgr,
+            class: u64::from(class),
+            cfg,
+            committed: Vec::new(),
+            faulted_migrations: 0,
+            commits: Vec::new(),
+            misses: Vec::new(),
+            items: 0,
+            #[cfg(feature = "debug-invariants")]
+            auditor: mempod_audit::InvariantAuditor::new(
+                format!("shard {class} of {}", cfg.shards),
+                8,
+            ),
             owners: OwnerTable::default(),
             migs: Vec::new(),
             free: Vec::new(),
@@ -262,19 +321,17 @@ impl Shard {
             total_stall: Picos::ZERO,
             injected_migration: 0,
             injected_meta: 0,
-            backoff_base: Picos::from_ns(500),
-            backoff_cap: Picos::from_us(8),
+            backoff_base,
+            backoff_cap,
             fault_aborts: 0,
             fault_retries: 0,
-            events_wanted,
-            spans_enabled: spans_enabled && events_wanted,
             events: Vec::new(),
             completions: Vec::new(),
         }
     }
 
     fn event(&mut self, t: Picos, kind: EventKind) {
-        if self.events_wanted {
+        if self.cfg.events_wanted {
             self.events.push((t.as_ps(), kind));
         }
     }
@@ -284,7 +341,7 @@ impl Shard {
     /// is the shard-side emission gate every tick-phase span must go
     /// through (DESIGN.md §13).
     fn push_span(&mut self, rec: SpanRecord) {
-        if rec.id == SPAN_NONE || !self.spans_enabled {
+        if rec.id == SPAN_NONE || self.cfg.spans.is_none() {
             return;
         }
         self.events.push((rec.end_ps, EventKind::Span(rec)));
@@ -330,42 +387,213 @@ impl Shard {
     /// live owners equal the requests pending in this shard's channels.
     /// Holds between pumps (a pump hands every completion to its owner).
     #[cfg(feature = "debug-invariants")]
-    pub(crate) fn audit_owners(&self, auditor: &mut mempod_audit::InvariantAuditor) {
-        auditor.check_conserved(
+    fn audit_owners(&mut self) {
+        self.auditor.check_conserved(
             "owners: queued DRAM requests vs live token owners",
             u64_from_usize(self.mem.pending()),
             u64_from_usize(self.owners.live),
         );
     }
 
-    /// Ticks this shard through a batch of the global arrival grid: for
-    /// every tick, service completions up to that arrival, then apply the
-    /// admission work routed here for the tick.
+    /// Runs this shard through one batch of the trace: at every request's
+    /// arrival, service completions up to it, then
+    /// [`take`](Shard::take) the request; finally pump to `tail`, if
+    /// given (a barrier that must see every shard at that time).
     ///
-    /// Every shard pumps at *every* global arrival — not just the ticks it
-    /// received work for — because an enqueue at an intermediate horizon
-    /// changes which requests compete in a channel's later scheduling
-    /// decisions. Pumping an unchanged shard to the same horizon again is
-    /// a no-op (an empty drain does not advance channel state), which is
-    /// what makes the shared grid safe and the result independent of the
-    /// batch boundaries.
-    pub(crate) fn run_ticks(&mut self, arrivals: &[Picos], work: &[(u32, WorkItem)]) {
-        let mut next = 0usize;
-        for (tick, &horizon) in arrivals.iter().enumerate() {
+    /// Every shard pumps at *every* arrival — not just its own requests' —
+    /// because an enqueue at an intermediate horizon changes which requests
+    /// compete in a channel's later scheduling decisions. Pumping an
+    /// unchanged shard to the same horizon again is a no-op (an empty
+    /// drain does not advance channel state), which is what makes the
+    /// shared grid safe and the result independent of the batch
+    /// boundaries.
+    pub(crate) fn run_batch(&mut self, reqs: &[MemRequest], tail: Option<Picos>) {
+        for (tick, req) in reqs.iter().enumerate() {
+            self.pump(req.arrival);
+            self.take(u32_from_u64(u64_from_usize(tick)), req);
+            self.maybe_prune(req.arrival);
+        }
+        if let Some(horizon) = tail {
             self.pump(horizon);
-            while let Some(&(t, item)) = work.get(next) {
-                if usize_from_u32(t) != tick {
-                    break;
-                }
-                match item {
-                    WorkItem::Migrate(m, spec) => self.enqueue_migration(m, horizon, spec),
-                    WorkItem::Admit { page, w } => self.admit(page, w),
-                }
-                next += 1;
-            }
             self.maybe_prune(horizon);
         }
-        debug_assert_eq!(next, work.len(), "work items beyond the arrival grid");
+        #[cfg(feature = "debug-invariants")]
+        self.audit_barrier();
+    }
+
+    /// The barrier audit: the channels' invariants, one owner per queued
+    /// request, and every swap the part committed entered into the engine.
+    #[cfg(feature = "debug-invariants")]
+    pub(crate) fn audit_barrier(&mut self) {
+        self.mem.audit_invariants(&mut self.auditor);
+        self.audit_owners();
+        self.auditor.check_conserved(
+            "migrations: manager part vs engine",
+            self.mgr.migration_stats().migrations,
+            self.migs_entered,
+        );
+    }
+
+    /// Admission for one request at batch position `tick`: the manager
+    /// part fires the interval work due by the arrival and, if the request
+    /// is of this shard's class, translates it. Each committed swap
+    /// is registered with the fault plan's verdict (a pure function of
+    /// the swap, so every shard count draws the same), the doomed ones are
+    /// rolled back out of the part's map in reverse commit order, and the
+    /// request is admitted.
+    fn take(&mut self, tick: u32, req: &MemRequest) {
+        let at = req.arrival;
+        let page = req.addr.page();
+        // `on_access` advances the part itself, ahead of the access.
+        let mut committed = std::mem::take(&mut self.committed);
+        let outcome = if self.owns(page.0) {
+            Some(self.mgr.on_access(req))
+        } else {
+            self.mgr.advance_to(at, &mut committed);
+            None
+        };
+        let swaps = outcome
+            .as_ref()
+            .map_or(&committed[..], |o| &o.migrations[..]);
+        let mut doomed = false;
+        for &m in swaps {
+            let spec = self
+                .cfg
+                .plan
+                .as_ref()
+                .and_then(|p| p.migration_spec(m.frame_a, m.frame_b, at));
+            self.faulted_migrations += u64::from(spec.is_some());
+            let permanent = spec.is_some_and(|s| s.permanent);
+            doomed |= permanent;
+            if self.cfg.observed {
+                self.commits.push(Commit { tick, m, permanent });
+            }
+            #[cfg(feature = "debug-invariants")]
+            self.audit_swap(&m);
+            self.enqueue_migration(m, at, spec);
+            self.items += 1;
+        }
+        if let Some(plan) = self.cfg.plan.as_ref().filter(|_| doomed) {
+            // The engine still models the doomed attempts' timing but never
+            // moves their data. The verdicts are redrawn rather than kept:
+            // they are pure, and only a doomed commit walks here.
+            for m in swaps.iter().rev() {
+                if plan
+                    .migration_spec(m.frame_a, m.frame_b, at)
+                    .is_some_and(|s| s.permanent)
+                {
+                    let _ = self.mgr.rollback_migration(m);
+                }
+            }
+        }
+        // The part changes request by request, so its remap/segment state
+        // is audited here rather than at the barrier: a table torn and
+        // repaired within a batch is caught.
+        #[cfg(feature = "debug-invariants")]
+        if !swaps.is_empty() && self.auditor.should_sample() {
+            self.mgr.audit_invariants(&mut self.auditor);
+        }
+        committed.clear();
+        self.committed = committed;
+        let Some(o) = outcome else {
+            return;
+        };
+        if self.cfg.observed && o.meta_miss {
+            self.misses.push(tick);
+        }
+        let w = Waiter {
+            arrival: at,
+            issue: at + o.stall,
+            frame: o.frame,
+            line: o.line_in_page,
+            kind: req.kind,
+            needs_meta: o.meta_miss,
+            page,
+            span: request_span(self.cfg.spans, page.0, o.line_in_page, at),
+        };
+        #[cfg(feature = "debug-invariants")]
+        self.audit_access(&w);
+        self.admit(page, w);
+        self.items += 1;
+    }
+
+    /// Whether `index` (a page's, as every request's class is its page's)
+    /// lies in this shard's residue class. Shard counts are powers of two
+    /// whenever the pod and channel counts are, which a mask serves
+    /// without a division.
+    #[inline]
+    fn owns(&self, index: u64) -> bool {
+        let n = u64::from(self.cfg.shards);
+        if n.is_power_of_two() {
+            index & (n - 1) == self.class
+        } else {
+            index % n == self.class
+        }
+    }
+
+    /// Checks that a swap this shard's part committed lies wholly in the
+    /// shard's residue class: its two frames, two pages and, for a page
+    /// swap, its migration lane. A miss means the split handed the part
+    /// state of another class, or the manager's
+    /// [`MemoryManager::migration_domains`] promised more domains than its
+    /// decisions respect; the run stops before the shard acts on the swap.
+    #[cfg(feature = "debug-invariants")]
+    fn audit_swap(&mut self, m: &Migration) {
+        let mut misrouted = false;
+        self.check_class("swap", "frame_a", m.frame_a.0, &mut misrouted);
+        self.check_class("swap", "frame_b", m.frame_b.0, &mut misrouted);
+        self.check_class("swap", "page_a", m.page_a.0, &mut misrouted);
+        self.check_class("swap", "page_b", m.page_b.0, &mut misrouted);
+        // A page swap queues on its pod's lane; a swap with no pod
+        // queues on the one global lane, which only a lone shard owns.
+        if m.is_page_swap() {
+            match m.pod {
+                Some(pod) => self.check_class("swap", "lane pod", u64::from(pod), &mut misrouted),
+                None => {
+                    let (s, n) = (self.class, self.cfg.shards);
+                    self.auditor.observe(n == 1, || {
+                        misrouted = true;
+                        format!(
+                            "residue: swap committed on shard {s} of {n} queues on the global lane"
+                        )
+                    });
+                }
+            }
+        }
+        if misrouted {
+            self.auditor.assert_clean();
+        }
+    }
+
+    /// Checks that an access this shard admits lies wholly in its residue
+    /// class: the page, the frame and, when it needs one, the metadata
+    /// frame.
+    #[cfg(feature = "debug-invariants")]
+    fn audit_access(&mut self, w: &Waiter) {
+        let mut misrouted = false;
+        self.check_class("access", "page", w.page.0, &mut misrouted);
+        self.check_class("access", "frame", w.frame.0, &mut misrouted);
+        if w.needs_meta {
+            let meta = meta_backing_frame(w.page, self.mem.layout().fast_frames, self.cfg.pods);
+            self.check_class("access", "metadata frame", meta.0, &mut misrouted);
+        }
+        if misrouted {
+            self.auditor.assert_clean();
+        }
+    }
+
+    /// One residue check of [`audit_swap`](Shard::audit_swap) or
+    /// [`audit_access`](Shard::audit_access).
+    #[cfg(feature = "debug-invariants")]
+    fn check_class(&mut self, what: &str, name: &str, v: u64, misrouted: &mut bool) {
+        let (s, n) = (self.class, u64::from(self.cfg.shards));
+        self.auditor.observe(v % n == s, || {
+            *misrouted = true;
+            format!(
+                "residue: {what} on shard {s} of {n} has {name} {v}, in class {}",
+                v % n
+            )
+        });
     }
 
     /// Drains up to `horizon` repeatedly until no more completions appear
@@ -652,7 +880,7 @@ impl Shard {
     fn complete_migration(&mut self, mig: usize, finish: Picos, failed: bool) {
         self.migs[mig].done = true;
         let m = self.migs[mig].m;
-        if !failed && self.events_wanted {
+        if !failed && self.cfg.events_wanted {
             let latency = finish.saturating_sub(self.migs[mig].t_start);
             self.event(
                 finish,
@@ -737,7 +965,8 @@ impl Shard {
     /// otherwise as the foreground access itself.
     fn dispatch(&mut self, w: Waiter) {
         if w.needs_meta {
-            let meta_frame = meta_backing_frame(w.page, self.mem.layout().fast_frames, self.pods);
+            let meta_frame =
+                meta_backing_frame(w.page, self.mem.layout().fast_frames, self.cfg.pods);
             let tok = self.mem.submit(meta_frame, 0, AccessKind::Read, w.issue);
             self.owners.insert(tok, TokenOwner::MetaFetch { waiter: w });
             self.injected_meta += 1;
@@ -776,7 +1005,7 @@ impl Shard {
         // Lifecycle span identity: pure function of the swap's coordinates
         // and decision time, so every shard count derives the same id.
         // Migrations are always traced when spans are on (no sampling).
-        let span = if self.spans_enabled {
+        let span = if self.cfg.spans.is_some() {
             migration_span_id(m.frame_a.0, m.frame_b.0, at.as_ps())
         } else {
             SPAN_NONE
@@ -903,6 +1132,27 @@ impl Shard {
             }
             None => self.dispatch(w),
         }
+    }
+}
+
+/// The sampled request-service span id for one admission, or [`SPAN_NONE`]
+/// when span tracing is off or the request is unsampled.
+///
+/// The identity mixes the request's *pre-translation* coordinates (page,
+/// line offset, arrival) — values every shard count sees identically
+/// before any routing decision — so every shard count derives and samples
+/// the same span ids without coordination.
+fn request_span(cfg: Option<SpanConfig>, page: u64, line: u32, arrival: Picos) -> u64 {
+    match cfg {
+        Some(sc) => {
+            let id = request_span_id(page, u64::from(line), arrival.as_ps());
+            if sc.sample_request(id) {
+                id
+            } else {
+                SPAN_NONE
+            }
+        }
+        None => SPAN_NONE,
     }
 }
 
@@ -1062,7 +1312,19 @@ mod tests {
     }
 
     fn tiny_shard() -> Shard {
-        Shard::new(MemorySystem::new(MemLayout::tiny()), 4, false, false)
+        let cfg = ShardConfig {
+            shards: 1,
+            pods: 4,
+            events_wanted: false,
+            spans: None,
+            plan: None,
+            observed: false,
+        };
+        let mgr = mempod_core::build_manager(
+            mempod_core::ManagerKind::NoMigration,
+            &mempod_core::ManagerConfig::tiny(),
+        );
+        Shard::new(0, MemorySystem::new(MemLayout::tiny()), mgr, cfg)
     }
 
     /// A swap of fast page `a` (frame `a`) with slow page `b`.

@@ -17,13 +17,17 @@
 //!
 //! The engine state machine itself lives in the `shard` module; this module
 //! drives it through one event loop. The memory system is split into
-//! per-pod/per-channel residue classes ([`MemorySystem::into_shards`])
-//! that tick independently between deterministic barriers: the main
-//! thread admits requests and routes work items to shards by frame
-//! residue; shards pump their own channels over the shared global arrival
-//! grid; barriers merge telemetry in timestamp-then-shard-id order and
-//! feed the epoch driver. A one-shard run is the single-cluster case of
-//! the same loop. Because a shard count is only accepted when frames,
+//! per-pod/per-channel residue classes ([`MemorySystem::into_shards`]),
+//! and the manager into one part per class ([`MemoryManager::split`]),
+//! and the classes tick independently between deterministic barriers:
+//! the main thread only cuts the trace into batches; every shard walks
+//! each batch itself, pumping its own channels at every arrival of the
+//! shared global grid, firing its part's interval work there, and
+//! translating and admitting the requests of its own class; barriers
+//! merge telemetry in timestamp-then-shard-id order, replay the shards'
+//! commits into the provenance ledger and their metadata misses into
+//! runs, and feed the epoch driver. A one-shard run is the single-cluster
+//! case of the same loop. Because a shard count is only accepted when frames,
 //! pages, channels, and migration domains of one residue class never
 //! interact with another's ([`Simulator::effective_shards`]), every
 //! per-channel scheduling decision is the one a one-shard run makes, and
@@ -36,25 +40,23 @@
 
 use std::time::Instant;
 
-use mempod_core::{build_manager, MemoryManager, Migration};
+use mempod_core::{build_manager, MemoryManager, MigrationStats};
 use mempod_dram::{ChannelProbe, Interleave, MemLayout, MemorySystem, SystemStats};
 use mempod_faults::FaultPlan;
 use mempod_sync::atomic::{AtomicU64, Ordering};
 use mempod_sync::{thread, Arc};
-use mempod_telemetry::span::{exec_span_id, request_span_id};
+use mempod_telemetry::span::exec_span_id;
 use mempod_telemetry::{
     EpochSnapshot, EventKind, Log2Histogram, PhaseClock, SpanName, SpanRecord, Telemetry, SPAN_NONE,
 };
 use mempod_trace::Trace;
-use mempod_types::convert::{u32_from_u64, u64_from_usize, usize_from_u64};
-use mempod_types::Picos;
+use mempod_types::convert::{u32_from_u64, u64_from_usize, usize_from_u32};
+use mempod_types::{MemRequest, Picos};
 
 use crate::config::{SimConfig, SimError};
 use crate::metrics::SimReport;
 use crate::provenance::ProvenanceLedger;
-#[cfg(feature = "debug-invariants")]
-use crate::shard::meta_backing_frame;
-use crate::shard::{gcd, Shard, Waiter, WorkItem};
+use crate::shard::{gcd, Shard, ShardConfig};
 
 /// Consecutive metadata-cache misses that qualify as a burst event.
 const META_MISS_BURST_MIN: u64 = 8;
@@ -76,9 +78,14 @@ struct EngineView {
     migrations_entered: u64,
     stats: SystemStats,
     probe: Option<ChannelProbe>,
+    /// The manager parts' accounting, merged.
+    migration: MigrationStats,
+    /// The manager parts' telemetry counters, summed by name.
+    counters: Vec<(&'static str, u64)>,
 }
 
-/// Merges the observable state of `shards` into one [`EngineView`].
+/// Merges the observable state of `shards`, manager parts included, into
+/// one [`EngineView`].
 fn engine_view(shards: &[Shard]) -> EngineView {
     let mut view = EngineView {
         total_stall: Picos::ZERO,
@@ -86,7 +93,10 @@ fn engine_view(shards: &[Shard]) -> EngineView {
         migrations_entered: 0,
         stats: SystemStats::default(),
         probe: None,
+        migration: merged_migration_stats(shards),
+        counters: Vec::new(),
     };
+    let mut part = Vec::new();
     for s in shards {
         view.total_stall += s.total_stall;
         view.injected_meta += s.injected_meta;
@@ -97,8 +107,24 @@ fn engine_view(shards: &[Shard]) -> EngineView {
                 .get_or_insert_with(ChannelProbe::default)
                 .merge(&p);
         }
+        s.mgr.telemetry_counters(&mut part);
+        for (name, value) in part.drain(..) {
+            match view.counters.iter_mut().find(|(n, _)| *n == name) {
+                Some((_, sum)) => *sum += value,
+                None => view.counters.push((name, value)),
+            }
+        }
     }
     view
+}
+
+/// The manager parts' accounting, merged ([`MigrationStats::merge`]).
+fn merged_migration_stats(shards: &[Shard]) -> MigrationStats {
+    let mut stats = MigrationStats::default();
+    for s in shards {
+        stats.merge(s.mgr.migration_stats());
+    }
+    stats
 }
 
 /// Pull-based epoch snapshot driver.
@@ -111,7 +137,7 @@ fn engine_view(shards: &[Shard]) -> EngineView {
 /// O(simulated time)). Nothing here touches the per-access hot path — the
 /// driver only ever *reads* counters the simulation already maintained,
 /// handed over as an [`EngineView`] built once every shard has been pumped
-/// to the crossing arrival.
+/// to the crossing arrival (manager parts included).
 struct EpochDriver {
     len: Picos,
     next_boundary: Picos,
@@ -168,7 +194,6 @@ impl EpochDriver {
         &mut self,
         now: Picos,
         requests_so_far: u64,
-        mgr: &dyn MemoryManager,
         view: &mut EngineView,
         tel: &mut Telemetry,
     ) {
@@ -181,7 +206,7 @@ impl EpochDriver {
         self.next_boundary = boundary + self.len;
         // Boundaries are exact multiples of the epoch length.
         let epoch = boundary.as_ps() / len;
-        self.snapshot_at(epoch, boundary, crossed, requests_so_far, mgr, view, tel);
+        self.snapshot_at(epoch, boundary, crossed, requests_so_far, view, tel);
     }
 
     /// Emits a final snapshot covering the partial window since the last
@@ -192,7 +217,6 @@ impl EpochDriver {
         &mut self,
         end: Picos,
         requests_so_far: u64,
-        mgr: &dyn MemoryManager,
         view: &mut EngineView,
         tel: &mut Telemetry,
     ) {
@@ -202,25 +226,15 @@ impl EpochDriver {
         }
         let epoch = self.next_boundary.as_ps() / self.len.as_ps();
         let last_boundary = self.next_boundary.saturating_sub(self.len);
-        self.snapshot_at(
-            epoch,
-            end.max(last_boundary),
-            1,
-            requests_so_far,
-            mgr,
-            view,
-            tel,
-        );
+        self.snapshot_at(epoch, end.max(last_boundary), 1, requests_so_far, view, tel);
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn snapshot_at(
         &mut self,
         epoch: u64,
         boundary: Picos,
         epochs_elapsed: u64,
         requests_so_far: u64,
-        mgr: &dyn MemoryManager,
         view: &mut EngineView,
         tel: &mut Telemetry,
     ) {
@@ -233,7 +247,7 @@ impl EpochDriver {
         snap.ammat_ps_so_far =
             (requests_so_far > 0).then(|| view.total_stall.as_ps() as f64 / requests_so_far as f64);
 
-        let mig = mgr.migration_stats();
+        let mig = &view.migration;
         snap.migrations = mig.migrations;
         snap.migrations_delta = mig.migrations - self.prev_migrations;
         self.prev_migrations = mig.migrations;
@@ -271,8 +285,7 @@ impl EpochDriver {
 
         // Manager counters are reported as per-window deltas, matched by
         // name against the previous poll.
-        let mut mc = Vec::new();
-        mgr.telemetry_counters(&mut mc);
+        let mc = std::mem::take(&mut view.counters);
         for &(name, value) in &mc {
             let prev = self
                 .prev_manager
@@ -449,9 +462,10 @@ impl Simulator {
         self
     }
 
-    /// Attaches a [`PhaseClock`] that accumulates admission time and
-    /// per-barrier shard busy times, at one shard as at many (strictly
-    /// observability).
+    /// Attaches a [`PhaseClock`] that accumulates the main thread's time
+    /// between shard phases (batch cutting and barrier bookkeeping, but
+    /// not the event merge) as admission time, and per-barrier shard busy
+    /// times, at one shard as at many (strictly observability).
     #[must_use]
     pub fn with_phase_clock(mut self, clock: Arc<PhaseClock>) -> Self {
         self.phase_clock = Some(clock);
@@ -525,50 +539,48 @@ impl Simulator {
     /// a one-shard run is its single-cluster case, and every accepted
     /// count produces the same report.
     ///
-    /// With the `debug-invariants` feature enabled, an
-    /// [`InvariantAuditor`](mempod_audit::InvariantAuditor) checks the
-    /// manager's remap/segment invariants after every 8th request that
-    /// starts a migration; the DRAM channels' monotonic simulated time,
-    /// each shard's token owners and migration-count conservation between
-    /// the manager's tracker and this engine at every batch barrier; and
-    /// all of them again at the end of the run, where it panics if any
+    /// With the `debug-invariants` feature enabled, each shard's
+    /// [`InvariantAuditor`](mempod_audit::InvariantAuditor) checks every
+    /// access and swap its manager part decides against the shard's
+    /// residue class (panicking at once on a miss); the part's
+    /// remap/segment invariants after every 8th of the shard's requests
+    /// that starts a migration; the DRAM channels' monotonic simulated
+    /// time, the shard's token owners and migration-count conservation
+    /// between the part and the shard's engine at every batch barrier; and
+    /// all of them again at the end of the run, where the run panics if any
     /// invariant was violated.
     pub fn run(self, trace: &Trace) -> SimReport {
         let n = self.effective_shards();
         self.run_sharded(trace, n)
     }
 
-    /// The event loop: admission on this thread, shard phases between
-    /// barriers, telemetry merged deterministically at each barrier.
-    fn run_sharded(mut self, trace: &Trace, n: u32) -> SimReport {
-        let mut report = SimReport::new(trace.name(), self.cfg.manager);
+    /// The event loop: this thread cuts the trace into batches; every
+    /// shard admits its own requests through its manager part and ticks
+    /// its channels; barriers merge what the shards buffered.
+    fn run_sharded(self, trace: &Trace, n: u32) -> SimReport {
+        let plan = self.fault_plan();
+        let Simulator {
+            cfg,
+            mgr,
+            layout,
+            tel,
+            progress,
+            serial_shards,
+            phase_clock,
+            ..
+        } = self;
+        let mut report = SimReport::new(trace.name(), cfg.manager);
         report.requests = trace.len() as u64;
-        #[cfg(feature = "debug-invariants")]
-        let mut auditor = mempod_audit::InvariantAuditor::new(
-            format!("{} on {} ({n} shards)", self.cfg.manager, trace.name()),
-            8,
-        );
 
-        let telemetry_on = self.tel.is_enabled();
-        let events_wanted = self.tel.wants_events();
+        let telemetry_on = tel.is_enabled();
         let mut driver = if telemetry_on {
-            EpochDriver::new(self.cfg.mgr.epoch)
+            EpochDriver::new(cfg.mgr.epoch)
         } else {
             None
         };
-        let mut requests_so_far = 0u64;
-        // Requests already added to the progress counter.
-        let mut flushed = 0u64;
-        let mut miss_run = 0u64;
+        let span_cfg = tel.span_config();
 
-        let plan = self.fault_plan();
-        let mut faulted_migrations = 0u64;
-
-        let span_cfg = self.tel.span_config();
-        let mut ledger = telemetry_on
-            .then(|| ProvenanceLedger::new(self.layout.fast_frames, self.cfg.mgr.epoch));
-
-        let mut mem = MemorySystem::new(self.layout);
+        let mut mem = MemorySystem::new(layout);
         if telemetry_on {
             mem.attach_probes();
         }
@@ -578,244 +590,143 @@ impl Simulator {
         if let Some(p) = plan.as_ref().filter(|p| p.config().channel_fault_ppm > 0) {
             mem.attach_faults(p);
         }
-        let pods = self.cfg.mgr.geometry.pods();
-        let nu = u64::from(n);
-        let mut shards: Vec<Shard> = mem
+        let events_wanted = tel.wants_events();
+        let shard_cfg = ShardConfig {
+            shards: n,
+            pods: cfg.mgr.geometry.pods(),
+            events_wanted,
+            // Spans are events: without a sink that keeps lines, none is
+            // drawn.
+            spans: span_cfg.filter(|_| events_wanted),
+            plan,
+            observed: telemetry_on,
+        };
+        let shards: Vec<Shard> = mem
             .into_shards(n)
             .into_iter()
-            .map(|mem| Shard::new(mem, pods, events_wanted, span_cfg.is_some()))
+            .zip(mgr.split(n))
+            .zip(0..n)
+            .map(|((mem, part), s)| Shard::new(s, mem, part, shard_cfg))
             .collect();
-        if let Some(p) = &plan {
-            for sh in &mut shards {
-                sh.backoff_base = p.config().migration_backoff;
-                sh.backoff_cap = p.config().migration_backoff_cap;
-            }
-        }
-        let shards = &mut shards[..];
-
-        let serial = self.serial_shards;
-        let clock = self.phase_clock.clone();
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "observability-only: wall-clock admission accounting for the scaling \
-                      benchmark; never feeds simulated state"
-        )]
-        let mut admit_start = clock.as_ref().map(|_| Instant::now());
-
-        let mut arrivals: Vec<Picos> = Vec::with_capacity(BATCH_TICKS + 1);
-        let mut work: Vec<Vec<(u32, WorkItem)>> = (0..n).map(|_| Vec::new()).collect();
-        let mut main_events: Vec<(u64, EventKind)> = Vec::new();
-        let exec_spans = span_cfg.is_some_and(|sc| sc.exec_spans);
-        let mut exec_seq = 0u64;
-
-        for req in trace.requests() {
-            // Barrier boundaries (no batch open) are the one quantum for
-            // progress: the counter is flushed here and once when the run
-            // ends, so a live reader sees whole barrier intervals.
-            if arrivals.is_empty() {
-                if let Some(p) = &self.progress {
-                    p.fetch_add(requests_so_far - flushed, Ordering::Relaxed);
-                    flushed = requests_so_far;
-                }
-            }
-            let crossing = driver.as_ref().is_some_and(|d| d.crosses(req.arrival));
-            if crossing && !(arrivals.is_empty() && requests_so_far == 0) {
-                // Pre-pump round: bring every shard to this arrival so the
-                // epoch snapshot observes the same state whatever the
-                // batch boundaries. The next batch re-pumps to the same
-                // horizon, which is a no-op.
-                arrivals.push(req.arrival);
-                advance_shards(
-                    shards,
-                    &mut arrivals,
-                    &mut work,
-                    serial,
-                    clock.as_deref(),
-                    &mut admit_start,
-                    &mut self.tel,
-                    &mut main_events,
-                    events_wanted,
-                    exec_spans.then_some(&mut exec_seq),
-                );
-            }
-            if let Some(d) = driver.as_mut().filter(|_| crossing) {
-                let mut view = engine_view(shards);
-                d.observe(
-                    req.arrival,
-                    requests_so_far,
-                    &*self.mgr,
-                    &mut view,
-                    &mut self.tel,
-                );
-            }
-
-            let tick = u32_from_u64(u64_from_usize(arrivals.len()));
-            arrivals.push(req.arrival);
-
-            let outcome = self.mgr.on_access(req);
-            if telemetry_on {
-                if outcome.meta_miss {
-                    miss_run += 1;
-                } else if miss_run > 0 {
-                    if miss_run >= META_MISS_BURST_MIN && events_wanted {
-                        main_events.push((
-                            req.arrival.as_ps(),
-                            EventKind::MetaMissBurst { len: miss_run },
-                        ));
-                    }
-                    miss_run = 0;
-                }
-            }
-            // Each committed swap goes straight to the shard that owns it,
-            // in commit order, with its fault verdict: decided here, on the
-            // main thread, so every shard count sees identical verdicts.
-            let mut doomed = false;
-            for &m in &outcome.migrations {
-                let spec = plan
-                    .as_ref()
-                    .and_then(|p| p.migration_spec(m.frame_a, m.frame_b, req.arrival));
-                faulted_migrations += u64::from(spec.is_some());
-                doomed |= spec.is_some_and(|s| s.permanent);
-                if let Some(ldg) = ledger.as_mut() {
-                    for pong in ldg.record(&m, req.arrival, spec.is_some_and(|s| s.permanent)) {
-                        if events_wanted {
-                            main_events.push((
-                                req.arrival.as_ps(),
-                                EventKind::PagePingPong {
-                                    page: pong.page,
-                                    round_trip_ps: pong.round_trip_ps,
-                                    trips: pong.trips,
-                                },
-                            ));
-                        }
-                    }
-                }
-                let s = usize_from_u64(m.frame_a.0 % nu);
-                let item = WorkItem::Migrate(m, spec);
-                #[cfg(feature = "debug-invariants")]
-                audit_residue(&mut auditor, &item, s, nu, &self.layout, pods);
-                work[s].push((tick, item));
-            }
-            if let Some(p) = plan.as_ref().filter(|_| doomed) {
-                roll_back_doomed(self.mgr.as_mut(), p, &outcome.migrations, req.arrival);
-            }
-            // The manager changes on this thread, request by request, so
-            // its remap/segment state is audited here rather than at the
-            // barrier: a table torn and repaired within a batch is caught.
-            #[cfg(feature = "debug-invariants")]
-            if !outcome.migrations.is_empty() && auditor.should_sample() {
-                self.mgr.audit_invariants(&mut auditor);
-            }
-
-            let w = Waiter {
-                arrival: req.arrival,
-                issue: req.arrival + outcome.stall,
-                frame: outcome.frame,
-                line: outcome.line_in_page,
-                kind: req.kind,
-                needs_meta: outcome.meta_miss,
-                page: req.addr.page(),
-                span: request_span(
-                    span_cfg,
-                    req.addr.page().0,
-                    outcome.line_in_page,
-                    req.arrival,
-                ),
-            };
-            let s = usize_from_u64(outcome.frame.0 % nu);
-            let item = WorkItem::Admit {
-                page: req.addr.page(),
-                w,
-            };
-            #[cfg(feature = "debug-invariants")]
-            audit_residue(&mut auditor, &item, s, nu, &self.layout, pods);
-            work[s].push((tick, item));
-            requests_so_far += 1;
-
-            if arrivals.len() >= BATCH_TICKS {
-                advance_shards(
-                    shards,
-                    &mut arrivals,
-                    &mut work,
-                    serial,
-                    clock.as_deref(),
-                    &mut admit_start,
-                    &mut self.tel,
-                    &mut main_events,
-                    events_wanted,
-                    exec_spans.then_some(&mut exec_seq),
-                );
-                // Shard state only changes inside `advance_shards`, and
-                // after it every migration the manager decided has reached
-                // its shard's ledger, so each barrier is audited.
-                #[cfg(feature = "debug-invariants")]
-                {
-                    for sh in shards.iter() {
-                        sh.mem.audit_invariants(&mut auditor);
-                        sh.audit_owners(&mut auditor);
-                    }
-                    auditor.check_conserved(
-                        "migrations: manager tracker vs engine",
-                        self.mgr.migration_stats().migrations,
-                        shards.iter().map(|sh| sh.migs_entered).sum::<u64>(),
-                    );
-                }
-            }
+        #[cfg(feature = "debug-invariants")]
+        let mut shards = shards;
+        #[cfg(feature = "debug-invariants")]
+        for (s, sh) in shards.iter_mut().enumerate() {
+            sh.auditor = mempod_audit::InvariantAuditor::new(
+                format!("{} on {} (shard {s} of {n})", cfg.manager, trace.name()),
+                8,
+            );
         }
 
-        // Final round: every shard pumps to the end of time so completions
-        // can spawn write phases and parked accesses.
-        arrivals.push(Picos::MAX);
-        advance_shards(
+        let mut engine = Engine {
             shards,
-            &mut arrivals,
-            &mut work,
-            serial,
-            clock.as_deref(),
-            &mut admit_start,
-            &mut self.tel,
-            &mut main_events,
             events_wanted,
-            exec_spans.then_some(&mut exec_seq),
-        );
+            tel,
+            serial: serial_shards,
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "observability-only: wall-clock main-thread accounting for the \
+                          scaling benchmark; never feeds simulated state"
+            )]
+            main_since: phase_clock.as_ref().map(|_| Instant::now()),
+            clock: phase_clock,
+            main_events: Vec::new(),
+            exec_seq: span_cfg.filter(|sc| sc.exec_spans).map(|_| 0),
+            ledger: telemetry_on.then(|| ProvenanceLedger::new(layout.fast_frames, cfg.mgr.epoch)),
+            miss_run: 0,
+            progress,
+        };
 
-        if let Some(p) = &self.progress {
-            p.fetch_add(requests_so_far - flushed, Ordering::Relaxed);
+        // Cut the trace into batches of at most `BATCH_TICKS` requests. An
+        // epoch snapshot must see every shard at the crossing request's
+        // arrival and no shard past it, so a crossing ends its batch with
+        // a pump to that arrival (or, when a batch has just ended, runs a
+        // pump on its own). The run ends with a pump to the end of time so
+        // completions can spawn write phases and parked accesses: a short
+        // last batch carries it, a full one is followed by a pump-only
+        // batch, which keeps every batch at most `BATCH_TICKS` ticks.
+        let reqs = trace.requests();
+        let mut lo = 0;
+        let mut flushed_to_end = false;
+        while lo < reqs.len() {
+            if let Some(d) = driver.as_mut() {
+                let at = reqs[lo].arrival;
+                if d.crosses(at) {
+                    if lo > 0 {
+                        engine.batch(&[], Some(at));
+                    }
+                    let mut view = engine_view(&engine.shards);
+                    d.observe(at, u64_from_usize(lo), &mut view, &mut engine.tel);
+                }
+            }
+            let mut hi = (lo + BATCH_TICKS).min(reqs.len());
+            let crossing = driver
+                .as_ref()
+                .and_then(|d| (lo + 1..hi).find(|&k| d.crosses(reqs[k].arrival)));
+            let tail = match crossing {
+                Some(k) => {
+                    hi = k;
+                    Some(reqs[k].arrival)
+                }
+                None if hi == reqs.len() && hi - lo < BATCH_TICKS => {
+                    flushed_to_end = true;
+                    Some(Picos::MAX)
+                }
+                None => None,
+            };
+            engine.batch(&reqs[lo..hi], tail);
+            if let (Some(d), Some(k)) = (driver.as_mut(), crossing) {
+                let mut view = engine_view(&engine.shards);
+                d.observe(
+                    reqs[k].arrival,
+                    u64_from_usize(k),
+                    &mut view,
+                    &mut engine.tel,
+                );
+            }
+            lo = hi;
         }
+        if !flushed_to_end {
+            engine.batch(&[], Some(Picos::MAX));
+        }
+
+        let Engine {
+            shards,
+            mut tel,
+            ledger,
+            miss_run,
+            ..
+        } = engine;
+        let requests = u64_from_usize(reqs.len());
         if telemetry_on && miss_run >= META_MISS_BURST_MIN {
-            self.tel.event(
+            tel.event(
                 trace.duration().as_ps(),
                 EventKind::MetaMissBurst { len: miss_run },
             );
         }
         if let Some(d) = driver.as_mut() {
-            let mut view = engine_view(shards);
-            d.finalize(
-                trace.duration(),
-                requests_so_far,
-                &*self.mgr,
-                &mut view,
-                &mut self.tel,
-            );
+            let mut view = engine_view(&shards);
+            d.finalize(trace.duration(), requests, &mut view, &mut tel);
         }
-        for sh in shards.iter() {
+        for sh in &shards {
             assert!(sh.owners_empty(), "requests lost in the memory system");
         }
         debug_assert!(shards.iter().all(|sh| sh.migrations_in_flight() == 0));
         #[cfg(feature = "debug-invariants")]
+        let mut shards = shards;
+        #[cfg(feature = "debug-invariants")]
         {
             // End-of-run pass: every invariant is checked at least once even
             // if no batch boundary was sampled.
-            self.mgr.audit_invariants(&mut auditor);
-            for sh in shards.iter() {
-                sh.mem.audit_invariants(&mut auditor);
-                sh.audit_owners(&mut auditor);
-            }
-            auditor.check_conserved(
-                "migrations: manager tracker vs engine",
-                self.mgr.migration_stats().migrations,
-                shards.iter().map(|sh| sh.migs_entered).sum::<u64>(),
+            let mut auditor = mempod_audit::InvariantAuditor::new(
+                format!("{} on {} ({n} shards)", cfg.manager, trace.name()),
+                8,
             );
+            for sh in &mut shards {
+                sh.mgr.audit_invariants(&mut sh.auditor);
+                sh.audit_barrier();
+                auditor.absorb(&sh.auditor);
+            }
             auditor.assert_clean();
         }
 
@@ -823,258 +734,244 @@ impl Simulator {
             .iter()
             .fold(Picos::ZERO, |acc, sh| acc + sh.total_stall);
         report.duration = trace.duration();
-        report.migration = self.mgr.migration_stats().clone();
-        report.meta_cache = self.mgr.meta_cache_stats();
+        report.migration = merged_migration_stats(&shards);
+        report.meta_cache = shards
+            .iter()
+            .filter_map(|sh| sh.mgr.meta_cache_stats())
+            .reduce(|mut a, b| {
+                a.merge(&b);
+                a
+            });
         report.injected_migration_requests = shards.iter().map(|sh| sh.injected_migration).sum();
         report.injected_meta_requests = shards.iter().map(|sh| sh.injected_meta).sum();
         let mut stats = SystemStats::default();
-        for sh in shards.iter() {
+        for sh in &shards {
             stats.merge(&sh.mem.stats());
         }
         report.mem_stats = stats;
-        report.faults.migration_faults = faulted_migrations;
+        report.faults.migration_faults = shards.iter().map(|sh| sh.faulted_migrations).sum();
         report.faults.migration_retries = shards.iter().map(|sh| sh.fault_retries).sum();
         report.faults.migration_aborts = shards.iter().map(|sh| sh.fault_aborts).sum();
         report.faults.channel_faults = report.mem_stats.total().faults_injected;
         report.provenance = ledger.as_ref().map(ProvenanceLedger::summary);
-        self.tel.flush();
-        report.timeline = self.tel.ring.drain();
+        tel.flush();
+        report.timeline = tel.ring.drain();
         report
     }
 }
 
-/// The sampled request-service span id for one admission, or [`SPAN_NONE`]
-/// when span tracing is off or the request is unsampled.
-///
-/// The identity mixes the request's *pre-translation* coordinates (page,
-/// line offset, arrival) — values every shard count sees identically
-/// before any routing decision — so every shard count derives and samples
-/// the same span ids without coordination.
-fn request_span(
-    cfg: Option<mempod_telemetry::SpanConfig>,
-    page: u64,
-    line: u32,
-    arrival: Picos,
-) -> u64 {
-    match cfg {
-        Some(sc) => {
-            let id = request_span_id(page, u64::from(line), arrival.as_ps());
-            if sc.sample_request(id) {
-                id
-            } else {
-                SPAN_NONE
+/// The main thread's side of the event loop: the shards between their
+/// phases, and what the barrier merges from them.
+struct Engine {
+    shards: Vec<Shard>,
+    tel: Telemetry,
+    events_wanted: bool,
+    /// Run shard phases serially on this thread.
+    serial: bool,
+    clock: Option<Arc<PhaseClock>>,
+    /// Start of the main thread's current stretch (with a clock only).
+    main_since: Option<Instant>,
+    /// Events the barrier produces — ledger ping-pongs, miss bursts and
+    /// execution spans — merged after the shards'.
+    main_events: Vec<(u64, EventKind)>,
+    /// Execution-span sequence number, when those spans are on.
+    exec_seq: Option<u64>,
+    ledger: Option<ProvenanceLedger>,
+    /// Consecutive metadata-cache misses so far, over every shard's
+    /// requests in trace order.
+    miss_run: u64,
+    progress: Option<Arc<AtomicU64>>,
+}
+
+impl Engine {
+    /// One barrier interval: every shard runs the batch `reqs` and then
+    /// pumps to `tail`, if given; the barrier then merges what they
+    /// buffered.
+    fn batch(&mut self, reqs: &[MemRequest], tail: Option<Picos>) {
+        if let (Some(c), Some(t0)) = (&self.clock, &self.main_since) {
+            c.record_admission(elapsed_ns(t0));
+        }
+        run_shards(
+            &mut self.shards,
+            reqs,
+            tail,
+            self.serial,
+            self.clock.as_deref(),
+        );
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "observability-only: wall-clock origin of the barrier's bookkeeping for \
+                      the PhaseClock; never feeds simulated state"
+        )]
+        if let Some(t0) = self.main_since.as_mut() {
+            *t0 = Instant::now();
+        }
+        self.barrier(reqs, tail);
+    }
+
+    /// The barrier: replay the shards' commits into the provenance ledger
+    /// and their metadata misses into runs, in trace order; emit the
+    /// execution spans; flush progress; merge the buffered events.
+    ///
+    /// With execution-span tracing on, the barrier emits one
+    /// [`SpanName::ShardBatch`] span per shard covering this batch's
+    /// simulated window (aux = requests admitted plus swaps committed on
+    /// the shard) plus one [`SpanName::Barrier`] marker, all in *simulated*
+    /// time — wall clock never reaches the event stream. The final flush
+    /// batch (horizon [`Picos::MAX`]) is skipped: it has no finite window
+    /// to draw.
+    fn barrier(&mut self, reqs: &[MemRequest], tail: Option<Picos>) {
+        if self.ledger.is_some() {
+            self.replay_records(reqs);
+        }
+        if let Some(seq) = self.exec_seq.as_mut() {
+            *seq += 1;
+            let start = reqs.first().map(|r| r.arrival).or(tail);
+            let end = tail.or(reqs.last().map(|r| r.arrival));
+            if let (Some(start), Some(end)) = (start, end.filter(|&e| e != Picos::MAX)) {
+                let (start, end) = (start.as_ps(), end.as_ps());
+                let exec_span =
+                    |id: u64, name: SpanName, start_ps: u64, shard: u32, aux: u64| SpanRecord {
+                        id,
+                        parent: SPAN_NONE,
+                        name,
+                        start_ps,
+                        end_ps: end,
+                        pod: None,
+                        frame: 0,
+                        shard,
+                        aux,
+                    };
+                for (i, sh) in (0u32..).zip(&self.shards) {
+                    let rec = exec_span(
+                        exec_span_id(u64::from(i), *seq),
+                        SpanName::ShardBatch,
+                        start,
+                        i,
+                        sh.items,
+                    );
+                    self.main_events.push((end, EventKind::Span(rec)));
+                }
+                let nshards = u64_from_usize(self.shards.len());
+                let rec = exec_span(
+                    exec_span_id(nshards, *seq),
+                    SpanName::Barrier,
+                    end,
+                    u32_from_u64(nshards),
+                    *seq,
+                );
+                self.main_events.push((end, EventKind::Span(rec)));
             }
         }
-        None => SPAN_NONE,
-    }
-}
-
-/// Rolls the permanently-doomed swaps among one access's committed
-/// `migrations` back out of the manager's map, in reverse commit order.
-/// The engine still models the doomed attempts' timing but never moves
-/// their data. The verdicts are redrawn rather than kept: they are pure
-/// ([`FaultPlan::migration_spec`]), and only an access that committed a
-/// doomed swap walks here, while keeping them would cost every committing
-/// access a buffer.
-fn roll_back_doomed(
-    mgr: &mut dyn MemoryManager,
-    plan: &FaultPlan,
-    migrations: &[Migration],
-    at: Picos,
-) {
-    for m in migrations.iter().rev() {
-        if plan
-            .migration_spec(m.frame_a, m.frame_b, at)
-            .is_some_and(|s| s.permanent)
-        {
-            let _ = mgr.rollback_migration(m);
+        for sh in &mut self.shards {
+            sh.items = 0;
+        }
+        if let Some(p) = &self.progress {
+            p.fetch_add(u64_from_usize(reqs.len()), Ordering::Relaxed);
+        }
+        if let (Some(c), Some(t0)) = (&self.clock, &self.main_since) {
+            c.record_admission(elapsed_ns(t0));
+        }
+        if self.events_wanted {
+            merge_events(&mut self.tel, &mut self.shards, &mut self.main_events);
+        }
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "observability-only: wall-clock origin of the next main-thread stretch \
+                      for the PhaseClock; never feeds simulated state"
+        )]
+        if let Some(t0) = self.main_since.as_mut() {
+            *t0 = Instant::now();
         }
     }
-}
 
-/// Checks that a work item routed to shard `s` of `n` lies wholly in that
-/// shard's residue class: an access's page, frame and, when it needs one,
-/// metadata frame; a swap's two frames, two pages and, for a page swap,
-/// its migration lane. A miss means the manager's
-/// [`MemoryManager::migration_domains`] promised more domains than its
-/// decisions respect, so the run stops before a shard acts on the item.
-#[cfg(feature = "debug-invariants")]
-fn audit_residue(
-    auditor: &mut mempod_audit::InvariantAuditor,
-    item: &WorkItem,
-    s: usize,
-    n: u64,
-    layout: &MemLayout,
-    pods: u32,
-) {
-    let class = u64_from_usize(s);
-    let what = match item {
-        WorkItem::Migrate(..) => "swap",
-        WorkItem::Admit { .. } => "access",
-    };
-    let mut misrouted = false;
-    let mut check = |name: &str, v: u64| {
-        auditor.observe(v % n == class, || {
-            misrouted = true;
-            format!(
-                "residue: {what} routed to shard {s} of {n} has {name} {v}, in class {}",
-                v % n
-            )
-        });
-    };
-    match item {
-        WorkItem::Migrate(m, _) => {
-            check("frame_a", m.frame_a.0);
-            check("frame_b", m.frame_b.0);
-            check("page_a", m.page_a.0);
-            check("page_b", m.page_b.0);
-            // A page swap queues on its pod's lane; a swap with no pod
-            // queues on the one global lane, which only a lone shard owns.
-            if m.is_page_swap() {
-                match m.pod {
-                    Some(pod) => check("lane pod", u64::from(pod)),
-                    None => auditor.observe(n == 1, || {
-                        misrouted = true;
-                        format!(
-                            "residue: {what} routed to shard {s} of {n} queues on the global lane"
-                        )
-                    }),
+    /// Replays the batch's records in trace order: the metadata-miss run
+    /// from the shards' miss ticks (each request is one shard's, so their
+    /// union is the batch's misses), and the provenance ledger from their
+    /// commits, merged in (tick, pod) order: the commit order of a whole
+    /// manager, whose epoch sweep walks the pods in id order. A burst is
+    /// stamped at the arrival of the request that ends its run, ahead of
+    /// that request's commits.
+    fn replay_records(&mut self, reqs: &[MemRequest]) {
+        let idle = |sh: &Shard| sh.commits.is_empty() && sh.misses.is_empty();
+        if self.miss_run == 0 && self.shards.iter().all(idle) {
+            return;
+        }
+        let mut misses: Vec<u32> = Vec::new();
+        for sh in &mut self.shards {
+            misses.append(&mut sh.misses);
+        }
+        misses.sort_unstable();
+        // The bursts that end in this batch: (ending tick, run length).
+        let mut bursts: Vec<(u32, u64)> = Vec::new();
+        // The tick whose miss would continue the current run.
+        let mut next = 0u32;
+        for t in misses {
+            if self.miss_run > 0 && t != next {
+                bursts.push((next, self.miss_run));
+                self.miss_run = 0;
+            }
+            self.miss_run += 1;
+            next = t + 1;
+        }
+        if self.miss_run > 0 && usize_from_u32(next) < reqs.len() {
+            bursts.push((next, self.miss_run));
+            self.miss_run = 0;
+        }
+        let mut bursts = bursts
+            .into_iter()
+            .filter(|&(_, len)| len >= META_MISS_BURST_MIN && self.events_wanted)
+            .peekable();
+        let mut heads = vec![0usize; self.shards.len()];
+        loop {
+            let commit = (0..self.shards.len())
+                .filter_map(|s| {
+                    let c = self.shards[s].commits.get(heads[s])?;
+                    Some(((c.tick, c.m.pod), s))
+                })
+                .min();
+            let until = commit.map_or(u32::MAX, |((tick, _), _)| tick);
+            while let Some((tick, len)) = bursts.next_if(|&(tick, _)| tick <= until) {
+                let at = reqs[usize_from_u32(tick)].arrival.as_ps();
+                self.main_events
+                    .push((at, EventKind::MetaMissBurst { len }));
+            }
+            let (Some((_, s)), Some(ledger)) = (commit, self.ledger.as_mut()) else {
+                break;
+            };
+            let c = self.shards[s].commits[heads[s]];
+            heads[s] += 1;
+            let at = reqs[usize_from_u32(c.tick)].arrival;
+            for pong in ledger.record(&c.m, at, c.permanent) {
+                if self.events_wanted {
+                    self.main_events.push((
+                        at.as_ps(),
+                        EventKind::PagePingPong {
+                            page: pong.page,
+                            round_trip_ps: pong.round_trip_ps,
+                            trips: pong.trips,
+                        },
+                    ));
                 }
             }
         }
-        WorkItem::Admit { page, w } => {
-            check("page", page.0);
-            check("frame", w.frame.0);
-            if w.needs_meta {
-                check(
-                    "metadata frame",
-                    meta_backing_frame(*page, layout.fast_frames, pods).0,
-                );
-            }
+        for sh in &mut self.shards {
+            sh.commits.clear();
         }
     }
-    if misrouted {
-        auditor.assert_clean();
-    }
 }
 
-/// One barrier interval: the shard phase ([`run_batch`]) on the tick path,
-/// then the [`barrier`]'s epoch work. The admission time and, with
-/// `exec_seq` set, the work items routed to each shard are taken just
-/// before the shard phase.
-#[allow(clippy::too_many_arguments)]
-fn advance_shards(
-    shards: &mut [Shard],
-    arrivals: &mut Vec<Picos>,
-    work: &mut [Vec<(u32, WorkItem)>],
-    serial: bool,
-    clock: Option<&PhaseClock>,
-    admit_start: &mut Option<Instant>,
-    tel: &mut Telemetry,
-    main_events: &mut Vec<(u64, EventKind)>,
-    events_wanted: bool,
-    exec_seq: Option<&mut u64>,
-) {
-    if let (Some(c), Some(t0)) = (clock, admit_start.as_ref()) {
-        c.record_admission(elapsed_ns(t0));
-    }
-    let counts = exec_seq
-        .is_some()
-        .then(|| work.iter().map(Vec::len).collect::<Vec<usize>>());
-    run_batch(shards, arrivals, work, serial, clock);
-    barrier(
-        shards,
-        arrivals,
-        exec_seq.zip(counts),
-        admit_start,
-        tel,
-        main_events,
-        events_wanted,
-    );
-}
-
-/// The epoch half of a barrier: merge the buffered telemetry
-/// deterministically and reset the batch.
-///
-/// With `exec` set (execution-span tracing on: the span sequence number
-/// and the work items each shard ran), the barrier also emits one
-/// [`SpanName::ShardBatch`] span per shard covering this batch's simulated
-/// window (aux = work items routed to the shard) plus one
-/// [`SpanName::Barrier`] marker, all in *simulated* time — wall clock
-/// never reaches the event stream. The final flush batch (horizon
-/// [`Picos::MAX`]) is skipped: it has no finite window to draw.
-fn barrier(
-    shards: &mut [Shard],
-    arrivals: &mut Vec<Picos>,
-    exec: Option<(&mut u64, Vec<usize>)>,
-    admit_start: &mut Option<Instant>,
-    tel: &mut Telemetry,
-    main_events: &mut Vec<(u64, EventKind)>,
-    events_wanted: bool,
-) {
-    let start = arrivals.first().map_or(0, |p| p.as_ps());
-    let end = arrivals.last().map_or(0, |p| p.as_ps());
-    let window = exec.map(|(seq, counts)| {
-        *seq += 1;
-        (*seq, counts)
-    });
-    if let Some((seq, counts)) = window.filter(|_| end != u64::MAX) {
-        let exec_span = |id: u64, name: SpanName, start_ps: u64, shard: u32, aux: u64| SpanRecord {
-            id,
-            parent: SPAN_NONE,
-            name,
-            start_ps,
-            end_ps: end,
-            pod: None,
-            frame: 0,
-            shard,
-            aux,
-        };
-        for (i, count) in counts.into_iter().enumerate() {
-            let rec = exec_span(
-                exec_span_id(u64_from_usize(i), seq),
-                SpanName::ShardBatch,
-                start,
-                u32_from_u64(u64_from_usize(i)),
-                u64_from_usize(count),
-            );
-            main_events.push((end, EventKind::Span(rec)));
-        }
-        let nshards = u64_from_usize(shards.len());
-        let rec = exec_span(
-            exec_span_id(nshards, seq),
-            SpanName::Barrier,
-            end,
-            u32_from_u64(nshards),
-            seq,
-        );
-        main_events.push((end, EventKind::Span(rec)));
-    }
-    if events_wanted {
-        merge_events(tel, shards, main_events);
-    }
-    arrivals.clear();
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "observability-only: wall-clock origin of the next admission phase for the \
-                  PhaseClock; never feeds simulated state"
-    )]
-    if let Some(t0) = admit_start.as_mut() {
-        *t0 = Instant::now();
-    }
-}
-
-/// Runs one batch of ticks on every shard — on worker threads by default,
-/// or serially on the calling thread when there is one shard or exact
+/// Runs one batch on every shard — on worker threads by default, or
+/// serially on the calling thread when there is one shard or exact
 /// per-shard busy times are wanted (shards are disjoint, so the results
 /// are identical either way).
 ///
 /// A worker panic is a bug, not a fault: it propagates out of the run
 /// with its original payload, as any other panic of the run would.
-fn run_batch(
+fn run_shards(
     shards: &mut [Shard],
-    arrivals: &[Picos],
-    work: &mut [Vec<(u32, WorkItem)>],
+    reqs: &[MemRequest],
+    tail: Option<Picos>,
     serial: bool,
     clock: Option<&PhaseClock>,
 ) {
@@ -1082,16 +979,14 @@ fn run_batch(
     let busys: Vec<u64> = if serial || shards.len() == 1 {
         shards
             .iter_mut()
-            .zip(work.iter_mut())
-            .map(|(s, w)| {
+            .map(|s| {
                 #[expect(
                     clippy::disallowed_methods,
                     reason = "observability-only: per-shard busy-time measurement for the \
                               PhaseClock critical path; never feeds simulated state"
                 )]
                 let t0 = timed.then(Instant::now);
-                s.run_ticks(arrivals, w);
-                w.clear();
+                s.run_batch(reqs, tail);
                 t0.as_ref().map_or(0, elapsed_ns)
             })
             .collect()
@@ -1099,8 +994,7 @@ fn run_batch(
         thread::scope(|scope| {
             let handles: Vec<_> = shards
                 .iter_mut()
-                .zip(work.iter_mut())
-                .map(|(s, w)| {
+                .map(|s| {
                     scope.spawn(move || {
                         #[expect(
                             clippy::disallowed_methods,
@@ -1108,8 +1002,7 @@ fn run_batch(
                                       for the PhaseClock; never feeds simulated state"
                         )]
                         let t0 = timed.then(Instant::now);
-                        s.run_ticks(arrivals, w);
-                        w.clear();
+                        s.run_batch(reqs, tail);
                         t0.as_ref().map_or(0, elapsed_ns)
                     })
                 })
@@ -1130,7 +1023,7 @@ fn elapsed_ns(t0: &Instant) -> u64 {
     u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// Drains every shard's event buffer (plus the admission thread's, merged
+/// Drains every shard's event buffer (plus the main thread's, merged
 /// last) through [`Telemetry::emit_merged`], then hands the emptied
 /// buffers back so their capacity is reused.
 fn merge_events(
