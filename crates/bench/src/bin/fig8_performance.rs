@@ -7,17 +7,14 @@
 //! (add `--smoke` for a CI-scale pass; `--requests N` / `--workloads a,b`
 //! to rescope).
 //!
-//! The workload x mechanism matrix runs on the parallel job runner with a
-//! live progress board: a monitor thread prints a heartbeat line every few
-//! seconds (jobs done, aggregate throughput, stragglers running past 2x
-//! the median job wall time) to stderr while the workers simulate.
+//! The workload x mechanism matrix runs on [`mempod_bench::run_jobs`],
+//! which prints one stderr line per finished job.
 
-use std::sync::Arc;
-use std::time::Duration;
+use std::time::Instant;
 
-use mempod_bench::{group_means, Opts, TextTable};
+use mempod_bench::{group_means, run_jobs, Opts, TextTable};
 use mempod_core::ManagerKind;
-use mempod_sim::{normalize_to, try_run_jobs, Job, JobState, RunProgress, SimReport};
+use mempod_sim::{normalize_to, SimReport};
 
 const KINDS: [ManagerKind; 6] = [
     ManagerKind::NoMigration,
@@ -28,41 +25,6 @@ const KINDS: [ManagerKind; 6] = [
     ManagerKind::HbmOnly,
 ];
 
-/// Prints heartbeat lines until every job on the board is done.
-fn heartbeat(progress: Arc<RunProgress>) {
-    let total = progress.jobs().len();
-    loop {
-        std::thread::sleep(Duration::from_millis(2000));
-        if progress.jobs_done() >= total {
-            return;
-        }
-        let tput = progress.throughput_rps().unwrap_or(0.0);
-        let running: Vec<&str> = progress
-            .jobs()
-            .iter()
-            .filter(|j| j.state() == JobState::Running)
-            .map(|j| j.label())
-            .collect();
-        let stragglers: Vec<&str> = progress
-            .stragglers(2.0)
-            .into_iter()
-            .map(|i| progress.jobs()[i].label())
-            .collect();
-        let mut line = format!(
-            "  [{:6.1}s] {}/{} jobs done, {:.2} Mreq/s, {} running",
-            progress.elapsed_ms() as f64 / 1000.0,
-            progress.jobs_done(),
-            total,
-            tput / 1e6,
-            running.len(),
-        );
-        if !stragglers.is_empty() {
-            line.push_str(&format!(", stragglers: {}", stragglers.join(", ")));
-        }
-        eprintln!("{line}");
-    }
-}
-
 fn main() {
     let opts = Opts::from_args();
     let n = opts.requests_or(6_000_000);
@@ -71,9 +33,9 @@ fn main() {
     let specs = opts.full_suite();
     let mut jobs = Vec::new();
     for spec in &specs {
-        let trace = Arc::new(opts.trace(spec, n));
+        let trace = opts.trace(spec, n);
         for &k in &KINDS {
-            jobs.push(Job::new(opts.sim_config(k), Arc::clone(&trace)));
+            jobs.push((opts.sim_config(k), trace.clone()));
         }
     }
     let threads = std::thread::available_parallelism()
@@ -86,17 +48,12 @@ fn main() {
         specs.len(),
         KINDS.len()
     );
-    let progress = RunProgress::for_jobs(&jobs);
-    let monitor = {
-        let board = Arc::clone(&progress);
-        std::thread::spawn(move || heartbeat(board))
-    };
-    let flat = try_run_jobs(&jobs, threads, Some(&progress)).expect("valid experiment config");
-    monitor.join().expect("monitor thread exits cleanly");
+    let t0 = Instant::now();
+    let flat = run_jobs(&jobs, threads);
     eprintln!(
         "  [all {} jobs done in {:.1}s]",
         flat.len(),
-        progress.elapsed_ms() as f64 / 1000.0
+        t0.elapsed().as_secs_f64()
     );
 
     let mut t = TextTable::new(&[

@@ -3,7 +3,8 @@
 //! Every table and figure of the paper has a binary under `src/bin/`
 //! (`fig8_performance`, `table1_costs`, ...). This library provides the
 //! shared plumbing: option parsing, experiment-scale configuration, trace
-//! caching, result tables, and JSON persistence into `results/`.
+//! caching, a parallel job runner, result tables, and JSON persistence into
+//! `results/`.
 //!
 //! # Experiment scale
 //!
@@ -17,10 +18,12 @@
 //! * **`--smoke`**: a 256×-scaled-down geometry and short traces, for CI.
 
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 use mempod_core::ManagerKind;
-use mempod_sim::SimConfig;
+use mempod_sim::{SimConfig, SimReport, Simulator};
 use mempod_trace::{Trace, TraceGenerator, WorkloadSpec};
 use mempod_types::{Picos, SystemConfig};
 
@@ -298,6 +301,56 @@ impl TextTable {
     }
 }
 
+/// Runs every `(config, trace)` job on `threads` scoped workers and returns
+/// the reports in job order.
+///
+/// Workers take job indices from one atomic counter and hand their
+/// `(index, report)` pairs back through their join handles. Each finished
+/// job prints `  [k/N] workload/manager in X.X s` to stderr, `k` counting
+/// the jobs finished so far.
+///
+/// # Panics
+///
+/// Panics if a job's configuration is invalid; a worker's panic re-raises
+/// on the calling thread.
+pub fn run_jobs(jobs: &[(SimConfig, Arc<Trace>)], threads: usize) -> Vec<SimReport> {
+    let next = AtomicUsize::new(0);
+    let finished = AtomicUsize::new(0);
+    let worker = || {
+        let mut reports = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some((cfg, trace)) = jobs.get(i) else {
+                return reports;
+            };
+            let t0 = Instant::now();
+            let report = Simulator::new(cfg.clone())
+                .expect("valid experiment config")
+                .run(trace);
+            eprintln!(
+                "  [{}/{}] {}/{} in {:.1} s",
+                finished.fetch_add(1, Ordering::Relaxed) + 1,
+                jobs.len(),
+                trace.name(),
+                cfg.manager,
+                t0.elapsed().as_secs_f64()
+            );
+            reports.push((i, report));
+        }
+    };
+    let mut reports: Vec<(usize, SimReport)> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads.clamp(1, jobs.len().max(1)))
+            .map(|_| scope.spawn(worker))
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
+    });
+    reports.sort_unstable_by_key(|&(i, _)| i);
+    reports.into_iter().map(|(_, report)| report).collect()
+}
+
 /// Splits workload reports into the paper's aggregation groups
 /// (homogeneous / mixed / all) and returns the geometric means of `f`.
 pub fn group_means<T>(items: &[(String, T)], f: impl Fn(&T) -> f64) -> (f64, f64, f64) {
@@ -455,5 +508,50 @@ mod tests {
         assert!(ok.smoke);
         assert_eq!((ok.requests, ok.seed), (Some(9), 3));
         assert_eq!(ok.workload_specs(&[]).len(), 1);
+    }
+
+    #[test]
+    fn parallel_matches_job_order_and_serial_results() {
+        let sys = SystemConfig::tiny();
+        let trace = Arc::new(
+            TraceGenerator::new(WorkloadSpec::hotcold_demo(), 1)
+                .take_requests(5_000, &sys.geometry),
+        );
+        let kinds = [
+            ManagerKind::MemPod,
+            ManagerKind::NoMigration,
+            ManagerKind::Thm,
+            ManagerKind::HbmOnly,
+        ];
+        let jobs: Vec<(SimConfig, Arc<Trace>)> = kinds
+            .iter()
+            .map(|&k| (SimConfig::new(sys.clone(), k), trace.clone()))
+            .collect();
+        let parallel = run_jobs(&jobs, 4);
+        let serial: Vec<SimReport> = jobs
+            .into_iter()
+            .map(|(cfg, trace)| Simulator::new(cfg).unwrap().run(&trace))
+            .collect();
+        assert_eq!(parallel.len(), 4);
+        for (p, s) in parallel.iter().zip(&serial) {
+            assert_eq!(p.manager, s.manager);
+            assert_eq!(p.total_stall, s.total_stall);
+        }
+    }
+
+    #[test]
+    fn empty_job_list_is_fine() {
+        assert!(run_jobs(&[], 8).is_empty());
+    }
+
+    #[test]
+    fn single_thread_works() {
+        let sys = SystemConfig::tiny();
+        let trace = Arc::new(
+            TraceGenerator::new(WorkloadSpec::hotcold_demo(), 1)
+                .take_requests(1_000, &sys.geometry),
+        );
+        let jobs = vec![(SimConfig::new(sys, ManagerKind::NoMigration), trace)];
+        assert_eq!(run_jobs(&jobs, 1).len(), 1);
     }
 }

@@ -158,7 +158,7 @@ impl MemPodManager {
             .map(|id| Pod {
                 id,
                 tracker: match cfg.mempod_tracker {
-                    TrackerKind::Mea | TrackerKind::Competing => {
+                    TrackerKind::Mea => {
                         PodTracker::Mea(MeaTracker::new(cfg.mea_entries, cfg.mea_counter_bits))
                     }
                     TrackerKind::FullCounters => {

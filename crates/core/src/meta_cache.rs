@@ -80,11 +80,6 @@ impl MetaCache {
         }
     }
 
-    /// Total entries the cache can hold.
-    pub fn capacity_entries(&self) -> usize {
-        self.sets.len() * self.ways
-    }
-
     /// Accumulated statistics.
     pub fn stats(&self) -> MetaCacheStats {
         self.stats
@@ -155,7 +150,6 @@ mod tests {
     fn lru_evicts_oldest_in_set() {
         // One set of 8 ways: fill, touch the first, add a ninth.
         let mut c = MetaCache::new(8 * 8, 8);
-        assert_eq!(c.capacity_entries(), 8);
         for k in 0..8u64 {
             c.access(k);
         }

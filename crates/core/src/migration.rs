@@ -106,12 +106,6 @@ impl Migration {
     pub fn bytes_moved(&self) -> u64 {
         2 * u64_from_u32(self.line_count) * u64_from_usize(LINE_SIZE)
     }
-
-    /// Memory requests the swap injects: a read and a write per line per
-    /// direction.
-    pub fn injected_requests(&self) -> u64 {
-        4 * u64_from_u32(self.line_count)
-    }
 }
 
 #[cfg(test)]
@@ -119,19 +113,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn page_swap_moves_4kb_in_128_requests() {
+    fn page_swap_moves_4kb() {
         let m = Migration::page_swap(FrameId(1), FrameId(2), PageId(10), PageId(20), Some(0));
         assert_eq!(m.bytes_moved(), 4096); // 2 x 2 KB
-        assert_eq!(m.injected_requests(), 128); // paper §6.2
         assert_eq!(m.line_count, PAGE_SWAP_LINES);
         assert!(m.is_page_swap());
     }
 
     #[test]
-    fn line_swap_moves_128_bytes_in_4_requests() {
+    fn line_swap_moves_128_bytes() {
         let m = Migration::line_swap(FrameId(1), FrameId(2), 7, PageId(10), PageId(20));
         assert_eq!(m.bytes_moved(), 128);
-        assert_eq!(m.injected_requests(), 4);
         assert_eq!(m.line_start, 7);
         assert_eq!(m.pod, None);
         assert!(!m.is_page_swap());

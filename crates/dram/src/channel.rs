@@ -197,16 +197,6 @@ impl ChannelStats {
         }
     }
 
-    /// Mean request latency in picoseconds.
-    pub fn mean_latency_ps(&self) -> f64 {
-        let n = self.requests();
-        if n == 0 {
-            0.0
-        } else {
-            self.total_latency.as_ps() as f64 / n as f64
-        }
-    }
-
     /// Mean queue depth per scheduling decision (`sched_scan_ops` over
     /// `sched_decisions`): how many requests a decision chose from.
     pub fn scans_per_decision(&self) -> f64 {
@@ -925,7 +915,7 @@ mod tests {
         assert_eq!(s.reads, 1);
         assert_eq!(s.writes, 1);
         assert_eq!(s.requests(), 2);
-        assert!(s.mean_latency_ps() > 0.0);
+        assert!(s.total_latency > Picos::ZERO);
         assert!(s.row_hit_rate() > 0.0 && s.row_hit_rate() < 1.0);
         assert_eq!(s.busy_time, ch.timing().burst_time() * 2);
         assert_eq!(s.sched_decisions, 2);

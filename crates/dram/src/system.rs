@@ -50,15 +50,6 @@ impl MemLayout {
         }
     }
 
-    /// The Fig. 10 future system: 4 GHz HBM + DDR4-2400.
-    pub fn future_default() -> Self {
-        MemLayout {
-            fast_timing: DramTiming::hbm_4ghz(),
-            slow_timing: DramTiming::ddr4_2400(),
-            ..MemLayout::paper_default()
-        }
-    }
-
     /// An HBM-only system of `total_frames` frames (the paper's "9 GB
     /// on-chip" upper bound baseline).
     pub fn hbm_only(total_frames: u64, timing: DramTiming) -> Self {
@@ -411,12 +402,6 @@ impl MemorySystem {
         self.channels.iter().map(Channel::pending).sum()
     }
 
-    /// Current per-channel queue depths (fast channels first, then slow),
-    /// for queue-pressure reporting and the scheduler benchmark.
-    pub fn queue_depths(&self) -> Vec<usize> {
-        self.channels.iter().map(Channel::pending).collect()
-    }
-
     /// Statistics split by tier. On a shard view the split is computed
     /// from each channel's *global* index, so merging shard stats with
     /// [`SystemStats::merge`] reproduces the unsharded breakdown.
@@ -445,11 +430,6 @@ impl MemorySystem {
         for ch in &mut self.channels {
             ch.attach_probe();
         }
-    }
-
-    /// Whether probes are attached.
-    pub fn probes_attached(&self) -> bool {
-        self.channels.iter().any(|ch| ch.probe().is_some())
     }
 
     /// Attaches each channel's deterministic fault stream from `plan`
@@ -792,17 +772,15 @@ mod tests {
     }
 
     #[test]
-    fn queue_depths_track_per_channel_backlog() {
+    fn pending_tracks_the_backlog() {
         let mut mem = MemorySystem::new(MemLayout::tiny());
-        let depths = mem.queue_depths();
-        assert_eq!(depths.len(), 12); // 8 fast + 4 slow
-        assert!(depths.iter().all(|&d| d == 0));
+        assert_eq!(mem.pending(), 0);
         for i in 0..16u64 {
             mem.submit(FrameId(i), 0, AccessKind::Read, Picos::ZERO);
         }
-        assert_eq!(mem.queue_depths().iter().sum::<usize>(), 16);
+        assert_eq!(mem.pending(), 16);
         let _ = mem.drain_all();
-        assert!(mem.queue_depths().iter().all(|&d| d == 0));
+        assert_eq!(mem.pending(), 0);
         // Scheduler work counters aggregate through tier stats.
         let s = mem.stats();
         assert_eq!(s.total().sched_decisions, 16);
@@ -813,10 +791,8 @@ mod tests {
     fn probes_sample_every_scheduling_decision() {
         let mut mem = MemorySystem::new(MemLayout::tiny());
         assert!(mem.probe_summary().is_none());
-        assert!(!mem.probes_attached());
         mem.attach_probes();
         mem.attach_probes(); // idempotent
-        assert!(mem.probes_attached());
         for i in 0..32u64 {
             mem.submit(FrameId(i % 4), 0, AccessKind::Read, Picos::ZERO);
         }
@@ -853,7 +829,7 @@ mod tests {
         for (id, s) in shards.iter().enumerate() {
             assert_eq!(s.shard_count(), 4);
             assert_eq!(s.shard_id() as usize, id);
-            assert_eq!(s.queue_depths().len(), 3); // 12 channels / 4 shards
+            assert_eq!(s.channels.len(), 3); // 12 channels / 4 shards
         }
         // A deterministic burst across both tiers and all channels, with a
         // partial drain in the middle to exercise interleaved horizons.

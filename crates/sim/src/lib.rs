@@ -12,7 +12,6 @@
 //! * [`simulator`] — the event loop (translate → inject → drain → account).
 //! * [`metrics`] — [`SimReport`] and cross-run aggregation helpers.
 //! * [`provenance`] — per-page migration histories and ping-pong detection.
-//! * [`runner`] — a scoped-thread parallel runner for experiment matrices.
 //!
 //! [`Trace`]: mempod_trace::Trace
 //! [`MemoryManager`]: mempod_core::MemoryManager
@@ -60,12 +59,10 @@
 pub mod config;
 pub mod metrics;
 pub mod provenance;
-pub mod runner;
 mod shard;
 pub mod simulator;
 
 pub use config::{SimConfig, SimError};
 pub use metrics::{geometric_mean, normalize_to, FaultSummary, SimReport};
 pub use provenance::{PageMove, PageProvenance, ProvenanceLedger, ProvenanceSummary};
-pub use runner::{try_run_jobs, Job, JobProgress, JobState, RunProgress};
 pub use simulator::Simulator;

@@ -43,7 +43,6 @@ use std::time::Instant;
 use mempod_core::{build_manager, MemoryManager, MigrationStats};
 use mempod_dram::{ChannelProbe, Interleave, MemLayout, MemorySystem, SystemStats};
 use mempod_faults::FaultPlan;
-use mempod_sync::atomic::{AtomicU64, Ordering};
 use mempod_sync::{thread, Arc};
 use mempod_telemetry::span::exec_span_id;
 use mempod_telemetry::{
@@ -65,7 +64,7 @@ const META_MISS_BURST_MIN: u64 = 8;
 const REFRESH_STALL_EVENT_MIN: u64 = 16;
 /// Arrival-grid ticks per barrier interval. Large enough to amortize the
 /// fork/join cost over thousands of channel decisions, small enough that
-/// telemetry merges, the epoch driver and progress stay responsive.
+/// telemetry merges and the epoch driver stay responsive.
 const BATCH_TICKS: usize = 4096;
 
 /// A merged snapshot of engine state for the epoch driver, built at
@@ -93,12 +92,13 @@ fn engine_view(shards: &[Shard]) -> EngineView {
         migrations_entered: 0,
         stats: SystemStats::default(),
         probe: None,
-        migration: merged_migration_stats(shards),
+        migration: MigrationStats::default(),
         counters: Vec::new(),
     };
     let mut part = Vec::new();
     for s in shards {
         view.total_stall += s.total_stall;
+        view.migration.merge(s.mgr.migration_stats());
         view.injected_meta += s.injected_meta;
         view.migrations_entered += s.migs_entered;
         view.stats.merge(&s.mem.stats());
@@ -116,15 +116,6 @@ fn engine_view(shards: &[Shard]) -> EngineView {
         }
     }
     view
-}
-
-/// The manager parts' accounting, merged ([`MigrationStats::merge`]).
-fn merged_migration_stats(shards: &[Shard]) -> MigrationStats {
-    let mut stats = MigrationStats::default();
-    for s in shards {
-        stats.merge(s.mgr.migration_stats());
-    }
-    stats
 }
 
 /// Pull-based epoch snapshot driver.
@@ -337,13 +328,11 @@ impl EpochDriver {
 /// See the crate-level example. A `Simulator` is single-use: [`run`]
 /// consumes it (manager and memory state are not reusable across traces).
 /// Attach telemetry with [`with_telemetry`] to get per-epoch snapshots and
-/// a JSONL event stream; attach a progress counter with [`with_progress`]
-/// for live sweep monitoring; request a sharded run with [`with_shards`]
-/// (the result is bit-identical to a one-shard run by construction).
+/// a JSONL event stream; request a sharded run with [`with_shards`] (the
+/// result is bit-identical to a one-shard run by construction).
 ///
 /// [`run`]: Simulator::run
 /// [`with_telemetry`]: Simulator::with_telemetry
-/// [`with_progress`]: Simulator::with_progress
 /// [`with_shards`]: Simulator::with_shards
 pub struct Simulator {
     cfg: SimConfig,
@@ -351,7 +340,6 @@ pub struct Simulator {
     /// The memory layout; each run builds its memory system from it.
     layout: MemLayout,
     tel: Telemetry,
-    progress: Option<Arc<AtomicU64>>,
     /// Requested shard count (clamped by
     /// [`Simulator::effective_shards`]).
     shards: u32,
@@ -407,7 +395,6 @@ impl Simulator {
             mgr,
             layout,
             tel: Telemetry::disabled(),
-            progress: None,
             shards: 1,
             serial_shards: false,
             phase_clock: None,
@@ -421,15 +408,6 @@ impl Simulator {
     #[must_use]
     pub fn with_telemetry(mut self, tel: Telemetry) -> Self {
         self.tel = tel;
-        self
-    }
-
-    /// Attaches a live progress counter, incremented at every barrier by
-    /// the trace requests admitted since the last one. Another thread may read it at any time — this
-    /// is what the parallel runner's per-job heartbeat polls.
-    #[must_use]
-    pub fn with_progress(mut self, counter: Arc<AtomicU64>) -> Self {
-        self.progress = Some(counter);
         self
     }
 
@@ -564,7 +542,6 @@ impl Simulator {
             mgr,
             layout,
             tel,
-            progress,
             serial_shards,
             phase_clock,
             ..
@@ -634,7 +611,6 @@ impl Simulator {
             exec_seq: span_cfg.filter(|sc| sc.exec_spans).map(|_| 0),
             ledger: telemetry_on.then(|| ProvenanceLedger::new(layout.fast_frames, cfg.mgr.epoch)),
             miss_run: 0,
-            progress,
         };
 
         // Cut the trace into batches of at most `BATCH_TICKS` requests. An
@@ -704,8 +680,13 @@ impl Simulator {
                 EventKind::MetaMissBurst { len: miss_run },
             );
         }
+        // One fold of the shards serves the final snapshot and the report.
+        let mut view = engine_view(&shards);
+        report.total_stall = view.total_stall;
+        report.migration = view.migration.clone();
+        report.injected_meta_requests = view.injected_meta;
+        report.mem_stats = view.stats;
         if let Some(d) = driver.as_mut() {
-            let mut view = engine_view(&shards);
             d.finalize(trace.duration(), requests, &mut view, &mut tel);
         }
         for sh in &shards {
@@ -730,11 +711,7 @@ impl Simulator {
             auditor.assert_clean();
         }
 
-        report.total_stall = shards
-            .iter()
-            .fold(Picos::ZERO, |acc, sh| acc + sh.total_stall);
         report.duration = trace.duration();
-        report.migration = merged_migration_stats(&shards);
         report.meta_cache = shards
             .iter()
             .filter_map(|sh| sh.mgr.meta_cache_stats())
@@ -743,12 +720,6 @@ impl Simulator {
                 a
             });
         report.injected_migration_requests = shards.iter().map(|sh| sh.injected_migration).sum();
-        report.injected_meta_requests = shards.iter().map(|sh| sh.injected_meta).sum();
-        let mut stats = SystemStats::default();
-        for sh in &shards {
-            stats.merge(&sh.mem.stats());
-        }
-        report.mem_stats = stats;
         report.faults.migration_faults = shards.iter().map(|sh| sh.faulted_migrations).sum();
         report.faults.migration_retries = shards.iter().map(|sh| sh.fault_retries).sum();
         report.faults.migration_aborts = shards.iter().map(|sh| sh.fault_aborts).sum();
@@ -780,7 +751,6 @@ struct Engine {
     /// Consecutive metadata-cache misses so far, over every shard's
     /// requests in trace order.
     miss_run: u64,
-    progress: Option<Arc<AtomicU64>>,
 }
 
 impl Engine {
@@ -811,7 +781,7 @@ impl Engine {
 
     /// The barrier: replay the shards' commits into the provenance ledger
     /// and their metadata misses into runs, in trace order; emit the
-    /// execution spans; flush progress; merge the buffered events.
+    /// execution spans; merge the buffered events.
     ///
     /// With execution-span tracing on, the barrier emits one
     /// [`SpanName::ShardBatch`] span per shard covering this batch's
@@ -865,9 +835,6 @@ impl Engine {
         }
         for sh in &mut self.shards {
             sh.items = 0;
-        }
-        if let Some(p) = &self.progress {
-            p.fetch_add(u64_from_usize(reqs.len()), Ordering::Relaxed);
         }
         if let (Some(c), Some(t0)) = (&self.clock, &self.main_since) {
             c.record_admission(elapsed_ns(t0));
@@ -1235,31 +1202,6 @@ mod tests {
             .filter_map(|s| s.manager.get("mempod.epochs").copied())
             .sum();
         assert!(epochs > 0, "per-window mempod.epochs deltas sum > 0");
-    }
-
-    /// Runs MemPod at `shards` shards with a progress counter attached and
-    /// checks the barrier flushes add up to the request count exactly.
-    fn progress_counter_reaches_request_total_at(shards: u32) {
-        let counter = Arc::new(AtomicU64::new(0));
-        let cfg = SimConfig::new(SystemConfig::tiny(), ManagerKind::MemPod);
-        let sim = Simulator::new(cfg)
-            .expect("valid")
-            .with_shards(shards)
-            .with_progress(Arc::clone(&counter));
-        assert_eq!(sim.effective_shards(), shards);
-        let report = sim.run(&demo_trace(20_000));
-        assert_eq!(
-            counter.load(Ordering::Relaxed),
-            report.requests,
-            "{shards} shards"
-        );
-    }
-
-    #[test]
-    fn progress_counter_reaches_request_total() {
-        for shards in [1, 4] {
-            progress_counter_reaches_request_total_at(shards);
-        }
     }
 
     fn run_sharded_with(kind: ManagerKind, n: usize, shards: u32) -> SimReport {

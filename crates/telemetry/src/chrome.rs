@@ -231,8 +231,8 @@ impl ChromeTraceSink {
                     "trips": *trips,
                 }),
             ),
-            // Everything else (remaps, bursts, high-water marks, runner
-            // progress) stays JSONL-only: high-volume and better served by
+            // Everything else (remaps, bursts, high-water marks) stays
+            // JSONL-only: high-volume and better served by
             // `tracelens` queries than by cluttering the timeline UI.
             _ => {}
         }

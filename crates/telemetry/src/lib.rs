@@ -11,7 +11,7 @@
 //!   [`SnapshotRing`] and streamed to the sink;
 //! * structured [`Event`]s (migration start/complete, remap swaps,
 //!   meta-cache miss bursts, refresh stalls, queue-depth high-water marks,
-//!   runner job progress) serialized as JSONL through a pluggable
+//!   fault outcomes, page ping-pongs) serialized as JSONL through a pluggable
 //!   [`EventSink`] ([`NullSink`] / [`FileSink`] / [`MemorySink`] /
 //!   [`TeeSink`], plus the Perfetto-loadable [`ChromeTraceSink`]). Every
 //!   line, spans included, is written by the serde derive straight into
@@ -24,8 +24,10 @@
 //! the epoch driver in `mempod-sim` diffs them at epoch boundaries, so the
 //! per-access hot path pays nothing beyond the counters it already
 //! maintained. With the default [`NullSink`], events are not even
-//! serialized ([`EventSink::wants_lines`]), which is what keeps the
-//! measured overhead on `bench_sched --smoke` under 2 %.
+//! serialized ([`EventSink::wants_lines`]). `bench_sched` bounds the
+//! null-sink overhead at 2 % of a full-scale run and 5 % of a `--smoke`
+//! run. The measured smoke ratio sits on its 5 % bound, so the smoke gate
+//! fails more often than it passes (ROADMAP.md, "State of the checks").
 //!
 //! # Examples
 //!

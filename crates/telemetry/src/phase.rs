@@ -1,12 +1,13 @@
 //! Wall-clock phase accounting for the sharded event loop.
 //!
-//! The sharded simulator alternates a sequential *admission* phase (the
-//! main thread walking the trace) with parallel *shard* phases separated
-//! by barriers. On a machine with fewer cores than shards the wall clock
-//! cannot show the available parallelism, so the clock also accumulates
-//! the *critical path*: admission time plus, per barrier interval, the
-//! busiest single shard. `critical path / wall` of a one-shard run gives
-//! the speedup an adequately provisioned machine would observe.
+//! The sharded simulator alternates parallel *shard* phases with
+//! main-thread time between them: batch cutting and barrier bookkeeping,
+//! which the clock counts as *admission* time. On a machine with fewer
+//! cores than shards the wall clock cannot show the available
+//! parallelism, so the clock also accumulates the *critical path*:
+//! admission time plus, per barrier interval, the busiest single shard.
+//! `critical path / wall` of a one-shard run gives the speedup an
+//! adequately provisioned machine would observe.
 //!
 //! All counters are wall-clock nanoseconds and strictly observability:
 //! nothing simulated ever reads them.
@@ -20,7 +21,8 @@ use mempod_sync::atomic::{AtomicU64, Ordering};
 /// relaxed ordering is sufficient everywhere.
 #[derive(Debug)]
 pub struct PhaseClock {
-    /// Sequential admission + bookkeeping time on the main thread.
+    /// Main-thread time between shard phases: batch cutting and barrier
+    /// bookkeeping.
     admission_ns: AtomicU64,
     /// Sum over barrier intervals of the busiest shard's busy time.
     critical_ns: AtomicU64,
@@ -41,7 +43,7 @@ impl PhaseClock {
         }
     }
 
-    /// Adds sequential admission time.
+    /// Adds main-thread time between shard phases.
     pub fn record_admission(&self, ns: u64) {
         self.admission_ns.fetch_add(ns, Ordering::Relaxed);
     }
@@ -58,7 +60,7 @@ impl PhaseClock {
         self.barriers.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Sequential admission nanoseconds so far.
+    /// Main-thread nanoseconds between shard phases so far.
     pub fn admission_ns(&self) -> u64 {
         self.admission_ns.load(Ordering::Relaxed)
     }

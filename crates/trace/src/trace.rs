@@ -80,11 +80,6 @@ impl Trace {
         pages.dedup();
         pages.len()
     }
-
-    /// Consumes the trace, returning its requests.
-    pub fn into_requests(self) -> Vec<MemRequest> {
-        self.requests
-    }
 }
 
 impl Extend<MemRequest> for Trace {
@@ -137,12 +132,5 @@ mod tests {
         let mut t = Trace::new("x", vec![req(10, 0)]);
         t.extend(vec![req(5, 64)]);
         assert_eq!(t.requests()[0].arrival, Picos(5));
-    }
-
-    #[test]
-    fn into_requests_roundtrip() {
-        let reqs = vec![req(1, 0), req(2, 64)];
-        let t = Trace::new("x", reqs.clone());
-        assert_eq!(t.into_requests(), reqs);
     }
 }

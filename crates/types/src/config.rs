@@ -4,7 +4,7 @@ use serde::Serialize;
 use std::fmt;
 
 use crate::geometry::Geometry;
-use crate::time::{Clock, Picos};
+use crate::time::Picos;
 
 /// Which activity-tracking structure a manager uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
@@ -13,8 +13,6 @@ pub enum TrackerKind {
     Mea,
     /// One saturating counter per page (HMA-style "Full Counters").
     FullCounters,
-    /// One competing counter per segment (THM-style).
-    Competing,
 }
 
 impl fmt::Display for TrackerKind {
@@ -22,7 +20,6 @@ impl fmt::Display for TrackerKind {
         match self {
             TrackerKind::Mea => write!(f, "MEA"),
             TrackerKind::FullCounters => write!(f, "FullCounters"),
-            TrackerKind::Competing => write!(f, "Competing"),
         }
     }
 }
@@ -89,11 +86,6 @@ impl SystemConfig {
         }
     }
 
-    /// The CPU clock domain.
-    pub fn cpu_clock(&self) -> Clock {
-        Clock::from_mhz(self.cpu_mhz)
-    }
-
     /// Maximum value an MEA counter can hold.
     pub fn mea_counter_max(&self) -> u64 {
         if self.mea_counter_bits >= 64 {
@@ -153,6 +145,5 @@ mod tests {
     fn tracker_kind_display() {
         assert_eq!(TrackerKind::Mea.to_string(), "MEA");
         assert_eq!(TrackerKind::FullCounters.to_string(), "FullCounters");
-        assert_eq!(TrackerKind::Competing.to_string(), "Competing");
     }
 }
