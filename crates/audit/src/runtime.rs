@@ -121,11 +121,6 @@ impl InvariantAuditor {
         });
     }
 
-    /// Number of epoch boundaries offered to this auditor.
-    pub fn epochs_seen(&self) -> u64 {
-        self.epochs_seen
-    }
-
     /// Number of individual invariant checks executed.
     pub fn checks_run(&self) -> u64 {
         self.checks_run
@@ -216,7 +211,6 @@ mod tests {
             sampled,
             [true, false, false, false, true, false, false, false]
         );
-        assert_eq!(a.epochs_seen(), 8);
     }
 
     #[test]

@@ -1,33 +1,27 @@
-//! Telemetry-overhead benchmark: channel drains with and without a
-//! [`ChannelProbe`] attached, and full simulator runs with null-sink
-//! telemetry vs. none.
+//! Telemetry-overhead benchmark: full simulator runs with null-sink
+//! telemetry vs. none, and with sampled causal spans vs. an event sink
+//! without them.
 //!
-//! [`ChannelProbe`]: mempod_dram::ChannelProbe
-//!
-//! For each queue depth, the benchmark floods one HBM channel with a
-//! migration-storm mix (64-line background page swaps plus a demand
-//! trickle), then wall-clock-times a full drain with and without the
-//! probe, asserting bit-identical (token, completion) sequences. The
-//! end-to-end gate times a MemPod run in four telemetry modes. Results
+//! The end-to-end gate times a MemPod run in four telemetry modes. Results
 //! land in `BENCH_telemetry.json` (`--telemetry-out PATH` to redirect);
 //! the acceptance gate is < 2 % end-to-end overhead with the null sink.
+//! That the channel probe leaves scheduling decisions unchanged is a
+//! unit test of `mempod-dram` (`deep_queue_decisions_match_their_pinned_digests`).
 //!
 //! Run: `cargo run --release -p mempod-bench --bin bench_sched`
 //! (`--smoke` for a CI-scale pass writing `BENCH_telemetry.smoke.json`;
-//! `--depths a,b,c`, `--seed N` to rescope).
+//! `--seed N` to rescope).
 
 use std::time::Instant;
 
 use mempod_core::ManagerKind;
-use mempod_dram::{Channel, DramTiming, Priority, ReqToken};
 use mempod_sim::{SimConfig, Simulator};
 use mempod_telemetry::{DiscardSink, SpanConfig, Telemetry};
 use mempod_trace::{TraceGenerator, WorkloadSpec};
-use mempod_types::{Picos, SystemConfig};
+use mempod_types::SystemConfig;
 
 struct SchedOpts {
     smoke: bool,
-    depths: Vec<usize>,
     seed: u64,
     telemetry_out: Option<String>,
 }
@@ -36,7 +30,6 @@ impl SchedOpts {
     fn from_args() -> Self {
         let mut opts = SchedOpts {
             smoke: false,
-            depths: Vec::new(),
             seed: 7,
             telemetry_out: None,
         };
@@ -44,13 +37,6 @@ impl SchedOpts {
         while let Some(a) = args.next() {
             match a.as_str() {
                 "--smoke" => opts.smoke = true,
-                "--depths" => {
-                    let v = args.next().expect("--depths needs a value");
-                    opts.depths = v
-                        .split(',')
-                        .map(|d| d.parse().expect("--depths must be integers"))
-                        .collect();
-                }
                 "--seed" => {
                     let v = args.next().expect("--seed needs a value");
                     opts.seed = v.parse().expect("--seed must be an integer");
@@ -59,105 +45,11 @@ impl SchedOpts {
                     opts.telemetry_out = Some(args.next().expect("--telemetry-out needs a path"));
                 }
                 other => panic!(
-                    "unknown argument {other}; expected --smoke, --depths a,b,c, --seed N, \
-                     --telemetry-out PATH"
+                    "unknown argument {other}; expected --smoke, --seed N, --telemetry-out PATH"
                 ),
             }
         }
-        if opts.depths.is_empty() {
-            opts.depths = if opts.smoke {
-                vec![256, 1024]
-            } else {
-                vec![1024, 4096, 16384]
-            };
-        }
         opts
-    }
-}
-
-/// Deterministic xorshift stream for the storm mix.
-struct Mix(u64);
-
-impl Mix {
-    fn next(&mut self) -> u64 {
-        self.0 ^= self.0 << 13;
-        self.0 ^= self.0 >> 7;
-        self.0 ^= self.0 << 17;
-        self.0
-    }
-}
-
-/// Fills `ch` with a `depth`-request migration storm: background page
-/// swaps (64 lines per page image) with a demand read trickled in per
-/// swap, all arriving inside the first microsecond so the drain sees the
-/// full backlog.
-fn flood(ch: &mut Channel, depth: usize, seed: u64) {
-    let banks = ch.timing().banks as u64;
-    let mut mix = Mix(seed | 1);
-    let mut token = 0u64;
-    while token < depth as u64 {
-        let swap_at = Picos(mix.next() % 1_000_000);
-        let page_row = mix.next() % 32;
-        for _ in 0..64 {
-            if token >= depth as u64 {
-                break;
-            }
-            let r = mix.next();
-            let (prio, is_write) = if r.is_multiple_of(65) {
-                (Priority::Demand, false)
-            } else {
-                (Priority::Background, r.is_multiple_of(2))
-            };
-            ch.enqueue_with_priority(
-                ReqToken(token),
-                (r % banks) as u32,
-                page_row,
-                is_write,
-                swap_at,
-                prio,
-            );
-            token += 1;
-        }
-    }
-}
-
-struct Measurement {
-    requests_per_sec: f64,
-    completions: Vec<(ReqToken, Picos)>,
-}
-
-fn measure_with_probe(depth: usize, seed: u64, probe: bool) -> Measurement {
-    let mut proto = Channel::new(DramTiming::hbm());
-    if probe {
-        proto.attach_probe();
-    }
-    flood(&mut proto, depth, seed);
-    // Best of three timed drains over clones of the flooded channel — the
-    // work is deterministic, so the minimum is the least-noise sample (the
-    // first iteration doubles as cache warm-up).
-    let mut best: Option<std::time::Duration> = None;
-    let mut drained = None;
-    for _ in 0..3 {
-        let mut ch = proto.clone();
-        let start = Instant::now();
-        let completions = ch.drain_all();
-        let elapsed = start.elapsed();
-        assert_eq!(
-            completions.len(),
-            depth,
-            "drain must service the full storm"
-        );
-        if best.is_none_or(|b| elapsed < b) {
-            best = Some(elapsed);
-        }
-        drained = Some(completions);
-    }
-    let elapsed = best.expect("at least one repetition");
-    let completions = drained.expect("at least one repetition");
-    let secs = elapsed.as_secs_f64().max(1e-9);
-    Measurement {
-        requests_per_sec: depth as f64 / secs,
-        completions,
     }
 }
 
@@ -165,35 +57,11 @@ fn main() {
     telemetry_overhead(&SchedOpts::from_args());
 }
 
-/// Telemetry overhead gate: the same channel drains with a depth probe
-/// attached, plus full simulator runs with null-sink telemetry vs. none.
-/// The acceptance metric is the end-to-end simulator overhead (< 2 %).
+/// Telemetry overhead gate: full simulator runs with null-sink telemetry
+/// vs. none, and with sampled spans vs. an event sink without them. The
+/// acceptance metric is the end-to-end simulator overhead (< 2 %).
 fn telemetry_overhead(opts: &SchedOpts) {
-    println!("\nTelemetry overhead — probe-attached drains and null-sink runs\n");
-    println!(
-        "{:>8}  {:>14}  {:>14}  {:>10}",
-        "depth", "plain req/s", "probed req/s", "overhead"
-    );
-    let mut probe_results = Vec::new();
-    for &depth in &opts.depths {
-        let plain = measure_with_probe(depth, opts.seed, false);
-        let probed = measure_with_probe(depth, opts.seed, true);
-        assert_eq!(
-            plain.completions, probed.completions,
-            "the probe must not perturb scheduling at depth {depth}"
-        );
-        let overhead_pct = (plain.requests_per_sec / probed.requests_per_sec - 1.0) * 100.0;
-        println!(
-            "{:>8}  {:>14.0}  {:>14.0}  {:>9.2}%",
-            depth, plain.requests_per_sec, probed.requests_per_sec, overhead_pct
-        );
-        probe_results.push(serde_json::json!({
-            "depth": depth,
-            "plain_requests_per_sec": plain.requests_per_sec,
-            "probed_requests_per_sec": probed.requests_per_sec,
-            "overhead_pct": overhead_pct,
-        }));
-    }
+    println!("\nTelemetry overhead — null-sink and span runs\n");
 
     // End-to-end: a MemPod run over a Table-3-style mix, with and without
     // null-sink telemetry (epoch driver + probes active, no serialization).
@@ -328,7 +196,6 @@ fn telemetry_overhead(opts: &SchedOpts) {
         "bench": "telemetry_overhead",
         "seed": opts.seed,
         "smoke": opts.smoke,
-        "probe_drains": probe_results,
         "simulator": {
             "manager": "mempod",
             "workload": "mix1",

@@ -10,7 +10,7 @@
 //! than anyone (3.9 GB per experiment in the paper) and thrashes whenever
 //! two hot lines share a group.
 
-use mempod_types::convert::{u32_from_u64, u64_from_usize, usize_from_u32, usize_from_u64};
+use mempod_types::convert::{u32_from_u64, u64_from_usize};
 use mempod_types::{FrameId, MemRequest, PageId, Picos};
 
 use crate::llp::{LineLocationPredictor, LlpStats};
@@ -19,6 +19,9 @@ use crate::migration::Migration;
 use crate::segment::{slow_members, SegmentMap};
 
 const LINES_PER_PAGE: u64 = u64_from_usize(mempod_types::LINES_PER_PAGE);
+
+/// Counters in CAMEO's Line Location Predictor, when it is enabled.
+pub(crate) const LLP_ENTRIES: usize = 4096;
 
 /// The CAMEO line-granularity, event-triggered migration manager.
 ///
@@ -49,8 +52,6 @@ pub struct CameoManager {
     /// Optional Line Location Predictor (paper §2): mispredictions cost a
     /// blocking bookkeeping read.
     llp: Option<LineLocationPredictor>,
-    /// Pod count of the geometry: CAMEO's migration-domain count.
-    pods: u32,
 }
 
 impl CameoManager {
@@ -71,8 +72,9 @@ impl CameoManager {
             segs: SegmentMap::new(geo.fast_lines(), slow_members(ratio)),
             stats: MigrationStats::default(),
             wasted: 0,
-            llp: cfg.cameo_llp.then(|| LineLocationPredictor::new(4096)),
-            pods: geo.pods(),
+            llp: cfg
+                .cameo_llp
+                .then(|| LineLocationPredictor::new(LLP_ENTRIES)),
         }
     }
 
@@ -158,50 +160,6 @@ impl MemoryManager for CameoManager {
         }
     }
 
-    /// Splits the congruence groups by class, `⌊g/32⌋ mod parts` (the
-    /// class of every frame and page of group `g`; see
-    /// [`migration_domains`](MemoryManager::migration_domains)). Each part
-    /// keeps its class's touched groups and a copy of the LLP, whose
-    /// counters it alone trains for its class; part 0 carries the
-    /// accounting so far.
-    fn split(self: Box<Self>, parts: u32) -> Vec<Box<dyn MemoryManager>> {
-        assert!(
-            parts >= 1 && self.migration_domains().is_multiple_of(parts),
-            "CAMEO's {} domains cannot split into {parts} parts",
-            self.migration_domains()
-        );
-        let this = *self;
-        let n = u64::from(parts);
-        let segs = this.segs.split(usize_from_u32(parts), |g| {
-            usize_from_u64(g / LINES_PER_PAGE % n)
-        });
-        segs.into_iter()
-            .enumerate()
-            .map(|(s, segs)| {
-                let lead = s == 0;
-                Box::new(CameoManager {
-                    segs,
-                    stats: if lead {
-                        this.stats.clone()
-                    } else {
-                        MigrationStats::default()
-                    },
-                    wasted: if lead { this.wasted } else { 0 },
-                    llp: this.llp.as_ref().map(
-                        |llp| {
-                            if lead {
-                                llp.clone()
-                            } else {
-                                llp.part_copy()
-                            }
-                        },
-                    ),
-                    pods: this.pods,
-                }) as Box<dyn MemoryManager>
-            })
-            .collect()
-    }
-
     fn kind(&self) -> ManagerKind {
         ManagerKind::Cameo
     }
@@ -234,35 +192,6 @@ impl MemoryManager for CameoManager {
         g.set_flag(false);
         self.stats.aborted += 1;
         true
-    }
-
-    /// CAMEO's congruence groups are residue-aligned, so it reports the pod
-    /// count. Group `g` holds the line units `g + k·F`, where `F` is the
-    /// fast-line count and `F / 32` the fast-frame count. Member `k` sits
-    /// in frame and page `⌊g/32⌋ + k·(F/32)`, so whenever `S` divides the
-    /// fast-frame count every frame and page of the group lies in residue
-    /// class `⌊g/32⌋ mod S`: both frames and both pages of a swap, and the
-    /// page and fast frame of every access. The LLP's metadata fetch goes
-    /// to a pod-local backing frame, congruent to the page mod the pod
-    /// count, so it stays in that class whenever `S` also divides the pod
-    /// count. The sharded engine's shard count already divides both (the
-    /// fast-frame count through its channel check, the pod count through
-    /// this answer), and each shard audits its part's decisions against
-    /// the class under `debug-invariants`.
-    ///
-    /// With the LLP on, a split must also keep every predictor counter in
-    /// one class. A counter is indexed by the low bits of `g × odd`, which
-    /// determine `g mod entries` and nothing more, and the class reads
-    /// bits 5 and up of `g`; so only a power-of-two class count of at most
-    /// `entries / 32` qualifies.
-    fn migration_domains(&self) -> u32 {
-        match &self.llp {
-            Some(llp) => {
-                let pow2 = self.pods & self.pods.wrapping_neg();
-                pow2.min(u32::try_from(llp.entries() / 32).unwrap_or(u32::MAX))
-            }
-            None => self.pods,
-        }
     }
 
     /// CAMEO's structural invariants: every congruence-group permutation

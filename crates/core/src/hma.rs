@@ -27,9 +27,7 @@ use mempod_tracker::{ActivityTracker, FullCounters};
 use mempod_types::convert::u32_from_u64;
 use mempod_types::{FrameId, Geometry, MemRequest, PageId, Picos, Tier};
 
-use crate::manager::{
-    whole, AccessOutcome, ManagerConfig, ManagerKind, MemoryManager, MigrationStats,
-};
+use crate::manager::{AccessOutcome, ManagerConfig, ManagerKind, MemoryManager, MigrationStats};
 use crate::meta_cache::{MetaCache, MetaCacheStats};
 use crate::migration::Migration;
 use crate::remap::RemapTable;
@@ -134,11 +132,6 @@ impl HmaManager {
 }
 
 impl MemoryManager for HmaManager {
-    /// One migration domain: the manager stays whole on a single shard.
-    fn split(self: Box<Self>, parts: u32) -> Vec<Box<dyn MemoryManager>> {
-        whole(self, parts)
-    }
-
     fn on_access(&mut self, req: &MemRequest) -> AccessOutcome {
         let mut migrations = Vec::new();
         // Migrations for the interval ending at `next_interval` launch only

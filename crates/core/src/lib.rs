@@ -72,7 +72,8 @@ pub use energy::EnergyModel;
 pub use hma::HmaManager;
 pub use llp::{LineLocationPredictor, LlpStats};
 pub use manager::{
-    build_manager, AccessOutcome, ManagerConfig, ManagerKind, MemoryManager, MigrationStats,
+    build_manager, build_parts, migration_domains, AccessOutcome, ManagerConfig, ManagerKind,
+    MemoryManager, MigrationStats,
 };
 pub use mempod::MemPodManager;
 pub use meta_cache::{MetaCache, MetaCacheStats};

@@ -73,20 +73,6 @@ impl LineLocationPredictor {
         2 * self.counters.len() as u64
     }
 
-    /// Number of counters (a power of two).
-    pub fn entries(&self) -> usize {
-        self.counters.len()
-    }
-
-    /// A copy of the counters with zeroed statistics, for one part of a
-    /// split manager.
-    pub(crate) fn part_copy(&self) -> Self {
-        LineLocationPredictor {
-            counters: self.counters.clone(),
-            stats: LlpStats::default(),
-        }
-    }
-
     /// Accumulated accuracy statistics.
     pub fn stats(&self) -> LlpStats {
         self.stats

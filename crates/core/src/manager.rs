@@ -5,7 +5,7 @@ use mempod_types::{FrameId, Geometry, MemRequest, Picos, TrackerKind};
 use serde::Serialize;
 use std::fmt;
 
-use crate::cameo::CameoManager;
+use crate::cameo::{CameoManager, LLP_ENTRIES};
 use crate::hma::HmaManager;
 use crate::mempod::MemPodManager;
 use crate::meta_cache::MetaCacheStats;
@@ -217,10 +217,10 @@ impl MigrationStats {
         }
     }
 
-    /// Adds one part's accounting to this merge of a split manager's
-    /// parts (see [`MemoryManager::split`]). Counts and bytes add up, and
-    /// the per-pod breakdowns add element-wise. `intervals` takes the
-    /// maximum: an interval is global time, which every part counts.
+    /// Adds one part's accounting to this merge of a manager's parts (see
+    /// [`build_parts`]). Counts and bytes add up, and the per-pod
+    /// breakdowns add element-wise. `intervals` takes the maximum: an
+    /// interval is global time, which every part counts.
     pub fn merge(&mut self, part: &MigrationStats) {
         self.migrations += part.migrations;
         self.bytes_moved += part.bytes_moved;
@@ -251,11 +251,11 @@ impl MigrationStats {
 /// their remap state consistent *immediately* (the swap's timing cost is the
 /// simulator's job).
 ///
-/// A manager whose decisions stay inside residue classes can
-/// [`split`](MemoryManager::split) into one part per class, so that each
-/// simulator shard runs its own part. A part is driven by two calls per
-/// trace request: [`advance_to`](MemoryManager::advance_to) at *every*
-/// request's arrival, which fires the interval work due by then, and
+/// A manager whose decisions stay inside residue classes can be built as
+/// one part per class ([`build_parts`]), so that each simulator shard runs
+/// its own part. A part is driven by two calls per trace request:
+/// [`advance_to`](MemoryManager::advance_to) at *every* request's arrival,
+/// which fires the interval work due by then, and
 /// [`on_access`](MemoryManager::on_access) for the requests of its own
 /// class only. A whole manager needs only `on_access`, which advances
 /// itself.
@@ -275,24 +275,6 @@ pub trait MemoryManager: Send {
     fn advance_to(&mut self, now: Picos, out: &mut Vec<Migration>) {
         let _ = (now, out);
     }
-
-    /// Splits this manager into `parts` parts, one per residue class:
-    /// part `s` owns the pages, frames and migration domains whose index is
-    /// `≡ s (mod parts)`, with their state, and nothing of another class.
-    /// `parts` divides [`migration_domains`](MemoryManager::migration_domains)
-    /// (any count, for the static placements, which copy themselves). The
-    /// parts' [`migration_stats`](MemoryManager::migration_stats) merge
-    /// back to the whole's through [`MigrationStats::merge`], their
-    /// [`meta_cache_stats`](MemoryManager::meta_cache_stats) through
-    /// [`MetaCacheStats::merge`], and their
-    /// [`telemetry_counters`](MemoryManager::telemetry_counters) by summing
-    /// same-named values.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the manager cannot split into `parts` parts (a
-    /// one-domain manager asked for more than one).
-    fn split(self: Box<Self>, parts: u32) -> Vec<Box<dyn MemoryManager>>;
 
     /// Which mechanism this is.
     fn kind(&self) -> ManagerKind;
@@ -333,61 +315,17 @@ pub trait MemoryManager: Send {
         let _ = auditor;
     }
 
-    /// How many independent *migration domains* this manager's decisions
-    /// respect. A sharded simulator may partition pages/frames into `d`
-    /// residue classes (`index % d`) only when every migration, remap, and
-    /// metadata fetch this manager triggers stays inside one class:
-    ///
-    /// - MemPod swaps strictly within pods and keeps one remap slice per
-    ///   pod, so it reports the pod count;
-    /// - CAMEO's strided congruence groups keep every member in one frame
-    ///   residue class whenever the class count divides the fast-frame
-    ///   count, and its metadata frames are pod-local, so it reports the
-    ///   pod count too (with the LLP on, only the classes that keep each
-    ///   predictor counter in one class);
-    /// - the static baselines never migrate or meta-miss and report
-    ///   [`u32::MAX`], meaning "unconstrained — any partition is safe";
-    /// - the conservative default of 1 suits managers whose swaps cross
-    ///   the whole address space or share one global migration lane (HMA;
-    ///   THM, whose page swaps carry no pod).
-    ///
-    /// The sharded engine [`split`](MemoryManager::split)s the manager into
-    /// one part per shard. Under `debug-invariants` each shard checks its
-    /// part's decisions: every access it admits and every swap it commits
-    /// must lie wholly in the shard's residue class.
-    ///
-    /// The answer must be constant for the manager's lifetime; the sharded
-    /// event loop reads it once at setup to size its shard plan.
-    fn migration_domains(&self) -> u32 {
-        1
-    }
-
     /// Appends this manager's *cumulative* telemetry counters as
     /// `(name, value)` pairs (e.g. MEA eviction totals, interval counts).
-    /// The parts of a split manager report counters that sum to the
-    /// whole's, so a count of global intervals comes from one part only.
-    /// The epoch snapshot driver polls this at epoch boundaries and diffs
-    /// successive values, so implementations must only ever report
-    /// monotonically non-decreasing counts, without side effects. The
-    /// default reports nothing, which suits the static baselines.
+    /// The parts of a manager report counters that sum to the whole's, so
+    /// a count of global intervals comes from one part only. The epoch
+    /// snapshot driver polls this at epoch boundaries and diffs successive
+    /// values, so implementations must only ever report monotonically
+    /// non-decreasing counts, without side effects. The default reports
+    /// nothing, which suits the static baselines.
     fn telemetry_counters(&self, out: &mut Vec<(&'static str, u64)>) {
         let _ = out;
     }
-}
-
-/// The split of a manager that is one migration domain: itself, whole.
-///
-/// # Panics
-///
-/// Panics if `parts` is not 1.
-pub(crate) fn whole(mgr: Box<dyn MemoryManager>, parts: u32) -> Vec<Box<dyn MemoryManager>> {
-    assert_eq!(
-        parts,
-        1,
-        "{} is one migration domain and cannot split into {parts} parts",
-        mgr.kind()
-    );
-    vec![mgr]
 }
 
 /// Builds a manager of the requested kind.
@@ -400,6 +338,92 @@ pub fn build_manager(kind: ManagerKind, cfg: &ManagerConfig) -> Box<dyn MemoryMa
         ManagerKind::NoMigration | ManagerKind::HbmOnly | ManagerKind::DdrOnly => {
             Box::new(StaticManager::new(kind, cfg))
         }
+    }
+}
+
+/// How many independent *migration domains* `kind` has under `cfg`. A
+/// sharded simulator may partition pages/frames into `d` residue classes
+/// (`index % d`) only when every migration, remap, and metadata fetch the
+/// manager triggers stays inside one class:
+///
+/// - MemPod swaps strictly within pods and keeps one remap slice per pod,
+///   so it reports the pod count;
+/// - CAMEO's congruence group `g` holds the line units `g + k·F`, where
+///   `F` is the fast-line count and `F / 32` the fast-frame count, so
+///   member `k` sits in frame and page `⌊g/32⌋ + k·(F/32)`. Whenever a
+///   class count divides the fast-frame count, every frame and page of
+///   the group lies in class `⌊g/32⌋`, and the LLP's metadata fetch goes
+///   to a pod-local backing frame, so CAMEO reports the pod count too.
+///   With the LLP on, each predictor counter must also stay in one class:
+///   a counter is indexed by the low bits of `g × odd`, which fix
+///   `g mod entries` and nothing more, and the class reads bits 5 and up
+///   of `g`, so only power-of-two counts of at most `entries / 32` qualify;
+/// - HMA and THM report 1: HMA's swaps cross the whole address space and
+///   THM's page swaps carry no pod;
+/// - the static baselines never migrate or meta-miss and report
+///   [`u32::MAX`], meaning "unconstrained: any partition is safe".
+///
+/// Under `debug-invariants` each simulator shard checks its part's
+/// decisions: every access it admits and every swap it commits must lie
+/// wholly in the shard's residue class.
+pub fn migration_domains(kind: ManagerKind, cfg: &ManagerConfig) -> u32 {
+    let pods = cfg.geometry.pods();
+    match kind {
+        ManagerKind::MemPod => pods,
+        ManagerKind::Cameo if cfg.cameo_llp => {
+            let pow2 = pods & pods.wrapping_neg();
+            pow2.min(u32::try_from(LLP_ENTRIES / 32).unwrap_or(u32::MAX))
+        }
+        ManagerKind::Cameo => pods,
+        ManagerKind::Hma | ManagerKind::Thm => 1,
+        ManagerKind::NoMigration | ManagerKind::HbmOnly | ManagerKind::DdrOnly => u32::MAX,
+    }
+}
+
+/// Builds a manager of the requested kind as `parts` fresh parts, one per
+/// residue class: part `s` owns the pages, frames and migration domains
+/// whose index is `≡ s (mod parts)`, and nothing of another class. MemPod
+/// part `s` holds the pods `p` with `p % parts == s`; CAMEO and the static
+/// placements build `parts` copies of the whole manager, each of which
+/// only ever sees its own class's accesses. The parts'
+/// [`migration_stats`](MemoryManager::migration_stats) merge to a whole
+/// manager's through [`MigrationStats::merge`], their
+/// [`meta_cache_stats`](MemoryManager::meta_cache_stats) through
+/// [`MetaCacheStats::merge`], and their
+/// [`telemetry_counters`](MemoryManager::telemetry_counters) by summing
+/// same-named values.
+///
+/// # Panics
+///
+/// Panics if `parts` is zero, is not 1 for the one-domain managers (HMA,
+/// THM), or does not divide [`migration_domains`] for MemPod and CAMEO
+/// (any count suits the static placements).
+pub fn build_parts(
+    kind: ManagerKind,
+    cfg: &ManagerConfig,
+    parts: u32,
+) -> Vec<Box<dyn MemoryManager>> {
+    match kind {
+        ManagerKind::Hma | ManagerKind::Thm => assert_eq!(
+            parts, 1,
+            "{kind} is one migration domain and cannot split into {parts} parts"
+        ),
+        ManagerKind::MemPod | ManagerKind::Cameo => {
+            let domains = migration_domains(kind, cfg);
+            assert!(
+                parts >= 1 && domains.is_multiple_of(parts),
+                "{kind}'s {domains} migration domains cannot split into {parts} parts"
+            );
+        }
+        ManagerKind::NoMigration | ManagerKind::HbmOnly | ManagerKind::DdrOnly => {
+            assert!(parts >= 1, "a manager needs at least one part");
+        }
+    }
+    match kind {
+        ManagerKind::MemPod => (0..parts)
+            .map(|s| Box::new(MemPodManager::part(cfg, s, parts)) as Box<dyn MemoryManager>)
+            .collect(),
+        _ => (0..parts).map(|_| build_manager(kind, cfg)).collect(),
     }
 }
 
@@ -448,8 +472,7 @@ mod tests {
     fn migration_domains_follow_the_clustering_structure() {
         let cfg = ManagerConfig::tiny();
         for kind in ManagerKind::all() {
-            let m = build_manager(kind, &cfg);
-            let domains = m.migration_domains();
+            let domains = migration_domains(kind, &cfg);
             match kind {
                 ManagerKind::MemPod | ManagerKind::Cameo => {
                     assert_eq!(
@@ -488,29 +511,23 @@ mod tests {
             .collect()
     }
 
-    /// Drives a whole manager and, from mid-trace on, the parts of a copy
-    /// split into `parts`: every part advances at every arrival and
-    /// translates its own class's accesses (`page % parts`), as a shard
-    /// does. The parts must decide what the whole decides, and their
-    /// accounting must merge back to the whole's.
-    fn split_parts_match_the_whole(kind: ManagerKind, cfg: &ManagerConfig, parts: u32) {
-        let reqs = storm(cfg, 40_000);
-        let (before, after) = reqs.split_at(reqs.len() / 2);
+    /// Drives a whole manager and, from the first request on, `parts`
+    /// fresh parts: every part advances at every arrival and translates
+    /// its own class's accesses (`page % parts`), as a shard does. The
+    /// parts must decide what the whole decides, and their accounting must
+    /// merge back to the whole's.
+    fn parts_match_the_whole(kind: ManagerKind, cfg: &ManagerConfig, parts: u32) {
         let mut whole = build_manager(kind, cfg);
-        let mut copy = build_manager(kind, cfg);
-        for r in before {
-            assert_eq!(whole.on_access(r), copy.on_access(r));
-        }
-        let mut split = copy.split(parts);
-        assert_eq!(split.len(), usize_from_u32(parts));
+        let mut built = build_parts(kind, cfg, parts);
+        assert_eq!(built.len(), usize_from_u32(parts));
         let key = |m: &Migration| (m.pod, m.frame_a, m.frame_b);
-        for r in after {
-            let want = whole.on_access(r);
+        for r in storm(cfg, 40_000) {
+            let want = whole.on_access(&r);
             let class = usize::try_from(r.addr.page().0 % u64::from(parts)).unwrap();
             let mut swaps = Vec::new();
-            for (s, part) in split.iter_mut().enumerate() {
+            for (s, part) in built.iter_mut().enumerate() {
                 if s == class {
-                    let got = part.on_access(r);
+                    let got = part.on_access(&r);
                     assert_eq!((got.frame, got.meta_miss), (want.frame, want.meta_miss));
                     swaps.extend(got.migrations);
                 } else {
@@ -524,7 +541,7 @@ mod tests {
         }
         let mut stats = MigrationStats::default();
         let mut meta: Option<MetaCacheStats> = None;
-        for part in &split {
+        for part in &built {
             stats.merge(part.migration_stats());
             if let Some(m) = part.meta_cache_stats() {
                 meta.get_or_insert_with(MetaCacheStats::default).merge(&m);
@@ -532,7 +549,7 @@ mod tests {
         }
         let mut counters: Vec<(&'static str, u64)> = Vec::new();
         let mut part_counters = Vec::new();
-        for part in &split {
+        for part in &built {
             part.telemetry_counters(&mut part_counters);
             for (name, v) in part_counters.drain(..) {
                 match counters.iter_mut().find(|(n, _)| *n == name) {
@@ -550,19 +567,19 @@ mod tests {
     }
 
     #[test]
-    fn split_parts_decide_what_the_whole_decides() {
+    fn parts_decide_what_the_whole_decides() {
         let mut cfg = ManagerConfig::tiny();
         cfg.meta_cache_bytes = Some(8 << 10);
-        split_parts_match_the_whole(ManagerKind::MemPod, &cfg, 2);
-        split_parts_match_the_whole(ManagerKind::MemPod, &cfg, 4);
+        parts_match_the_whole(ManagerKind::MemPod, &cfg, 2);
+        parts_match_the_whole(ManagerKind::MemPod, &cfg, 4);
         cfg.cameo_llp = true;
-        split_parts_match_the_whole(ManagerKind::Cameo, &cfg, 4);
+        parts_match_the_whole(ManagerKind::Cameo, &cfg, 4);
     }
 
     #[test]
     #[should_panic(expected = "THM is one migration domain and cannot split into 2 parts")]
     fn a_one_domain_manager_refuses_to_split() {
-        let _ = build_manager(ManagerKind::Thm, &ManagerConfig::tiny()).split(2);
+        let _ = build_parts(ManagerKind::Thm, &ManagerConfig::tiny(), 2);
     }
 
     #[test]

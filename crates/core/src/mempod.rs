@@ -110,9 +110,10 @@ impl Pod {
 
 /// The MemPod migration manager.
 ///
-/// The whole manager holds every pod; [`MemoryManager::split`] deals the
-/// pods out to parts by residue (`pod % parts`), each with its tracker,
-/// clock hand, remap slice and metadata cache.
+/// The whole manager holds every pod; each part that
+/// [`build_parts`](crate::build_parts) builds holds the pods of one
+/// residue class (`pod % parts`), each with its tracker, clock hand, remap
+/// slice and metadata cache.
 ///
 /// # Examples
 ///
@@ -148,13 +149,20 @@ pub struct MemPodManager {
 }
 
 impl MemPodManager {
-    /// Builds a MemPod manager from the shared configuration.
+    /// Builds a MemPod manager from the shared configuration: part 0 of 1.
     pub fn new(cfg: &ManagerConfig) -> Self {
+        Self::part(cfg, 0, 1)
+    }
+
+    /// Builds part `part` of `parts`: the pods `p` with
+    /// `p % parts == part`, and the epoch clock every part keeps.
+    pub(crate) fn part(cfg: &ManagerConfig, part: u32, parts: u32) -> Self {
         let geo = cfg.geometry;
         let meta_per_pod = cfg
             .meta_cache_bytes
             .map(|total| (total / u64_from_u32(geo.pods())).max(64));
-        let pods = (0..geo.pods())
+        let pods = (part..geo.pods())
+            .step_by(usize_from_u32(parts))
             .map(|id| Pod {
                 id,
                 tracker: match cfg.mempod_tracker {
@@ -174,8 +182,8 @@ impl MemPodManager {
             geo,
             pod_count: u64_from_u32(geo.pods()),
             pods,
-            part: 0,
-            parts: 1,
+            part,
+            parts,
             epoch: cfg.epoch,
             next_epoch: cfg.epoch,
             stats: MigrationStats {
@@ -287,44 +295,6 @@ impl MemoryManager for MemPodManager {
         }
     }
 
-    /// Deals the pods out by residue: part `s` takes pods `s, s + parts,
-    /// …` with all their state, and every part keeps the epoch clock.
-    /// Part 0 carries the accounting so far; the others start from zero.
-    fn split(self: Box<Self>, parts: u32) -> Vec<Box<dyn MemoryManager>> {
-        assert!(
-            self.parts == 1 && parts >= 1 && self.geo.pods().is_multiple_of(parts),
-            "MemPod's {} pods cannot split into {parts} parts",
-            self.geo.pods()
-        );
-        let this = *self;
-        let mut out: Vec<MemPodManager> = (0..parts)
-            .map(|part| MemPodManager {
-                geo: this.geo,
-                pod_count: this.pod_count,
-                pods: Vec::new(),
-                part,
-                parts,
-                epoch: this.epoch,
-                next_epoch: this.next_epoch,
-                stats: if part == 0 {
-                    this.stats.clone()
-                } else {
-                    MigrationStats {
-                        per_pod_bytes: vec![0; this.stats.per_pod_bytes.len()],
-                        intervals: this.stats.intervals,
-                        ..MigrationStats::default()
-                    }
-                },
-            })
-            .collect();
-        for pod in this.pods {
-            out[usize_from_u32(pod.id % parts)].pods.push(pod);
-        }
-        out.into_iter()
-            .map(|m| Box::new(m) as Box<dyn MemoryManager>)
-            .collect()
-    }
-
     fn kind(&self) -> ManagerKind {
         ManagerKind::MemPod
     }
@@ -360,12 +330,6 @@ impl MemoryManager for MemPodManager {
         self.pods[slot].swap(m, pods);
         self.stats.aborted += 1;
         true
-    }
-
-    /// Pods are independent migration domains (the paper's core structural
-    /// claim): each pod's remap slice holds only its own pages and frames.
-    fn migration_domains(&self) -> u32 {
-        self.geo.pods()
     }
 
     /// MemPod's structural invariants: each pod's remap slice stays a

@@ -399,41 +399,6 @@ impl SegmentMap {
         Self::entry_mut(&mut self.arena, e, stride)
     }
 
-    /// Splits the map by group class: part `class_of(g)` of `parts`
-    /// receives group `g`'s entry, under the same group id, and every part
-    /// keeps the full geometry. Each part's entries stay in this map's
-    /// first-touch order, and each is listed for the part's next audit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `class_of` returns a class of `parts` or more.
-    pub(crate) fn split(
-        self,
-        parts: usize,
-        class_of: impl Fn(GroupId) -> usize,
-    ) -> Vec<SegmentMap> {
-        let stride = self.stride();
-        let mut out: Vec<SegmentMap> = (0..parts)
-            .map(|_| SegmentMap::with_layout(self.fast_units, self.ratio, self.layout))
-            .collect();
-        // The group of every arena entry: each index entry fills its own
-        // slot, so the result does not depend on the hash order.
-        let mut group_of_entry: Vec<GroupId> = vec![0; self.index.len()];
-        #[expect(
-            clippy::iter_over_hash_type,
-            reason = "order-independent: each entry writes only its own slot"
-        )]
-        for (&g, &e) in &self.index {
-            group_of_entry[usize_from_u32(e)] = g;
-        }
-        for (entry, &g) in self.arena.chunks_exact(stride).zip(&group_of_entry) {
-            let dst = out[class_of(g)].touch(g);
-            dst.perm.copy_from_slice(&entry[..stride - 1]);
-            *dst.flag = entry[stride - 1];
-        }
-        out
-    }
-
     /// Swaps `member`'s data with whatever occupies the group's fast slot.
     /// Returns `(member's old slot, the displaced member)`, or `None` if
     /// `member` is already fast.

@@ -56,19 +56,6 @@ impl MemoryManager for StaticManager {
         }
     }
 
-    /// A static placement holds no state and never migrates, so every
-    /// part is a fresh copy.
-    fn split(self: Box<Self>, parts: u32) -> Vec<Box<dyn MemoryManager>> {
-        (0..parts)
-            .map(|_| {
-                Box::new(StaticManager {
-                    kind: self.kind,
-                    stats: MigrationStats::default(),
-                }) as Box<dyn MemoryManager>
-            })
-            .collect()
-    }
-
     fn kind(&self) -> ManagerKind {
         self.kind
     }
@@ -79,12 +66,6 @@ impl MemoryManager for StaticManager {
 
     fn frame_of_page(&self, page: PageId) -> FrameId {
         FrameId(page.0)
-    }
-
-    /// Static placement never migrates, remaps, or meta-misses, so any
-    /// shard partition is safe.
-    fn migration_domains(&self) -> u32 {
-        u32::MAX
     }
 }
 

@@ -14,9 +14,7 @@ use mempod_tracker::{CompetingCounter, CompetingOutcome};
 use mempod_types::convert::u32_from_u64;
 use mempod_types::{BuildPageHasher, FrameId, MemRequest, PageId, Picos};
 
-use crate::manager::{
-    whole, AccessOutcome, ManagerConfig, ManagerKind, MemoryManager, MigrationStats,
-};
+use crate::manager::{AccessOutcome, ManagerConfig, ManagerKind, MemoryManager, MigrationStats};
 use crate::meta_cache::{MetaCache, MetaCacheStats};
 use crate::migration::Migration;
 use crate::segment::{slow_members, GroupId, SegmentMap};
@@ -75,11 +73,6 @@ impl ThmManager {
 }
 
 impl MemoryManager for ThmManager {
-    /// One migration domain: the manager stays whole on a single shard.
-    fn split(self: Box<Self>, parts: u32) -> Vec<Box<dyn MemoryManager>> {
-        whole(self, parts)
-    }
-
     fn on_access(&mut self, req: &MemRequest) -> AccessOutcome {
         let page = req.addr.page();
         let (group, member) = self.segs.group_of(page.0);

@@ -1028,7 +1028,6 @@ mod tests {
 
         let mut cfg = FaultConfig::quiet(123);
         cfg.channel_fault_ppm = 1_000_000; // every window fires
-        cfg.channel_window = Picos::from_us(1);
         let plan = FaultPlan::new(cfg);
 
         let drive = |ch: &mut Channel| {
@@ -1365,6 +1364,13 @@ mod tests {
             "storm must go ≥4k deep, got {}",
             stats.max_queue_depth
         );
+        // The depth probe only observes: with it attached, the storm makes
+        // the same decisions.
+        let (probed, _) = pinned_run(DramTiming::hbm(), |ch| {
+            ch.attach_probe();
+            storm_schedule(ch)
+        });
+        assert_eq!(probed, digest, "the probe must not perturb scheduling");
         got.push(("storm".to_string(), digest));
         let (digest, _) = pinned_run(DramTiming::hbm(), |ch| burst_schedule(ch, 7, 5));
         got.push(("bursts seed 7 hbm".to_string(), digest));

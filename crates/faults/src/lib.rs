@@ -40,6 +40,15 @@
 use mempod_types::fault::PPM;
 use mempod_types::{ChannelFaultKind, FaultConfig, FrameId, MigrationFaultSpec, Picos};
 
+/// Base retry backoff in simulated time: retry attempt `k` waits
+/// `MIGRATION_BACKOFF * 2^(k-1)`, capped at [`MIGRATION_BACKOFF_CAP`].
+pub const MIGRATION_BACKOFF: Picos = Picos::from_ns(500);
+/// Cap on the exponential retry backoff.
+pub const MIGRATION_BACKOFF_CAP: Picos = Picos::from_us(8);
+/// Width of the channel-fault decision window: each channel draws at
+/// most one fault per window.
+pub const CHANNEL_WINDOW: Picos = Picos::from_us(1);
+
 /// Domain-separation salt for migration fault draws.
 const MIG_SALT: u64 = 0x9E37_79B9_7F4A_7C15;
 /// Domain-separation salt for channel fault draws.
@@ -107,33 +116,29 @@ impl FaultPlan {
         })
     }
 
-    /// Simulated-time backoff before retry attempt `attempt` (1-based count
-    /// of failures so far): `base * 2^(attempt-1)`, saturating, capped.
-    pub fn backoff_after(&self, attempt: u32) -> Picos {
-        backoff_after(
-            self.cfg.migration_backoff,
-            self.cfg.migration_backoff_cap,
-            attempt,
-        )
-    }
-
     /// The channel-fault stream for one global channel index.
     pub fn channel_stream(&self, channel: u32) -> ChannelFaultStream {
         ChannelFaultStream {
             seed: self.cfg.seed,
             channel,
             ppm: self.cfg.channel_fault_ppm,
-            window_ps: self.cfg.channel_window.as_ps().max(1),
+            window_ps: CHANNEL_WINDOW.as_ps(),
         }
     }
 }
 
-/// Exponential backoff in simulated time: `base * 2^(attempt-1)`,
-/// saturating, capped at `cap`.
+/// Simulated-time backoff before retry attempt `attempt` (1-based count
+/// of failures so far): [`MIGRATION_BACKOFF`]` * 2^(attempt-1)`,
+/// saturating, capped at [`MIGRATION_BACKOFF_CAP`].
 #[must_use]
-pub fn backoff_after(base: Picos, cap: Picos, attempt: u32) -> Picos {
+pub fn backoff_after(attempt: u32) -> Picos {
     let exp = attempt.saturating_sub(1).min(20);
-    Picos(base.as_ps().saturating_mul(1u64 << exp).min(cap.as_ps()))
+    Picos(
+        MIGRATION_BACKOFF
+            .as_ps()
+            .saturating_mul(1u64 << exp)
+            .min(MIGRATION_BACKOFF_CAP.as_ps()),
+    )
 }
 
 /// One fired channel fault: which decision window it belongs to and what
@@ -205,7 +210,6 @@ mod tests {
         cfg.migration_abort_ppm = abort_ppm;
         cfg.migration_max_retries = retries;
         cfg.channel_fault_ppm = 50_000;
-        cfg.channel_window = Picos::from_us(1);
         FaultPlan::new(cfg)
     }
 
@@ -282,13 +286,16 @@ mod tests {
 
     #[test]
     fn backoff_doubles_and_caps() {
-        let base = Picos::from_ns(500);
-        let cap = Picos::from_us(3);
-        assert_eq!(backoff_after(base, cap, 1), Picos::from_ns(500));
-        assert_eq!(backoff_after(base, cap, 2), Picos::from_ns(1000));
-        assert_eq!(backoff_after(base, cap, 3), Picos::from_ns(2000));
-        assert_eq!(backoff_after(base, cap, 4), cap);
-        assert_eq!(backoff_after(base, cap, 40), cap, "exponent saturates");
+        assert_eq!(backoff_after(1), Picos::from_ns(500));
+        assert_eq!(backoff_after(2), Picos::from_ns(1000));
+        assert_eq!(backoff_after(3), Picos::from_ns(2000));
+        assert_eq!(backoff_after(4), Picos::from_ns(4000));
+        assert_eq!(backoff_after(5), MIGRATION_BACKOFF_CAP);
+        assert_eq!(
+            backoff_after(40),
+            MIGRATION_BACKOFF_CAP,
+            "exponent saturates"
+        );
     }
 
     #[test]

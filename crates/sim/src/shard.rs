@@ -12,8 +12,8 @@
 //! *bit for bit*: each per-channel decision depends only on that channel's
 //! queue, and every submission a shard makes lands on a channel it owns.
 //!
-//! Each shard also owns its part of the manager
-//! ([`MemoryManager::split`]) and admits its own requests: it walks every
+//! Each shard also owns its part of the manager, built for its class
+//! ([`mempod_core::build_parts`]), and admits its own requests: it walks every
 //! request of a batch, pumps its channels to the arrival, fires the
 //! part's interval work there, and translates and admits the requests of
 //! its own class.
@@ -205,8 +205,7 @@ pub(crate) struct ShardConfig {
     pub(crate) spans: Option<SpanConfig>,
     /// The fault plan, if one is active.
     pub(crate) plan: Option<FaultPlan>,
-    /// Whether telemetry is on: keep commits and metadata misses for the
-    /// barrier's ledger and miss runs.
+    /// Whether telemetry is on: keep commits for the barrier's ledger.
     pub(crate) observed: bool,
 }
 
@@ -230,7 +229,7 @@ pub(crate) struct Shard {
     /// This batch's commits, in commit order (kept when `observed`).
     pub(crate) commits: Vec<Commit>,
     /// Ticks of this batch whose request missed the metadata cache (kept
-    /// when `observed`).
+    /// when `events_wanted`: they only feed miss-burst events).
     pub(crate) misses: Vec<u32>,
     /// Requests admitted and swaps committed this batch (the execution
     /// span's `aux`).
@@ -263,11 +262,8 @@ pub(crate) struct Shard {
     pub(crate) total_stall: Picos,
     pub(crate) injected_migration: u64,
     pub(crate) injected_meta: u64,
-    /// Injected migration-fault bookkeeping: exponential-backoff base and
-    /// cap for retries (copied from the fault config; identical on every
-    /// shard), and counters of aborted attempts and retries.
-    backoff_base: Picos,
-    backoff_cap: Picos,
+    /// Injected migration-fault bookkeeping: counters of aborted attempts
+    /// and retries.
     pub(crate) fault_aborts: u64,
     pub(crate) fault_retries: u64,
     /// Buffered `(t_ps, kind)` events since the last barrier flush, in
@@ -288,14 +284,6 @@ impl Shard {
         mgr: Box<dyn MemoryManager>,
         cfg: ShardConfig,
     ) -> Self {
-        let (backoff_base, backoff_cap) =
-            cfg.plan
-                .map_or((Picos::from_ns(500), Picos::from_us(8)), |p| {
-                    (
-                        p.config().migration_backoff,
-                        p.config().migration_backoff_cap,
-                    )
-                });
         Shard {
             mem,
             mgr,
@@ -321,8 +309,6 @@ impl Shard {
             total_stall: Picos::ZERO,
             injected_migration: 0,
             injected_meta: 0,
-            backoff_base,
-            backoff_cap,
             fault_aborts: 0,
             fault_retries: 0,
             events: Vec::new(),
@@ -498,7 +484,7 @@ impl Shard {
         let Some(o) = outcome else {
             return;
         };
-        if self.cfg.observed && o.meta_miss {
+        if self.cfg.events_wanted && o.meta_miss {
             self.misses.push(tick);
         }
         let w = Waiter {
@@ -533,10 +519,11 @@ impl Shard {
 
     /// Checks that a swap this shard's part committed lies wholly in the
     /// shard's residue class: its two frames, two pages and, for a page
-    /// swap, its migration lane. A miss means the split handed the part
-    /// state of another class, or the manager's
-    /// [`MemoryManager::migration_domains`] promised more domains than its
-    /// decisions respect; the run stops before the shard acts on the swap.
+    /// swap, its migration lane. A miss means
+    /// [`build_parts`](mempod_core::build_parts) gave the part state of
+    /// another class, or [`migration_domains`](mempod_core::migration_domains)
+    /// promised more domains than the manager's decisions respect; the run
+    /// stops before the shard acts on the swap.
     #[cfg(feature = "debug-invariants")]
     fn audit_swap(&mut self, m: &Migration) {
         let mut misrouted = false;
@@ -840,7 +827,7 @@ impl Shard {
             );
             self.complete_migration(mig, at, true);
         } else {
-            let backoff = backoff_after(self.backoff_base, self.backoff_cap, attempt);
+            let backoff = backoff_after(attempt);
             self.migs[mig].attempt = attempt + 1;
             self.migs[mig].attempt_start = at + backoff;
             self.fault_retries += 1;

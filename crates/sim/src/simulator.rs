@@ -18,8 +18,8 @@
 //! The engine state machine itself lives in the `shard` module; this module
 //! drives it through one event loop. The memory system is split into
 //! per-pod/per-channel residue classes ([`MemorySystem::into_shards`]),
-//! and the manager into one part per class ([`MemoryManager::split`]),
-//! and the classes tick independently between deterministic barriers:
+//! each with a manager part built for its class ([`build_parts`]), and
+//! the classes tick independently between deterministic barriers:
 //! the main thread only cuts the trace into batches; every shard walks
 //! each batch itself, pumping its own channels at every arrival of the
 //! shared global grid, firing its part's interval work there, and
@@ -40,13 +40,13 @@
 
 use std::time::Instant;
 
-use mempod_core::{build_manager, MemoryManager, MigrationStats};
-use mempod_dram::{ChannelProbe, Interleave, MemLayout, MemorySystem, SystemStats};
+use mempod_core::{build_parts, migration_domains, MigrationStats};
+use mempod_dram::{ChannelProbe, ChannelStats, Interleave, MemLayout, MemorySystem, SystemStats};
 use mempod_faults::FaultPlan;
 use mempod_sync::{thread, Arc};
 use mempod_telemetry::span::exec_span_id;
 use mempod_telemetry::{
-    EpochSnapshot, EventKind, Log2Histogram, PhaseClock, SpanName, SpanRecord, Telemetry, SPAN_NONE,
+    EpochSnapshot, EventKind, PhaseClock, SpanName, SpanRecord, Telemetry, SPAN_NONE,
 };
 use mempod_trace::Trace;
 use mempod_types::convert::{u32_from_u64, u64_from_usize, usize_from_u32};
@@ -70,6 +70,7 @@ const BATCH_TICKS: usize = 4096;
 /// A merged snapshot of engine state for the epoch driver, built at
 /// barriers. Keeping the driver off live engine references is what lets
 /// one snapshot serve every shard count.
+#[derive(Clone, Default)]
 struct EngineView {
     total_stall: Picos,
     injected_meta: u64,
@@ -86,15 +87,7 @@ struct EngineView {
 /// Merges the observable state of `shards`, manager parts included, into
 /// one [`EngineView`].
 fn engine_view(shards: &[Shard]) -> EngineView {
-    let mut view = EngineView {
-        total_stall: Picos::ZERO,
-        injected_meta: 0,
-        migrations_entered: 0,
-        stats: SystemStats::default(),
-        probe: None,
-        migration: MigrationStats::default(),
-        counters: Vec::new(),
-    };
+    let mut view = EngineView::default();
     let mut part = Vec::new();
     for s in shards {
         view.total_stall += s.total_stall;
@@ -120,32 +113,21 @@ fn engine_view(shards: &[Shard]) -> EngineView {
 
 /// Pull-based epoch snapshot driver.
 ///
-/// Keeps the previous boundary's cumulative statistics and, whenever the
-/// request stream crosses one or more epoch boundaries, diffs the current
-/// cumulative values against them to produce one [`EpochSnapshot`]
-/// covering the whole gap (sparse traces can skip thousands of epochs at
-/// once; emitting one snapshot per gap keeps telemetry O(requests), not
-/// O(simulated time)). Nothing here touches the per-access hot path — the
-/// driver only ever *reads* counters the simulation already maintained,
-/// handed over as an [`EngineView`] built once every shard has been pumped
-/// to the crossing arrival (manager parts included).
+/// Keeps the previous snapshot's [`EngineView`] and request count and,
+/// whenever the request stream crosses one or more epoch boundaries,
+/// diffs the current cumulative values against them to produce one
+/// [`EpochSnapshot`] covering the whole gap (sparse traces can skip
+/// thousands of epochs at once; emitting one snapshot per gap keeps
+/// telemetry O(requests), not O(simulated time)). Nothing here touches the
+/// per-access hot path — the driver only ever *reads* counters the
+/// simulation already maintained, handed over as an [`EngineView`] built
+/// once every shard has been pumped to the crossing arrival (manager parts
+/// included).
 struct EpochDriver {
     len: Picos,
     next_boundary: Picos,
     prev_requests: u64,
-    prev_migrations: u64,
-    prev_bytes_moved: u64,
-    prev_per_pod_bytes: Vec<u64>,
-    prev_fast: u64,
-    prev_slow: u64,
-    prev_row_hits: u64,
-    prev_row_refs: u64,
-    prev_refreshes: u64,
-    prev_meta: u64,
-    prev_manager: Vec<(&'static str, u64)>,
-    prev_depth: Log2Histogram,
-    prev_stalled_refreshes: u64,
-    prev_high_water: u64,
+    prev: EngineView,
 }
 
 impl EpochDriver {
@@ -156,19 +138,7 @@ impl EpochDriver {
             len,
             next_boundary: len,
             prev_requests: 0,
-            prev_migrations: 0,
-            prev_bytes_moved: 0,
-            prev_per_pod_bytes: Vec::new(),
-            prev_fast: 0,
-            prev_slow: 0,
-            prev_row_hits: 0,
-            prev_row_refs: 0,
-            prev_refreshes: 0,
-            prev_meta: 0,
-            prev_manager: Vec::new(),
-            prev_depth: Log2Histogram::new(),
-            prev_stalled_refreshes: 0,
-            prev_high_water: 0,
+            prev: EngineView::default(),
         })
     }
 
@@ -181,13 +151,7 @@ impl EpochDriver {
     }
 
     /// Emits one snapshot if `now` has crossed the next epoch boundary.
-    fn observe(
-        &mut self,
-        now: Picos,
-        requests_so_far: u64,
-        view: &mut EngineView,
-        tel: &mut Telemetry,
-    ) {
+    fn observe(&mut self, now: Picos, requests_so_far: u64, view: EngineView, tel: &mut Telemetry) {
         if !self.crosses(now) {
             return;
         }
@@ -208,10 +172,11 @@ impl EpochDriver {
         &mut self,
         end: Picos,
         requests_so_far: u64,
-        view: &mut EngineView,
+        view: EngineView,
         tel: &mut Telemetry,
     ) {
-        if requests_so_far == self.prev_requests && view.migrations_entered == self.prev_migrations
+        if requests_so_far == self.prev_requests
+            && view.migrations_entered == self.prev.migrations_entered
         {
             return;
         }
@@ -226,76 +191,64 @@ impl EpochDriver {
         boundary: Picos,
         epochs_elapsed: u64,
         requests_so_far: u64,
-        view: &mut EngineView,
+        view: EngineView,
         tel: &mut Telemetry,
     ) {
+        let prev = &self.prev;
         let mut snap = EpochSnapshot::empty(epoch, boundary.as_ps());
         snap.epochs_elapsed = epochs_elapsed;
 
         snap.requests = requests_so_far;
         snap.requests_delta = requests_so_far - self.prev_requests;
-        self.prev_requests = requests_so_far;
         snap.ammat_ps_so_far =
             (requests_so_far > 0).then(|| view.total_stall.as_ps() as f64 / requests_so_far as f64);
 
-        let mig = &view.migration;
+        let (mig, was) = (&view.migration, &prev.migration);
         snap.migrations = mig.migrations;
-        snap.migrations_delta = mig.migrations - self.prev_migrations;
-        self.prev_migrations = mig.migrations;
-        snap.bytes_moved_delta = mig.bytes_moved - self.prev_bytes_moved;
-        self.prev_bytes_moved = mig.bytes_moved;
-        self.prev_per_pod_bytes.resize(mig.per_pod_bytes.len(), 0);
+        snap.migrations_delta = mig.migrations - was.migrations;
+        snap.bytes_moved_delta = mig.bytes_moved - was.bytes_moved;
         snap.per_pod_bytes_delta = mig
             .per_pod_bytes
             .iter()
-            .zip(self.prev_per_pod_bytes.iter())
-            .map(|(now, prev)| now - prev)
+            .enumerate()
+            .map(|(pod, now)| now - was.per_pod_bytes.get(pod).copied().unwrap_or(0))
             .collect();
-        self.prev_per_pod_bytes.copy_from_slice(&mig.per_pod_bytes);
 
-        let stats = view.stats;
-        let total = stats.total();
-        snap.fast_requests_delta = stats.fast.requests() - self.prev_fast;
-        snap.slow_requests_delta = stats.slow.requests() - self.prev_slow;
-        self.prev_fast = stats.fast.requests();
-        self.prev_slow = stats.slow.requests();
+        let (stats, was) = (view.stats, prev.stats);
+        snap.fast_requests_delta = stats.fast.requests() - was.fast.requests();
+        snap.slow_requests_delta = stats.slow.requests() - was.slow.requests();
         let served = snap.fast_requests_delta + snap.slow_requests_delta;
         snap.fast_service_fraction =
             (served > 0).then(|| snap.fast_requests_delta as f64 / served as f64);
-        let row_refs = total.row_hits + total.row_misses + total.row_conflicts;
-        let ref_delta = row_refs - self.prev_row_refs;
-        snap.row_hit_rate = (ref_delta > 0)
-            .then(|| (total.row_hits - self.prev_row_hits) as f64 / ref_delta as f64);
-        self.prev_row_hits = total.row_hits;
-        self.prev_row_refs = row_refs;
-        snap.refreshes_delta = total.refreshes - self.prev_refreshes;
-        self.prev_refreshes = total.refreshes;
+        let (total, was) = (stats.total(), was.total());
+        let row_refs = |t: &ChannelStats| t.row_hits + t.row_misses + t.row_conflicts;
+        let ref_delta = row_refs(&total) - row_refs(&was);
+        snap.row_hit_rate =
+            (ref_delta > 0).then(|| (total.row_hits - was.row_hits) as f64 / ref_delta as f64);
+        snap.refreshes_delta = total.refreshes - was.refreshes;
 
-        snap.meta_miss_delta = view.injected_meta - self.prev_meta;
-        self.prev_meta = view.injected_meta;
+        snap.meta_miss_delta = view.injected_meta - prev.injected_meta;
 
         // Manager counters are reported as per-window deltas, matched by
         // name against the previous poll.
-        let mc = std::mem::take(&mut view.counters);
-        for &(name, value) in &mc {
-            let prev = self
-                .prev_manager
+        for &(name, value) in &view.counters {
+            let was = prev
+                .counters
                 .iter()
                 .find(|(n, _)| *n == name)
                 .map_or(0, |&(_, v)| v);
-            snap.manager.insert(name.to_string(), value - prev);
+            snap.manager.insert(name.to_string(), value - was);
         }
-        self.prev_manager = mc;
 
-        if let Some(probe) = view.probe.take() {
-            let window = probe.depth.diff(&self.prev_depth);
+        if let Some(probe) = &view.probe {
+            let empty = ChannelProbe::default();
+            let was = prev.probe.as_ref().unwrap_or(&empty);
+            let window = probe.depth.diff(&was.depth);
             snap.queue_depth_p50 = window.value_at_quantile(0.50);
             snap.queue_depth_p99 = window.value_at_quantile(0.99);
             snap.queue_depth_max = window.max();
-            self.prev_depth = probe.depth;
 
-            let stall_delta = probe.stalled_refreshes - self.prev_stalled_refreshes;
-            self.prev_stalled_refreshes = probe.stalled_refreshes;
+            let stall_delta = probe.stalled_refreshes - was.stalled_refreshes;
             if stall_delta >= REFRESH_STALL_EVENT_MIN {
                 tel.event(
                     boundary.as_ps(),
@@ -307,26 +260,29 @@ impl EpochDriver {
             }
         }
 
-        let high_water = u64_from_usize(total.max_queue_depth);
-        if high_water > self.prev_high_water {
-            self.prev_high_water = high_water;
+        // The maximum queue depth never decreases, so the previous view's
+        // is the high water so far.
+        if total.max_queue_depth > was.max_queue_depth {
             tel.event(
                 boundary.as_ps(),
                 EventKind::QueueDepthHighWater {
-                    depth: high_water,
+                    depth: u64_from_usize(total.max_queue_depth),
                     epoch,
                 },
             );
         }
 
         tel.snapshot(snap);
+        self.prev_requests = requests_so_far;
+        self.prev = view;
     }
 }
 
 /// A configured simulator, ready to run one trace.
 ///
 /// See the crate-level example. A `Simulator` is single-use: [`run`]
-/// consumes it (manager and memory state are not reusable across traces).
+/// consumes it, building the manager parts and memory system for that one
+/// trace.
 /// Attach telemetry with [`with_telemetry`] to get per-epoch snapshots and
 /// a JSONL event stream; request a sharded run with [`with_shards`] (the
 /// result is bit-identical to a one-shard run by construction).
@@ -336,7 +292,6 @@ impl EpochDriver {
 /// [`with_shards`]: Simulator::with_shards
 pub struct Simulator {
     cfg: SimConfig,
-    mgr: Box<dyn MemoryManager>,
     /// The memory layout; each run builds its memory system from it.
     layout: MemLayout,
     tel: Telemetry,
@@ -389,10 +344,8 @@ impl Simulator {
             cfg.layout().total_frames(),
             "layout must cover the configured geometry"
         );
-        let mgr = build_manager(cfg.manager, &cfg.mgr);
         Ok(Simulator {
             cfg,
-            mgr,
             layout,
             tel: Telemetry::disabled(),
             shards: 1,
@@ -474,7 +427,7 @@ impl Simulator {
     ///   tiers exist `S` must also divide `fast_frames`. Line-striped
     ///   interleaving spreads one page over all channels — never sharded;
     /// * migrations and blocking — a manager's swaps must stay within one
-    ///   residue class, which [`MemoryManager::migration_domains`] attests:
+    ///   residue class, which [`migration_domains`] attests:
     ///   `S` must divide the domain count, except for the `u32::MAX`
     ///   "unconstrained" sentinel (static placements that never migrate);
     /// * metadata fetches — the backing-store hash is pod-local, so domain
@@ -502,7 +455,7 @@ impl Simulator {
         if layout.fast_frames > 0 && layout.slow_frames > 0 {
             g = gcd(g, layout.fast_frames);
         }
-        let domains = self.mgr.migration_domains();
+        let domains = migration_domains(self.cfg.manager, &self.cfg.mgr);
         if domains != u32::MAX {
             g = gcd(g, u64::from(domains));
         }
@@ -539,7 +492,6 @@ impl Simulator {
         let plan = self.fault_plan();
         let Simulator {
             cfg,
-            mgr,
             layout,
             tel,
             serial_shards,
@@ -581,7 +533,7 @@ impl Simulator {
         let shards: Vec<Shard> = mem
             .into_shards(n)
             .into_iter()
-            .zip(mgr.split(n))
+            .zip(build_parts(cfg.manager, &cfg.mgr, n))
             .zip(0..n)
             .map(|((mem, part), s)| Shard::new(s, mem, part, shard_cfg))
             .collect();
@@ -631,8 +583,8 @@ impl Simulator {
                     if lo > 0 {
                         engine.batch(&[], Some(at));
                     }
-                    let mut view = engine_view(&engine.shards);
-                    d.observe(at, u64_from_usize(lo), &mut view, &mut engine.tel);
+                    let view = engine_view(&engine.shards);
+                    d.observe(at, u64_from_usize(lo), view, &mut engine.tel);
                 }
             }
             let mut hi = (lo + BATCH_TICKS).min(reqs.len());
@@ -652,13 +604,8 @@ impl Simulator {
             };
             engine.batch(&reqs[lo..hi], tail);
             if let (Some(d), Some(k)) = (driver.as_mut(), crossing) {
-                let mut view = engine_view(&engine.shards);
-                d.observe(
-                    reqs[k].arrival,
-                    u64_from_usize(k),
-                    &mut view,
-                    &mut engine.tel,
-                );
+                let view = engine_view(&engine.shards);
+                d.observe(reqs[k].arrival, u64_from_usize(k), view, &mut engine.tel);
             }
             lo = hi;
         }
@@ -674,20 +621,20 @@ impl Simulator {
             ..
         } = engine;
         let requests = u64_from_usize(reqs.len());
-        if telemetry_on && miss_run >= META_MISS_BURST_MIN {
+        if miss_run >= META_MISS_BURST_MIN {
             tel.event(
                 trace.duration().as_ps(),
                 EventKind::MetaMissBurst { len: miss_run },
             );
         }
         // One fold of the shards serves the final snapshot and the report.
-        let mut view = engine_view(&shards);
+        let view = engine_view(&shards);
         report.total_stall = view.total_stall;
         report.migration = view.migration.clone();
         report.injected_meta_requests = view.injected_meta;
         report.mem_stats = view.stats;
         if let Some(d) = driver.as_mut() {
-            d.finalize(trace.duration(), requests, &mut view, &mut tel);
+            d.finalize(trace.duration(), requests, view, &mut tel);
         }
         for sh in &shards {
             assert!(sh.owners_empty(), "requests lost in the memory system");
@@ -887,7 +834,7 @@ impl Engine {
         }
         let mut bursts = bursts
             .into_iter()
-            .filter(|&(_, len)| len >= META_MISS_BURST_MIN && self.events_wanted)
+            .filter(|&(_, len)| len >= META_MISS_BURST_MIN)
             .peekable();
         let mut heads = vec![0usize; self.shards.len()];
         loop {

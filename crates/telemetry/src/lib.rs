@@ -163,17 +163,6 @@ impl Telemetry {
         self.sink.emit_event(&ev);
     }
 
-    /// Emits a completed span as an [`EventKind::Span`] event, timestamped
-    /// at its end. Records whose id is [`SPAN_NONE`] are unsampled markers
-    /// and are dropped here — the single gate every emitter must use
-    /// (DESIGN.md §13).
-    pub fn emit_span(&mut self, rec: SpanRecord) {
-        if rec.id == SPAN_NONE {
-            return;
-        }
-        self.event(rec.end_ps, EventKind::Span(rec));
-    }
-
     /// Drains per-shard event buffers (indexed by shard id) and emits them
     /// merged in timestamp-then-shard-id order; ties beyond that keep each
     /// shard's own emission order (the sort is stable). This is the
@@ -277,34 +266,9 @@ mod tests {
     }
 
     #[test]
-    fn emit_span_drops_unsampled_markers_and_stamps_end_time() {
-        let sink = MemorySink::new();
-        let lines = sink.handle();
-        let mut tel = Telemetry::with_sink(Box::new(sink)).with_spans(SpanConfig::full());
-        assert_eq!(tel.span_config(), Some(SpanConfig::full()));
-        let mut rec = SpanRecord {
-            id: span::request_span_id(3, 0, 10),
-            parent: SPAN_NONE,
-            name: SpanName::Request,
-            start_ps: 10,
-            end_ps: 40,
-            pod: None,
-            frame: 3,
-            shard: 0,
-            aux: 0,
-        };
-        tel.emit_span(rec);
-        rec.id = SPAN_NONE;
-        tel.emit_span(rec); // unsampled: dropped
-        let lines = lines.lock().unwrap();
-        assert_eq!(lines.len(), 1);
-        let v: serde_json::Value = serde_json::from_str(&lines[0]).expect("json");
-        assert_eq!(v["t_ps"].as_u64(), Some(40));
-        assert!(lines[0].contains("Span"));
-    }
-
-    #[test]
     fn span_config_is_hidden_when_nothing_records() {
+        let tel = Telemetry::with_sink(Box::new(MemorySink::new())).with_spans(SpanConfig::full());
+        assert_eq!(tel.span_config(), Some(SpanConfig::full()));
         let tel = Telemetry::null().with_spans(SpanConfig::full());
         assert_eq!(tel.span_config(), None); // null sink discards lines
         let tel = Telemetry::disabled().with_spans(SpanConfig::full());

@@ -106,11 +106,6 @@ impl WorkloadSpec {
     pub fn profiles(&self) -> &[BenchProfile] {
         &self.profiles
     }
-
-    /// Whether every core runs the same benchmark.
-    pub fn is_homogeneous(&self) -> bool {
-        self.profiles.windows(2).all(|w| w[0].name == w[1].name)
-    }
 }
 
 /// Greatest common divisor (for choosing a coprime scatter stride).
@@ -476,8 +471,6 @@ mod tests {
     fn all_workloads_enumerates_29() {
         let all = WorkloadSpec::all_workloads();
         assert_eq!(all.len(), 17 + 12);
-        assert!(all[0].is_homogeneous());
-        assert!(!WorkloadSpec::mix("mix1").unwrap().is_homogeneous());
     }
 
     #[test]

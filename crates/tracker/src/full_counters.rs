@@ -73,11 +73,6 @@ impl FullCounters {
         self.counts.get(&page).copied().unwrap_or(0)
     }
 
-    /// Number of distinct pages touched this interval.
-    pub fn touched_pages(&self) -> usize {
-        self.counts.len()
-    }
-
     /// The `n` most-accessed pages, highest first (deterministic tie-break
     /// by page id). Cheaper than `hot_pages()` when `n` is small because it
     /// avoids sorting the full touched set.
@@ -145,7 +140,6 @@ mod tests {
         assert_eq!(fc.count_of(PageId(9)), 10);
         assert_eq!(fc.count_of(PageId(0)), 1);
         assert_eq!(fc.count_of(PageId(50)), 0);
-        assert_eq!(fc.touched_pages(), 10);
     }
 
     #[test]
@@ -194,7 +188,6 @@ mod tests {
         let mut fc = FullCounters::new(10, 8);
         fc.record(PageId(1));
         fc.reset();
-        assert_eq!(fc.touched_pages(), 0);
         assert_eq!(fc.count_of(PageId(1)), 0);
     }
 

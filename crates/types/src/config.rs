@@ -85,15 +85,6 @@ impl SystemConfig {
             metadata_cache_bytes: None,
         }
     }
-
-    /// Maximum value an MEA counter can hold.
-    pub fn mea_counter_max(&self) -> u64 {
-        if self.mea_counter_bits >= 64 {
-            u64::MAX
-        } else {
-            (1u64 << self.mea_counter_bits) - 1
-        }
-    }
 }
 
 impl Default for SystemConfig {
@@ -113,19 +104,7 @@ mod tests {
         assert_eq!(c.geometry.fast_bytes(), 1 << 30);
         assert_eq!(c.geometry.slow_bytes(), 8 << 30);
         assert_eq!(c.mea_counter_bits, 2);
-        assert_eq!(c.mea_counter_max(), 3);
         assert!(c.metadata_cache_bytes.is_none());
-    }
-
-    #[test]
-    fn counter_max_saturates_at_width() {
-        let mut c = SystemConfig::paper_default();
-        c.mea_counter_bits = 8;
-        assert_eq!(c.mea_counter_max(), 255);
-        c.mea_counter_bits = 64;
-        assert_eq!(c.mea_counter_max(), u64::MAX);
-        c.mea_counter_bits = 1;
-        assert_eq!(c.mea_counter_max(), 1);
     }
 
     #[test]

@@ -41,16 +41,9 @@ pub struct FaultConfig {
     /// Retries granted to an aborted migration before it is rolled back
     /// permanently (0 = every fault is permanent).
     pub migration_max_retries: u32,
-    /// Base retry backoff in simulated time; attempt `k` waits
-    /// `backoff * 2^(k-1)`.
-    pub migration_backoff: Picos,
-    /// Cap on the exponential backoff.
-    pub migration_backoff_cap: Picos,
-    /// Probability (ppm) that a channel fault fires in any one
-    /// `channel_window` of simulated time on any one channel.
+    /// Probability (ppm) that a channel fault fires in any one decision
+    /// window (1 µs of simulated time) on any one channel.
     pub channel_fault_ppm: u32,
-    /// Width of the channel-fault decision window.
-    pub channel_window: Picos,
 }
 
 impl FaultConfig {
@@ -60,10 +53,7 @@ impl FaultConfig {
             seed,
             migration_abort_ppm: 0,
             migration_max_retries: 0,
-            migration_backoff: Picos::from_ns(500),
-            migration_backoff_cap: Picos::from_us(8),
             channel_fault_ppm: 0,
-            channel_window: Picos::from_us(1),
         }
     }
 
@@ -86,16 +76,6 @@ pub struct MigrationFaultSpec {
     pub failed_attempts: u32,
     /// Whether the migration exhausts its retries and is rolled back.
     pub permanent: bool,
-}
-
-/// Why a migration attempt aborted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
-pub enum FaultCause {
-    /// A transient failure of the migration datapath.
-    Transient,
-    /// A conflicting write arrived for a page mid-swap and invalidated the
-    /// copied data.
-    ConflictingWrite,
 }
 
 /// A timing perturbation injected into one DRAM channel.
@@ -139,10 +119,7 @@ mod tests {
             seed: 42,
             migration_abort_ppm: 5_000,
             migration_max_retries: 3,
-            migration_backoff: Picos::from_ns(200),
-            migration_backoff_cap: Picos::from_us(4),
             channel_fault_ppm: 100,
-            channel_window: Picos::from_us(2),
         };
         // Written JSON is only ever read back untyped: pin the parsed
         // shape, field order included.
@@ -153,10 +130,7 @@ mod tests {
                 "seed": 42,
                 "migration_abort_ppm": 5_000,
                 "migration_max_retries": 3,
-                "migration_backoff": 200_000,
-                "migration_backoff_cap": 4_000_000,
                 "channel_fault_ppm": 100,
-                "channel_window": 2_000_000,
             })
         );
         let spec = MigrationFaultSpec {
@@ -183,9 +157,5 @@ mod tests {
                 expected
             );
         }
-        assert_eq!(
-            serde_json::to_string(FaultCause::ConflictingWrite).expect("serialize"),
-            "\"ConflictingWrite\""
-        );
     }
 }

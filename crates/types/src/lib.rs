@@ -58,7 +58,7 @@ pub use addr::{Addr, FrameId, LineId, PageId};
 pub use config::{SystemConfig, TrackerKind};
 pub use convert::ConvertError;
 pub use error::GeometryError;
-pub use fault::{ChannelFaultKind, FaultCause, FaultConfig, MigrationFaultSpec};
+pub use fault::{ChannelFaultKind, FaultConfig, MigrationFaultSpec};
 pub use geometry::{Geometry, Tier, LINES_PER_PAGE, LINE_SIZE, PAGE_SIZE};
 pub use hash::{BuildPageHasher, PageHasher};
 pub use request::{AccessKind, CoreId, MemRequest, RequestId};

@@ -214,17 +214,6 @@ impl Clock {
         Picos(num.div_ceil(den) as u64)
     }
 
-    /// How many *complete* cycles fit in `span`.
-    #[expect(
-        clippy::cast_possible_truncation,
-        reason = "below 1 THz a span holds fewer cycles than picoseconds, \
-                  so the quotient fits the u64 span it came from"
-    )]
-    pub fn ps_to_cycles(self, span: Picos) -> u64 {
-        let num = (span.0 as u128) * (self.freq_khz as u128);
-        (num / 1_000_000_000u128) as u64
-    }
-
     /// One clock period, rounded up to a whole picosecond.
     pub fn period(self) -> Picos {
         self.cycles_to_ps(1)
@@ -277,7 +266,6 @@ mod tests {
         let hbm = Clock::from_mhz(1000);
         assert_eq!(hbm.period(), Picos(1_000));
         assert_eq!(hbm.cycles_to_ps(17), Picos(17_000));
-        assert_eq!(hbm.ps_to_cycles(Picos(17_999)), 17);
 
         let ddr = Clock::from_mhz(800);
         assert_eq!(ddr.period(), Picos(1_250));
@@ -293,13 +281,6 @@ mod tests {
         assert_eq!(c.cycles_to_ps(3), Picos(2_500));
         // A constraint is never shortened.
         assert!(c.cycles_to_ps(1) * 3 >= c.cycles_to_ps(3));
-    }
-
-    #[test]
-    fn clock_no_drift_over_long_spans() {
-        let c = Clock::from_mhz(1200);
-        // One simulated second = 1.2e9 cycles exactly.
-        assert_eq!(c.ps_to_cycles(Picos(1_000_000_000_000)), 1_200_000_000);
     }
 
     #[test]

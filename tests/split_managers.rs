@@ -1,7 +1,9 @@
 //! The contracts of the per-shard manager parts that reach beyond one
-//! shard: a whole manager replayed over a trace migrates what a sharded
-//! run reports, and the metadata-miss runs, counted over every shard's
-//! requests in trace order, come out the same at every shard count.
+//! shard. A sharded run builds one part per shard from the configuration
+//! (`build_parts`); nothing splits a running manager. A whole manager
+//! replayed over a trace migrates what a sharded run reports, and the
+//! metadata-miss runs, counted over every shard's requests in trace
+//! order, come out the same at every shard count.
 
 use mempod_suite::core::{build_manager, ManagerKind};
 use mempod_suite::sim::{SimConfig, SimReport, Simulator};
@@ -59,7 +61,7 @@ fn run_at(cfg: &SimConfig, t: &Trace, shards: u32) -> (SimReport, u32) {
 /// at the largest effective shard count. This is the contract the
 /// benchmark's traced pass checks ("replayed migrations"): the whole
 /// manager's `on_access` fires its own epochs, and the parts a sharded run
-/// splits it into must fire theirs where it does.
+/// builds must fire theirs where it does.
 #[test]
 fn whole_manager_replay_migrates_what_the_simulator_reports() {
     let sys = SystemConfig::tiny();
