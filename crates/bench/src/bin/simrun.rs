@@ -14,10 +14,13 @@
 //!
 //! With `--trace-out PATH` the same event stream is rendered as a Chrome
 //! trace-event JSON array — drag it into <https://ui.perfetto.dev> for the
-//! migration/request timeline. `--trace-out` implies causal span tracing
-//! at the default 1 % request sample; tune with `--span-ppm N`
-//! (1000000 = every request) and add per-shard batch tracks with
-//! `--exec-spans`. `--spans` turns span tracing on for a JSONL-only run.
+//! migration/request timeline: one slice per migration, from its remap
+//! decision to its last write-back or rollback, and the sampled requests.
+//! `--trace-out` implies causal span tracing at the default 1 % request
+//! sample; tune with `--span-ppm N` (1000000 = every request) and add
+//! per-shard batch tracks with `--exec-spans`. `--spans`, `--span-ppm` and
+//! `--exec-spans` each turn span tracing on for a JSONL-only run, and
+//! each is an input error without `--timeline` or `--trace-out`.
 //! Both sinks can run together (`--timeline` + `--trace-out` tees the
 //! stream), and `--shards N` drives the sharded engine — the causal trace
 //! is bit-identical at any accepted shard count. A run with `--shards`
@@ -159,6 +162,16 @@ fn run() -> Result<(), String> {
     {
         return Err(format!("{flag} must be between 0 and {PPM}"));
     }
+    let span_flags = [
+        ("--spans", spans),
+        ("--span-ppm", span_ppm.is_some()),
+        ("--exec-spans", exec_spans),
+    ];
+    if let Some((flag, _)) = span_flags.iter().find(|(_, set)| *set) {
+        if timeline.is_none() && trace_out.is_none() {
+            return Err(format!("{flag} needs --timeline or --trace-out"));
+        }
+    }
 
     let opts = Opts {
         smoke,
@@ -235,9 +248,9 @@ fn run() -> Result<(), String> {
     };
     if let Some(sink) = sink {
         let mut tel = Telemetry::with_sink(sink);
-        // A Chrome trace without spans is nearly empty, so --trace-out
-        // implies the default 1 % sample; --span-ppm / --spans refine it.
-        if spans || span_ppm.is_some() || trace_out.is_some() {
+        // --trace-out implies the default 1 % request sample, as does any
+        // span flag; --span-ppm refines it.
+        if span_flags.iter().any(|(_, set)| *set) || trace_out.is_some() {
             tel = tel.with_spans(SpanConfig {
                 request_sample_ppm: span_ppm.unwrap_or(SpanConfig::default().request_sample_ppm),
                 exec_spans,

@@ -113,6 +113,16 @@ fn load(path: &str) -> Result<TraceFile, String> {
     })
 }
 
+/// The event a record carries, as its JSONL kind name and payload: the
+/// one-key object under a JSONL line's `kind`, or under a Chrome record's
+/// `args` (a migration slice's begin carries its `RemapSwap`, its end its
+/// `MigrationComplete` or `MigrationRollback`).
+fn event_of(r: &Rec, chrome: bool) -> Option<(&str, &Value)> {
+    let tagged = r.v.get(if chrome { "args" } else { "kind" })?;
+    let (name, body) = tagged.as_object()?.iter().next()?;
+    Some((name.as_str(), body))
+}
+
 /// The span payload of a record, if it is one: JSONL `kind.Span` objects,
 /// or Chrome `"X"` complete events (reconstructed interval).
 fn span_fields(r: &Rec, chrome: bool) -> Option<(String, u64, u64, u64, u64, u64)> {
@@ -186,50 +196,27 @@ fn summary(tf: &TraceFile) {
 }
 
 fn hottest(tf: &TraceFile, top: usize) {
-    // Per-page move counts from RemapSwap events (JSONL) or migration
-    // async-begin records (Chrome, frame-keyed), plus ping-pong trips.
+    // Per-page move counts from the swaps, plus ping-pong trips.
     let mut moves: HashMap<u64, u64> = HashMap::new();
     let mut trips: HashMap<u64, u64> = HashMap::new();
-    let frame_keyed = tf.chrome;
     for r in &tf.recs {
-        if tf.chrome {
-            if r.ph == "b" && r.kind == "Migration" {
-                if let Some(f) =
-                    r.v.get("args")
-                        .and_then(|a| a.get("frame"))
-                        .and_then(Value::as_u64)
-                {
-                    *moves.entry(f).or_default() += 1;
-                }
-            }
-            if r.ph == "i" && r.kind == "PagePingPong" {
-                if let Some(p) =
-                    r.v.get("args")
-                        .and_then(|a| a.get("page"))
-                        .and_then(Value::as_u64)
-                {
-                    *trips.entry(p).or_default() += 1;
-                }
-            }
-        } else if let Some(swap) = r.v.get("kind").and_then(|k| k.get("RemapSwap")) {
-            for key in ["page_a", "page_b"] {
-                if let Some(p) = swap.get(key).and_then(Value::as_u64) {
-                    *moves.entry(p).or_default() += 1;
-                }
-            }
-        } else if let Some(pong) = r.v.get("kind").and_then(|k| k.get("PagePingPong")) {
-            if let Some(p) = pong.get("page").and_then(Value::as_u64) {
-                *trips.entry(p).or_default() += 1;
+        let (counts, keys, body) = match event_of(r, tf.chrome) {
+            Some(("RemapSwap", body)) => (&mut moves, &["page_a", "page_b"][..], body),
+            Some(("PagePingPong", body)) => (&mut trips, &["page"][..], body),
+            _ => continue,
+        };
+        for key in keys {
+            if let Some(p) = body.get(key).and_then(Value::as_u64) {
+                *counts.entry(p).or_default() += 1;
             }
         }
     }
     let mut rows: Vec<(u64, u64)> = moves.into_iter().collect();
     rows.sort_by_key(|&(page, n)| (std::cmp::Reverse(n), page));
-    let label = if frame_keyed { "frame" } else { "page" };
-    println!("hottest {label}s by migration involvement:");
+    println!("hottest pages by migration involvement:");
     for (page, n) in rows.into_iter().take(top) {
         let t = trips.get(&page).copied().unwrap_or(0);
-        println!("{n:>8} moves  {label} {page:<12} {t} ping-pong trips");
+        println!("{n:>8} moves  page {page:<12} {t} ping-pong trips");
     }
 }
 
@@ -238,46 +225,25 @@ fn aborts(tf: &TraceFile) {
     // its time so the abort -> retry -> rollback sequence reads in order.
     let mut chains: HashMap<(u64, u64), Vec<(u64, String)>> = HashMap::new();
     for r in &tf.recs {
-        let (name, body) = if tf.chrome {
-            if r.ph != "i" {
-                continue;
-            }
-            match r.v.get("args") {
-                Some(a) => (r.kind.clone(), a),
-                None => continue,
-            }
-        } else {
-            match r.v.get("kind").and_then(Value::as_object) {
-                Some(m) => match m.iter().next() {
-                    Some((k, body)) => (k.clone(), body),
-                    None => continue,
-                },
-                None => continue,
-            }
-        };
-        if !matches!(
-            name.as_str(),
-            "MigrationAbort" | "MigrationRetry" | "MigrationRollback"
-        ) {
+        let Some((name, body)) = event_of(r, tf.chrome) else {
             continue;
-        }
-        let fa = body.get("frame_a").and_then(Value::as_u64).unwrap_or(0);
-        let fb = body.get("frame_b").and_then(Value::as_u64).unwrap_or(0);
-        let detail = match name.as_str() {
-            "MigrationAbort" => format!(
-                "abort (attempt {})",
-                body.get("attempt").and_then(Value::as_u64).unwrap_or(0)
-            ),
+        };
+        let attempt = || body.get("attempt").and_then(Value::as_u64).unwrap_or(0);
+        let detail = match name {
+            "MigrationAbort" => format!("abort (attempt {})", attempt()),
             "MigrationRetry" => format!(
                 "retry (attempt {}, backoff {} ps)",
-                body.get("attempt").and_then(Value::as_u64).unwrap_or(0),
+                attempt(),
                 body.get("backoff_ps").and_then(Value::as_u64).unwrap_or(0)
             ),
-            _ => format!(
+            "MigrationRollback" => format!(
                 "rollback after {} attempts",
                 body.get("attempts").and_then(Value::as_u64).unwrap_or(0)
             ),
+            _ => continue,
         };
+        let fa = body.get("frame_a").and_then(Value::as_u64).unwrap_or(0);
+        let fb = body.get("frame_b").and_then(Value::as_u64).unwrap_or(0);
         chains.entry((fa, fb)).or_default().push((r.t, detail));
     }
     if chains.is_empty() {

@@ -137,6 +137,44 @@ fn unwritable_output_files_are_errors() {
     }
 }
 
+/// A span flag with no output file to record into is an input error,
+/// not a run that silently traces nothing.
+#[test]
+fn span_flags_without_an_output_file_are_input_errors() {
+    for flags in [&["--spans"][..], &["--span-ppm", "100"], &["--exec-spans"]] {
+        let args = [&["--smoke", "--requests", "10"][..], flags].concat();
+        assert_input_error(
+            SIMRUN,
+            &args,
+            &format!("{} needs --timeline or --trace-out", flags[0]),
+        );
+    }
+}
+
+/// `--exec-spans` turns span tracing on by itself: a JSONL timeline
+/// records the shard batch windows without `--spans`.
+#[test]
+fn exec_spans_alone_record_shard_batches_in_the_timeline() {
+    let dir = std::env::temp_dir().join(format!("simrun-exec-spans-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let timeline = dir.join("timeline.jsonl");
+    let out = Command::new(SIMRUN)
+        .args(["--smoke", "--requests", "20000", "--shards", "2"])
+        .args([
+            "--exec-spans".as_ref(),
+            "--timeline".as_ref(),
+            timeline.as_os_str(),
+        ])
+        .current_dir(&dir)
+        .output()
+        .expect("simrun starts");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    let text = std::fs::read_to_string(&timeline).expect("timeline written");
+    assert!(text.contains("\"ShardBatch\""), "no shard batch spans");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn tracelens_input_errors_are_clean() {
     let missing = "/nonexistent-dir/trace.json";

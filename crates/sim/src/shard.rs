@@ -28,7 +28,7 @@ use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
 use mempod_core::{MemoryManager, Migration};
 use mempod_dram::{Completion, MemorySystem, Priority, ReqToken};
 use mempod_faults::{backoff_after, FaultPlan};
-use mempod_telemetry::span::{child_span_id, migration_span_id, request_span_id};
+use mempod_telemetry::span::{child_span_id, request_span_id};
 use mempod_telemetry::{EventKind, SpanConfig, SpanName, SpanRecord, SPAN_NONE};
 use mempod_types::convert::{u32_from_u64, u64_from_usize};
 use mempod_types::{
@@ -138,13 +138,6 @@ pub(crate) struct MigExec {
     /// When the *first* read phase launched (for the completion event's
     /// latency — retries extend the latency, they do not reset it).
     t_start: Picos,
-    /// Lifecycle span id (0 when span tracing is off; migrations are
-    /// always traced when it is on — they are rare and load-bearing).
-    span: u64,
-    /// When the manager committed the swap (the lifecycle span's start).
-    decided: Picos,
-    /// When the *current* read-phase attempt launched (attempt spans).
-    attempt_start: Picos,
     /// Injected-fault budget: read-phase attempts that must still abort.
     aborts_left: u32,
     /// Whether the abort budget ends in a permanent failure (the manager's
@@ -335,14 +328,12 @@ impl Shard {
 
     /// A causal-domain span record: `shard` is always 0 so the stream is
     /// identical whichever shard emits it, at any shard count.
-    #[allow(clippy::too_many_arguments)]
     fn causal_span(
         id: u64,
         parent: u64,
         name: SpanName,
         start: Picos,
         end: Picos,
-        pod: Option<u32>,
         frame: u64,
         aux: u64,
     ) -> SpanRecord {
@@ -352,7 +343,6 @@ impl Shard {
             name,
             start_ps: start.as_ps(),
             end_ps: end.as_ps(),
-            pod,
             frame,
             shard: 0,
             aux,
@@ -658,7 +648,6 @@ impl Shard {
                         SpanName::Request,
                         arrival,
                         c.completion,
-                        None,
                         frame.0,
                         channel,
                     ));
@@ -671,7 +660,6 @@ impl Shard {
                             SpanName::Gate,
                             arrival,
                             issue,
-                            None,
                             frame.0,
                             channel,
                         ));
@@ -683,7 +671,6 @@ impl Shard {
                         SpanName::Service,
                         issue,
                         c.completion,
-                        None,
                         frame.0,
                         channel,
                     ));
@@ -736,7 +723,6 @@ impl Shard {
                         SpanName::MetaFetch,
                         waiter.issue,
                         c.completion,
-                        None,
                         waiter.frame.0,
                         u64::from(c.channel),
                     ));
@@ -776,7 +762,7 @@ impl Shard {
     /// map entries were already rolled back at admission, so releasing its
     /// pages and waiters leaves the address map exactly as before.
     fn abort_attempt(&mut self, mig: usize, at: Picos) {
-        let (m, attempt, conflicting, give_up, span, attempt_start) = {
+        let (m, attempt, conflicting, give_up) = {
             let e = &mut self.migs[mig];
             e.aborts_left -= 1;
             // Cause labelling: a parked writer means the abort races a
@@ -787,24 +773,9 @@ impl Shard {
                 e.attempt,
                 conflicting,
                 e.aborts_left == 0 && e.permanent,
-                e.span,
-                e.attempt_start,
             )
         };
         self.fault_aborts += 1;
-        if span != SPAN_NONE {
-            // The aborted attempt: launch to the abort point.
-            self.push_span(Self::causal_span(
-                child_span_id(span, 2 * u64::from(attempt)),
-                span,
-                SpanName::MigrationAttempt,
-                attempt_start,
-                at,
-                m.pod,
-                m.frame_a.0,
-                u64::from(attempt),
-            ));
-        }
         self.event(
             at,
             EventKind::MigrationAbort {
@@ -829,7 +800,6 @@ impl Shard {
         } else {
             let backoff = backoff_after(attempt);
             self.migs[mig].attempt = attempt + 1;
-            self.migs[mig].attempt_start = at + backoff;
             self.fault_retries += 1;
             self.event(
                 at,
@@ -841,19 +811,6 @@ impl Shard {
                     backoff_ps: backoff.as_ps(),
                 },
             );
-            if span != SPAN_NONE {
-                // The simulated-time backoff window before the retry.
-                self.push_span(Self::causal_span(
-                    child_span_id(span, 2 * u64::from(attempt) + 1),
-                    span,
-                    SpanName::MigrationBackoff,
-                    at,
-                    at + backoff,
-                    m.pod,
-                    m.frame_a.0,
-                    u64::from(attempt + 1),
-                ));
-            }
             self.submit_reads(mig, at + backoff);
         }
     }
@@ -878,42 +835,6 @@ impl Shard {
                     latency_ps: latency.as_ps(),
                 },
             );
-        }
-        let (span, decided, attempt, attempt_start) = {
-            let e = &self.migs[mig];
-            (e.span, e.decided, e.attempt, e.attempt_start)
-        };
-        if span != SPAN_NONE {
-            if !failed {
-                // The successful final attempt (aborted lifecycles already
-                // closed their last attempt span at the abort point).
-                self.push_span(Self::causal_span(
-                    child_span_id(span, 2 * u64::from(attempt)),
-                    span,
-                    SpanName::MigrationAttempt,
-                    attempt_start,
-                    finish,
-                    m.pod,
-                    m.frame_a.0,
-                    u64::from(attempt),
-                ));
-            }
-            // Lifecycle root: decision to commit (or rollback).
-            let name = if failed {
-                SpanName::MigrationAborted
-            } else {
-                SpanName::Migration
-            };
-            self.push_span(Self::causal_span(
-                span,
-                SPAN_NONE,
-                name,
-                decided,
-                finish,
-                m.pod,
-                m.frame_a.0,
-                u64::from(attempt),
-            ));
         }
         for page in [m.page_a, m.page_b] {
             if let Some(state) = self.blocked.get_mut(&page) {
@@ -989,14 +910,6 @@ impl Shard {
         );
         let (aborts_left, permanent) =
             spec.map_or((0, false), |s| (s.failed_attempts, s.permanent));
-        // Lifecycle span identity: pure function of the swap's coordinates
-        // and decision time, so every shard count derives the same id.
-        // Migrations are always traced when spans are on (no sampling).
-        let span = if self.cfg.spans.is_some() {
-            migration_span_id(m.frame_a.0, m.frame_b.0, at.as_ps())
-        } else {
-            SPAN_NONE
-        };
         let exec = MigExec {
             m,
             pending: 0,
@@ -1004,9 +917,6 @@ impl Shard {
             started: false,
             done: false,
             t_start: at,
-            span,
-            decided: at,
-            attempt_start: at,
             aborts_left,
             permanent,
             attempt: 1,
@@ -1055,7 +965,6 @@ impl Shard {
             let e = &mut self.migs[mig];
             e.started = true;
             e.t_start = at;
-            e.attempt_start = at;
         }
         self.submit_reads(mig, at);
     }

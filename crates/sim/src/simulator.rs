@@ -404,7 +404,7 @@ impl Simulator {
     }
 
     /// The active fault plan, if the configuration carries one with any
-    /// non-zero rate or injected panic.
+    /// non-zero rate.
     fn fault_plan(&self) -> Option<FaultPlan> {
         self.cfg
             .faults
@@ -754,7 +754,6 @@ impl Engine {
                         name,
                         start_ps,
                         end_ps: end,
-                        pod: None,
                         frame: 0,
                         shard,
                         aux,
@@ -1140,6 +1139,52 @@ mod tests {
         }
     }
 
+    /// Under injected faults every lifecycle step is one event: the abort,
+    /// retry and rollback counts equal the report's, every decided swap
+    /// ends in a completion or a rollback, and the stream is the same at
+    /// one shard and at four.
+    #[test]
+    fn lifecycle_events_reconcile_with_the_report_under_faults() {
+        let trace = demo_trace(20_000);
+        let run = |shards: u32| {
+            let sink = mempod_telemetry::MemorySink::new();
+            let lines = sink.handle();
+            let mut faults = mempod_types::FaultConfig::quiet(1);
+            faults.migration_abort_ppm = 200_000;
+            faults.migration_max_retries = 3;
+            let cfg = SimConfig::new(SystemConfig::tiny(), ManagerKind::MemPod).with_faults(faults);
+            let report = Simulator::new(cfg)
+                .expect("valid")
+                .with_telemetry(Telemetry::with_sink(Box::new(sink)))
+                .with_shards(shards)
+                .run(&trace);
+            let mut lines = lines.lock().expect("sink mutex").clone();
+            lines.sort();
+            (report, lines)
+        };
+        let (report, lines) = run(1);
+        let kind_count = |k: &str| {
+            lines
+                .iter()
+                .filter(|l| l.contains(&format!("\"kind\":{{\"{k}\"")))
+                .count() as u64
+        };
+        assert!(report.migration.aborted > 0, "some swaps rolled back");
+        assert_eq!(kind_count("MigrationAbort"), report.faults.migration_aborts);
+        assert_eq!(
+            kind_count("MigrationRetry"),
+            report.faults.migration_retries
+        );
+        assert_eq!(kind_count("MigrationRollback"), report.migration.aborted);
+        assert_eq!(
+            kind_count("RemapSwap"),
+            kind_count("MigrationComplete") + kind_count("MigrationRollback")
+        );
+        let (sharded, sharded_lines) = run(4);
+        assert_eq!(report, sharded, "1 vs 4 shards: report");
+        assert_eq!(lines, sharded_lines, "1 vs 4 shards: sink lines");
+    }
+
     #[test]
     fn telemetry_manager_counters_appear_in_snapshots() {
         let (report, _) = run_with_memory_sink(ManagerKind::MemPod, 40_000);
@@ -1253,10 +1298,10 @@ mod tests {
         assert_eq!(ref_lines, shard_lines);
     }
 
-    /// The causal span stream (requests at full sampling + migration
-    /// lifecycles, execution spans off) is byte-identical — modulo sink
-    /// buffering order, hence the sort — between a one-shard run and every
-    /// accepted shard count.
+    /// The causal span stream (requests at full sampling, execution spans
+    /// off) and the migration lifecycle events are byte-identical — modulo
+    /// sink buffering order, hence the sort — between a one-shard run and
+    /// every accepted shard count.
     #[test]
     fn traced_runs_are_bit_identical_across_shard_counts() {
         let trace = demo_trace(40_000);
@@ -1282,8 +1327,10 @@ mod tests {
             "request spans were traced"
         );
         assert!(
-            ref_lines.iter().any(|l| l.contains("\"Migration\"")),
-            "migration lifecycle spans were traced"
+            ref_lines
+                .iter()
+                .any(|l| l.contains("\"MigrationComplete\"")),
+            "migration lifecycle events were recorded"
         );
         for k in [2, 4, 8] {
             let (shard_report, shard_lines) = run(k);

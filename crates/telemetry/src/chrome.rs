@@ -4,15 +4,21 @@
 //! The mapping, per the trace-event format:
 //!
 //! * causal [`SpanRecord`]s for requests render as `"X"` complete events
-//!   on the *causal* process, one thread track per pod;
-//! * migration-lifecycle spans render as `"b"`/`"e"` async pairs keyed by
-//!   the span id, so overlapping migrations nest correctly;
+//!   on the *causal* process;
+//! * each migration renders as one `"b"`/`"e"` async slice named
+//!   `Migration`: it opens at the swap's `RemapSwap` (pages, frames and
+//!   hotness) and closes at its `MigrationComplete` or `MigrationRollback`.
+//!   The slice is keyed by the frame pair, so slices that share a pair
+//!   nest;
 //! * execution spans ([`SpanName::ShardBatch`] / [`SpanName::Barrier`])
 //!   render as `"X"` events on the *shards* process, one thread per shard;
 //! * epoch snapshots render as `"C"` counter samples (requests,
 //!   migrations, fast-service fraction);
-//! * fault and provenance events (aborts, retries, rollbacks, ping-pongs)
-//!   render as `"i"` instants with their payload under `args`.
+//! * migration starts, aborts and retries and page ping-pongs render as
+//!   `"i"` instants on the pod's track.
+//!
+//! A migration or instant record's `args` is the event's JSONL `kind`,
+//! e.g. `{"RemapSwap": {"page_a": ..}}`.
 //!
 //! Timestamps convert from simulated picoseconds to the format's
 //! microseconds as `ps / 1e6`, keeping sub-µs resolution as fractions.
@@ -21,11 +27,12 @@ use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
 
+use serde::Serialize;
 use serde_json::{json, Value};
 
 use crate::event::{Event, EventKind};
 use crate::sink::{EventSink, WriteErrors};
-use crate::span::{SpanName, SpanRecord, SPAN_NONE};
+use crate::span::{SpanName, SpanRecord};
 
 /// Synthetic process id for causal (simulated-machine) tracks.
 const PID_CAUSAL: u64 = 1;
@@ -37,6 +44,20 @@ fn us(ps: u64) -> f64 {
     // 2^53 µs of simulated time (~285 years) before any precision loss;
     // runs are many orders of magnitude shorter.
     ps as f64 / 1e6
+}
+
+/// The causal-process thread track of a pod (`None`, an unclustered
+/// manager, shares pod 0's).
+fn pod_tid(pod: Option<u32>) -> u64 {
+    u64::from(pod.unwrap_or(0)) + 1
+}
+
+/// The async id of a migration slice: its frame pair, `frame_a` in the
+/// high half. Frames fit in 32 bits in every simulated geometry; a wider
+/// frame would only merge two keys, and a slice still closes under the
+/// key it opened with.
+fn slice_id(frame_a: u64, frame_b: u64) -> String {
+    format!("{:#018x}", (frame_a << 32) | frame_b)
 }
 
 /// Streams events as a Chrome trace-event JSON array.
@@ -116,38 +137,10 @@ impl ChromeTraceSink {
                     "args": {"id": format!("{:#018x}", s.id), "items": s.aux},
                 }));
             }
-            SpanName::Migration
-            | SpanName::MigrationAborted
-            | SpanName::MigrationAttempt
-            | SpanName::MigrationBackoff => {
-                // Async pair keyed by the lifecycle root: children share
-                // the root id so Perfetto nests them on one async track.
-                let key = if s.parent == SPAN_NONE {
-                    s.id
-                } else {
-                    s.parent
-                };
-                let id = format!("{key:#018x}");
-                let tid = u64::from(s.pod.unwrap_or(0)) + 1;
-                let args = json!({
-                    "frame": s.frame, "attempt": s.aux,
-                    "span": format!("{:#018x}", s.id),
-                });
-                self.record(json!({
-                    "name": name, "ph": "b", "cat": "migration", "id": id,
-                    "pid": PID_CAUSAL, "tid": tid, "ts": us(s.start_ps),
-                    "args": args,
-                }));
-                self.record(json!({
-                    "name": name, "ph": "e", "cat": "migration", "id": id,
-                    "pid": PID_CAUSAL, "tid": tid, "ts": us(s.end_ps),
-                }));
-            }
             SpanName::Request | SpanName::Gate | SpanName::Service | SpanName::MetaFetch => {
-                let tid = u64::from(s.pod.unwrap_or(0)) + 1;
                 self.record(json!({
                     "name": name, "ph": "X", "cat": "request",
-                    "pid": PID_CAUSAL, "tid": tid,
+                    "pid": PID_CAUSAL, "tid": pod_tid(None),
                     "ts": us(s.start_ps), "dur": us(s.dur_ps()),
                     "args": {
                         "frame": s.frame,
@@ -159,92 +152,61 @@ impl ChromeTraceSink {
         }
     }
 
-    /// Renders a non-span event, if it has a trace mapping.
+    /// Renders a non-span event, if it has a trace mapping. A mapped
+    /// event's `args` is its own JSONL `kind`, `{"<Kind>": {..}}`, so a
+    /// reader parses both formats alike.
     fn other(&mut self, e: &Event) {
-        let t = e.t_ps;
-        match &e.kind {
+        let ts = us(e.t_ps);
+        let (name, pod, slice) = match &e.kind {
             EventKind::Epoch(s) => {
                 self.record(json!({
-                    "name": "epoch", "ph": "C", "pid": PID_CAUSAL, "tid": 0,
-                    "ts": us(t),
+                    "name": "epoch", "ph": "C", "pid": PID_CAUSAL, "tid": 0, "ts": ts,
                     "args": {
                         "requests_delta": s.requests_delta,
                         "migrations_delta": s.migrations_delta,
                         "fast_service_fraction": s.fast_service_fraction,
                     },
                 }));
+                return;
             }
-            EventKind::MigrationAbort {
+            EventKind::RemapSwap {
                 pod,
                 frame_a,
                 frame_b,
-                attempt,
-                conflicting,
-            } => self.instant(
-                t,
-                "MigrationAbort",
-                *pod,
-                json!({
-                    "frame_a": *frame_a, "frame_b": *frame_b,
-                    "attempt": *attempt, "conflicting": *conflicting,
-                }),
-            ),
-            EventKind::MigrationRetry {
+                ..
+            } => ("Migration", *pod, Some(("b", slice_id(*frame_a, *frame_b)))),
+            EventKind::MigrationComplete {
                 pod,
                 frame_a,
                 frame_b,
-                attempt,
-                backoff_ps,
-            } => self.instant(
-                t,
-                "MigrationRetry",
-                *pod,
-                json!({
-                    "frame_a": *frame_a, "frame_b": *frame_b,
-                    "attempt": *attempt, "backoff_ps": *backoff_ps,
-                }),
-            ),
-            EventKind::MigrationRollback {
+                ..
+            }
+            | EventKind::MigrationRollback {
                 pod,
                 frame_a,
                 frame_b,
-                attempts,
-            } => self.instant(
-                t,
-                "MigrationRollback",
-                *pod,
-                json!({
-                    "frame_a": *frame_a, "frame_b": *frame_b,
-                    "attempts": *attempts,
-                }),
-            ),
-            EventKind::PagePingPong {
-                page,
-                round_trip_ps,
-                trips,
-            } => self.instant(
-                t,
-                "PagePingPong",
-                None,
-                json!({
-                    "page": *page, "round_trip_ps": *round_trip_ps,
-                    "trips": *trips,
-                }),
-            ),
-            // Everything else (remaps, bursts, high-water marks) stays
-            // JSONL-only: high-volume and better served by
+                ..
+            } => ("Migration", *pod, Some(("e", slice_id(*frame_a, *frame_b)))),
+            EventKind::MigrationStart { pod, .. } => ("MigrationStart", *pod, None),
+            EventKind::MigrationAbort { pod, .. } => ("MigrationAbort", *pod, None),
+            EventKind::MigrationRetry { pod, .. } => ("MigrationRetry", *pod, None),
+            EventKind::PagePingPong { .. } => ("PagePingPong", None, None),
+            // Everything else (bursts, refresh stalls, high-water marks)
+            // stays JSONL-only: high-volume and better served by
             // `tracelens` queries than by cluttering the timeline UI.
-            _ => {}
-        }
-    }
-
-    /// Appends one `"i"` instant record.
-    fn instant(&mut self, t_ps: u64, name: &str, pod: Option<u32>, args: Value) {
-        let tid = u64::from(pod.unwrap_or(0)) + 1;
-        self.record(json!({
-            "name": name, "ph": "i", "s": "t", "cat": "fault",
-            "pid": PID_CAUSAL, "tid": tid, "ts": us(t_ps), "args": args,
-        }));
+            _ => return,
+        };
+        let (tid, args) = (pod_tid(pod), e.kind.to_value());
+        self.record(match slice {
+            Some((ph, id)) => json!({
+                "name": name, "ph": ph, "cat": "migration", "id": id,
+                "pid": PID_CAUSAL, "tid": tid, "ts": ts, "args": args,
+            }),
+            None => json!({
+                "name": name, "ph": "i", "s": "t", "cat": "migration",
+                "pid": PID_CAUSAL, "tid": tid, "ts": ts, "args": args,
+            }),
+        });
     }
 }
 
@@ -277,7 +239,7 @@ impl EventSink for ChromeTraceSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::span::{migration_span_id, request_span_id};
+    use crate::span::{request_span_id, SPAN_NONE};
 
     fn tmp(name: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!("mempod-chrome-{}-{name}.json", std::process::id()))
@@ -294,24 +256,31 @@ mod tests {
                 name: SpanName::Request,
                 start_ps: 100,
                 end_ps: 900,
-                pod: Some(2),
                 frame: 5,
                 shard: 0,
                 aux: 0,
             };
             sink.emit_event(&Event::new(900, EventKind::Span(req)));
-            let mig = SpanRecord {
-                id: migration_span_id(1, 2, 50),
-                parent: SPAN_NONE,
-                name: SpanName::Migration,
-                start_ps: 50,
-                end_ps: 4_050,
-                pod: Some(0),
-                frame: 1,
-                shard: 0,
-                aux: 2,
-            };
-            sink.emit_event(&Event::new(4_050, EventKind::Span(mig)));
+            sink.emit_event(&Event::new(
+                50,
+                EventKind::RemapSwap {
+                    page_a: 1,
+                    page_b: 2,
+                    pod: Some(0),
+                    frame_a: 1,
+                    frame_b: 2,
+                    hotness: 7,
+                },
+            ));
+            sink.emit_event(&Event::new(
+                4_050,
+                EventKind::MigrationRollback {
+                    pod: Some(0),
+                    frame_a: 1,
+                    frame_b: 2,
+                    attempts: 2,
+                },
+            ));
             sink.emit_event(&Event::new(
                 60,
                 EventKind::PagePingPong {
@@ -328,6 +297,15 @@ mod tests {
         let arr = v.as_array().expect("array");
         // 2 metadata + 1 request X + migration b/e pair + 1 instant.
         assert_eq!(arr.len(), 6);
+        // The slice opens and closes under one frame-pair key, with the
+        // swap's payload at the open and its outcome at the close.
+        let (open, close) = (&arr[3], &arr[4]);
+        assert_eq!(open["id"], close["id"]);
+        assert_eq!(open["args"]["RemapSwap"]["hotness"].as_u64(), Some(7));
+        assert_eq!(
+            close["args"]["MigrationRollback"]["attempts"].as_u64(),
+            Some(2)
+        );
         assert!(arr
             .iter()
             .all(|r| r.get("ph").and_then(Value::as_str).is_some()));

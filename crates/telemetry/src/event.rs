@@ -36,7 +36,8 @@ pub enum EventKind {
         frame_a: u64,
         /// The other frame.
         frame_b: u64,
-        /// Wall time from read launch to last write, picoseconds.
+        /// Simulated time from the first read launch to the last write,
+        /// picoseconds (retries extend it).
         latency_ps: u64,
     },
     /// A manager committed a remap: two pages exchanged frames (data
@@ -249,7 +250,6 @@ mod tests {
                     name: crate::span::SpanName::Request,
                     start_ps: 77,
                     end_ps: 140,
-                    pod: None,
                     frame: 9,
                     shard: 0,
                     aux: 0,
@@ -294,43 +294,27 @@ mod tests {
         let expected = [
             (
                 SpanName::Request,
-                r#"{"t_ps":18446744073709551615,"kind":{"Span":{"id":18446744073709551615,"parent":0,"name":"Request","start_ps":0,"end_ps":18446744073709551615,"pod":null,"frame":1099511627776,"shard":0,"aux":4294967298}}}"#,
+                r#"{"t_ps":18446744073709551615,"kind":{"Span":{"id":18446744073709551615,"parent":0,"name":"Request","start_ps":0,"end_ps":18446744073709551615,"frame":1099511627776,"shard":0,"aux":4294967298}}}"#,
             ),
             (
                 SpanName::Gate,
-                r#"{"t_ps":1001,"kind":{"Span":{"id":1,"parent":7,"name":"Gate","start_ps":0,"end_ps":1001,"pod":0,"frame":1099511627776,"shard":1,"aux":4294967298}}}"#,
+                r#"{"t_ps":1001,"kind":{"Span":{"id":1,"parent":7,"name":"Gate","start_ps":0,"end_ps":1001,"frame":1099511627776,"shard":1,"aux":4294967298}}}"#,
             ),
             (
                 SpanName::Service,
-                r#"{"t_ps":1002,"kind":{"Span":{"id":2,"parent":0,"name":"Service","start_ps":0,"end_ps":1002,"pod":4294967295,"frame":1099511627776,"shard":2,"aux":4294967298}}}"#,
+                r#"{"t_ps":1002,"kind":{"Span":{"id":2,"parent":0,"name":"Service","start_ps":0,"end_ps":1002,"frame":1099511627776,"shard":2,"aux":4294967298}}}"#,
             ),
             (
                 SpanName::MetaFetch,
-                r#"{"t_ps":1003,"kind":{"Span":{"id":3,"parent":7,"name":"MetaFetch","start_ps":0,"end_ps":1003,"pod":null,"frame":1099511627776,"shard":3,"aux":4294967298}}}"#,
-            ),
-            (
-                SpanName::Migration,
-                r#"{"t_ps":1004,"kind":{"Span":{"id":4,"parent":0,"name":"Migration","start_ps":0,"end_ps":1004,"pod":0,"frame":1099511627776,"shard":4,"aux":4294967298}}}"#,
-            ),
-            (
-                SpanName::MigrationAborted,
-                r#"{"t_ps":1005,"kind":{"Span":{"id":5,"parent":7,"name":"MigrationAborted","start_ps":0,"end_ps":1005,"pod":4294967295,"frame":1099511627776,"shard":5,"aux":4294967298}}}"#,
-            ),
-            (
-                SpanName::MigrationAttempt,
-                r#"{"t_ps":1006,"kind":{"Span":{"id":6,"parent":0,"name":"MigrationAttempt","start_ps":0,"end_ps":1006,"pod":null,"frame":1099511627776,"shard":6,"aux":4294967298}}}"#,
-            ),
-            (
-                SpanName::MigrationBackoff,
-                r#"{"t_ps":1007,"kind":{"Span":{"id":7,"parent":7,"name":"MigrationBackoff","start_ps":0,"end_ps":1007,"pod":0,"frame":1099511627776,"shard":7,"aux":4294967298}}}"#,
+                r#"{"t_ps":1003,"kind":{"Span":{"id":3,"parent":7,"name":"MetaFetch","start_ps":0,"end_ps":1003,"frame":1099511627776,"shard":3,"aux":4294967298}}}"#,
             ),
             (
                 SpanName::ShardBatch,
-                r#"{"t_ps":1008,"kind":{"Span":{"id":8,"parent":0,"name":"ShardBatch","start_ps":0,"end_ps":1008,"pod":4294967295,"frame":1099511627776,"shard":8,"aux":4294967298}}}"#,
+                r#"{"t_ps":1004,"kind":{"Span":{"id":4,"parent":0,"name":"ShardBatch","start_ps":0,"end_ps":1004,"frame":1099511627776,"shard":4,"aux":4294967298}}}"#,
             ),
             (
                 SpanName::Barrier,
-                r#"{"t_ps":1009,"kind":{"Span":{"id":9,"parent":7,"name":"Barrier","start_ps":0,"end_ps":1009,"pod":null,"frame":1099511627776,"shard":9,"aux":4294967298}}}"#,
+                r#"{"t_ps":1005,"kind":{"Span":{"id":5,"parent":7,"name":"Barrier","start_ps":0,"end_ps":1005,"frame":1099511627776,"shard":5,"aux":4294967298}}}"#,
             ),
         ];
         for (i, (name, line)) in expected.into_iter().enumerate() {
@@ -341,7 +325,6 @@ mod tests {
                 name,
                 start_ps: 0,
                 end_ps,
-                pod: [None, Some(0), Some(u32::MAX)][i % 3],
                 frame: 1 << 40,
                 shard: i as u32,
                 aux: u64::from(u32::MAX) + 3,

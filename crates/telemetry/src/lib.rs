@@ -16,9 +16,9 @@
 //!   [`TeeSink`], plus the Perfetto-loadable [`ChromeTraceSink`]). Every
 //!   line, spans included, is written by the serde derive straight into
 //!   one `String` ([`Event::to_jsonl`]), with no intermediate value tree;
-//! * deterministic causal [`span`]s ([`SpanRecord`]) over request service,
-//!   migration lifecycles and shard batches, sampled by a pure hash of
-//!   their stable identities ([`SpanConfig`]).
+//! * deterministic causal [`span`]s ([`SpanRecord`]) over request service
+//!   and shard batches, sampled by a pure hash of their stable identities
+//!   ([`SpanConfig`]). A migration's lifecycle is its events, not spans.
 //!
 //! The design is *pull-based*: producers keep cheap cumulative counters and
 //! the epoch driver in `mempod-sim` diffs them at epoch boundaries, so the

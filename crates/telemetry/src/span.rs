@@ -2,7 +2,7 @@
 //!
 //! A span is a `[start_ps, end_ps]` window of *simulated* time with a
 //! stable 64-bit identity. Identities are derived by mixing the event's
-//! own coordinates (frame pair, page, arrival time, shard, batch index) —
+//! own coordinates (page, line, arrival time, shard, batch index) —
 //! never a wall clock, never an allocation-order counter — so a traced run
 //! emits the exact same span stream across 1/2/4/8 shards and replays.
 //! The same derivation doubles as the sampling hash: whether a request is
@@ -10,14 +10,19 @@
 //!
 //! Two span domains share [`SpanRecord`]:
 //!
-//! * **Causal** spans (request service, migration lifecycles) describe the
-//!   simulated machine. They always carry `shard == 0` so the stream is
-//!   independent of how the simulation happens to be partitioned — the
-//!   differential determinism tests compare these byte-for-byte.
+//! * **Causal** spans (request service) describe the simulated machine.
+//!   They always carry `shard == 0` so the stream is independent of how
+//!   the simulation happens to be partitioned — the differential
+//!   determinism tests compare these byte-for-byte.
 //! * **Execution** spans ([`SpanName::ShardBatch`], [`SpanName::Barrier`])
 //!   describe the harness itself: which shard ran which batch window.
 //!   They are inherently per-shard-count and are only emitted when
 //!   [`SpanConfig::exec_spans`] is set; differential tests exclude them.
+//!
+//! Migrations have no spans: their lifecycle events (`RemapSwap`,
+//! `MigrationStart`, `MigrationAbort`/`MigrationRetry`,
+//! `MigrationComplete`/`MigrationRollback`) already record every step
+//! once, with the pages, hotness and abort cause a span would lack.
 
 use serde::Serialize;
 
@@ -44,7 +49,6 @@ pub fn mix64(mut x: u64) -> u64 {
 /// when their coordinates collide (a request at t and a batch index with
 /// the same bits must not alias).
 const TAG_REQUEST: u64 = 0x52_45_51; // "REQ"
-const TAG_MIGRATION: u64 = 0x4d_49_47; // "MIG"
 const TAG_EXEC: u64 = 0x45_58_45; // "EXE"
 
 /// Folds a zero id onto a fixed non-zero constant so every derivation is
@@ -67,17 +71,8 @@ pub fn request_span_id(page: u64, line: u64, arrival_ps: u64) -> u64 {
     ))
 }
 
-/// Identity of a migration-lifecycle span: the swapped frame pair and the
-/// simulated decision time name the lifecycle.
-#[inline]
-pub fn migration_span_id(frame_a: u64, frame_b: u64, decide_ps: u64) -> u64 {
-    nonzero(mix64(
-        mix64(TAG_MIGRATION ^ mix64(frame_a)) ^ mix64(frame_b).rotate_left(23) ^ decide_ps,
-    ))
-}
-
-/// Identity of the `seq`-th child of `parent` (queue/schedule/service
-/// phases under a request, attempts under a migration).
+/// Identity of the `seq`-th child of `parent` (the gate, service and
+/// metadata-fetch phases under a request).
 #[inline]
 pub fn child_span_id(parent: u64, seq: u64) -> u64 {
     nonzero(mix64(parent ^ mix64(seq).rotate_left(11)))
@@ -105,17 +100,6 @@ pub enum SpanName {
     /// Metadata (remap-table) fetch the request waited on before issuing
     /// (child of [`SpanName::Request`]).
     MetaFetch,
-    /// Whole committed migration lifecycle: decision to last write-back
-    /// (root).
-    Migration,
-    /// Whole abandoned migration lifecycle: decision to rollback (root).
-    MigrationAborted,
-    /// One copy attempt inside a migration: launch to completion or abort
-    /// (child of the lifecycle root; `aux` holds the 1-based attempt).
-    MigrationAttempt,
-    /// Simulated backoff between an aborted attempt and its retry (child
-    /// of the lifecycle root; `aux` holds the attempt being backed off).
-    MigrationBackoff,
     /// One shard worker's batch window in simulated time (`aux` holds the
     /// work items pumped). Execution domain.
     ShardBatch,
@@ -134,10 +118,6 @@ impl SpanName {
             SpanName::Gate => "Gate",
             SpanName::Service => "Service",
             SpanName::MetaFetch => "MetaFetch",
-            SpanName::Migration => "Migration",
-            SpanName::MigrationAborted => "MigrationAborted",
-            SpanName::MigrationAttempt => "MigrationAttempt",
-            SpanName::MigrationBackoff => "MigrationBackoff",
             SpanName::ShardBatch => "ShardBatch",
             SpanName::Barrier => "Barrier",
         }
@@ -160,16 +140,14 @@ pub struct SpanRecord {
     pub start_ps: u64,
     /// Interval end, simulated picoseconds (`>= start_ps`).
     pub end_ps: u64,
-    /// Pod involved, if the manager is pod-clustered.
-    pub pod: Option<u32>,
-    /// Anchor frame/page coordinate: the request's frame for request
-    /// spans, `frame_a` for migration spans, 0 for execution spans.
+    /// Anchor frame coordinate: the request's frame for request spans, 0
+    /// for execution spans.
     pub frame: u64,
     /// Shard that emitted the span. Always 0 for causal spans (the stream
     /// must not depend on the shard count); the real worker index for
     /// execution spans.
     pub shard: u32,
-    /// Name-specific payload: attempt number, work-item count, … (see
+    /// Name-specific payload: global channel, work-item count, … (see
     /// [`SpanName`]).
     pub aux: u64,
 }
@@ -186,9 +164,8 @@ impl SpanRecord {
 ///
 /// The zero value ([`SpanConfig::default`]) samples 1 % of requests and
 /// keeps execution spans off — the always-safe setting the overhead gate
-/// measures. Migration lifecycles are *always* traced when spans are
-/// enabled: they are rare, and they are the events the provenance ledger
-/// and `tracelens` exist for.
+/// measures. Migrations are not spans: their lifecycle events are always
+/// emitted, spans or not.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct SpanConfig {
     /// Requests sampled per million (0 disables request spans entirely;
@@ -240,7 +217,6 @@ mod tests {
         assert_eq!(a, request_span_id(7, 3, 1_000));
         assert_ne!(a, SPAN_NONE);
         assert_ne!(a, request_span_id(7, 3, 1_001));
-        assert_ne!(a, migration_span_id(7, 3, 1_000));
         assert_ne!(exec_span_id(0, 0), SPAN_NONE);
         assert_ne!(child_span_id(a, 0), child_span_id(a, 1));
     }
@@ -248,8 +224,7 @@ mod tests {
     #[test]
     fn id_domains_do_not_alias_on_equal_coordinates() {
         for t in [0u64, 1, 4096, u64::MAX / 2] {
-            assert_ne!(request_span_id(5, 0, t), migration_span_id(5, 0, t));
-            assert_ne!(migration_span_id(5, 0, t), exec_span_id(5, t));
+            assert_ne!(request_span_id(5, 0, t), exec_span_id(5, t));
         }
     }
 
@@ -292,7 +267,6 @@ mod tests {
             name: SpanName::Request,
             start_ps: 100,
             end_ps: 250,
-            pod: Some(4),
             frame: 99,
             shard: 0,
             aux: 0,
@@ -303,7 +277,7 @@ mod tests {
         assert_eq!(v, rec.to_value());
         assert_eq!(v["id"].as_u64(), Some(rec.id));
         assert_eq!(v["name"].as_str(), Some("Request"));
-        assert_eq!(v["pod"].as_u64(), Some(4));
+        assert!(v.get("pod").is_none());
         assert_eq!(v["end_ps"].as_u64(), Some(250));
         assert_eq!(rec.dur_ps(), 150);
     }

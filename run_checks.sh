@@ -143,20 +143,26 @@ print('timeline.smoke.jsonl OK:', len(epochs), 'epoch snapshots')
 }
 step "simrun --timeline smoke" timeline_smoke
 
-# Trace smoke: a sharded, span-traced run must export a Perfetto-loadable
-# Chrome trace that survives tracelens's structural self-check (balanced
-# begin/end pairs, no inverted spans, no parse problems), and the JSONL
-# timeline of the same run must pass the same gate, and the default
-# summary must render. CI uploads the Chrome trace as an artifact.
+# Trace smoke: a sharded, span-traced run with injected migration faults
+# must export a Perfetto-loadable Chrome trace that survives tracelens's
+# structural self-check (balanced begin/end pairs, including migration
+# slices that close at a rollback, no inverted spans, no parse problems),
+# and the JSONL timeline of the same run must pass the same gate, list
+# its abort chains, and the default summary must render. CI uploads the
+# Chrome trace as an artifact.
 trace_smoke() {
     cargo run -q --release -p mempod-bench --bin simrun --offline -- \
         --workload mix1 --manager mempod --requests 150000 --smoke \
-        --shards 4 --spans --exec-spans \
+        --shards 4 --faults 200000 --spans --exec-spans \
         --trace-out trace.smoke.json --timeline trace.smoke.jsonl
     cargo run -q --release -p mempod-bench --bin tracelens --offline -- \
         trace.smoke.json --self-check
     cargo run -q --release -p mempod-bench --bin tracelens --offline -- \
         trace.smoke.jsonl --self-check
+    local chains
+    chains=$(cargo run -q --release -p mempod-bench --bin tracelens --offline -- \
+        trace.smoke.jsonl --aborts)
+    echo "$chains" | grep -m1 '^frames '
     cargo run -q --release -p mempod-bench --bin tracelens --offline -- \
         trace.smoke.json
     rm -f trace.smoke.jsonl

@@ -190,9 +190,9 @@ fn workloads_and_fault_seeds_match_their_golden_digests() {
 /// and at the largest shard count (which pin the barrier merge's order).
 const GOLDEN_OBSERVED: &Golden = &[
     ("MemPod observed: report", "8c3995050facca95", 4),
-    ("MemPod observed: sorted lines", "49550d154a4c0c6e", 4),
-    ("MemPod observed: emitted lines", "b0d4f3074a2f606a", 1),
-    ("MemPod observed: emitted lines", "29799d1e4f0b58c0", 4),
+    ("MemPod observed: sorted lines", "6f0053e540b86cf2", 4),
+    ("MemPod observed: emitted lines", "1ce5d4feb7a4a88a", 1),
+    ("MemPod observed: emitted lines", "9685d1dfbeedcfb4", 4),
 ];
 
 #[test]
