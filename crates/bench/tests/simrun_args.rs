@@ -152,26 +152,32 @@ fn span_flags_without_an_output_file_are_input_errors() {
 }
 
 /// `--exec-spans` turns span tracing on by itself: a JSONL timeline
-/// records the shard batch windows without `--spans`.
+/// records the shard batch windows without `--spans`, also for a run that
+/// ends in its first batch.
 #[test]
 fn exec_spans_alone_record_shard_batches_in_the_timeline() {
     let dir = std::env::temp_dir().join(format!("simrun-exec-spans-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let timeline = dir.join("timeline.jsonl");
-    let out = Command::new(SIMRUN)
-        .args(["--smoke", "--requests", "20000", "--shards", "2"])
-        .args([
-            "--exec-spans".as_ref(),
-            "--timeline".as_ref(),
-            timeline.as_os_str(),
-        ])
-        .current_dir(&dir)
-        .output()
-        .expect("simrun starts");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(out.status.success(), "{stderr}");
-    let text = std::fs::read_to_string(&timeline).expect("timeline written");
-    assert!(text.contains("\"ShardBatch\""), "no shard batch spans");
+    for requests in ["2000", "20000"] {
+        let out = Command::new(SIMRUN)
+            .args(["--smoke", "--requests", requests, "--shards", "2"])
+            .args([
+                "--exec-spans".as_ref(),
+                "--timeline".as_ref(),
+                timeline.as_os_str(),
+            ])
+            .current_dir(&dir)
+            .output()
+            .expect("simrun starts");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{stderr}");
+        let text = std::fs::read_to_string(&timeline).expect("timeline written");
+        assert!(
+            text.contains("\"ShardBatch\""),
+            "no shard batch spans at {requests} requests"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

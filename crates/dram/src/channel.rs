@@ -24,9 +24,11 @@
 //! entry of its queue, so a decision walks each queue from the front and
 //! stops as soon as the winner is settled; the winner leaves with an
 //! order-preserving `Vec::remove`. The channel caches the earliest queued
-//! arrival, so its next decision instant ([`Channel::next_decision`])
-//! costs no scan; only a decision that grants the request holding that
-//! arrival re-sweeps the queues for the next one. Live queues stay shallow
+//! arrival and how many queued requests share it, so its next decision
+//! instant ([`Channel::next_decision`]) costs no scan; only a decision
+//! that grants the last request holding that arrival re-sweeps the queues
+//! for the next one (a page swap's 64 reads share one arrival, so most
+//! grants of it only count down). Live queues stay shallow
 //! (at most 82 requests in every measured simulator run; DESIGN.md §9),
 //! where a flat `Vec` beats any indexed structure.
 
@@ -284,6 +286,8 @@ pub struct Channel {
     queues: [Vec<Queued>; 2],
     /// The earliest arrival in `queues`; `Picos::MAX` when both are empty.
     min_arrival: Picos,
+    /// How many queued requests arrive at `min_arrival` (0 when empty).
+    min_count: usize,
     bus_free_at: Picos,
     now: Picos,
     next_refresh: Picos,
@@ -318,6 +322,7 @@ impl Channel {
             },
             queues: [Vec::new(), Vec::new()],
             min_arrival: Picos::MAX,
+            min_count: 0,
             ps: CyclePicos::new(&timing),
             timing,
             bus_free_at: Picos::ZERO,
@@ -441,7 +446,12 @@ impl Channel {
             row,
             is_write,
         });
-        self.min_arrival = self.min_arrival.min(arrival);
+        if arrival < self.min_arrival {
+            self.min_arrival = arrival;
+            self.min_count = 1;
+        } else if arrival == self.min_arrival {
+            self.min_count += 1;
+        }
         self.stats.max_queue_depth = self.stats.max_queue_depth.max(self.pending());
     }
 
@@ -501,9 +511,12 @@ impl Channel {
             };
             let depth = self.pending() as u64;
             let q = self.queues[class].remove(pos);
-            // Only the request holding the earliest arrival moves it.
+            // Only the last request holding the earliest arrival moves it.
             if q.arrival == self.min_arrival {
-                self.min_arrival = self.earliest_arrival();
+                self.min_count -= 1;
+                if self.min_count == 0 {
+                    (self.min_arrival, self.min_count) = self.earliest_arrival();
+                }
             }
             self.stats.sched_decisions += 1;
             if let Some(p) = self.probe.as_deref_mut() {
@@ -615,7 +628,8 @@ impl Channel {
     /// States the channel's time invariants against `auditor`: the event
     /// loop's scheduling decisions never regress, no drain abandons
     /// arrived work, and the cached earliest arrival behind
-    /// [`next_decision`](Channel::next_decision) matches the queue.
+    /// [`next_decision`](Channel::next_decision), with the count of
+    /// requests holding it, matches the queue.
     #[cfg(feature = "debug-invariants")]
     pub fn audit_time(&self, auditor: &mut mempod_audit::InvariantAuditor) {
         let (cached, swept) = self.min_arrival_cache();
@@ -623,11 +637,13 @@ impl Channel {
             auditor,
             "channel-min-arrival",
             cached == swept,
-            "channel caches {} as its earliest arrival, but its {} queued \
-             request(s) sweep to {}",
-            cached,
+            "channel caches {} as its earliest arrival, held by {} request(s), \
+             but its {} queued request(s) sweep to {}, held by {}",
+            cached.0,
+            cached.1,
             self.pending(),
-            swept
+            swept.0,
+            swept.1
         );
         mempod_audit::audit_invariant!(
             auditor,
@@ -648,20 +664,27 @@ impl Channel {
         );
     }
 
-    /// The cached earliest arrival and a fresh sweep of the queues for it
-    /// (`Picos::MAX` when empty); the two must agree.
+    /// The cached earliest arrival with the count of requests holding it,
+    /// and a fresh sweep of the queues for both (`(Picos::MAX, 0)` when
+    /// empty); the two must agree.
     #[cfg(any(test, feature = "debug-invariants"))]
-    pub(crate) fn min_arrival_cache(&self) -> (Picos, Picos) {
-        (self.min_arrival, self.earliest_arrival())
+    pub(crate) fn min_arrival_cache(&self) -> ((Picos, usize), (Picos, usize)) {
+        ((self.min_arrival, self.min_count), self.earliest_arrival())
     }
 
-    /// The earliest arrival over both class queues (`Picos::MAX` when
-    /// empty), swept afresh.
-    fn earliest_arrival(&self) -> Picos {
+    /// The earliest arrival over both class queues and how many queued
+    /// requests hold it (`(Picos::MAX, 0)` when empty), swept afresh.
+    fn earliest_arrival(&self) -> (Picos, usize) {
         self.queues
             .iter()
             .flatten()
-            .fold(Picos::MAX, |min, q| min.min(q.arrival))
+            .fold((Picos::MAX, 0), |(min, count), q| {
+                if q.arrival < min {
+                    (q.arrival, 1)
+                } else {
+                    (min, count + usize::from(q.arrival == min))
+                }
+            })
     }
 
     /// Scheduling pick among requests that have arrived by `decision`, as
@@ -1166,14 +1189,19 @@ mod tests {
             assert_eq!(done.len(), 1);
             done[0].0
         };
-        // The first grant holds the earliest arrival, but shares it.
+        assert_eq!(ch.min_arrival_cache(), ((t0, 2), (t0, 2)));
+        // The first grant holds the earliest arrival, but shares it: the
+        // count drops and nothing is swept.
         assert_eq!(grant(&mut ch), ReqToken(1));
-        assert_eq!(ch.min_arrival_cache(), (t0, t0));
+        assert_eq!(ch.min_arrival_cache(), ((t0, 1), (t0, 1)));
         // The second empties it: the next earliest is in the other queue.
         assert_eq!(grant(&mut ch), ReqToken(2));
-        assert_eq!(ch.min_arrival_cache(), (t0 + ns(5), t0 + ns(5)));
+        assert_eq!(ch.min_arrival_cache(), ((t0 + ns(5), 1), (t0 + ns(5), 1)));
+        // A later enqueue at the new earliest arrival joins its count.
+        ch.enqueue(ReqToken(4), 1, 8, false, t0 + ns(5));
+        assert_eq!(ch.min_arrival_cache(), ((t0 + ns(5), 2), (t0 + ns(5), 2)));
         let _ = ch.drain_all();
-        assert_eq!(ch.min_arrival_cache(), (Picos::MAX, Picos::MAX));
+        assert_eq!(ch.min_arrival_cache(), ((Picos::MAX, 0), (Picos::MAX, 0)));
     }
 
     /// A deterministic xorshift stream for building request mixes.
@@ -1445,6 +1473,37 @@ mod tests {
         let _ = ch.drain_all();
         assert!(audit(&ch).is_empty());
         ch.min_arrival = Picos::from_ns(20);
+        assert!(audit(&ch)[0].contains("[channel-min-arrival]"));
+    }
+
+    #[cfg(feature = "debug-invariants")]
+    #[test]
+    fn time_audit_flags_a_stale_min_count() {
+        let audit = |ch: &Channel| {
+            let mut auditor = mempod_audit::InvariantAuditor::every_epoch("sched");
+            ch.audit_time(&mut auditor);
+            auditor.violations().to_vec()
+        };
+        let mut ch = hbm_channel();
+        let at = Picos::from_ns(20);
+        ch.enqueue(ReqToken(0), 0, 1, false, at);
+        ch.enqueue_with_priority(ReqToken(1), 1, 1, false, at, Priority::Background);
+        ch.enqueue(ReqToken(2), 2, 1, false, Picos::from_ns(50));
+        assert!(audit(&ch).is_empty());
+        // Too low a count re-sweeps while the arrival is still held; too
+        // high a one never re-sweeps, so the cached arrival goes stale.
+        for stale in [1, 3] {
+            ch.min_count = stale;
+            let found = audit(&ch);
+            assert_eq!(found.len(), 1, "{found:?}");
+            assert!(found[0].contains("[channel-min-arrival]"), "{found:?}");
+            assert!(found[0].contains("held by 2"), "{found:?}");
+        }
+        // An emptied queue must count 0.
+        ch.min_count = 2;
+        let _ = ch.drain_all();
+        assert!(audit(&ch).is_empty());
+        ch.min_count = 1;
         assert!(audit(&ch)[0].contains("[channel-min-arrival]"));
     }
 }

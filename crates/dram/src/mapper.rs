@@ -11,9 +11,15 @@
 //!   (an 8 KB row holds four 2 KB pages — this is why migrating
 //!   simultaneously-hot pages together boosts row-buffer hit rate in the
 //!   paper's libquantum analysis), and rows interleave across banks.
+//!
+//! Every submitted request is decoded, so [`AddressMapper::new`] prepares
+//! each divisor of the layout (channels per tier, banks, pages and lines
+//! per row) once as a `Divisor`: a shift and a mask for a power of two,
+//! which every shipped layout's divisors are, and an exact `/` and `%`
+//! for any other value. A decode then does no division on those layouts.
 
 use mempod_types::convert::{u32_from_u64, u64_from_u32, u64_from_usize, usize_from_u32};
-use mempod_types::{FrameId, Tier, LINE_SIZE, PAGE_SIZE};
+use mempod_types::{FrameId, Tier, LINES_PER_PAGE};
 use serde::Serialize;
 
 /// How addresses interleave across a tier's channels.
@@ -47,16 +53,79 @@ pub struct PhysLoc {
     pub tier: Tier,
 }
 
+/// A divisor fixed at construction, with an exact quotient and remainder:
+/// a shift and a mask when it is a power of two, the hardware `/` and `%`
+/// otherwise. A zero divisor is accepted and panics when used.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+pub(crate) struct Divisor {
+    d: u64,
+    /// `log2(d)` when `d` is a power of two.
+    shift: Option<u32>,
+}
+
+impl Divisor {
+    pub(crate) const fn new(d: u64) -> Self {
+        Divisor {
+            d,
+            shift: if d.is_power_of_two() {
+                Some(d.trailing_zeros())
+            } else {
+                None
+            },
+        }
+    }
+
+    /// The divisor itself.
+    pub(crate) const fn get(self) -> u64 {
+        self.d
+    }
+
+    /// `(n / d, n % d)`.
+    #[inline]
+    pub(crate) fn div_rem(self, n: u64) -> (u64, u64) {
+        match self.shift {
+            Some(s) => (n >> s, n & (self.d - 1)),
+            None => (n / self.d, n % self.d),
+        }
+    }
+}
+
+/// One tier's part of the layout, its divisors prepared.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+struct TierMap {
+    tier: Tier,
+    /// Global index of the tier's first channel.
+    chan_base: u32,
+    channels: Divisor,
+    banks: Divisor,
+    pages_per_row: Divisor,
+    /// `pages_per_row` lines of every page, for line striping.
+    lines_per_row: Divisor,
+}
+
+impl TierMap {
+    fn new(tier: Tier, chan_base: u32, channels: u32, banks: u32, pages_per_row: u64) -> Self {
+        TierMap {
+            tier,
+            chan_base,
+            channels: Divisor::new(u64_from_u32(channels)),
+            banks: Divisor::new(u64_from_u32(banks)),
+            pages_per_row: Divisor::new(pages_per_row),
+            lines_per_row: Divisor::new(pages_per_row * u64_from_usize(LINES_PER_PAGE)),
+        }
+    }
+
+    fn channel_count(&self) -> u32 {
+        u32_from_u64(self.channels.get())
+    }
+}
+
 /// Decodes frames/lines into [`PhysLoc`]s for a two-tier channel layout.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct AddressMapper {
     fast_frames: u64,
-    fast_channels: u32,
-    slow_channels: u32,
-    fast_banks: u32,
-    slow_banks: u32,
-    fast_pages_per_row: u64,
-    slow_pages_per_row: u64,
+    fast: TierMap,
+    slow: TierMap,
     interleave: Interleave,
 }
 
@@ -86,12 +155,14 @@ impl AddressMapper {
         assert!(fast_pages_per_row > 0 && slow_pages_per_row > 0);
         AddressMapper {
             fast_frames,
-            fast_channels,
-            slow_channels,
-            fast_banks,
-            slow_banks,
-            fast_pages_per_row,
-            slow_pages_per_row,
+            fast: TierMap::new(Tier::Fast, 0, fast_channels, fast_banks, fast_pages_per_row),
+            slow: TierMap::new(
+                Tier::Slow,
+                fast_channels,
+                slow_channels,
+                slow_banks,
+                slow_pages_per_row,
+            ),
             interleave: Interleave::PageFrame,
         }
     }
@@ -109,12 +180,12 @@ impl AddressMapper {
 
     /// Total number of channels (fast + slow).
     pub fn channels(&self) -> u32 {
-        self.fast_channels + self.slow_channels
+        self.fast.channel_count() + self.slow.channel_count()
     }
 
     /// Number of fast channels.
     pub fn fast_channels(&self) -> u32 {
-        self.fast_channels
+        self.fast.channel_count()
     }
 
     /// Frame index where the slow tier begins.
@@ -139,66 +210,41 @@ impl AddressMapper {
     /// channels.
     pub fn decode(&self, frame: FrameId, line_in_page: u32) -> PhysLoc {
         assert!(
-            usize_from_u32(line_in_page) < PAGE_SIZE / LINE_SIZE,
+            usize_from_u32(line_in_page) < LINES_PER_PAGE,
             "line {line_in_page} out of page"
         );
-        let (tier, tier_frame, channels, chan_base, banks, pages_per_row) =
-            if frame.0 < self.fast_frames {
-                assert!(self.fast_channels > 0, "no fast channels configured");
-                (
-                    Tier::Fast,
-                    frame.0,
-                    u64_from_u32(self.fast_channels),
-                    0u32,
-                    u64_from_u32(self.fast_banks),
-                    self.fast_pages_per_row,
-                )
-            } else {
-                assert!(self.slow_channels > 0, "no slow channels configured");
-                (
-                    Tier::Slow,
-                    frame.0 - self.fast_frames,
-                    u64_from_u32(self.slow_channels),
-                    self.fast_channels,
-                    u64_from_u32(self.slow_banks),
-                    self.slow_pages_per_row,
-                )
-            };
-        match self.interleave {
+        let (t, tier_frame) = if frame.0 < self.fast_frames {
+            assert!(self.fast.channels.get() > 0, "no fast channels configured");
+            (&self.fast, frame.0)
+        } else {
+            assert!(self.slow.channels.get() > 0, "no slow channels configured");
+            (&self.slow, frame.0 - self.fast_frames)
+        };
+        let lines_per_page = u64_from_usize(LINES_PER_PAGE);
+        let line = u64_from_u32(line_in_page);
+        let (channel, row_seq, col) = match self.interleave {
             Interleave::PageFrame => {
-                let channel = u32_from_u64(tier_frame % channels) + chan_base;
-                let in_channel = tier_frame / channels; // page index within channel
-                let row_seq = in_channel / pages_per_row; // sequential row number
-                let slot = in_channel % pages_per_row; // page slot within the row
-                let bank = u32_from_u64(row_seq % banks);
-                let row = row_seq / banks;
-                let col = u32_from_u64(slot * u64_from_usize(PAGE_SIZE / LINE_SIZE)) + line_in_page;
-                PhysLoc {
-                    channel,
-                    bank,
-                    row,
-                    col,
-                    tier,
-                }
+                // The page index within its channel, then its row and the
+                // page slot within the row.
+                let (in_channel, channel) = t.channels.div_rem(tier_frame);
+                let (row_seq, slot) = t.pages_per_row.div_rem(in_channel);
+                (channel, row_seq, slot * lines_per_page + line)
             }
             Interleave::LineStriped => {
-                let lines_per_page = u64_from_usize(PAGE_SIZE / LINE_SIZE);
-                let lines_per_row = pages_per_row * lines_per_page;
-                let tier_line = tier_frame * lines_per_page + u64_from_u32(line_in_page);
-                let channel = u32_from_u64(tier_line % channels) + chan_base;
-                let in_channel = tier_line / channels; // line index within channel
-                let row_seq = in_channel / lines_per_row;
-                let col = u32_from_u64(in_channel % lines_per_row);
-                let bank = u32_from_u64(row_seq % banks);
-                let row = row_seq / banks;
-                PhysLoc {
-                    channel,
-                    bank,
-                    row,
-                    col,
-                    tier,
-                }
+                let tier_line = tier_frame * lines_per_page + line;
+                let (in_channel, channel) = t.channels.div_rem(tier_line);
+                let (row_seq, col) = t.lines_per_row.div_rem(in_channel);
+                (channel, row_seq, col)
             }
+        };
+        // Sequential rows of a channel interleave across its banks.
+        let (row, bank) = t.banks.div_rem(row_seq);
+        PhysLoc {
+            channel: u32_from_u64(channel) + t.chan_base,
+            bank: u32_from_u64(bank),
+            row,
+            col: u32_from_u64(col),
+            tier: t.tier,
         }
     }
 }
@@ -319,6 +365,128 @@ mod tests {
                     seen.insert(m.decode(FrameId(f), line)),
                     "duplicate location for frame {f} line {line}"
                 );
+            }
+        }
+    }
+
+    /// The decode with a plain `/` and `%` for every divisor, from the
+    /// layout's raw counts.
+    fn reference_decode(
+        (fast_frames, fast_channels, slow_channels): (u64, u64, u64),
+        (fast_banks, slow_banks, fast_ppr, slow_ppr): (u64, u64, u64, u64),
+        interleave: Interleave,
+        frame: u64,
+        line: u64,
+    ) -> PhysLoc {
+        let (tier, tier_frame, channels, base, banks, ppr) = if frame < fast_frames {
+            (Tier::Fast, frame, fast_channels, 0, fast_banks, fast_ppr)
+        } else {
+            let f = frame - fast_frames;
+            (
+                Tier::Slow,
+                f,
+                slow_channels,
+                fast_channels,
+                slow_banks,
+                slow_ppr,
+            )
+        };
+        let (channel, row_seq, col) = match interleave {
+            Interleave::PageFrame => {
+                let in_channel = tier_frame / channels;
+                (
+                    tier_frame % channels,
+                    in_channel / ppr,
+                    in_channel % ppr * 32 + line,
+                )
+            }
+            Interleave::LineStriped => {
+                let tier_line = tier_frame * 32 + line;
+                let in_channel = tier_line / channels;
+                (
+                    tier_line % channels,
+                    in_channel / (ppr * 32),
+                    in_channel % (ppr * 32),
+                )
+            }
+        };
+        PhysLoc {
+            channel: (base + channel) as u32,
+            bank: (row_seq % banks) as u32,
+            row: row_seq / banks,
+            col: col as u32,
+            tier,
+        }
+    }
+
+    #[test]
+    fn decode_matches_plain_division_on_every_layout() {
+        // (fast frames, fast channels, slow channels), then (fast banks,
+        // slow banks, fast pages per row, slow pages per row): the paper
+        // layout, the tiny test layout, and one whose every divisor is not
+        // a power of two.
+        let layouts = [
+            (
+                "paper",
+                (524_288u64, 8u64, 4u64),
+                (16u64, 16u64, 4u64, 4u64),
+            ),
+            ("tiny", (2_048, 8, 4), (16, 16, 4, 4)),
+            ("odd", (3_000, 3, 5), (12, 12, 3, 6)),
+        ];
+        for (name, tiers, geometry) in layouts {
+            let (fast_frames, fast_channels, slow_channels) = tiers;
+            let (fast_banks, slow_banks, fast_ppr, slow_ppr) = geometry;
+            for interleave in [Interleave::PageFrame, Interleave::LineStriped] {
+                let m = AddressMapper::new(
+                    fast_frames,
+                    fast_channels as u32,
+                    slow_channels as u32,
+                    fast_banks as u32,
+                    slow_banks as u32,
+                    fast_ppr,
+                    slow_ppr,
+                )
+                .with_interleave(interleave);
+                let mut x = 0x9E37_79B9_7F4A_7C15u64;
+                for k in 0..20_000u64 {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    // Both tiers, both tier edges, and frames far out.
+                    let frame = match k % 4 {
+                        0 => x % fast_frames,
+                        1 => fast_frames + x % (8 * fast_frames),
+                        2 => (fast_frames + (x % 64)).saturating_sub(32),
+                        _ => fast_frames + (x >> 20),
+                    };
+                    let line = (x >> 40) % 32;
+                    let want = reference_decode(tiers, geometry, interleave, frame, line);
+                    assert_eq!(
+                        m.decode(FrameId(frame), line as u32),
+                        want,
+                        "{name} {interleave:?} frame {frame} line {line}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn divisors_split_exactly() {
+        for d in [1u64, 2, 3, 5, 12, 16, 1 << 40, u64::MAX] {
+            let div = Divisor::new(d);
+            assert_eq!(div.shift.is_some(), d.is_power_of_two(), "{d}");
+            for n in [
+                0u64,
+                1,
+                d - 1,
+                d,
+                d.saturating_add(1),
+                12_345_678_901,
+                u64::MAX,
+            ] {
+                assert_eq!(div.div_rem(n), (n / d, n % d), "{n} / {d}");
             }
         }
     }

@@ -4,13 +4,23 @@
 //! *physical frame* (post-remap) and line-in-page; the system decodes the
 //! location, routes to the owning channel, and later reports completions.
 //! A fixed controller/interconnect latency is added to every access.
+//!
+//! Every decision the channels make goes through a drain, so the system
+//! keeps what a drain needs to know outside the channels: each channel's
+//! [`Channel::next_decision`] in one compact `Vec`, and their minimum.
+//! A submit rewrites its channel's entry and lowers the minimum (an
+//! enqueue can only bring a decision forward); a drain returns at once
+//! when the minimum lies past its horizon, and otherwise visits only the
+//! channels that are due, in ascending channel order. Routing a decoded
+//! channel to its slot in a shard view is a shift when the shard count is
+//! a power of two (the `Divisor` the address mapper also uses).
 
-use mempod_types::convert::{u32_from_u64, u64_from_usize, usize_from_u32};
+use mempod_types::convert::{u32_from_u64, u64_from_usize, usize_from_u32, usize_from_u64};
 use mempod_types::{AccessKind, FrameId, Picos, Tier, LINES_PER_PAGE, PAGE_SIZE};
 use serde::Serialize;
 
 use crate::channel::{Channel, ChannelProbe, ChannelStats, Priority, ReqToken};
-use crate::mapper::{AddressMapper, Interleave};
+use crate::mapper::{AddressMapper, Divisor, Interleave};
 use crate::timing::DramTiming;
 
 /// Capacity/channel/timing description of a complete memory system.
@@ -181,13 +191,17 @@ pub struct MemorySystem {
     layout: MemLayout,
     mapper: AddressMapper,
     channels: Vec<Channel>,
-    /// The earliest [`Channel::next_decision`] over `channels`
-    /// (`Picos::MAX` when nothing is queued): a drain to an earlier
-    /// horizon has nothing to do.
+    /// Each channel's [`Channel::next_decision`], by position in
+    /// `channels`: a drain reads which channels are due from here.
+    due: Vec<Picos>,
+    /// The earliest entry of `due` (`Picos::MAX` when nothing is queued):
+    /// a drain to an earlier horizon has nothing to do.
     next_decision: Picos,
     next_token: u64,
     /// Number of shards the original system was split into (1 = unsharded).
     shard_count: u32,
+    /// `shard_count`, prepared to map a global channel to its local slot.
+    shard_div: Divisor,
     /// This view's residue class among the channels (0 when unsharded).
     shard_id: u32,
 }
@@ -220,10 +234,12 @@ impl MemorySystem {
         MemorySystem {
             layout,
             mapper,
+            due: vec![Picos::MAX; channels.len()],
             channels,
             next_decision: Picos::MAX,
             next_token: 0,
             shard_count: 1,
+            shard_div: Divisor::new(1),
             shard_id: 0,
         }
     }
@@ -257,17 +273,20 @@ impl MemorySystem {
                 layout: self.layout,
                 mapper: self.mapper,
                 channels: Vec::new(),
+                due: Vec::new(),
                 next_decision: Picos::MAX,
                 next_token: 0,
                 shard_count: count,
+                shard_div: Divisor::new(u64::from(count)),
                 shard_id: id,
             })
             .collect();
-        for (i, ch) in self.channels.into_iter().enumerate() {
+        for (i, (ch, due)) in self.channels.into_iter().zip(self.due).enumerate() {
             let global = u32_from_u64(u64_from_usize(i));
             let shard = &mut shards[usize_from_u32(global % count)];
-            shard.next_decision = shard.next_decision.min(ch.next_decision());
+            shard.next_decision = shard.next_decision.min(due);
             shard.channels.push(ch);
+            shard.due.push(due);
         }
         shards
     }
@@ -343,10 +362,13 @@ impl MemorySystem {
         // Local index of a global channel within this residue class: the
         // owned channels are shard_id, shard_id + count, shard_id + 2*count,
         // ... in order, so integer division by the count recovers the slot.
-        let local = usize_from_u32(loc.channel / self.shard_count);
+        let (local, _) = self.shard_div.div_rem(u64::from(loc.channel));
+        let local = usize_from_u64(local);
         let ch = &mut self.channels[local];
         ch.enqueue_with_priority(token, loc.bank, loc.row, kind.is_write(), at, priority);
-        self.next_decision = self.next_decision.min(ch.next_decision());
+        let due = ch.next_decision();
+        self.due[local] = due;
+        self.next_decision = self.next_decision.min(due);
         token
     }
 
@@ -365,19 +387,19 @@ impl MemorySystem {
     /// order — the engine handles completions in this order, so its
     /// results depend on it.
     ///
-    /// A channel whose next decision lies past `until` is skipped, and
-    /// the whole drain returns at once when the system's cached earliest
-    /// decision does. That is exact: such a drain makes no scheduling
-    /// decision, and only decisions move a channel's time, statistics and
-    /// refresh schedule.
+    /// A channel whose cached next decision lies past `until` is skipped
+    /// without being touched, and the whole drain returns at once when the
+    /// system's cached earliest decision does. That is exact: such a drain
+    /// makes no scheduling decision, and only decisions move a channel's
+    /// time, statistics and refresh schedule.
     pub fn drain_until_into(&mut self, until: Picos, out: &mut Vec<Completion>) {
         if self.next_decision > until {
             return;
         }
         let ctrl = self.layout.ctrl_latency;
         let mut next_decision = Picos::MAX;
-        for (i, ch) in self.channels.iter_mut().enumerate() {
-            if ch.next_decision() <= until {
+        for (i, (ch, due)) in self.channels.iter_mut().zip(&mut self.due).enumerate() {
+            if *due <= until {
                 let channel = self.shard_id + u32_from_u64(u64_from_usize(i)) * self.shard_count;
                 ch.drain_until_with(until, |token, done| {
                     out.push(Completion {
@@ -386,8 +408,9 @@ impl MemorySystem {
                         channel,
                     });
                 });
+                *due = ch.next_decision();
             }
-            next_decision = next_decision.min(ch.next_decision());
+            next_decision = next_decision.min(*due);
         }
         self.next_decision = next_decision;
     }
@@ -463,14 +486,14 @@ impl MemorySystem {
 
     /// States every channel's invariants against `auditor` (monotonic
     /// simulated time, no abandoned work, a true earliest-arrival cache;
-    /// [`Channel::audit_time`]) and that the system's cached next decision
-    /// is the earliest over its channels.
+    /// [`Channel::audit_time`]), that each channel's cached next decision
+    /// is its own, and that the system's is the earliest over its channels.
     #[cfg(feature = "debug-invariants")]
     pub fn audit_invariants(&self, auditor: &mut mempod_audit::InvariantAuditor) {
         for ch in &self.channels {
             ch.audit_time(auditor);
         }
-        let (cached, swept) = self.next_decision_cache();
+        let ((cached, cached_due), (swept, swept_due)) = self.next_decision_cache();
         mempod_audit::audit_invariant!(
             auditor,
             "memory-next-decision",
@@ -480,14 +503,29 @@ impl MemorySystem {
             cached,
             swept
         );
+        for (i, (cached, swept)) in cached_due.iter().zip(&swept_due).enumerate() {
+            let global = self.shard_id + u32_from_u64(u64_from_usize(i)) * self.shard_count;
+            mempod_audit::audit_invariant!(
+                auditor,
+                "memory-next-decision",
+                cached == swept,
+                "memory system caches {} as channel {}'s next decision, but \
+                 the channel's is {}",
+                cached,
+                global,
+                swept
+            );
+        }
     }
 
-    /// The cached next decision and a fresh minimum of the channels'
+    /// The cached next decisions — the system's, then each channel's — and
+    /// the same computed afresh from the channels'
     /// [`Channel::next_decision`]; the two must agree.
     #[cfg(any(test, feature = "debug-invariants"))]
-    fn next_decision_cache(&self) -> (Picos, Picos) {
-        let swept = self.channels.iter().map(Channel::next_decision).min();
-        (self.next_decision, swept.unwrap_or(Picos::MAX))
+    fn next_decision_cache(&self) -> ((Picos, Vec<Picos>), (Picos, Vec<Picos>)) {
+        let swept: Vec<Picos> = self.channels.iter().map(Channel::next_decision).collect();
+        let earliest = swept.iter().copied().min().unwrap_or(Picos::MAX);
+        ((self.next_decision, self.due.clone()), (earliest, swept))
     }
 }
 
@@ -645,8 +683,9 @@ mod tests {
         );
     }
 
-    /// Asserts both drain caches against fresh sweeps: every channel's
-    /// earliest arrival and the system's next decision.
+    /// Asserts the drain caches against fresh sweeps: every channel's
+    /// earliest arrival with the count of requests holding it, every
+    /// channel's entry in `due`, and the system's next decision.
     fn assert_caches_fresh(mem: &MemorySystem, when: &str) {
         for (i, ch) in mem.channels.iter().enumerate() {
             let (cached, swept) = ch.min_arrival_cache();
@@ -663,6 +702,7 @@ mod tests {
             let mut mem = MemorySystem::new(layout);
             let mut x = seed;
             let mut horizon = Picos::ZERO;
+            let mut last_at = Picos::ZERO;
             let mut out = Vec::new();
             for step in 0..3_000u64 {
                 x ^= x << 13;
@@ -687,9 +727,15 @@ mod tests {
                     }
                 } else {
                     // Frames cluster so some channels queue deep; arrivals
-                    // may precede the last horizon (completion-driven work).
+                    // may precede the last horizon (completion-driven work),
+                    // and one in four reuses the previous submit's, as a
+                    // page swap's lines share one arrival.
                     let frame = FrameId((x >> 16) % 24 * 37 % layout.total_frames());
-                    let at = (horizon + Picos((x >> 32) % 30_000)).saturating_sub(Picos(5_000));
+                    if x & 96 != 0 {
+                        last_at =
+                            (horizon + Picos((x >> 32) % 30_000)).saturating_sub(Picos(5_000));
+                    }
+                    let at = last_at;
                     let priority = if x & 8 == 0 {
                         Priority::Background
                     } else {
@@ -769,6 +815,39 @@ mod tests {
             assert_eq!(found.len(), 1, "{found:?}");
             assert!(found[0].contains("[memory-next-decision]"), "{found:?}");
         }
+    }
+
+    #[cfg(feature = "debug-invariants")]
+    #[test]
+    fn audit_flags_a_stale_channel_next_decision() {
+        let audit = |mem: &MemorySystem| {
+            let mut auditor = mempod_audit::InvariantAuditor::every_epoch("mem");
+            mem.audit_invariants(&mut auditor);
+            auditor.violations().to_vec()
+        };
+        let mut mem = MemorySystem::new(MemLayout::tiny());
+        mem.submit(FrameId(0), 0, AccessKind::Read, Picos::from_ns(80));
+        assert_eq!(mem.due[0], Picos::from_ns(80));
+        // A late entry would skip a due channel; an early one, or one on an
+        // idle channel, would only drain it for nothing, but breaks the
+        // invariant too. The system's minimum is left true each time.
+        for (channel, stale) in [
+            (0, Picos::from_ns(81)),
+            (0, Picos::from_ns(79)),
+            (0, Picos::MAX),
+            (3, Picos::from_ns(90)),
+        ] {
+            let mut corrupt = mem.clone();
+            corrupt.due[channel] = stale;
+            let found = audit(&corrupt);
+            assert_eq!(found.len(), 1, "{found:?}");
+            assert!(found[0].contains("[memory-next-decision]"), "{found:?}");
+            assert!(
+                found[0].contains(&format!("channel {channel}'s next decision")),
+                "{found:?}"
+            );
+        }
+        assert!(audit(&mem).is_empty());
     }
 
     #[test]

@@ -844,11 +844,13 @@ impl Shard {
                 }
             }
         }
-        let waiters = std::mem::take(&mut self.migs[mig].waiters);
-        for mut w in waiters {
+        // The emptied buffer goes back to the slot for its next migration.
+        let mut waiters = std::mem::take(&mut self.migs[mig].waiters);
+        for mut w in waiters.drain(..) {
             w.issue = w.issue.max(finish);
             self.dispatch(w);
         }
+        self.migs[mig].waiters = waiters;
         // Chain: launch the lane's next queued migration.
         if let Some(lane) = lane_of(&m) {
             let next = {
@@ -910,7 +912,7 @@ impl Shard {
         );
         let (aborts_left, permanent) =
             spec.map_or((0, false), |s| (s.failed_attempts, s.permanent));
-        let exec = MigExec {
+        let mut exec = MigExec {
             m,
             pending: 0,
             latest: at,
@@ -924,6 +926,9 @@ impl Shard {
         };
         let mig = match self.free.pop() {
             Some(slot) => {
+                // A recycled slot keeps its (empty) waiter buffer.
+                exec.waiters = std::mem::take(&mut self.migs[slot].waiters);
+                debug_assert!(exec.waiters.is_empty(), "a free slot kept waiters");
                 self.migs[slot] = exec;
                 slot
             }

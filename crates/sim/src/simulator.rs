@@ -734,9 +734,10 @@ impl Engine {
     /// [`SpanName::ShardBatch`] span per shard covering this batch's
     /// simulated window (aux = requests admitted plus swaps committed on
     /// the shard) plus one [`SpanName::Barrier`] marker, all in *simulated*
-    /// time — wall clock never reaches the event stream. The final flush
-    /// batch (horizon [`Picos::MAX`]) is skipped: it has no finite window
-    /// to draw.
+    /// time — wall clock never reaches the event stream. A batch that
+    /// pumps to the end of time ([`Picos::MAX`]) ends its window at its
+    /// last arrival; only the pump-only final flush, which admits nothing,
+    /// has no finite window and is skipped.
     fn barrier(&mut self, reqs: &[MemRequest], tail: Option<Picos>) {
         if self.ledger.is_some() {
             self.replay_records(reqs);
@@ -744,8 +745,10 @@ impl Engine {
         if let Some(seq) = self.exec_seq.as_mut() {
             *seq += 1;
             let start = reqs.first().map(|r| r.arrival).or(tail);
-            let end = tail.or(reqs.last().map(|r| r.arrival));
-            if let (Some(start), Some(end)) = (start, end.filter(|&e| e != Picos::MAX)) {
+            let end = tail
+                .filter(|&t| t != Picos::MAX)
+                .or(reqs.last().map(|r| r.arrival));
+            if let (Some(start), Some(end)) = (start, end) {
                 let (start, end) = (start.as_ps(), end.as_ps());
                 let exec_span =
                     |id: u64, name: SpanName, start_ps: u64, shard: u32, aux: u64| SpanRecord {
@@ -1343,32 +1346,58 @@ mod tests {
     /// tracks, and never contaminate the causal stream.
     #[test]
     fn exec_spans_attribute_batches_to_shards() {
-        let trace = demo_trace(20_000);
-        let sink = mempod_telemetry::MemorySink::new();
-        let lines = sink.handle();
-        let cfg = SimConfig::new(SystemConfig::tiny(), ManagerKind::MemPod);
-        let report = Simulator::new(cfg)
-            .expect("valid")
-            .with_telemetry(Telemetry::with_sink(Box::new(sink)).with_spans(
-                mempod_telemetry::SpanConfig {
-                    request_sample_ppm: 0,
-                    exec_spans: true,
-                },
-            ))
-            .with_shards(4)
-            .run(&trace);
-        assert!(report.requests > 0);
-        let lines = lines.lock().expect("sink mutex").clone();
-        assert!(
-            lines.iter().any(|l| l.contains("\"ShardBatch\"")),
-            "shard batch windows were traced"
-        );
-        assert!(
-            lines.iter().any(|l| l.contains("\"Barrier\"")),
-            "barrier crossings were traced"
-        );
-        // Requests were sampled out entirely.
-        assert!(!lines.iter().any(|l| l.contains("\"Request\"")));
+        // 2,000 requests fit in one batch, which pumps to the end of time:
+        // its window ends at its last arrival.
+        for n in [2_000, 20_000] {
+            for shards in [1, 4] {
+                let trace = demo_trace(n);
+                let sink = mempod_telemetry::MemorySink::new();
+                let lines = sink.handle();
+                let cfg = SimConfig::new(SystemConfig::tiny(), ManagerKind::MemPod);
+                let report = Simulator::new(cfg)
+                    .expect("valid")
+                    .with_telemetry(Telemetry::with_sink(Box::new(sink)).with_spans(
+                        mempod_telemetry::SpanConfig {
+                            request_sample_ppm: 0,
+                            exec_spans: true,
+                        },
+                    ))
+                    .with_shards(shards)
+                    .run(&trace);
+                assert_eq!(report.faults.migration_aborts, 0);
+                // The long run swaps pages; the short one ends first.
+                assert_eq!(report.migration.migrations > 0, n > 2_000);
+                let lines = lines.lock().expect("sink mutex").clone();
+                let spans: Vec<serde_json::Value> = lines
+                    .iter()
+                    .map(|l| serde_json::from_str::<serde_json::Value>(l).expect("JSON line"))
+                    .filter_map(|v| v["kind"].get("Span").cloned())
+                    .collect();
+                let named = |name: &'static str| {
+                    spans
+                        .iter()
+                        .filter(move |sp| sp["name"].as_str() == Some(name))
+                };
+                let aux: u64 = named("ShardBatch")
+                    .map(|sp| sp["aux"].as_u64().expect("aux"))
+                    .sum();
+                let label = format!("{n} requests on {shards} shard(s)");
+                // Every request is admitted on one shard and every swap
+                // committed on one, and each batch that did either is drawn.
+                assert_eq!(
+                    aux,
+                    report.requests + report.migration.migrations,
+                    "{label}"
+                );
+                assert!(named("Barrier").count() > 0, "{label}");
+                assert!(
+                    named("ShardBatch").all(|sp| sp["start_ps"].as_u64() <= sp["end_ps"].as_u64()),
+                    "{label}"
+                );
+                // Requests were sampled out entirely.
+                assert!(named("Request").next().is_none(), "{label}");
+            }
+        }
     }
 
     #[test]

@@ -163,6 +163,14 @@ trace_smoke() {
     chains=$(cargo run -q --release -p mempod-bench --bin tracelens --offline -- \
         trace.smoke.jsonl --aborts)
     echo "$chains" | grep -m1 '^frames '
+    local shards
+    shards=$(cargo run -q --release -p mempod-bench --bin tracelens --offline -- \
+        trace.smoke.jsonl --shards)
+    echo "$shards"
+    if grep -q 'no execution spans' <<<"$shards"; then
+        echo "tracelens --shards found no execution spans in trace.smoke.jsonl" >&2
+        return 1
+    fi
     cargo run -q --release -p mempod-bench --bin tracelens --offline -- \
         trace.smoke.json
     rm -f trace.smoke.jsonl
