@@ -183,13 +183,17 @@ fn telemetry_overhead(opts: &SchedOpts) {
     );
     let sim_overhead_pct = (tel_secs / base_secs - 1.0) * 100.0;
     let span_overhead_pct = (span_secs / event_secs - 1.0) * 100.0;
+    // The same two overheads in absolute terms, so a ratio that moves can
+    // be read as telemetry getting dearer or the simulator getting faster.
+    let null_sink_ms = (tel_secs - base_secs) * 1e3;
+    let span_ms = (span_secs - event_secs) * 1e3;
     println!(
-        "\nsimulator : {} requests, base {:.3}s, null-sink {:.3}s -> {:+.2}% overhead",
-        requests, base_secs, tel_secs, sim_overhead_pct
+        "\nsimulator : {} requests, base {:.3}s, null-sink {:.3}s -> {:+.2}% ({:+.2} ms) overhead",
+        requests, base_secs, tel_secs, sim_overhead_pct, null_sink_ms
     );
     println!(
-        "spans     : event sink {:.3}s, + sampled spans (1 %) {:.3}s -> {:+.2}% overhead",
-        event_secs, span_secs, span_overhead_pct
+        "spans     : event sink {:.3}s, + sampled spans (1 %) {:.3}s -> {:+.2}% ({:+.2} ms) overhead",
+        event_secs, span_secs, span_overhead_pct, span_ms
     );
 
     let json = serde_json::json!({
@@ -205,7 +209,9 @@ fn telemetry_overhead(opts: &SchedOpts) {
             "event_sink_secs": event_secs,
             "sampled_span_secs": span_secs,
             "overhead_pct": sim_overhead_pct,
+            "null_sink_ms": null_sink_ms,
             "span_overhead_pct": span_overhead_pct,
+            "span_ms": span_ms,
             "epochs_snapshotted": tel_report.timeline.len(),
         },
         // Acceptance gates: end-to-end null-sink overhead (vs. the bare
@@ -215,7 +221,9 @@ fn telemetry_overhead(opts: &SchedOpts) {
         // noise alone spans a few percent, so it gets headroom — it
         // guards against gross regressions, not the final number.
         "overhead_pct": sim_overhead_pct,
+        "null_sink_ms": null_sink_ms,
         "span_overhead_pct": span_overhead_pct,
+        "span_ms": span_ms,
         "gate_pct": gate_pct,
         "pass": sim_overhead_pct < gate_pct && span_overhead_pct < gate_pct,
     });

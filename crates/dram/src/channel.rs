@@ -18,19 +18,29 @@
 //! # Scheduler organization
 //!
 //! Queued requests live in two FIFO `Vec`s, one per scheduling class
-//! (demand, background), in enqueue order, so a request's queue position
-//! is its FCFS age. Each FR-FCFS candidate (the oldest arrived request of
-//! a class, the oldest arrived row hit of a class) is the first matching
-//! entry of its queue, so a decision walks each queue from the front and
-//! stops as soon as the winner is settled; the winner leaves with an
-//! order-preserving `Vec::remove`. The channel caches the earliest queued
-//! arrival and how many queued requests share it, so its next decision
-//! instant ([`Channel::next_decision`]) costs no scan; only a decision
-//! that grants the last request holding that arrival re-sweeps the queues
-//! for the next one (a page swap's 64 reads share one arrival, so most
-//! grants of it only count down). Live queues stay shallow
-//! (at most 82 requests in every measured simulator run; DESIGN.md §9),
-//! where a flat `Vec` beats any indexed structure.
+//! (demand, background), in enqueue order, so an entry's queue position
+//! is its FCFS age. An entry is a run of same-row lines of one kind that
+//! share one token and one arrival (`Channel::enqueue_run`); a page
+//! swap queues each frame's 32 lines as one entry. Each FR-FCFS candidate
+//! (the oldest arrived request of a class, the oldest arrived row hit of
+//! a class) is the first matching entry of its queue, so a decision walks
+//! each queue from the front and stops as soon as the winner is settled.
+//! A decision services one line of the winner; the entry leaves with an
+//! order-preserving `Vec::remove` only with its last line, and only then
+//! does its token complete. This is exact: the run's lines are identical
+//! but for their tokens and would sit back to back as one-line entries,
+//! so the pick grants the run's first line whenever it would grant any of
+//! them; and one channel's bursts end in strictly increasing order, so
+//! the last line carries the run's latest completion (DESIGN.md §9).
+//!
+//! The channel caches the earliest queued arrival and how many queue
+//! entries share it, so its next decision instant
+//! ([`Channel::next_decision`]) costs no scan; only a decision that
+//! removes the last entry holding that arrival re-sweeps the queues for
+//! the next one (a page swap's two read runs share one arrival). Queue
+//! depth in the statistics and the probe counts lines
+//! ([`Channel::pending`]); live queues stay shallow in entries
+//! (DESIGN.md §9), where a flat `Vec` beats any indexed structure.
 
 use mempod_faults::ChannelFaultStream;
 use mempod_telemetry::Log2Histogram;
@@ -79,15 +89,48 @@ const DEMAND: usize = 0;
 /// Queue index of [`Priority::Background`].
 const BACKGROUND: usize = 1;
 
-/// One queued request. Its class is the queue it sits in, and its FCFS
-/// age is its position there.
+/// A run of same-row 64 B bursts of one kind: `lines` consecutive
+/// accesses to `(bank, row)`, all reads or all writes. A page swap moves
+/// each frame as one run (paper §5.3: back-to-back bursts to one open row).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct RowRun {
+    /// Bank within the channel.
+    pub(crate) bank: u32,
+    /// Row within the bank.
+    pub(crate) row: u64,
+    /// Bursts in the run (at least one).
+    pub(crate) lines: u16,
+    /// Whether the bursts write.
+    pub(crate) is_write: bool,
+}
+
+/// One queue entry: a run of `lines` same-row bursts that share one
+/// token, class and arrival. Its class is the queue it sits in, and its
+/// FCFS age is its position there. Each scheduling decision services one
+/// line; the entry leaves the queue with its last.
 #[derive(Debug, Clone, Copy)]
 struct Queued {
     token: ReqToken,
     arrival: Picos,
-    bank: u32,
     row: u64,
+    bank: u32,
+    /// Lines still to service.
+    lines: u16,
     is_write: bool,
+}
+
+// The run length fits the entry's padding: an entry stays 32 bytes.
+const _: () = assert!(std::mem::size_of::<Queued>() == 32);
+
+/// One line a scheduling decision serviced.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Serviced {
+    /// Its entry's token.
+    token: ReqToken,
+    /// When its burst ends.
+    completion: Picos,
+    /// Lines its entry has left; at 0 the entry completed.
+    left: u16,
 }
 
 #[derive(Debug, Clone, Copy, Default)]
@@ -280,13 +323,16 @@ pub struct Channel {
     /// `timing`'s per-request durations, precomputed.
     ps: CyclePicos,
     banks: Vec<Bank>,
-    /// Queued (unserviced) requests, one FIFO per scheduling class
+    /// Queued (unserviced) entries, one FIFO per scheduling class
     /// (indexed by [`Priority::class`]) in enqueue order: position is the
-    /// FCFS age, and a serviced request is removed in place.
+    /// FCFS age, and an entry whose last line is serviced is removed in
+    /// place.
     queues: [Vec<Queued>; 2],
+    /// Lines still to service over both queues ([`Channel::pending`]).
+    queued_lines: usize,
     /// The earliest arrival in `queues`; `Picos::MAX` when both are empty.
     min_arrival: Picos,
-    /// How many queued requests arrive at `min_arrival` (0 when empty).
+    /// How many queued entries arrive at `min_arrival` (0 when empty).
     min_count: usize,
     bus_free_at: Picos,
     now: Picos,
@@ -321,6 +367,7 @@ impl Channel {
                 timing.refresh_interval()
             },
             queues: [Vec::new(), Vec::new()],
+            queued_lines: 0,
             min_arrival: Picos::MAX,
             min_count: 0,
             ps: CyclePicos::new(&timing),
@@ -375,8 +422,15 @@ impl Channel {
         &self.stats
     }
 
-    /// Requests currently queued (not yet serviced).
+    /// Requests (lines) currently queued, not yet serviced. Queue depth
+    /// in every statistic and probe counts these.
     pub fn pending(&self) -> usize {
+        self.queued_lines
+    }
+
+    /// Queue entries currently held: one per enqueued run, however many
+    /// of its lines are left.
+    pub(crate) fn entries(&self) -> usize {
         self.queues[DEMAND].len() + self.queues[BACKGROUND].len()
     }
 
@@ -435,28 +489,59 @@ impl Channel {
         arrival: Picos,
         priority: Priority,
     ) {
+        let run = RowRun {
+            bank,
+            row,
+            lines: 1,
+            is_write,
+        };
+        self.enqueue_run(token, run, arrival, priority);
+    }
+
+    /// Enqueues a run of `run.lines` same-row bursts as one entry under
+    /// one token. The scheduler treats it exactly as that many
+    /// consecutive one-line entries: each decision services one line, and
+    /// the entry completes, handing `token` to the drain, with its last
+    /// line, whose burst ends after every other line's.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `run.bank` is out of range or the run is empty.
+    #[inline]
+    pub(crate) fn enqueue_run(
+        &mut self,
+        token: ReqToken,
+        run: RowRun,
+        arrival: Picos,
+        priority: Priority,
+    ) {
         assert!(
-            (bank as usize) < self.banks.len(),
-            "bank {bank} out of range"
+            (run.bank as usize) < self.banks.len(),
+            "bank {} out of range",
+            run.bank
         );
+        assert!(run.lines > 0, "a run holds at least one line");
         self.queues[priority.class()].push(Queued {
             token,
             arrival,
-            bank,
-            row,
-            is_write,
+            row: run.row,
+            bank: run.bank,
+            lines: run.lines,
+            is_write: run.is_write,
         });
+        self.queued_lines += usize::from(run.lines);
         if arrival < self.min_arrival {
             self.min_arrival = arrival;
             self.min_count = 1;
         } else if arrival == self.min_arrival {
             self.min_count += 1;
         }
-        self.stats.max_queue_depth = self.stats.max_queue_depth.max(self.pending());
+        self.stats.max_queue_depth = self.stats.max_queue_depth.max(self.queued_lines);
     }
 
     /// Services queued requests whose schedule fits before `until`, returning
-    /// `(token, completion_time)` pairs in service order.
+    /// `(token, completion_time)` pairs in service order: one per entry
+    /// whose last line was serviced, at that line's completion.
     ///
     /// Scheduling decisions are paced by the data bus: the next pick happens
     /// no earlier than `bus_free - (tRCD + tCAS)`, so bank preparation
@@ -474,57 +559,79 @@ impl Channel {
     /// `(token, completion_time)` to `on_done` in service order instead of
     /// collecting them, so a caller can fill a buffer it reuses.
     pub fn drain_until_with(&mut self, until: Picos, mut on_done: impl FnMut(ReqToken, Picos)) {
+        while let Some(line) = self.decide(until) {
+            if line.left == 0 {
+                on_done(line.token, line.completion);
+            }
+        }
+    }
+
+    /// Makes the next scheduling decision if one is due by `until`,
+    /// servicing one line of the winning entry; `None` when nothing is
+    /// due (or, should the pick invariant break, nothing is pickable).
+    #[inline]
+    fn decide(&mut self, until: Picos) -> Option<Serviced> {
         // On empty queue, stop and leave `now` untouched: channels are
         // reused across epoch boundaries (drain, migrate, continue) and a
         // poisoned horizon would push later requests into the far future.
-        while self.pending() > 0 {
-            let decision = self.next_decision();
-            if decision > until {
-                break;
+        if self.queued_lines == 0 {
+            return None;
+        }
+        let decision = self.next_decision();
+        if decision > until {
+            return None;
+        }
+        // All-bank refresh: when the decision point crosses tREFI, every
+        // bank loses its open row and is blocked until the blackout ends
+        // (enforced through bank.ready_at; the pick below proceeds, its
+        // timing pays the blackout).
+        if decision >= self.next_refresh {
+            self.fast_forward_refresh(decision);
+        }
+        // Injected channel faults perturb the state once per fired fault
+        // window, at the window's first scheduling decision.
+        if self.faults.is_some() {
+            self.apply_fault_window(decision);
+        }
+        if cfg!(feature = "debug-invariants") {
+            if decision < self.last_decision {
+                self.decision_regressions += 1;
             }
-            // All-bank refresh: when the decision point crosses tREFI, every
-            // bank loses its open row and is blocked until the blackout ends
-            // (enforced through bank.ready_at; the pick below proceeds, its
-            // timing pays the blackout).
-            if decision >= self.next_refresh {
-                self.fast_forward_refresh(decision);
-            }
-            // Injected channel faults perturb the state once per fired
-            // fault window, at the window's first scheduling decision.
-            if self.faults.is_some() {
-                self.apply_fault_window(decision);
-            }
-            // `min_arrival <= decision` guarantees at least one arrived
-            // request, so `pick` finds a candidate; the `else` arm is
-            // unreachable, but if the invariant ever breaks it counts the
-            // abandoned work (reported through the invariant auditor under
-            // `debug-invariants`) instead of dropping it silently.
-            if cfg!(feature = "debug-invariants") {
-                if decision < self.last_decision {
-                    self.decision_regressions += 1;
-                }
-                self.last_decision = decision;
-            }
-            let Some((class, pos)) = self.pick(decision) else {
-                self.abandoned_picks += 1;
-                break;
-            };
-            let depth = self.pending() as u64;
-            let q = self.queues[class].remove(pos);
-            // Only the last request holding the earliest arrival moves it.
+            self.last_decision = decision;
+        }
+        // `min_arrival <= decision` guarantees at least one arrived
+        // request, so `pick` finds a candidate; the `else` arm is
+        // unreachable, but if the invariant ever breaks it counts the
+        // abandoned work (reported through the invariant auditor under
+        // `debug-invariants`) instead of dropping it silently.
+        let Some((class, pos)) = self.pick(decision) else {
+            self.abandoned_picks += 1;
+            return None;
+        };
+        let depth = self.queued_lines as u64;
+        self.queued_lines -= 1;
+        let entry = &mut self.queues[class][pos];
+        entry.lines -= 1;
+        let q = *entry;
+        if q.lines == 0 {
+            self.queues[class].remove(pos);
+            // Only the last entry holding the earliest arrival moves it.
             if q.arrival == self.min_arrival {
                 self.min_count -= 1;
                 if self.min_count == 0 {
                     (self.min_arrival, self.min_count) = self.earliest_arrival();
                 }
             }
-            self.stats.sched_decisions += 1;
-            if let Some(p) = self.probe.as_deref_mut() {
-                p.depth.record(depth);
-            }
-            let completion = self.service(&q, decision);
-            on_done(q.token, completion);
         }
+        self.stats.sched_decisions += 1;
+        if let Some(p) = self.probe.as_deref_mut() {
+            p.depth.record(depth);
+        }
+        Some(Serviced {
+            token: q.token,
+            completion: self.service(&q, decision),
+            left: q.lines,
+        })
     }
 
     /// Services every queued request regardless of horizon.
@@ -637,11 +744,11 @@ impl Channel {
             auditor,
             "channel-min-arrival",
             cached == swept,
-            "channel caches {} as its earliest arrival, held by {} request(s), \
-             but its {} queued request(s) sweep to {}, held by {}",
+            "channel caches {} as its earliest arrival, held by {} queue entries, \
+             but its {} queue entries sweep to {}, held by {}",
             cached.0,
             cached.1,
-            self.pending(),
+            self.entries(),
             swept.0,
             swept.1
         );
@@ -664,7 +771,7 @@ impl Channel {
         );
     }
 
-    /// The cached earliest arrival with the count of requests holding it,
+    /// The cached earliest arrival with the count of entries holding it,
     /// and a fresh sweep of the queues for both (`(Picos::MAX, 0)` when
     /// empty); the two must agree.
     #[cfg(any(test, feature = "debug-invariants"))]
@@ -673,7 +780,7 @@ impl Channel {
     }
 
     /// The earliest arrival over both class queues and how many queued
-    /// requests hold it (`(Picos::MAX, 0)` when empty), swept afresh.
+    /// entries hold it (`(Picos::MAX, 0)` when empty), swept afresh.
     fn earliest_arrival(&self) -> (Picos, usize) {
         self.queues
             .iter()
@@ -806,6 +913,7 @@ impl Channel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mempod_types::convert::{u64_from_usize, usize_from_u64};
 
     fn hbm_channel() -> Channel {
         Channel::new(DramTiming::hbm())
@@ -1427,6 +1535,160 @@ mod tests {
         assert!(matches, "scheduling decisions changed; measured:\n{table}");
     }
 
+    /// How the differential schedule queues a background run and drains.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Way {
+        /// `k` one-line entries enqueued back to back, drained decision by
+        /// decision.
+        Lines,
+        /// One `k`-line entry, drained decision by decision.
+        Runs,
+        /// One `k`-line entry, drained through `drain_until`.
+        RunsDrained,
+    }
+
+    /// What a differential schedule observed: every serviced line as
+    /// `(run, line, completion)` in service order (not kept for
+    /// `RunsDrained`), each run's completion as `(run, completion)` in
+    /// completion order, the longest arrival-to-completion wait, and the
+    /// channel's statistics and probe.
+    #[derive(Debug, Default, PartialEq)]
+    struct RunLog {
+        lines: Vec<(u64, u16, Picos)>,
+        done: Vec<(u64, Picos)>,
+        longest_wait: Picos,
+        stats: ChannelStats,
+        probe: ChannelProbe,
+    }
+
+    /// Batches of demand requests and background runs of 1–32 same-row
+    /// lines (one kind, one arrival), each batch drained to a random
+    /// horizon, then a final full drain. The batches outpace the horizons,
+    /// so the queue runs deep and both starvation bounds fire.
+    fn run_schedule(timing: DramTiming, seed: u64, way: Way) -> RunLog {
+        let mut ch = Channel::new(timing);
+        ch.attach_probe();
+        let banks = timing.banks;
+        let mut mix = Mix(seed | 1);
+        let mut log = RunLog::default();
+        // Each run's length and arrival, by run id.
+        let mut runs: Vec<(u16, Picos)> = Vec::new();
+        let drain = |ch: &mut Channel, until: Picos, runs: &[(u16, Picos)], log: &mut RunLog| {
+            let finish = |log: &mut RunLog, run: u64, at: Picos| {
+                log.done.push((run, at));
+                let arrival = runs[usize_from_u64(run)].1;
+                log.longest_wait = log.longest_wait.max(at - arrival);
+            };
+            if way == Way::RunsDrained {
+                for (token, at) in ch.drain_until(until) {
+                    finish(log, token.0, at);
+                }
+                return;
+            }
+            while let Some(s) = ch.decide(until) {
+                let (run, line) = match way {
+                    Way::Lines => (s.token.0 / 64, (s.token.0 % 64) as u16),
+                    _ => (s.token.0, runs[usize_from_u64(s.token.0)].0 - 1 - s.left),
+                };
+                log.lines.push((run, line, s.completion));
+                if line == runs[usize_from_u64(run)].0 - 1 {
+                    finish(log, run, s.completion);
+                }
+            }
+        };
+        let mut horizon = Picos::ZERO;
+        for _ in 0..40 {
+            for _ in 0..mix.next() % 12 {
+                let r = mix.next();
+                let (priority, lines) = if r & 3 == 0 {
+                    (Priority::Demand, 1)
+                } else {
+                    (Priority::Background, 1 + (r >> 40) % 32)
+                };
+                let run = RowRun {
+                    bank: (r >> 17) as u32 % banks,
+                    row: (r >> 23) % 6,
+                    lines: lines as u16,
+                    is_write: r & 4 == 0,
+                };
+                let arrival = horizon + Picos(r % 50_000);
+                let id = u64_from_usize(runs.len());
+                runs.push((run.lines, arrival));
+                if way == Way::Lines {
+                    for line in 0..lines {
+                        let one = RowRun { lines: 1, ..run };
+                        ch.enqueue_run(ReqToken(id * 64 + line), one, arrival, priority);
+                    }
+                } else {
+                    ch.enqueue_run(ReqToken(id), run, arrival, priority);
+                }
+            }
+            horizon += Picos(mix.next() % 80_000);
+            drain(&mut ch, horizon, &runs, &mut log);
+        }
+        drain(&mut ch, Picos::MAX, &runs, &mut log);
+        assert_eq!((ch.pending(), ch.entries()), (0, 0));
+        assert_eq!(log.done.len(), runs.len(), "every run completes once");
+        log.stats = *ch.stats();
+        log.probe = ch.probe().cloned().unwrap_or_default();
+        log
+    }
+
+    #[test]
+    fn a_run_schedules_exactly_as_its_lines_queued_one_by_one() {
+        for seed in 1..=9u64 {
+            let timing = timing_variant(seed);
+            let lines = run_schedule(timing, seed, Way::Lines);
+            assert!(
+                lines.longest_wait > BACKGROUND_STARVATION_BOUND,
+                "seed {seed}: the queue must starve someone"
+            );
+            assert!(
+                lines.stats.row_conflicts > 0,
+                "seed {seed}: no row conflict"
+            );
+            assert_eq!(
+                run_schedule(timing, seed, Way::Runs),
+                lines,
+                "seed {seed}: runs vs lines"
+            );
+            let drained = run_schedule(timing, seed, Way::RunsDrained);
+            assert_eq!(
+                (&drained.done, drained.stats, &drained.probe),
+                (&lines.done, lines.stats, &lines.probe),
+                "seed {seed}: drained runs vs lines"
+            );
+        }
+    }
+
+    #[test]
+    fn a_run_is_one_entry_until_its_last_line() {
+        let mut ch = hbm_channel();
+        let run = RowRun {
+            bank: 3,
+            row: 7,
+            lines: 32,
+            is_write: false,
+        };
+        ch.enqueue_run(ReqToken(5), run, Picos::ZERO, Priority::Background);
+        assert_eq!((ch.pending(), ch.entries()), (32, 1));
+        assert_eq!(ch.stats().max_queue_depth, 32);
+        let mut serviced = Vec::new();
+        while let Some(s) = ch.decide(Picos::MAX) {
+            serviced.push(s);
+            assert_eq!(
+                (ch.pending(), ch.entries()),
+                (usize::from(s.left), usize::from(s.left > 0))
+            );
+        }
+        assert_eq!(serviced.len(), 32);
+        assert!(serviced
+            .windows(2)
+            .all(|w| w[0].completion < w[1].completion));
+        assert_eq!(ch.stats().row_hits, 31);
+        assert_eq!(ch.min_arrival_cache(), ((Picos::MAX, 0), (Picos::MAX, 0)));
+    }
+
     #[cfg(feature = "debug-invariants")]
     #[test]
     fn time_audit_is_clean_on_live_queue() {
@@ -1473,6 +1735,46 @@ mod tests {
         let _ = ch.drain_all();
         assert!(audit(&ch).is_empty());
         ch.min_arrival = Picos::from_ns(20);
+        assert!(audit(&ch)[0].contains("[channel-min-arrival]"));
+    }
+
+    #[cfg(feature = "debug-invariants")]
+    #[test]
+    fn time_audit_flags_a_stale_min_count_on_a_run() {
+        let audit = |ch: &Channel| {
+            let mut auditor = mempod_audit::InvariantAuditor::every_epoch("sched");
+            ch.audit_time(&mut auditor);
+            auditor.violations().to_vec()
+        };
+        let mut ch = hbm_channel();
+        let at = Picos::from_ns(20);
+        let run = RowRun {
+            bank: 0,
+            row: 1,
+            lines: 32,
+            is_write: false,
+        };
+        ch.enqueue_run(ReqToken(0), run, at, Priority::Background);
+        ch.enqueue(ReqToken(1), 1, 1, false, Picos::from_us(5));
+        assert!(audit(&ch).is_empty());
+        // The count is of entries: counting the run's lines would never
+        // re-sweep once the run leaves, so the cached arrival goes stale.
+        ch.min_count = 32;
+        let found = audit(&ch);
+        assert_eq!(found.len(), 1, "{found:?}");
+        assert!(found[0].contains("[channel-min-arrival]"), "{found:?}");
+        assert!(found[0].contains("held by 1"), "{found:?}");
+        // Servicing all but the run's last line leaves the cache as it was.
+        ch.min_count = 1;
+        for _ in 0..31 {
+            assert_eq!(
+                ch.decide(Picos::from_us(1)).map(|s| s.token),
+                Some(ReqToken(0))
+            );
+        }
+        assert_eq!((ch.pending(), ch.entries()), (2, 2));
+        assert!(audit(&ch).is_empty());
+        ch.min_count = 2;
         assert!(audit(&ch)[0].contains("[channel-min-arrival]"));
     }
 

@@ -18,7 +18,11 @@
 //! which every shipped layout's divisors are, and an exact `/` and `%`
 //! for any other value. A decode then does no division on those layouts.
 
-use mempod_types::convert::{u32_from_u64, u64_from_u32, u64_from_usize, usize_from_u32};
+use std::ops::Range;
+
+use mempod_types::convert::{
+    u16_from_u32, u32_from_u64, u64_from_u32, u64_from_usize, usize_from_u32,
+};
 use mempod_types::{FrameId, Tier, LINES_PER_PAGE};
 use serde::Serialize;
 
@@ -247,6 +251,37 @@ impl AddressMapper {
             tier: t.tier,
         }
     }
+
+    /// Decodes the first line of `lines` in `frame` and counts how many of
+    /// `lines`, from the first on, share its channel, bank and row: the
+    /// length of the same-row run a submission of those lines starts with.
+    /// Under [`Interleave::PageFrame`] a frame's lines all share one row,
+    /// so the run is the whole range; under [`Interleave::LineStriped`]
+    /// consecutive lines change channel whenever the tier has more than
+    /// one, and each line is compared.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lines` is empty or reaches past the page, or the frame's
+    /// tier has no channels.
+    #[inline]
+    pub(crate) fn decode_run(&self, frame: FrameId, lines: Range<u32>) -> (PhysLoc, u16) {
+        assert!(
+            !lines.is_empty() && usize_from_u32(lines.end) <= LINES_PER_PAGE,
+            "lines {lines:?} out of page"
+        );
+        let loc = self.decode(frame, lines.start);
+        let end = match self.interleave {
+            Interleave::PageFrame => lines.end,
+            Interleave::LineStriped => (lines.start + 1..lines.end)
+                .find(|&line| {
+                    let next = self.decode(frame, line);
+                    (next.channel, next.bank, next.row) != (loc.channel, loc.bank, loc.row)
+                })
+                .unwrap_or(lines.end),
+        };
+        (loc, u16_from_u32(end - lines.start))
+    }
 }
 
 #[cfg(test)]
@@ -467,6 +502,24 @@ mod tests {
                         want,
                         "{name} {interleave:?} frame {frame} line {line}"
                     );
+                    // The same-row run from `line` to a random end: the
+                    // lines whose reference decode keeps the first's
+                    // channel, bank and row. Under page-frame interleaving
+                    // that is every line of the frame.
+                    let shares_row = |l: u64| {
+                        let o = reference_decode(tiers, geometry, interleave, frame, l);
+                        (o.channel, o.bank, o.row) == (want.channel, want.bank, want.row)
+                    };
+                    if interleave == Interleave::PageFrame {
+                        assert!((0..32).all(shares_row), "{name} frame {frame}");
+                    }
+                    let end = line + 1 + (x >> 50) % (32 - line);
+                    let run = 1 + (line + 1..end).take_while(|&l| shares_row(l)).count();
+                    assert_eq!(
+                        m.decode_run(FrameId(frame), line as u32..end as u32),
+                        (want, run as u16),
+                        "{name} {interleave:?} frame {frame} lines {line}..{end}"
+                    );
                 }
             }
         }
@@ -495,6 +548,32 @@ mod tests {
     #[should_panic(expected = "out of page")]
     fn line_out_of_range_panics() {
         paper_mapper().decode(FrameId(0), 32);
+    }
+
+    #[test]
+    fn runs_cover_a_frame_under_page_frames_and_one_line_when_striped() {
+        let m = paper_mapper();
+        for frame in [FrameId(0), FrameId(123), FrameId(524_288 + 77)] {
+            assert_eq!(m.decode_run(frame, 0..32), (m.decode(frame, 0), 32));
+            assert_eq!(m.decode_run(frame, 5..9), (m.decode(frame, 5), 4));
+            let striped = m.with_interleave(Interleave::LineStriped);
+            assert_eq!(
+                striped.decode_run(frame, 0..32),
+                (striped.decode(frame, 0), 1)
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of page")]
+    fn empty_run_panics() {
+        paper_mapper().decode_run(FrameId(0), 3..3);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of page")]
+    fn run_past_the_page_panics() {
+        paper_mapper().decode_run(FrameId(0), 30..33);
     }
 
     #[test]

@@ -5,6 +5,13 @@
 //! location, routes to the owning channel, and later reports completions.
 //! A fixed controller/interconnect latency is added to every access.
 //!
+//! A submission is a range of one frame's lines
+//! ([`MemorySystem::submit_lines`]; a single access is its one-line case).
+//! Each maximal run of those lines that shares a channel, bank and row
+//! becomes one channel queue entry under one token, which completes once,
+//! with the run's last line: a page swap's read or write of one frame is
+//! one token under [`Interleave::PageFrame`], not 32.
+//!
 //! Every decision the channels make goes through a drain, so the system
 //! keeps what a drain needs to know outside the channels: each channel's
 //! [`Channel::next_decision`] in one compact `Vec`, and their minimum.
@@ -15,12 +22,14 @@
 //! channel to its slot in a shard view is a shift when the shard count is
 //! a power of two (the `Divisor` the address mapper also uses).
 
+use std::ops::Range;
+
 use mempod_types::convert::{u32_from_u64, u64_from_usize, usize_from_u32, usize_from_u64};
 use mempod_types::{AccessKind, FrameId, Picos, Tier, LINES_PER_PAGE, PAGE_SIZE};
 use serde::Serialize;
 
-use crate::channel::{Channel, ChannelProbe, ChannelStats, Priority, ReqToken};
-use crate::mapper::{AddressMapper, Divisor, Interleave};
+use crate::channel::{Channel, ChannelProbe, ChannelStats, Priority, ReqToken, RowRun};
+use crate::mapper::{AddressMapper, Divisor, Interleave, PhysLoc};
 use crate::timing::DramTiming;
 
 /// Capacity/channel/timing description of a complete memory system.
@@ -333,7 +342,9 @@ impl MemorySystem {
     }
 
     /// Submits one access in an explicit scheduling class (background for
-    /// migration data movement).
+    /// migration data movement): the one-line case of
+    /// [`submit_lines`](MemorySystem::submit_lines), which needs no run
+    /// search.
     ///
     /// # Panics
     ///
@@ -346,15 +357,68 @@ impl MemorySystem {
         at: Picos,
         priority: Priority,
     ) -> ReqToken {
+        self.check_frame(frame);
+        let loc = self.mapper.decode(frame, line_in_page);
+        self.enqueue(loc, 1, kind, at, priority)
+    }
+
+    /// Submits the lines `lines` of `frame`, all of one kind, class and
+    /// arrival, as one queue entry per maximal run of lines that share a
+    /// channel, bank and row. Under [`Interleave::PageFrame`] that is one
+    /// entry for the whole range; under [`Interleave::LineStriped`], one
+    /// per line. Returns the numbers `n` of the tokens issued, one per
+    /// entry, in line order: each `ReqToken(n)` completes once, when its
+    /// run's last line does.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the frame is out of range, or `lines` is empty or reaches
+    /// past the page.
+    pub fn submit_lines(
+        &mut self,
+        frame: FrameId,
+        lines: Range<u32>,
+        kind: AccessKind,
+        at: Picos,
+        priority: Priority,
+    ) -> Range<u64> {
+        self.check_frame(frame);
+        let first = self.next_token;
+        let mut line = lines.start;
+        loop {
+            let (loc, n) = self.mapper.decode_run(frame, line..lines.end);
+            self.enqueue(loc, n, kind, at, priority);
+            line += u32::from(n);
+            if line == lines.end {
+                return first..self.next_token;
+            }
+        }
+    }
+
+    /// Panics unless `frame` lies in the layout.
+    #[inline]
+    fn check_frame(&self, frame: FrameId) {
         assert!(
             frame.0 < self.layout.total_frames(),
             "frame {frame} out of range"
         );
-        let loc = self.mapper.decode(frame, line_in_page);
+    }
+
+    /// Queues a run of `lines` same-row lines at `loc` as one entry under
+    /// the next token, and refreshes the channel's entry in `due`.
+    #[inline]
+    fn enqueue(
+        &mut self,
+        loc: PhysLoc,
+        lines: u16,
+        kind: AccessKind,
+        at: Picos,
+        priority: Priority,
+    ) -> ReqToken {
         debug_assert_eq!(
             loc.channel % self.shard_count,
             self.shard_id,
-            "frame {frame} routed to channel {} owned by another shard",
+            "channel {} is owned by another shard",
             loc.channel
         );
         let token = ReqToken(self.next_token);
@@ -365,7 +429,13 @@ impl MemorySystem {
         let (local, _) = self.shard_div.div_rem(u64::from(loc.channel));
         let local = usize_from_u64(local);
         let ch = &mut self.channels[local];
-        ch.enqueue_with_priority(token, loc.bank, loc.row, kind.is_write(), at, priority);
+        let run = RowRun {
+            bank: loc.bank,
+            row: loc.row,
+            lines,
+            is_write: kind.is_write(),
+        };
+        ch.enqueue_run(token, run, at, priority);
         let due = ch.next_decision();
         self.due[local] = due;
         self.next_decision = self.next_decision.min(due);
@@ -420,9 +490,15 @@ impl MemorySystem {
         self.drain_until(Picos::MAX)
     }
 
-    /// Number of requests still queued.
+    /// Number of requests (lines) still queued.
     pub fn pending(&self) -> usize {
         self.channels.iter().map(Channel::pending).sum()
+    }
+
+    /// Number of channel queue entries still held: one per token not yet
+    /// completed, however many of its lines are left.
+    pub fn entries(&self) -> usize {
+        self.channels.iter().map(Channel::entries).sum()
     }
 
     /// Statistics split by tier. On a shard view the split is computed

@@ -19,13 +19,21 @@
 //!
 //! Memory is bounded on both axes: at most [`MAX_TRACKED_PAGES`] pages are
 //! tracked (later pages are counted in `skipped_pages`, never silently
-//! dropped) and each page keeps its last [`HISTORY_PER_PAGE`] moves.
+//! dropped) and each page keeps its last [`HISTORY_PER_PAGE`] moves in a
+//! ring bounded at that size.
+//!
+//! A record costs one hash lookup and one ring write, with nothing
+//! shifted: pages sit in a `Vec` in first-move order behind a page-keyed
+//! index, and the summary selects the [`HOTTEST_PAGES`] most-moved pages
+//! in one pass instead of sorting every page.
 
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 
 use mempod_core::Migration;
-use mempod_types::convert::u64_from_usize;
-use mempod_types::Picos;
+use mempod_types::convert::{u64_from_usize, usize_from_u64};
+use mempod_types::{BuildPageHasher, Picos};
 use serde::Serialize;
 
 /// Moves retained per page (older moves fall off the front).
@@ -71,14 +79,65 @@ pub struct PageMove {
 }
 
 /// One tracked page's bounded history.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone)]
 struct PageHistory {
-    /// Last [`HISTORY_PER_PAGE`] moves, oldest first.
-    moves: Vec<PageMove>,
+    page: u64,
+    /// The last [`HISTORY_PER_PAGE`] moves as a ring: the page's move `i`
+    /// (counting from 0 over its whole history) sits at
+    /// `i % HISTORY_PER_PAGE`. It grows to that bound as the page's first
+    /// moves arrive, then each move overwrites the oldest in place; most
+    /// pages move only a few times and never fill it.
+    ring: Vec<PageMove>,
     /// All moves ever recorded (not bounded by the ring).
     total_moves: u64,
     /// Ping-pong trips detected (direction reversals within the window).
     trips: u32,
+}
+
+impl PageHistory {
+    /// A history with no moves yet.
+    fn new(page: u64) -> Self {
+        PageHistory {
+            page,
+            ring: Vec::new(),
+            total_moves: 0,
+            trips: 0,
+        }
+    }
+
+    /// The ring slot of the page's move `i`.
+    fn slot(i: u64) -> usize {
+        usize_from_u64(i % u64_from_usize(HISTORY_PER_PAGE))
+    }
+
+    /// The most recent move, if any.
+    fn last(&self) -> Option<PageMove> {
+        let i = self.total_moves.checked_sub(1)?;
+        Some(self.ring[Self::slot(i)])
+    }
+
+    /// Appends a move, overwriting the oldest once the ring is full.
+    fn push(&mut self, mv: PageMove) {
+        if self.ring.len() < HISTORY_PER_PAGE {
+            self.ring.push(mv);
+        } else {
+            self.ring[Self::slot(self.total_moves)] = mv;
+        }
+        self.total_moves += 1;
+    }
+
+    /// The retained moves, oldest first.
+    fn history(&self) -> Vec<PageMove> {
+        let kept = u64_from_usize(self.ring.len());
+        (self.total_moves - kept..self.total_moves)
+            .map(|i| self.ring[Self::slot(i)])
+            .collect()
+    }
+
+    /// The summary's ranking key: most moves first, then page id.
+    fn rank(&self) -> (Reverse<u64>, u64) {
+        (Reverse(self.total_moves), self.page)
+    }
 }
 
 /// A ping-pong detection, returned to the caller for event emission.
@@ -134,9 +193,11 @@ pub struct ProvenanceLedger {
     fast_frames: u64,
     /// Ping-pong window; `0` disables trip detection (no epoch configured).
     window_ps: u64,
-    /// Keyed by page id; a `BTreeMap` so iteration (the summary ranking)
-    /// is deterministic without relying on the sort to mask map order.
-    pages: BTreeMap<u64, PageHistory>,
+    /// Each tracked page's position in `pages`. Only looked up, never
+    /// iterated, so its hash order cannot reach a result.
+    index: HashMap<u64, usize, BuildPageHasher>,
+    /// Tracked pages in first-move order.
+    pages: Vec<PageHistory>,
     skipped_moves: u64,
     ping_pong_trips: u64,
 }
@@ -148,19 +209,21 @@ impl ProvenanceLedger {
         ProvenanceLedger {
             fast_frames,
             window_ps: epoch.as_ps().saturating_mul(PING_PONG_EPOCHS),
-            pages: BTreeMap::new(),
+            index: HashMap::default(),
+            pages: Vec::new(),
             skipped_moves: 0,
             ping_pong_trips: 0,
         }
     }
 
-    /// Records both sides of one committed migration and reports any
-    /// ping-pong trips it completed (at most one per side).
+    /// Records both sides of one committed migration and reports the
+    /// ping-pong trips it completed: at most one per side, the promoted
+    /// page's first.
     ///
     /// `rolled_back` marks swaps whose fault verdict was permanent — the
     /// manager's map was already restored, so the move is recorded as
     /// history that never took effect.
-    pub fn record(&mut self, m: &Migration, at: Picos, rolled_back: bool) -> Vec<PingPong> {
+    pub fn record(&mut self, m: &Migration, at: Picos, rolled_back: bool) -> [Option<PingPong>; 2] {
         let (cause_a, cause_b) = if m.is_page_swap() {
             // `page_a` is the promoted page moving into the resident
             // victim's frame; `page_b` is the victim displaced out.
@@ -168,16 +231,11 @@ impl ProvenanceLedger {
         } else {
             (MoveCause::LineSwap, MoveCause::LineSwap)
         };
-        let mut pongs = Vec::new();
-        for (page, to_frame, cause) in [
-            (m.page_a.0, m.frame_b.0, cause_a),
-            (m.page_b.0, m.frame_a.0, cause_b),
-        ] {
-            let from_frame = if to_frame == m.frame_a.0 {
-                m.frame_b.0
-            } else {
-                m.frame_a.0
-            };
+        [
+            (m.page_a.0, m.frame_a.0, m.frame_b.0, cause_a),
+            (m.page_b.0, m.frame_b.0, m.frame_a.0, cause_b),
+        ]
+        .map(|(page, from_frame, to_frame, cause)| {
             let mv = PageMove {
                 t_ps: at.as_ps(),
                 from_frame,
@@ -187,21 +245,27 @@ impl ProvenanceLedger {
                 cause,
                 rolled_back,
             };
-            if let Some(pong) = self.push(page, mv) {
-                pongs.push(pong);
-            }
-        }
-        pongs
+            self.push(page, mv)
+        })
     }
 
     /// Appends one move to a page's ring, detecting a direction reversal.
     fn push(&mut self, page: u64, mv: PageMove) -> Option<PingPong> {
-        if !self.pages.contains_key(&page) && self.pages.len() >= MAX_TRACKED_PAGES {
-            self.skipped_moves += 1;
-            return None;
-        }
-        let hist = self.pages.entry(page).or_default();
-        let pong = match hist.moves.last() {
+        let next = self.pages.len();
+        let i = match self.index.entry(page) {
+            Entry::Occupied(e) => *e.get(),
+            Entry::Vacant(e) => {
+                if next >= MAX_TRACKED_PAGES {
+                    self.skipped_moves += 1;
+                    return None;
+                }
+                e.insert(next);
+                self.pages.push(PageHistory::new(page));
+                next
+            }
+        };
+        let hist = &mut self.pages[i];
+        let pong = match hist.last() {
             Some(prev)
                 if prev.to_fast != mv.to_fast
                     && !mv.rolled_back
@@ -219,32 +283,39 @@ impl ProvenanceLedger {
             }
             _ => None,
         };
-        if hist.moves.len() == HISTORY_PER_PAGE {
-            hist.moves.remove(0);
-        }
-        hist.moves.push(mv);
-        hist.total_moves += 1;
+        hist.push(mv);
         pong
     }
 
     /// End-of-run totals plus the [`HOTTEST_PAGES`] most-moved pages.
     /// Ordering is deterministic: moves descending, then page id ascending.
     pub fn summary(&self) -> ProvenanceSummary {
-        let mut ranked: Vec<(&u64, &PageHistory)> = self.pages.iter().collect();
-        ranked.sort_by_key(|(page, h)| (std::cmp::Reverse(h.total_moves), **page));
+        // One pass keeps the best `HOTTEST_PAGES` in rank order; page ids
+        // are unique, so the rank is a total order and the pass's result
+        // does not depend on the pages' order.
+        let mut hottest: Vec<&PageHistory> = Vec::with_capacity(HOTTEST_PAGES + 1);
+        for h in &self.pages {
+            if hottest.len() == HOTTEST_PAGES
+                && hottest.last().is_some_and(|worst| worst.rank() < h.rank())
+            {
+                continue;
+            }
+            let at = hottest.partition_point(|t| t.rank() < h.rank());
+            hottest.insert(at, h);
+            hottest.truncate(HOTTEST_PAGES);
+        }
         ProvenanceSummary {
             tracked_pages: u64_from_usize(self.pages.len()),
-            total_moves: self.pages.values().map(|h| h.total_moves).sum(),
+            total_moves: self.pages.iter().map(|h| h.total_moves).sum(),
             ping_pong_trips: self.ping_pong_trips,
             skipped_moves: self.skipped_moves,
-            hottest: ranked
+            hottest: hottest
                 .into_iter()
-                .take(HOTTEST_PAGES)
-                .map(|(page, h)| PageProvenance {
-                    page: *page,
+                .map(|h| PageProvenance {
+                    page: h.page,
                     moves: h.total_moves,
                     trips: h.trips,
-                    history: h.moves.clone(),
+                    history: h.history(),
                 })
                 .collect(),
         }
@@ -273,7 +344,7 @@ mod tests {
     fn records_both_sides_with_tier_direction() {
         let mut ldg = ProvenanceLedger::new(4, Picos::from_us(1));
         let pongs = ldg.record(&swap(2, 9, 100, 200, 7), Picos(10), false);
-        assert!(pongs.is_empty());
+        assert_eq!(pongs, [None, None]);
         let s = ldg.summary();
         assert_eq!(s.tracked_pages, 2);
         assert_eq!(s.total_moves, 2);
@@ -295,13 +366,15 @@ mod tests {
         ldg.record(&swap(1, 8, 50, 60, 3), Picos(0), false);
         // Page 50 bounces back out within the window: one trip.
         let pongs = ldg.record(&swap(1, 8, 61, 50, 5), Picos(300), false);
-        assert_eq!(pongs.len(), 1);
-        assert_eq!(pongs[0].page, 50);
-        assert_eq!(pongs[0].round_trip_ps, 300);
-        assert_eq!(pongs[0].trips, 1);
+        let pong = PingPong {
+            page: 50,
+            round_trip_ps: 300,
+            trips: 1,
+        };
+        assert_eq!(pongs, [None, Some(pong)]);
         // Back in again, but far outside the window: no trip.
         let pongs = ldg.record(&swap(1, 8, 50, 61, 9), Picos(10_000), false);
-        assert!(pongs.is_empty());
+        assert_eq!(pongs, [None, None]);
         assert_eq!(ldg.summary().ping_pong_trips, 1);
     }
 
@@ -310,7 +383,7 @@ mod tests {
         let mut ldg = ProvenanceLedger::new(4, Picos(1_000));
         ldg.record(&swap(1, 8, 50, 60, 3), Picos(0), false);
         let pongs = ldg.record(&swap(1, 8, 61, 50, 5), Picos(10), true);
-        assert!(pongs.is_empty());
+        assert_eq!(pongs, [None, None]);
         let s = ldg.summary();
         let page = s.hottest.iter().find(|p| p.page == 50).expect("tracked");
         assert!(page.history[1].rolled_back);
@@ -340,6 +413,53 @@ mod tests {
                                           // Equal counts rank by page id.
         assert_eq!(s.hottest[1].page, 6);
         assert_eq!(s.hottest[2].page, 7);
+    }
+
+    #[test]
+    fn summary_matches_a_sorted_model_of_every_page() {
+        // A naive model: every page's full move list, ranked by a sort.
+        let mut ldg = ProvenanceLedger::new(64, Picos(2_000));
+        let mut model: std::collections::BTreeMap<u64, Vec<PageMove>> = Default::default();
+        let mut pongs = 0;
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        for i in 0..5_000u64 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            // Few pages, skewed, so rings wrap and counts tie.
+            let pa = (x % 7) * (x >> 8) % 300;
+            let pb = (pa + 1 + (x >> 20) % 299) % 300;
+            let m = swap(x % 64, 64 + (x >> 30) % 64, pa, pb, x >> 50);
+            let got = ldg.record(&m, Picos(i * 37), x.is_multiple_of(11));
+            pongs += got.iter().flatten().count();
+            for (page, to_frame) in [(pa, m.frame_b.0), (pb, m.frame_a.0)] {
+                let hist = model.entry(page).or_default();
+                let mv = ldg.pages[ldg.index[&page]].last().expect("recorded");
+                assert_eq!((mv.to_frame, mv.t_ps), (to_frame, i * 37));
+                hist.push(mv);
+            }
+        }
+        let mut ranked: Vec<(&u64, &Vec<PageMove>)> = model.iter().collect();
+        ranked.sort_by_key(|(page, moves)| (std::cmp::Reverse(moves.len()), **page));
+        let want: Vec<PageProvenance> = ranked
+            .into_iter()
+            .take(HOTTEST_PAGES)
+            .map(|(page, moves)| PageProvenance {
+                page: *page,
+                moves: u64_from_usize(moves.len()),
+                trips: ldg.pages[ldg.index[page]].trips,
+                history: moves[moves.len().saturating_sub(HISTORY_PER_PAGE)..].to_vec(),
+            })
+            .collect();
+        let s = ldg.summary();
+        assert!(want
+            .iter()
+            .all(|p| p.moves > u64_from_usize(HISTORY_PER_PAGE)));
+        assert_eq!(s.hottest, want);
+        assert_eq!(s.tracked_pages, u64_from_usize(model.len()));
+        assert_eq!(s.total_moves, 10_000);
+        assert_eq!(s.ping_pong_trips, u64_from_usize(pongs));
+        assert!(pongs > 0);
     }
 
     #[test]

@@ -130,6 +130,7 @@ impl OwnerTable {
 #[derive(Debug)]
 pub(crate) struct MigExec {
     m: Migration,
+    /// Tokens of the current phase still outstanding.
     pending: usize,
     /// Latest completion of the current phase; once `done`, the finish.
     latest: Picos,
@@ -359,14 +360,16 @@ impl Shard {
         self.migs.len() - self.free.len()
     }
 
-    /// Checks that every queued DRAM request has exactly one owner: the
-    /// live owners equal the requests pending in this shard's channels.
-    /// Holds between pumps (a pump hands every completion to its owner).
+    /// Checks that every queue entry in this shard's channels has exactly
+    /// one owner: the live owners equal the queued entries (one per token;
+    /// a run of lines is one entry however many lines it has left, so the
+    /// owners are not the queued lines). Holds between pumps (a pump hands
+    /// every completion to its owner).
     #[cfg(feature = "debug-invariants")]
     fn audit_owners(&mut self) {
         self.auditor.check_conserved(
-            "owners: queued DRAM requests vs live token owners",
-            u64_from_usize(self.mem.pending()),
+            "owners: queued DRAM entries vs live token owners",
+            u64_from_usize(self.mem.entries()),
             u64_from_usize(self.owners.live),
         );
     }
@@ -697,7 +700,7 @@ impl Shard {
                 };
                 match next {
                     Next::Wait => {}
-                    Next::Writes(at) => self.submit_writes(mig, at),
+                    Next::Writes(at) => self.submit_phase(mig, AccessKind::Write, at),
                     Next::Abort(at) => self.abort_attempt(mig, at),
                 }
             }
@@ -734,26 +737,45 @@ impl Shard {
         }
     }
 
-    /// Launches a migration's 2×N write-back phase at `at` (its read phase
-    /// just completed cleanly).
-    fn submit_writes(&mut self, mig: usize, at: Picos) {
+    /// Launches one 2×N phase of a migration at `at`: its reads (first
+    /// launched by [`start_migration`](Shard::start_migration), again after
+    /// each injected abort) or, once the reads completed cleanly, its
+    /// write-back. Every token of the phase gets the migration as its
+    /// owner, and the phase waits for all of them.
+    ///
+    /// Each frame goes in as one range of lines, not line by line
+    /// alternating between the frames. That queues the same requests in
+    /// the same per-channel order because the two frames never share a
+    /// channel: every manager swaps a fast frame with a slow one, and the
+    /// tiers' channels are disjoint. Under page-frame interleaving each
+    /// frame's lines are one queue entry, so a phase is two tokens.
+    fn submit_phase(&mut self, mig: usize, kind: AccessKind, at: Picos) {
         let m = self.migs[mig].m;
-        let mut n = 0;
-        for line in m.line_start..m.line_start + m.line_count {
-            for frame in [m.frame_a, m.frame_b] {
-                let tok = self.mem.submit_with_priority(
-                    frame,
-                    line,
-                    AccessKind::Write,
-                    at,
-                    Priority::Background,
-                );
-                self.owners.insert(tok, TokenOwner::MigrationWrite { mig });
-                n += 1;
+        debug_assert_ne!(
+            self.mem.tier_of(m.frame_a),
+            self.mem.tier_of(m.frame_b),
+            "a swap's frames must lie in different tiers"
+        );
+        let owner = if kind.is_write() {
+            TokenOwner::MigrationWrite { mig }
+        } else {
+            TokenOwner::MigrationRead { mig }
+        };
+        let lines = m.line_start..m.line_start + m.line_count;
+        let mut tokens = 0;
+        for frame in [m.frame_a, m.frame_b] {
+            for token in self
+                .mem
+                .submit_lines(frame, lines.clone(), kind, at, Priority::Background)
+            {
+                self.owners.insert(ReqToken(token), owner);
+                tokens += 1;
             }
         }
-        self.migs[mig].pending = n;
-        self.injected_migration += u64_from_usize(n);
+        self.injected_migration += 2 * u64::from(m.line_count);
+        let e = &mut self.migs[mig];
+        e.pending = tokens;
+        e.latest = at;
     }
 
     /// An injected fault aborts the migration's current read phase at `at`:
@@ -811,7 +833,7 @@ impl Shard {
                     backoff_ps: backoff.as_ps(),
                 },
             );
-            self.submit_reads(mig, at + backoff);
+            self.submit_phase(mig, AccessKind::Read, at + backoff);
         }
     }
 
@@ -954,7 +976,7 @@ impl Shard {
 
     /// Launches a migration's first read phase (emits `MigrationStart`
     /// exactly once; injected retries re-enter via
-    /// [`submit_reads`](Shard::submit_reads) alone).
+    /// [`submit_phase`](Shard::submit_phase) alone).
     fn start_migration(&mut self, mig: usize, at: Picos) {
         let m = self.migs[mig].m;
         self.event(
@@ -971,31 +993,7 @@ impl Shard {
             e.started = true;
             e.t_start = at;
         }
-        self.submit_reads(mig, at);
-    }
-
-    /// Launches (or, after an injected abort, re-launches) a migration's
-    /// 2×N read phase at `at`.
-    fn submit_reads(&mut self, mig: usize, at: Picos) {
-        let m = self.migs[mig].m;
-        let mut pending = 0;
-        for line in m.line_start..m.line_start + m.line_count {
-            for frame in [m.frame_a, m.frame_b] {
-                let tok = self.mem.submit_with_priority(
-                    frame,
-                    line,
-                    AccessKind::Read,
-                    at,
-                    Priority::Background,
-                );
-                self.owners.insert(tok, TokenOwner::MigrationRead { mig });
-                pending += 1;
-            }
-        }
-        let e = &mut self.migs[mig];
-        e.pending = pending;
-        e.latest = at;
-        self.injected_migration += u64_from_usize(pending);
+        self.submit_phase(mig, AccessKind::Read, at);
     }
 
     /// Routes a foreground access according to its page's blocking state.
@@ -1213,6 +1211,10 @@ mod tests {
     }
 
     fn tiny_shard() -> Shard {
+        shard_over(MemLayout::tiny())
+    }
+
+    fn shard_over(layout: MemLayout) -> Shard {
         let cfg = ShardConfig {
             shards: 1,
             pods: 4,
@@ -1225,7 +1227,7 @@ mod tests {
             mempod_core::ManagerKind::NoMigration,
             &mempod_core::ManagerConfig::tiny(),
         );
-        Shard::new(0, MemorySystem::new(MemLayout::tiny()), mgr, cfg)
+        Shard::new(0, MemorySystem::new(layout), mgr, cfg)
     }
 
     /// A swap of fast page `a` (frame `a`) with slow page `b`.
@@ -1322,7 +1324,7 @@ mod tests {
             peak_in_flight = peak_in_flight.max(sh.migrations_in_flight());
             sh.maybe_prune(now);
             assert_pruned(&sh, now);
-            assert_eq!(sh.owners.live, sh.mem.pending(), "owners at step {i}");
+            assert_eq!(sh.owners.live, sh.mem.entries(), "owners at step {i}");
         }
         sh.pump(Picos::MAX);
         sh.maybe_prune(Picos::MAX);
@@ -1343,6 +1345,35 @@ mod tests {
             "{} slots for a peak of {peak_in_flight} in flight",
             sh.migs.len()
         );
+    }
+
+    #[test]
+    fn a_swap_phase_is_one_token_per_same_row_run() {
+        // Page frames: each frame's 32 lines are one run, so a phase is 2
+        // tokens for 64 lines; striped lines are one token each.
+        let striped = MemLayout {
+            interleave: mempod_dram::Interleave::LineStriped,
+            ..MemLayout::tiny()
+        };
+        for (mut sh, tokens) in [(tiny_shard(), 2), (shard_over(striped), 64)] {
+            sh.enqueue_migration(swap(1, 101, None), Picos::ZERO, None);
+            assert_eq!(sh.migs[0].pending, tokens);
+            assert_eq!(sh.owners.live, tokens);
+            assert_eq!((sh.mem.entries(), sh.mem.pending()), (tokens, 64));
+            assert_eq!(sh.injected_migration, 64);
+            // Drain until the read phase completes and the writes queue.
+            let mut t = Picos::ZERO;
+            while sh.injected_migration == 64 {
+                t += Picos::from_ns(1);
+                sh.pump(t);
+            }
+            assert_eq!(sh.migs[0].pending, tokens);
+            assert_eq!((sh.owners.live, sh.mem.entries()), (tokens, tokens));
+            sh.pump(Picos::MAX);
+            assert!(sh.migs[0].done && sh.owners_empty());
+            assert_eq!(sh.injected_migration, 128);
+            assert_eq!(sh.mem.stats().total().requests(), 128);
+        }
     }
 
     #[test]

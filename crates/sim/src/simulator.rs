@@ -858,7 +858,7 @@ impl Engine {
             let c = self.shards[s].commits[heads[s]];
             heads[s] += 1;
             let at = reqs[usize_from_u32(c.tick)].arrival;
-            for pong in ledger.record(&c.m, at, c.permanent) {
+            for pong in ledger.record(&c.m, at, c.permanent).into_iter().flatten() {
                 if self.events_wanted {
                     self.main_events.push((
                         at.as_ps(),

@@ -100,6 +100,22 @@ pub const fn u8_from_u64(x: u64) -> u8 {
     }
 }
 
+/// Narrows a `u32` to `u16`, for values structurally bounded below `2^16`
+/// (e.g. a count of lines within one page).
+///
+/// # Panics
+///
+/// Panics if `x` does not fit — a programming error, not an input error.
+#[inline]
+#[must_use]
+pub const fn u16_from_u32(x: u32) -> u16 {
+    if x <= u16::MAX as u32 {
+        x as u16
+    } else {
+        panic!("u32 value does not fit in u16")
+    }
+}
+
 /// Narrows a `u64` to `usize`, for structurally bounded values (e.g. an
 /// index already compared against a collection length).
 ///

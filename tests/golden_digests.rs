@@ -237,3 +237,28 @@ fn observed_run_matches_its_golden_digests() {
     ];
     assert_table(&got, GOLDEN_OBSERVED);
 }
+
+/// A MemPod run whose channels interleave by line rather than by page
+/// frame: every line of a page swap decodes to its own channel, so each
+/// swap line queues as its own channel entry. Line striping breaks the
+/// pod/channel alignment, so the run is one shard at any requested count.
+const GOLDEN_LINE_STRIPED: &Golden = &[("MemPod line-striped", "daea9b5ac4d50676", 1)];
+
+#[test]
+fn line_striped_run_matches_its_golden_digest() {
+    let cfg = SimConfig::new(SystemConfig::tiny(), ManagerKind::MemPod);
+    let mut layout = cfg.layout();
+    layout.interleave = mempod_suite::dram::Interleave::LineStriped;
+    let t = trace();
+    let one = Simulator::with_layout(cfg.clone(), layout)
+        .expect("valid")
+        .run(&t);
+    let sharded = Simulator::with_layout(cfg, layout)
+        .expect("valid")
+        .with_shards(MAX_SHARDS);
+    let shards = sharded.effective_shards();
+    assert_eq!(one, sharded.run(&t), "1 vs {shards} shards diverged");
+    assert!(one.migration.migrations > 0, "the run must swap pages");
+    let got = vec![("MemPod line-striped".to_string(), digest(&one), shards)];
+    assert_table(&got, GOLDEN_LINE_STRIPED);
+}

@@ -144,3 +144,46 @@ fn metadata_miss_bursts_match_across_shard_counts() {
         );
     }
 }
+
+/// Every swap any manager commits pairs a fast frame with a slow one, so
+/// its two frames never share a channel (the tiers' channels are
+/// disjoint). The engine relies on this to submit a swap phase frame by
+/// frame: with the frames on different channels, that queues each
+/// channel's lines in the order a line-by-line loop alternating between
+/// the frames would.
+#[test]
+fn every_swap_pairs_a_fast_frame_with_a_slow_one() {
+    let sys = SystemConfig::tiny();
+    let t = mix1_trace(&sys, 40_000);
+    let fast_pages = sys.geometry.fast_pages();
+    let runs = [
+        ("MemPod", SimConfig::new(sys.clone(), ManagerKind::MemPod)),
+        ("MemPod+cache", cached_mempod()),
+        ("CAMEO", SimConfig::new(sys.clone(), ManagerKind::Cameo)),
+        ("CAMEO+LLP", cameo_llp()),
+        ("THM", SimConfig::new(sys.clone(), ManagerKind::Thm)),
+        ("HMA", fast_hma(sys.clone())),
+    ];
+    // Every migrating kind is covered.
+    for kind in ManagerKind::all().into_iter().filter(|k| k.migrates()) {
+        assert!(
+            runs.iter().any(|(_, cfg)| cfg.manager == kind),
+            "{kind} untested"
+        );
+    }
+    for (label, cfg) in runs {
+        let mut mgr = build_manager(cfg.manager, &cfg.mgr);
+        let mut swaps = 0u64;
+        for req in t.requests() {
+            for m in mgr.on_access(req).migrations {
+                assert_ne!(
+                    m.frame_a.0 < fast_pages,
+                    m.frame_b.0 < fast_pages,
+                    "{label}: swap {m:?} stays in one tier"
+                );
+                swaps += 1;
+            }
+        }
+        assert!(swaps > 0, "{label}: the trace must migrate");
+    }
+}
